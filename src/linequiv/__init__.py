@@ -28,6 +28,7 @@ from .invariants import (
     InvariantRecord,
     NegativeMultiplicity,
     RationalRegularPart,
+    analyze_graph,
     cyclotomic_refine,
     decide_equiv,
     full_invariants,
@@ -82,6 +83,7 @@ __all__ = [
     "StabilizationShapeError",
     "StableShape",
     "analyze",
+    "analyze_graph",
     "canonical_pair",
     "classify_stable",
     "compare",

@@ -2,14 +2,17 @@
 
 Commands: reduce, contract, diagram, invariants, equiv, oracle, fuzz.
 Exit codes: 0 success (or equivalent / all trials passed), 1 not equivalent
-or a failed cross-check, 2 usage or parse error, 3 internal consistency
-error.  With --json all output is a single JSON document with sorted keys,
-byte-stable for a given input and version.
+or a failed cross-check, 2 usage or parse error, or a matrix pair the oracle
+cannot factor, 3 internal consistency error, 141 the reader closed the output
+pipe early (128 + SIGPIPE, as a shell reports it).  With --json all output is
+a single JSON document with sorted keys, byte-stable for a given input and
+version.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -18,12 +21,12 @@ from pathlib import Path
 
 from . import __version__
 from .contraction import (ContractionDiagram, StabilizationShapeError, class_label,
-                          gamma_table, iterated_contraction, stabilize)
+                          gamma_table, iterated_contraction)
 from .invariants import (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
-                         decide_equiv, diagram_cells, full_invariants, gamma_content,
-                         record_to_json)
+                         analyze_graph, decide_equiv, diagram_cells, full_invariants,
+                         gamma_content, record_to_json)
 from .linearize import linearize, parse_pair_file
-from .oracle import DimensionMismatch, compare, oracle_invariants
+from .oracle import DimensionMismatch, OracleFactorError, compare, oracle_invariants
 from .parsing import ParseError, parse_graph, serialize
 from .relation import BinaryRelation, GraphError, MultiDigraph, reduce as reduce_graph
 
@@ -147,17 +150,15 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load_graph(args.path, args)
-    rel = reduce_graph(g).reduced
-    d = gamma_table(rel)
-    shape, _stable, depth = stabilize(rel)
-    rec = full_invariants(g)
+    analysis = analyze_graph(g)
+    d, shape, rec = analysis.diagram, analysis.shape, analysis.record
     if args.json:
         _emit_json({
             "vertices": g.vertex_count,
             "edges": g.edge_count,
             "gamma": _gamma_json(d),
             "stable_shape": {"cycles": list(shape.cycles), "paths": list(shape.paths)},
-            "stabilization_depth": depth,
+            "stabilization_depth": d.depth,
             "record": record_to_json(rec, g.edge_count, g.vertex_count),
         })
     else:
@@ -166,7 +167,7 @@ def _cmd_invariants(args) -> int:
                              for (m, n), v in d.nonstable_points().items())
         print(f"gamma: stable={d.stable_value} horizon={d.horizon} {nonstable}".rstrip())
         print(f"stable shape: cycles={list(shape.cycles)} paths={list(shape.paths)} "
-              f"(depth {depth})")
+              f"(depth {d.depth})")
         print(f"record: {rec.describe()}")
         print("edge identity: ok")
         print("vertex identity: ok")
@@ -366,13 +367,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (_Usage, ParseError, GraphError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (_Usage, ParseError, GraphError, ValueError, OracleFactorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _INTERNAL_ERRORS as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # Closing drops the output the reader will never take, so the flush at
+        # interpreter exit cannot fail a second time.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return 141
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ StabilizationShapeError, which would signal a bug, not bad input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .relation import BinaryRelation, GraphError
@@ -79,12 +80,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def class_of(self, v: str) -> tuple[str, ...]:
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise KeyError(v)
 
     def refines(self, other: "Partition") -> bool:
         """True if every class of self lies inside a class of other."""
@@ -258,6 +253,7 @@ def classify_stable(r: BinaryRelation) -> StableShape:
     comp_vertices: dict[int, list[str]] = {}
     for v in r.vertices:
         comp_vertices.setdefault(uf.find(ix[v]), []).append(v)
+    comp_edges = Counter(uf.find(ix[s]) for s, _t in r.pairs)
     outdeg = {v: 0 for v in r.vertices}
     indeg = {v: 0 for v in r.vertices}
     for s, t in r.pairs:
@@ -267,7 +263,7 @@ def classify_stable(r: BinaryRelation) -> StableShape:
     paths = []
     for root, members in comp_vertices.items():
         k = len(members)
-        edges = sum(1 for s, t in r.pairs if uf.find(ix[s]) == root)
+        edges = comp_edges[root]
         if any(outdeg[v] > 1 or indeg[v] > 1 for v in members):
             raise StabilizationShapeError("branching component in stable relation")
         if edges == k:
@@ -307,13 +303,17 @@ class ContractionDiagram:
     gamma stores every computed point; beyond the stored band all suitable
     points take stable_value.  horizon is the least D with gamma constant on
     suitable points having min(m, n) >= D; band_end the last computed
-    antidiagonal m + n.
+    antidiagonal m + n.  stable and depth are the fully contracted relation
+    and the number of left-then-right rounds that reach it, as `stabilize`
+    returns them.
     """
 
     gamma: dict[tuple[int, int], int]
     stable_value: int
     horizon: int
     band_end: int
+    stable: BinaryRelation
+    depth: int
 
     @staticmethod
     def is_suitable(m: int, n: int) -> bool:
@@ -346,7 +346,7 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
     """Tabulate gamma over the suitable band by dynamic programming, reusing
     each quotient, until three consecutive antidiagonals sit at the stable
     value."""
-    final, _ = _stable_state(r)
+    final, depth = _stable_state(r)
     stable_value = len(final.classes)
     states: dict[int, _State] = {0: _initial_state(r)}
     gamma: dict[tuple[int, int], int] = {(0, 0): len(states[0].classes)}
@@ -372,4 +372,4 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
             stable_run = 0
     nonstable = [p for p, g in gamma.items() if g != stable_value]
     horizon = 1 + max(min(p) for p in nonstable) if nonstable else 0
-    return ContractionDiagram(gamma, stable_value, horizon, s)
+    return ContractionDiagram(gamma, stable_value, horizon, s, _state_relation(r, final), depth)

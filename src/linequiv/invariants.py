@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .contraction import ContractionDiagram, StableShape, gamma_table, stabilize
+from .contraction import ContractionDiagram, StableShape, classify_stable, gamma_table
 from .ratpoly import Poly, poly_str, totient
 from .relation import BinaryRelation, MultiDigraph, reduce as reduce_graph
 
@@ -220,33 +220,46 @@ def vertex_check(vertex_count: int, rec: InvariantRecord) -> bool:
     return rec.vertex_total() == vertex_count
 
 
-def full_invariants(g: MultiDigraph | BinaryRelation) -> InvariantRecord:
-    """Complete multiplicity record of a graph, by the contraction pipeline:
-    reduce, tabulate gamma, stabilize, evaluate the three stages, then verify
-    both counting identities."""
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """A graph run once through the contraction pipeline: its edge count
+    (parallel edges included), its gamma diagram, which also carries the
+    stable relation and depth, its stable cycle/path shape, and its record."""
+
+    edge_count: int
+    diagram: ContractionDiagram
+    shape: StableShape
+    record: InvariantRecord
+
+
+def analyze_graph(g: MultiDigraph | BinaryRelation) -> GraphAnalysis:
+    """Reduce, tabulate gamma, classify the stable relation, evaluate the
+    three stages, then verify both counting identities; each step runs once."""
     if isinstance(g, BinaryRelation):
         relation, split = g, 0
-        edge_count = g.edge_count
     else:
         summary = reduce_graph(g)
         relation, split = summary.reduced, summary.split_count
-        edge_count = g.edge_count
     diagram = gamma_table(relation)
-    shape, _stable, _depth = stabilize(relation)
+    shape = classify_stable(diagram.stable)
     zt, tz, ztz = part_one(diagram)
     t, cycles = part_two(shape)
     partial = InvariantRecord(zt, tz, t, ztz, cycles)
     ztz0 = part_three_zt00(relation.edge_count, partial)
-    ztz = dict(ztz)
     if ztz0 + split:
         ztz[0] = ztz0 + split
     rec = InvariantRecord(zt, tz, t, ztz, cycles)
-    if not edge_check(edge_count, rec):
-        raise ConsistencyError(f"edge identity failed: {rec.edge_total()} != {edge_count}")
+    if not edge_check(g.edge_count, rec):
+        raise ConsistencyError(f"edge identity failed: {rec.edge_total()} != {g.edge_count}")
     if not vertex_check(relation.vertex_count, rec):
         raise ConsistencyError(
             f"vertex identity failed: {rec.vertex_total()} != {relation.vertex_count}")
-    return rec
+    return GraphAnalysis(g.edge_count, diagram, shape, rec)
+
+
+def full_invariants(g: MultiDigraph | BinaryRelation) -> InvariantRecord:
+    """Complete multiplicity record of a graph, by the contraction pipeline."""
+    return analyze_graph(g).record
 
 
 # -- diagram cells and equivalence -------------------------------------------
@@ -313,13 +326,9 @@ def decide_equiv(a: MultiDigraph | BinaryRelation,
                  b: MultiDigraph | BinaryRelation) -> EquivVerdict:
     """Two graphs have the same pair invariants iff their gamma tables, their
     stable cycle/path shapes, and their edge counts all agree."""
-    ra = a if isinstance(a, BinaryRelation) else reduce_graph(a).reduced
-    rb = b if isinstance(b, BinaryRelation) else reduce_graph(b).reduced
-    ea = a.edge_count if isinstance(a, MultiDigraph) else ra.edge_count
-    eb = b.edge_count if isinstance(b, MultiDigraph) else rb.edge_count
-    da, db = gamma_table(ra), gamma_table(rb)
-    shape_a, _, _ = stabilize(ra)
-    shape_b, _, _ = stabilize(rb)
+    xa, xb = analyze_graph(a), analyze_graph(b)
+    da, db = xa.diagram, xb.diagram
+    shape_a, shape_b = xa.shape, xb.shape
     if da.signature() != db.signature():
         verdict = EquivVerdict(False, _first_gamma_difference(da, db))
     elif shape_a != shape_b:
@@ -327,12 +336,11 @@ def decide_equiv(a: MultiDigraph | BinaryRelation,
                                f"stable shape: cycles {list(shape_a.cycles)} paths "
                                f"{list(shape_a.paths)} != cycles {list(shape_b.cycles)} "
                                f"paths {list(shape_b.paths)}")
-    elif ea != eb:
-        verdict = EquivVerdict(False, f"edge count: {ea} != {eb}")
+    elif xa.edge_count != xb.edge_count:
+        verdict = EquivVerdict(False, f"edge count: {xa.edge_count} != {xb.edge_count}")
     else:
         verdict = EquivVerdict(True)
-    records_equal = full_invariants(a) == full_invariants(b)
-    if records_equal != verdict.equivalent:
+    if (xa.record == xb.record) != verdict.equivalent:
         raise ConsistencyError("primitive invariants and records disagree")
     return verdict
 

@@ -116,23 +116,3 @@ def converse(r: BinaryRelation) -> BinaryRelation:
     """Reverse every pair; vertices unchanged."""
     return BinaryRelation(r.vertices, frozenset((t, s) for s, t in r.pairs))
 
-
-def as_relation(g: MultiDigraph | BinaryRelation) -> BinaryRelation:
-    """Reduced view of g (identity on relations)."""
-    if isinstance(g, BinaryRelation):
-        return g
-    return reduce(g).reduced
-
-
-def out_neighbors(r: BinaryRelation) -> dict[str, list[str]]:
-    nbr: dict[str, list[str]] = {v: [] for v in r.vertices}
-    for s, t in r.sorted_pairs():
-        nbr[s].append(t)
-    return nbr
-
-
-def in_neighbors(r: BinaryRelation) -> dict[str, list[str]]:
-    nbr: dict[str, list[str]] = {v: [] for v in r.vertices}
-    for s, t in r.sorted_pairs():
-        nbr[t].append(s)
-    return nbr

@@ -1,7 +1,11 @@
+import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from linequiv import cli, contraction, invariants
 from linequiv.cli import main, random_relation, run_fuzz, trial_seed
 from linequiv.parsing import serialize
 
@@ -163,6 +167,47 @@ def test_oracle_matrix_file(capsys, tmp_path):
     assert code == 0
     assert "ztz[1]=1" in out
     assert "comparison skipped" in out
+
+
+def test_oracle_matrix_unfactorable_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "pair.txt"
+    path.write_text("2 2\n0 1\n2 0\n1 0\n0 1\n")  # M = [[0,1],[2,0]], N = I: X^2 - 2
+    code, out, err = run(capsys, "oracle", str(path), "--matrix")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_closed_output_pipe_exits_cleanly(monkeypatch, tmp_path):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = tmp_path / "path.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(3000)))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["reduce", str(path)]) == 141
+
+
+def test_each_stage_runs_once_per_graph(monkeypatch, capsys, g1_file, g4_file):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(contraction, "_stable_state",
+                        counted("_stable_state", contraction._stable_state))
+    gamma = counted("gamma_table", contraction.gamma_table)
+    for module in (contraction, invariants, cli):
+        monkeypatch.setattr(module, "gamma_table", gamma)
+    assert run(capsys, "invariants", g4_file, "--json")[0] == 0
+    assert calls == {"_stable_state": 1, "gamma_table": 1}
+    calls.clear()
+    assert run(capsys, "equiv", g1_file, g4_file)[0] == 1
+    assert calls == {"_stable_state": 2, "gamma_table": 2}
 
 
 def test_dot_format_flag(capsys, tmp_path):

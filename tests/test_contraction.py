@@ -266,6 +266,7 @@ def test_classify_rejects_branching():
 def test_stable_value_matches_shape():
     for i in range(60):
         r = seeded_relation(f"stable-count:{i}")
-        shape, stable, _ = stabilize(r)
+        shape, stable, depth = stabilize(r)
         d = gamma_table(r)
         assert shape.total_vertices == stable.vertex_count == d.stable_value
+        assert (d.stable, d.depth) == (stable, depth)
