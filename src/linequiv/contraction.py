@@ -81,13 +81,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def refines(self, other: "Partition") -> bool:
-        """True if every class of self lies inside a class of other."""
-        if set(self.over) != set(other.over):
-            return False
-        owner = {v: i for i, cls in enumerate(other.classes) for v in cls}
-        return all(len({owner[v] for v in cls}) == 1 for cls in self.classes)
-
     def class_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(c) for c in self.classes)
 
@@ -191,16 +184,6 @@ def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
     vertices = tuple(class_label(cls) for cls in p.classes)
     pairs = frozenset((labels[s], labels[t]) for s, t in r.pairs)
     return BinaryRelation(vertices, pairs)
-
-
-def compose_partitions(r: BinaryRelation, p: Partition, q: Partition) -> Partition:
-    """Partition of r's vertices obtained by coarsening p with a partition q
-    of the quotient's vertex labels."""
-    by_label = {class_label(cls): cls for cls in p.classes}
-    if set(q.over) != set(by_label):
-        raise GraphError("outer partition is not over the quotient's vertices")
-    classes = tuple(tuple(v for lbl in cls for v in by_label[lbl]) for cls in q.classes)
-    return Partition(r.vertices, classes)
 
 
 def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation, Partition]:

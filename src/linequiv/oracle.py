@@ -10,9 +10,13 @@ polynomial matrix M + X*N:
     are zt, the rest is the regular part;
   * the Smith normal form of N + X*M read at X-powers gives tz.
 
-All arithmetic is over Fraction; results are exact integers.  Divisors of
-the pencil are reported in the convention where a single loop edge yields
-S(X - 1): a pencil factor q gives the stored polynomial monic(q(-X)).
+Everything is exact; nothing touches floating point.  Ranks (the normal
+rank and the block matrices behind the minimal indices) come from
+fraction-free elimination on integer rows, each rational row first scaled to
+integers; the Smith forms work on polynomials with Fraction coefficients.
+Divisors of the pencil are reported in the convention where a single loop
+edge yields S(X - 1): a pencil factor q gives the stored polynomial
+monic(q(-X)).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import ratpoly as rp
 from .invariants import InvariantRecord, cyclotomic_refine
@@ -36,56 +41,106 @@ class OracleFactorError(RuntimeError):
     above one; cannot happen for graph-derived pairs."""
 
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, int]
+
+
+def _primitive(row: dict) -> SparseRow:
+    """The nonzeros of a rational row times the positive constant that makes
+    them coprime integers; the rank of a set of rows does not change."""
+    row = {j: x for j, x in row.items() if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    content = gcd(*row.values())
+    if content > 1:
+        row = {j: x // content for j, x in row.items()}
+    return row
 
 
 def rank_of_rows(rows) -> int:
-    """Exact rank by incremental reduction of sparse rational rows."""
+    """Exact rank of sparse rational rows (dicts column -> int or Fraction),
+    by incremental fraction-free elimination: each row is first scaled to
+    coprime integers, then reduced against a pivot by row = a*row - b*pivot
+    and divided by the gcd of its entries, so every entry stays an integer."""
     pivots: dict[int, SparseRow] = {}
-    rank = 0
     for row in rows:
-        row = {j: v for j, v in row.items() if v}
+        row = _primitive(row)
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = row[col]
-                pivots[col] = {j: v / inv for j, v in row.items()}
-                rank += 1
+                pivots[col] = row
                 break
-            factor = row.pop(col)
-            for j, v in pivot.items():
-                if j == col:
-                    continue
-                new = row.get(j, Fraction(0)) - factor * v
-                if new:
-                    row[j] = new
-                else:
-                    row.pop(j, None)
-    return rank
+            a, b = pivot[col], row.pop(col)
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            for j, x in pivot.items():
+                if j != col:
+                    new = row.get(j, 0) - b * x
+                    if new:
+                        row[j] = new
+                    else:
+                        del row[j]
+            content = gcd(*row.values())
+            if content > 1:
+                row = {j: x // content for j, x in row.items()}
+    return len(pivots)
 
 
-def _sparse(row, offset: int = 0) -> SparseRow:
-    return {offset + j: v for j, v in enumerate(row) if v}
+def _integer_rows(p: PairMatrices) -> list[tuple[SparseRow, SparseRow]]:
+    """The nonzeros of row i of M and of N, both times one positive integer
+    that clears their denominators.  Scaling row i of M and N alike is a
+    left multiplication by a constant invertible diagonal matrix, so it
+    leaves every rank taken below unchanged."""
+    out = []
+    for m_row, n_row in zip(p.m, p.n):
+        m_nz = {j: x for j, x in enumerate(m_row) if x}
+        n_nz = {j: x for j, x in enumerate(n_row) if x}
+        den = lcm(*(x.denominator for x in m_nz.values()),
+                  *(x.denominator for x in n_nz.values()))
+        out.append(({j: x.numerator * (den // x.denominator) for j, x in m_nz.items()},
+                    {j: x.numerator * (den // x.denominator) for j, x in n_nz.items()}))
+    return out
+
+
+def _shifted(row: SparseRow, offset: int) -> SparseRow:
+    return {offset + j: x for j, x in row.items()}
 
 
 def kernel_meet_dim(p: PairMatrices) -> int:
     """Dimension of the joint row kernel {x : xM = 0 and xN = 0}; equals
     ztz[0] of the pair."""
     v = p.vertex_dim
-    rows = ({**_sparse(p.m[i]), **_sparse(p.n[i], v)} for i in range(p.edge_dim))
-    return p.edge_dim - rank_of_rows(rows)
+    return p.edge_dim - rank_of_rows({**m, **_shifted(n, v)}
+                                     for m, n in _integer_rows(p))
 
 
 def normal_rank(p: PairMatrices) -> int:
-    """Rank of M + t*N over the rational function field, by exact evaluation
-    at min(e, v) + 1 sample points (rank drops at only finitely many t)."""
+    """Rank of M + t*N over the rational function field, by exact integer
+    evaluation at t = 1, 2, ...
+
+    The rank at each point is at most the normal rank, which is at most
+    min(rank [M N], rank [M; N]) since M + tN = [M N]*[I; tI] = [I tI]*[M; N].
+    So sampling stops at the first point whose rank meets that bound.
+    Otherwise it takes min(e, v) + 1 points: a nonzero maximal minor has
+    degree at most min(e, v) in t, so it vanishes at no more than min(e, v)
+    of them."""
     e, v = p.edge_dim, p.vertex_dim
+    rows = _integer_rows(p)
+    bound = min(rank_of_rows({**m, **_shifted(n, v)} for m, n in rows),
+                rank_of_rows([m for m, _ in rows] + [n for _, n in rows]))
     best = 0
-    for t in range(min(e, v) + 1):
-        rows = ({j: p.m[i][j] + t * p.n[i][j]
-                 for j in range(v) if p.m[i][j] + t * p.n[i][j]} for i in range(e))
-        best = max(best, rank_of_rows(rows))
+    for t in range(1, min(e, v) + 2):
+        if best == bound:
+            break
+        sample = []
+        for m, n in rows:
+            row = dict(m)
+            for j, x in n.items():
+                row[j] = row.get(j, 0) + t * x
+            sample.append(row)
+        best = max(best, rank_of_rows(sample))
     return best
 
 
@@ -93,22 +148,24 @@ def _solution_space_dims(p: PairMatrices, k_max: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
     = 0, for k = 0..; stops once the increments reach `total`."""
     e, v = p.edge_dim, p.vertex_dim
+    rows = _integer_rows(p)
     f = [0]
     for k in range(1, k_max + 1):
-        rows = []
-        for j in range(k):
-            for i in range(e):
-                rows.append({**_sparse(p.m[i], j * v), **_sparse(p.n[i], (j + 1) * v)})
-        f.append(k * e - rank_of_rows(rows))
+        blocks = [{**_shifted(m, j * v), **_shifted(n, (j + 1) * v)}
+                  for j in range(k) for m, n in rows]
+        f.append(k * e - rank_of_rows(blocks))
         if f[-1] - f[-2] == total:
             break
     return f
 
 
-def minimal_indices_left(p: PairMatrices) -> tuple[int, ...]:
+def minimal_indices_left(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
     """Degrees of a minimal basis of polynomial row solutions of
-    x(t)(M + tN) = 0; one ztz summand per index."""
-    total = p.edge_dim - normal_rank(p)
+    x(t)(M + tN) = 0; one ztz summand per index.  `rank` is the normal
+    rank of the pair when already known."""
+    if rank is None:
+        rank = normal_rank(p)
+    total = p.edge_dim - rank
     if total == 0:
         return ()
     f = _solution_space_dims(p, min(p.edge_dim, p.vertex_dim) + 2, total)
@@ -125,9 +182,10 @@ def minimal_indices_left(p: PairMatrices) -> tuple[int, ...]:
     return tuple(out)
 
 
-def minimal_indices_right(p: PairMatrices) -> tuple[int, ...]:
-    """Column-side analogue; one t summand per index."""
-    return minimal_indices_left(p.transposed())
+def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
+    """Column-side analogue; one t summand per index.  The transposed pair
+    has the same normal rank, so a known `rank` carries over."""
+    return minimal_indices_left(p.transposed(), rank)
 
 
 # -- Smith normal form over Q[X] ---------------------------------------------
@@ -167,7 +225,8 @@ def invariant_factors(mat: list[list[Poly]]) -> list[Poly]:
                 if rp.is_zero(mat[i][top]):
                     continue
                 q, r = rp.divmod_poly(mat[i][top], mat[top][top])
-                mat[i] = [rp.sub(a, rp.mul(q, b)) for a, b in zip(mat[i], mat[top])]
+                mat[i] = [rp.sub(a, rp.mul(q, b)) if b else a
+                          for a, b in zip(mat[i], mat[top])]
                 if not rp.is_zero(r):
                     mat[top], mat[i] = mat[i], mat[top]
                     restart = True
@@ -179,7 +238,8 @@ def invariant_factors(mat: list[list[Poly]]) -> list[Poly]:
                     continue
                 q, r = rp.divmod_poly(mat[top][j], mat[top][top])
                 for row in mat:
-                    row[j] = rp.sub(row[j], rp.mul(q, row[top]))
+                    if row[top]:
+                        row[j] = rp.sub(row[j], rp.mul(q, row[top]))
                 if not rp.is_zero(r):
                     for row in mat:
                         row[top], row[j] = row[j], row[top]
@@ -269,9 +329,10 @@ class OracleReport:
 
 
 def analyze(p: PairMatrices) -> OracleReport:
+    rank = normal_rank(p)
     return OracleReport(
-        minimal_indices_left(p),
-        minimal_indices_right(p),
+        minimal_indices_left(p, rank),
+        minimal_indices_right(p, rank),
         finite_divisors(p),
         infinite_divisors(p),
     )

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from linequiv import cli, contraction, invariants
+from linequiv import cli, contraction, invariants, oracle
 from linequiv.cli import main, random_relation, run_fuzz, trial_seed
 from linequiv.parsing import serialize
 
@@ -209,6 +209,21 @@ def test_each_stage_runs_once_per_graph(monkeypatch, capsys, g1_file, g4_file):
     assert run(capsys, "equiv", g1_file, g4_file)[0] == 1
     assert calls == {"_stable_state": 2, "gamma_table": 2}
 
+
+
+def test_oracle_takes_one_normal_rank_per_pair(monkeypatch, capsys, g4_file):
+    # the transposed pair has the same normal rank, so the column-side
+    # minimal indices reuse the row side's
+    calls = Counter()
+    rank = oracle.normal_rank
+
+    def counted(p):
+        calls["normal_rank"] += 1
+        return rank(p)
+
+    monkeypatch.setattr(oracle, "normal_rank", counted)
+    assert run(capsys, "oracle", g4_file)[0] == 0
+    assert calls == {"normal_rank": 1}
 
 def test_dot_format_flag(capsys, tmp_path):
     path = tmp_path / "g.dot"

@@ -26,11 +26,96 @@ def frac_rows(rows):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
 
 
+def fraction_rank(rows) -> int:
+    """Reference rank: plain Gaussian elimination on dense Fraction rows."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_normal_rank(p: PairMatrices) -> int:
+    """Largest Fraction rank of M + t*N over t = 0..min(e, v)."""
+    return max(fraction_rank([[a + t * b for a, b in zip(m_row, n_row)]
+                              for m_row, n_row in zip(p.m, p.n)])
+               for t in range(min(p.edge_dim, p.vertex_dim) + 1))
+
+
+def direct_sum(p: PairMatrices, q: PairMatrices) -> PairMatrices:
+    """Block-diagonal pair: p's edges and vertices first, then q's."""
+    zero = Fraction(0)
+
+    def stack(a, b):
+        return (tuple(tuple(row) + (zero,) * q.vertex_dim for row in a)
+                + tuple((zero,) * p.vertex_dim + tuple(row) for row in b))
+
+    return PairMatrices(p.edge_dim + q.edge_dim, p.vertex_dim + q.vertex_dim,
+                        stack(p.m, q.m), stack(p.n, q.n))
+
+
 def test_rank_of_rows():
     assert rank_of_rows(frac_rows([[1, 2], [2, 4], [0, 1]])) == 2
     assert rank_of_rows(frac_rows([[0, 0], [0, 0]])) == 0
     assert rank_of_rows(iter([])) == 0
     assert rank_of_rows(frac_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == 2
+
+
+@pytest.mark.parametrize("rows, rank", [
+    # negative entries; the third row is the difference of the first two
+    ([[1, -2, 3], [-4, 5, -6], [5, -7, 9]], 2),
+    # mixed denominators: the second row is the first times 1/2
+    ([[Fraction(1, 3), Fraction(1, 6), 1], [Fraction(1, 6), Fraction(1, 12), Fraction(1, 2)],
+      [Fraction(-1, 3), Fraction(1, 6), 0]], 2),
+    # content 6 and 4 to divide out, and a reduced row with content 2
+    ([[6, 12, 18], [4, 8, 14], [2, 0, 2]], 3),
+    ([[6, 12, 18], [4, 8, 12], [-10, -20, -30]], 1),
+    # rank-deficient 4x4: row 4 = row 1 + 2*row 2 - row 3
+    ([[2, 0, -1, 3], [0, 1, 4, -2], [1, 1, 1, 1], [1, 1, 6, -2]], 3),
+    ([[0, 0, 0, 0], [3, 0, 0, 9], [0, 0, 0, 0], [-1, 0, 0, -3]], 1),
+])
+def test_rank_of_rows_integer_elimination(rows, rank):
+    assert fraction_rank(rows) == rank
+    assert rank_of_rows(frac_rows(rows)) == rank
+    # int-valued and Fraction-valued rows mixed, fed as a generator
+    mixed = ({j: (Fraction(v) if i % 2 else v) for j, v in enumerate(row) if v}
+             for i, row in enumerate(rows))
+    assert rank_of_rows(mixed) == rank
+
+
+def test_normal_rank_matches_fraction_reference():
+    pairs = [linearize(seeded_relation(f"normal-rank:{i}", max_vertices=7,
+                                       prob=Fraction(1 + i % 9, 10)))
+             for i in range(45)]
+    pairs += [canonical_pair(family, n) for family in ("zt", "tz") for n in range(1, 5)]
+    pairs += [canonical_pair(family, n) for family in ("t", "ztz") for n in range(5)]
+    pairs += [parse_pair_file(text) for text in (
+        "3 2\n1/2 0\n1 1\n0 -3\n0 2\n1/3 0\n1 1\n",
+        "2 2\n1 -1/2\n0 0\n-2 1\n0 -1/3\n",
+        "2 2\n1 1/2\n2 1\n-1 0\n-2 0\n",
+        "3 3\n1/2 0 0\n0 0 -3\n0 0 0\n0 -2/3 0\n0 0 0\n0 0 5/7\n",
+        # diag(1, t - 1): the rank drops at t = 1
+        "2 2\n1 0\n0 -1\n0 0\n0 1\n",
+        # diag(t - 1, t - 2): the rank drops at t = 1 and t = 2, so only the
+        # third of min(e, v) + 1 = 3 points finds it
+        "2 2\n-1 0\n0 -2\n1 0\n0 1\n",
+    )]
+    split = direct_sum(canonical_pair("t", 1), canonical_pair("ztz", 1))
+    # normal rank 2 under a bound min(rank [M N], rank [M; N]) of 3: the
+    # sampling never stops early
+    assert min(fraction_rank([m + n for m, n in zip(split.m, split.n)]),
+               fraction_rank(split.m + split.n)) == 3
+    pairs.append(split)
+    for p in pairs:
+        assert normal_rank(p) == reference_normal_rank(p), p
+    assert normal_rank(split) == 2
 
 
 def test_kernel_meet_dim_examples(g1, g2):
