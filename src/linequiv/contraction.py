@@ -1,11 +1,28 @@
 """Left/right contractions, iterated contraction tables, and stabilization.
 
-The left contraction merges, repeatedly, all out-neighbors of a common
-source; the right contraction merges all in-neighbors of a common target.
-Iterating both in any order coarsens a partition of the original vertex set,
-and the partition reached after m left and n right steps is independent of
-the interleaving.  The number of classes at each suitable lattice point
-(|m - n| <= 2) is what the invariant formulas read.
+The left contraction merges all out-neighbors of a common source; the right
+contraction merges all in-neighbors of a common target.  Iterating both in
+any order coarsens a partition of the original vertex set, and the partition
+reached after m left and n right steps is independent of the interleaving.
+The number of classes at each suitable lattice point (|m - n| <= 2) is what
+the invariant formulas read.
+
+One engine does every contraction: a mutable quotient holding a union-find
+over the original vertex indices and, for each class with edges, the sets
+of its out- and in-neighbor classes.  A merge folds the class with fewer
+adjacency entries into the other and renames it in its neighbors' sets, as
+in congruence closure (Downey, Sethi and Tarjan, JACM 1980).  A left step
+merges only the out-neighbors of classes with out-degree >= 2, and a merge
+raises the degree of no class but the merged one, so the classes merged
+since the last left step are the only ones that can feed the next (right
+steps alike).  A step therefore costs the degrees of those classes and the
+entries its merges rename, not the size of the relation.
+
+gamma_table runs two alternating chains, one after the other so that one
+quotient is alive at a time.  The left-first chain gives gamma at (k, k),
+(k + 1, k) and, by a probe that counts a step's merges without making them,
+(k + 2, k); its fixpoint is the stable relation.  The right-first chain
+gives (k, k + 1) and (k, k + 2).
 
 Every contracted relation eventually stabilizes at a disjoint union of
 directed cycles and simple directed paths; anything else raises
@@ -25,14 +42,14 @@ class StabilizationShapeError(RuntimeError):
 
 
 class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+    def __init__(self):
+        self.parent: dict[int, int] = {}
 
     def find(self, a: int) -> int:
         root = a
-        while self.parent[root] != root:
+        while root in self.parent:
             root = self.parent[root]
-        while self.parent[a] != root:
+        while a != root:
             self.parent[a], a = root, self.parent[a]
         return root
 
@@ -93,71 +110,83 @@ def class_label(members: tuple[str, ...]) -> str:
     return "{" + ",".join(members) + "}"
 
 
-# -- internal index-level engine -------------------------------------------
-#
-# A state is a partition of the original vertex indices (canonical order)
-# plus the quotient relation on class positions.
+# -- the contraction engine ---------------------------------------------------
+_SIDE = {"l": 0, "r": 1}
 
 
-@dataclass(frozen=True)
-class _State:
-    classes: tuple[tuple[int, ...], ...]
-    pairs: frozenset[tuple[int, int]]
+class _Quotient:
+    """Quotient of r.  adj[0], adj[1] map a class root to its out-, in-neighbor
+    roots; front[side] holds every root whose degree there may be >= 2."""
+
+    def __init__(self, r: BinaryRelation):
+        self.r, self.uf, self.count = r, _UnionFind(), len(r.vertices)
+        ix = r.index()
+        out, inn = self.adj = ({}, {})
+        for s, t in r.pairs:
+            out.setdefault(ix[s], set()).add(ix[t])
+            inn.setdefault(ix[t], set()).add(ix[s])
+        self.front = tuple({x for x, nbrs in adj.items() if len(nbrs) > 1} for adj in self.adj)
+
+    def _union(self, a: int, b: int) -> None:
+        a, b = self.uf.find(a), self.uf.find(b)
+        if a == b:
+            return
+        out, inn = self.adj
+        if len(out.get(a, ())) + len(inn.get(a, ())) < len(out.get(b, ())) + len(inn.get(b, ())):
+            a, b = b, a
+        self.uf.parent[b] = a
+        self.count -= 1
+        for fwd, back in ((out, inn), (inn, out)):
+            moved = {a if x == b else x for x in fwd.pop(b, ())}
+            for x in moved:
+                back.setdefault(x, set()).discard(b)
+                back[x].add(a)
+            fwd.setdefault(a, set()).update(moved)
+        for front in self.front:
+            front.add(a)
+
+    def _groups(self, side: int) -> list[tuple[int, ...]]:
+        adj = self.adj[side]
+        return [tuple(adj[x]) for x in self.front[side] if len(adj.get(x, ())) > 1]
+
+    def step(self, side: int) -> int:
+        """Contract once on side (0 left, 1 right); returns the merge count.
+        All groups are read before the first merge, so merges never cascade."""
+        groups, before = self._groups(side), self.count
+        self.front[side].clear()
+        for group in groups:
+            for y in group[1:]:
+                self._union(group[0], y)
+        return before - self.count
+
+    def probe(self, side: int) -> int:
+        """The merge count step(side) would return, without merging."""
+        uf = _UnionFind()
+        return sum(uf.union(group[0], y) for group in self._groups(side) for y in group[1:])
+
+    def partition(self) -> Partition:
+        classes: dict[int, list[str]] = {}
+        for i, v in enumerate(self.r.vertices):
+            classes.setdefault(self.uf.find(i), []).append(v)
+        return Partition(self.r.vertices, tuple(map(tuple, classes.values())))
 
 
-def _initial_state(r: BinaryRelation) -> _State:
-    ix = r.index()
-    pairs = frozenset((ix[s], ix[t]) for s, t in r.pairs)
-    return _State(tuple((i,) for i in range(len(r.vertices))), pairs)
-
-
-def _merge(state: _State, uf: _UnionFind) -> tuple[_State, bool]:
-    k = len(state.classes)
-    roots = sorted({uf.find(c) for c in range(k)})
-    if len(roots) == k:
-        return state, False
-    pos = {root: i for i, root in enumerate(roots)}
-    merged: list[list[int]] = [[] for _ in roots]
-    for c in range(k):
-        merged[pos[uf.find(c)]].extend(state.classes[c])
-    classes = tuple(tuple(sorted(m)) for m in merged)
-    order = sorted(range(len(classes)), key=lambda i: classes[i][0])
-    rank = {old: new for new, old in enumerate(order)}
-    classes = tuple(classes[i] for i in order)
-    remap = {c: rank[pos[uf.find(c)]] for c in range(k)}
-    pairs = frozenset((remap[a], remap[b]) for a, b in state.pairs)
-    return _State(classes, pairs), True
-
-
-def _left_once(state: _State) -> tuple[_State, bool]:
-    uf = _UnionFind(len(state.classes))
-    out: dict[int, int] = {}
-    for a, b in state.pairs:
-        if a in out:
-            uf.union(out[a], b)
-        else:
-            out[a] = b
-    return _merge(state, uf)
-
-
-def _right_once(state: _State) -> tuple[_State, bool]:
-    uf = _UnionFind(len(state.classes))
-    inc: dict[int, int] = {}
-    for a, b in state.pairs:
-        if b in inc:
-            uf.union(inc[b], a)
-        else:
-            inc[b] = a
-    return _merge(state, uf)
-
-
-def _state_partition(r: BinaryRelation, state: _State) -> Partition:
-    return Partition(r.vertices, tuple(tuple(r.vertices[i] for i in cls) for cls in state.classes))
-
-
-def _state_relation(r: BinaryRelation, state: _State) -> BinaryRelation:
-    labels = [class_label(tuple(r.vertices[i] for i in cls)) for cls in state.classes]
-    return BinaryRelation(tuple(labels), frozenset((labels[a], labels[b]) for a, b in state.pairs))
+def _chain(r: BinaryRelation, side: int) -> tuple[dict[tuple[int, int], int], int, Partition]:
+    """Contract r in rounds, one step on side then one on the other, until
+    two steps in a row merge nothing.  Returns the class count at every
+    (i, j) passed, i steps on side and j on the other, and at each (j + 2, j)
+    by a probe; the rounds before the fixpoint; and the fixpoint."""
+    q = _Quotient(r)
+    gamma = {(0, 0): q.count}
+    j = idle = 0
+    while idle < 2:
+        idle = 0 if q.step(side) else idle + 1
+        gamma[j + 1, j] = q.count
+        gamma[j + 2, j] = q.count - q.probe(side)
+        idle = 0 if q.step(1 - side) else idle + 1
+        j += 1
+        gamma[j, j] = q.count
+    return gamma, j - 1, q.partition()
 
 
 # -- public operations -------------------------------------------------------
@@ -165,14 +194,12 @@ def _state_relation(r: BinaryRelation, state: _State) -> BinaryRelation:
 
 def left_partition(r: BinaryRelation) -> Partition:
     """Smallest equivalence merging y, y' whenever some x has edges to both."""
-    state, _ = _left_once(_initial_state(r))
-    return _state_partition(r, state)
+    return contraction_sequence(r, "l")[1]
 
 
 def right_partition(r: BinaryRelation) -> Partition:
     """Smallest equivalence merging x, x' whenever both have edges to some y."""
-    state, _ = _right_once(_initial_state(r))
-    return _state_partition(r, state)
+    return contraction_sequence(r, "r")[1]
 
 
 def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
@@ -180,8 +207,8 @@ def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
     member pair is."""
     if p.over != r.vertices:
         raise GraphError("partition is over a different vertex set")
-    labels = {v: class_label(cls) for cls in p.classes for v in cls}
     vertices = tuple(class_label(cls) for cls in p.classes)
+    labels = {v: label for cls, label in zip(p.classes, vertices) for v in cls}
     pairs = frozenset((labels[s], labels[t]) for s, t in r.pairs)
     return BinaryRelation(vertices, pairs)
 
@@ -189,24 +216,28 @@ def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
 def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation, Partition]:
     """Apply a mixed word of contractions, e.g. "rlr" (left to right); returns
     the final quotient and the induced partition of r's vertices."""
-    state = _initial_state(r)
+    q = _Quotient(r)
     for step in steps:
-        if step == "l":
-            state, _ = _left_once(state)
-        elif step == "r":
-            state, _ = _right_once(state)
-        else:
+        if step not in _SIDE:
             raise ValueError(f"unknown contraction step {step!r}")
-    return _state_relation(r, state), _state_partition(r, state)
+        q.step(_SIDE[step])
+    part = q.partition()
+    return quotient(r, part), part
 
 
 def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelation, Partition]:
     """m left and n right contractions (rights applied first; the resulting
     partition is interleaving-independent).  Vertices of the result are the
-    classes of the returned partition of r's original vertex set."""
+    classes of the returned partition of r's original vertex set.  A side
+    stops at its first step that merges nothing, so huge counts are cheap."""
     if m < 0 or n < 0:
         raise ValueError("contraction counts must be nonnegative")
-    return contraction_sequence(r, "r" * n + "l" * m)
+    q = _Quotient(r)
+    for side, count in ((_SIDE["r"], n), (_SIDE["l"], m)):
+        while count and q.step(side):
+            count -= 1
+    part = q.partition()
+    return quotient(r, part), part
 
 
 @dataclass(frozen=True)
@@ -230,7 +261,7 @@ def classify_stable(r: BinaryRelation) -> StableShape:
     """Decompose a bi-stable relation into directed cycles C_k and simple
     directed paths on k vertices; anything else is a shape error."""
     ix = r.index()
-    uf = _UnionFind(len(r.vertices))
+    uf = _UnionFind()
     for s, t in r.pairs:
         uf.union(ix[s], ix[t])
     comp_vertices: dict[int, list[str]] = {}
@@ -259,23 +290,11 @@ def classify_stable(r: BinaryRelation) -> StableShape:
     return StableShape(tuple(cycles), tuple(paths))
 
 
-def _stable_state(r: BinaryRelation) -> tuple[_State, int]:
-    state = _initial_state(r)
-    rounds = 0
-    while True:
-        after_left, ch1 = _left_once(state)
-        after_right, ch2 = _right_once(after_left)
-        if not (ch1 or ch2):
-            return state, rounds
-        state = after_right
-        rounds += 1
-
-
 def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
     """Contract in full left-then-right rounds until a round changes nothing;
     returns the cycle/path shape, the stable relation, and the round count."""
-    state, rounds = _stable_state(r)
-    stable = _state_relation(r, state)
+    _, rounds, final = _chain(r, _SIDE["l"])
+    stable = quotient(r, final)
     return classify_stable(stable), stable, rounds
 
 
@@ -326,33 +345,26 @@ def _suitable_ms(s: int) -> list[int]:
 
 
 def gamma_table(r: BinaryRelation) -> ContractionDiagram:
-    """Tabulate gamma over the suitable band by dynamic programming, reusing
-    each quotient, until three consecutive antidiagonals sit at the stable
-    value."""
-    final, depth = _stable_state(r)
-    stable_value = len(final.classes)
-    states: dict[int, _State] = {0: _initial_state(r)}
-    gamma: dict[tuple[int, int], int] = {(0, 0): len(states[0].classes)}
+    """Tabulate gamma over the suitable band from the two alternating chains,
+    up to the first three consecutive antidiagonals at the stable value."""
+    counts, depth, final = _chain(r, _SIDE["l"])
+    right, _, right_final = _chain(r, _SIDE["r"])
+    if right_final != final:
+        raise AssertionError("the left-first and right-first chains reach different fixpoints")
+    counts.update(((n, m), g) for (m, n), g in right.items())
+    stable = quotient(r, final)
+    stable_value = stable.vertex_count
+    gamma: dict[tuple[int, int], int] = {(0, 0): counts[0, 0]}
     s = 0
-    stable_run = 3 if len(states[0].classes) == stable_value else 0
+    stable_run = 3 if counts[0, 0] == stable_value else 0
     limit = 2 * len(r.vertices) + 8
     while stable_run < 3:
         s += 1
         if s > limit:
             raise AssertionError("contraction table failed to stabilize")
-        nxt: dict[int, _State] = {}
-        for m in _suitable_ms(s):
-            n = s - m
-            if m >= 1 and ContractionDiagram.is_suitable(m - 1, n):
-                nxt[m], _ = _left_once(states[m - 1])
-            else:
-                nxt[m], _ = _right_once(states[m])
-            gamma[(m, n)] = len(nxt[m].classes)
-        states = nxt
-        if all(st.classes == final.classes for st in states.values()):
-            stable_run += 1
-        else:
-            stable_run = 0
+        row = {(m, s - m): counts.get((m, s - m), stable_value) for m in _suitable_ms(s)}
+        gamma.update(row)
+        stable_run = stable_run + 1 if all(g == stable_value for g in row.values()) else 0
     nonstable = [p for p, g in gamma.items() if g != stable_value]
     horizon = 1 + max(min(p) for p in nonstable) if nonstable else 0
-    return ContractionDiagram(gamma, stable_value, horizon, s, _state_relation(r, final), depth)
+    return ContractionDiagram(gamma, stable_value, horizon, s, stable, depth)

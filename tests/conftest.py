@@ -63,6 +63,17 @@ def relation(g: MultiDigraph) -> BinaryRelation:
     return BinaryRelation(g.vertices, frozenset(g.edges))
 
 
+def spider(arms) -> BinaryRelation:
+    """In-arms of the given lengths into a hub h; a Y graph has two arms.
+    Its record is t[longest arm] plus tz[a] for each other arm a."""
+    edges, vertices = [], ["h"]
+    for a, length in enumerate(arms):
+        arm = [f"a{a}.{i}" for i in range(length)]
+        vertices += arm
+        edges += list(zip(arm, arm[1:] + ["h"]))
+    return BinaryRelation(tuple(vertices), frozenset(edges))
+
+
 def seeded_relation(tag: str, max_vertices: int = 6,
                     prob: Fraction = Fraction(3, 10)) -> BinaryRelation:
     rng = random.Random(f"linequiv-test:{tag}")

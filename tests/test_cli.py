@@ -1,15 +1,16 @@
 import io
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
 
-from linequiv import cli, contraction, invariants, oracle
+from linequiv import cli, contraction, invariants, oracle, stabilize
 from linequiv.cli import main, random_relation, run_fuzz, trial_seed
 from linequiv.parsing import serialize
 
-from conftest import braided
+from conftest import braided, relation
 
 import random
 from fractions import Fraction
@@ -113,6 +114,32 @@ def test_contract_command(capsys, g4_file):
     assert '[label="{1,11}"]' in out
 
 
+
+def test_contract_huge_counts_stop_at_the_fixpoint(capsys, g4_file):
+    # a side stops at its first step that merges nothing, so 10**12 steps a
+    # side give, at once, what the stable depth gives
+    depth = stabilize(relation(braided()))[2]
+    assert depth >= 2
+    huge = str(10 ** 12)
+    outputs = {}
+    for count in (huge, str(depth)):
+        start = time.perf_counter()
+        for flag in ("--json", "--dot", None):
+            argv = ["contract", g4_file, "--left", count, "--right", count]
+            code, out, _ = run(capsys, *argv + ([flag] if flag else []))
+            assert code == 0
+            outputs[count, flag] = out
+        assert time.perf_counter() - start < 5
+    huge_doc, depth_doc = (json.loads(outputs[c, "--json"]) for c in (huge, str(depth)))
+    assert (huge_doc.pop("left"), huge_doc.pop("right")) == (10 ** 12, 10 ** 12)
+    assert (depth_doc.pop("left"), depth_doc.pop("right")) == (depth, depth)
+    assert huge_doc == depth_doc
+    assert huge_doc["vertices"] == ["{" + ",".join(str(i) for i in range(18)) + "}"]
+    assert outputs[huge, "--dot"] == outputs[str(depth), "--dot"]
+    # the text header names the counts; the rest is the same
+    assert (outputs[huge, None].split("\n", 1)[1]
+            == outputs[str(depth), None].split("\n", 1)[1])
+
 def test_diagram_command(capsys, g4_file):
     code, out, _ = run(capsys, "diagram", g4_file)
     assert code == 0
@@ -198,16 +225,24 @@ def test_each_stage_runs_once_per_graph(monkeypatch, capsys, g1_file, g4_file):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(contraction, "_stable_state",
-                        counted("_stable_state", contraction._stable_state))
+    # the left-first chain is the stabilizing run: its fixpoint is the
+    # stable relation
+    chain = contraction._chain
+
+    def counted_chain(r, side):
+        if side == contraction._SIDE["l"]:
+            calls["stabilizing chain"] += 1
+        return chain(r, side)
+
+    monkeypatch.setattr(contraction, "_chain", counted_chain)
     gamma = counted("gamma_table", contraction.gamma_table)
     for module in (contraction, invariants, cli):
         monkeypatch.setattr(module, "gamma_table", gamma)
     assert run(capsys, "invariants", g4_file, "--json")[0] == 0
-    assert calls == {"_stable_state": 1, "gamma_table": 1}
+    assert calls == {"stabilizing chain": 1, "gamma_table": 1}
     calls.clear()
     assert run(capsys, "equiv", g1_file, g4_file)[0] == 1
-    assert calls == {"_stable_state": 2, "gamma_table": 2}
+    assert calls == {"stabilizing chain": 2, "gamma_table": 2}
 
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from linequiv.contraction import (Partition, StableShape, class_label,
                                   contraction_sequence)
 from linequiv.relation import GraphError
 
-from conftest import class_sets, relation, seeded_relation, sets
+from conftest import class_sets, relation, seeded_relation, sets, spider
 
 # frozen intermediate data for g4; every partition below is also forced by
 # the gamma table and the final record, both of which the oracle confirms
@@ -288,3 +289,91 @@ def test_stable_value_matches_shape():
         d = gamma_table(r)
         assert shape.total_vertices == stable.vertex_count == d.stable_value
         assert (d.stable, d.depth) == (stable, depth)
+
+
+# -- a from-the-definition reference ------------------------------------------
+#
+# Every partition below is recomputed from scratch over the original
+# vertices: a class name per vertex, one contraction step at a time, with no
+# code shared with the contraction engine.
+
+
+def naive_step(r: BinaryRelation, name: dict, side: str) -> dict:
+    """Merge all targets (side "l") or all sources (side "r") of each class
+    of `name`, closing the merges by relabelling over the original vertices."""
+    groups: dict = {}
+    for s, t in r.pairs:
+        source, target = (s, t) if side == "l" else (t, s)
+        groups.setdefault(name[source], set()).add(target)
+    new = dict(name)
+    for members in groups.values():
+        merged = {new[v] for v in members}
+        keep = min(merged)
+        for v in new:
+            if new[v] in merged:
+                new[v] = keep
+    return new
+
+
+def naive_partition(r: BinaryRelation, word: str) -> Partition:
+    name = {v: v for v in r.vertices}
+    for side in word:
+        name = naive_step(r, name, side)
+    classes: dict = {}
+    for v in r.vertices:
+        classes.setdefault(name[v], []).append(v)
+    return Partition(r.vertices, tuple(map(tuple, classes.values())))
+
+
+def naive_diagram(r: BinaryRelation) -> tuple:
+    """(gamma, stable_value, horizon, band_end, stable, depth), each point of
+    gamma from its own word of n rights and m lefts."""
+    depth = 0
+    while naive_partition(r, "lr" * (depth + 1)) != naive_partition(r, "lr" * depth):
+        depth += 1
+    final = naive_partition(r, "lr" * depth)
+    stable_value = len(final)
+    gamma = {(0, 0): r.vertex_count}
+    s, run = 0, 3 if r.vertex_count == stable_value else 0
+    while run < 3:
+        s += 1
+        row = {(m, s - m): len(naive_partition(r, "r" * (s - m) + "l" * m))
+               for m in range(s + 1) if abs(2 * m - s) <= 2}
+        gamma.update(row)
+        run = run + 1 if set(row.values()) == {stable_value} else 0
+    nonstable = [min(p) for p, g in gamma.items() if g != stable_value]
+    horizon = 1 + max(nonstable) if nonstable else 0
+    return gamma, stable_value, horizon, s, quotient(r, final), depth
+
+
+@pytest.fixture
+def reference_inputs(g1, g2, g3, g4):
+    inputs = [relation(g) for g in (g1, g2, g3, g4)]
+    inputs += [BinaryRelation(tuple("abcd"), frozenset()), BinaryRelation((), frozenset())]
+    inputs += [spider(arms) for arms in
+               ((1,), (2, 2), (3, 3), (5, 5), (2, 6), (4, 4, 1), (1, 2, 3))]
+    inputs += [seeded_relation(f"reference:{i}", max_vertices=9,
+                               prob=Fraction(random.Random(i).randint(1, 6), 10))
+               for i in range(200)]
+    return inputs
+
+
+def test_gamma_table_matches_definition(reference_inputs):
+    for r in reference_inputs:
+        d = gamma_table(r)
+        got = (d.gamma, d.stable_value, d.horizon, d.band_end, d.stable, d.depth)
+        assert got == naive_diagram(r), sorted(r.pairs)
+
+
+def test_contractions_match_definition(reference_inputs):
+    rng = random.Random("reference-words")
+    for r in reference_inputs:
+        for _ in range(4):
+            word = "".join(rng.choice("lr") for _ in range(rng.randint(1, 7)))
+            rel, part = contraction_sequence(r, word)
+            assert part == naive_partition(r, word), (sorted(r.pairs), word)
+            assert rel == quotient(r, part)
+            m, n = rng.randint(0, 4), rng.randint(0, 4)
+            assert iterated_contraction(r, m, n)[1] == naive_partition(r, "r" * n + "l" * m)
+        assert left_partition(r) == naive_partition(r, "l")
+        assert right_partition(r) == naive_partition(r, "r")

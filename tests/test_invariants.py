@@ -27,7 +27,7 @@ from linequiv.invariants import NegativeMultiplicity, edge_check
 from linequiv.ratpoly import totient
 from linequiv.relation import MultiDigraph
 
-from conftest import multidigraph, relation, seeded_relation
+from conftest import multidigraph, relation, seeded_relation, spider
 
 
 def rec(**kw) -> InvariantRecord:
@@ -248,3 +248,38 @@ def test_dual_forms_exercised_on_random_graphs():
 
 def test_full_invariants_accepts_multigraph_and_relation(g1):
     assert full_invariants(g1) == full_invariants(relation(g1))
+
+
+# -- closed-form records, at sizes the oracle cannot reach ---------------------
+
+
+def test_y_graph_record_at_scale():
+    # two in-arms of 1000 vertices into one hub: one arm with the hub is the
+    # shift pair t[1000], the other a nilpotent chain tz[1000]
+    assert full_invariants(spider((1000, 1000))) == rec(tz={1000: 1}, t={1000: 1})
+
+
+def test_functional_graph_record_at_scale():
+    # the graph of a map f has source map the identity and target map f, so
+    # its record is f's nilpotent Jordan type, read off the image sizes
+    # |f^k(V)|, plus one cycle summand per cycle of f
+    n = 20_000
+    rng = random.Random("functional-20k")
+    f = [rng.randrange(n) for _ in range(n)]
+    sizes, image = [n], set(range(n))
+    while len(sizes) < 2 or sizes[-1] != sizes[-2]:
+        image = {f[v] for v in image}
+        sizes.append(len(image))
+    blocks = {k: sizes[k - 1] - 2 * sizes[k] + sizes[k + 1] for k in range(1, len(sizes) - 1)}
+    cycles, seen = [], set()
+    for v in image:
+        length, u = 0, v
+        while u not in seen:
+            seen.add(u)
+            u, length = f[u], length + 1
+        if length:
+            cycles.append(length)
+    g = BinaryRelation(tuple(map(str, range(n))),
+                       frozenset((str(v), str(f[v])) for v in range(n)))
+    assert full_invariants(g) == rec(tz=blocks, cycles=tuple(cycles))
+    assert sum(k * c for k, c in blocks.items()) == n - len(image)

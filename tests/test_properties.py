@@ -1,0 +1,73 @@
+"""Metamorphic properties of the record, checked without the oracle.
+
+Inputs are small multigraphs with loops and parallel edges.  Each property
+relates the records of two graphs by a rule that holds for every graph, so
+it checks the contraction route at any size.  Seeds are fixed
+(derandomize=True), and hypothesis shrinks a failing graph.
+"""
+
+from collections import Counter
+
+from hypothesis import assume, given, settings, strategies as st
+
+from linequiv import InvariantRecord, MultiDigraph, full_invariants
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def multigraphs(draw, max_vertices: int = 7, max_edges: int = 14) -> MultiDigraph:
+    n = draw(st.integers(0, max_vertices))
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                          max_size=max_edges)) if n else []
+    return MultiDigraph(vertices, tuple(edges))
+
+
+def renamed(g: MultiDigraph, name) -> MultiDigraph:
+    return MultiDigraph(tuple(map(name, g.vertices)),
+                        tuple((name(s), name(t)) for s, t in g.edges))
+
+
+def record_sum(a: InvariantRecord, b: InvariantRecord) -> InvariantRecord:
+    return InvariantRecord(Counter(a.zt) + Counter(b.zt), Counter(a.tz) + Counter(b.tz),
+                           Counter(a.t) + Counter(b.t), Counter(a.ztz) + Counter(b.ztz),
+                           a.cycles + b.cycles)
+
+
+@SETTINGS
+@given(multigraphs(), multigraphs())
+def test_disjoint_union_adds_records(g, h):
+    a, b = renamed(g, lambda v: "a" + v), renamed(h, lambda v: "b" + v)
+    union = MultiDigraph(a.vertices + b.vertices, a.edges + b.edges)
+    assert full_invariants(union) == record_sum(full_invariants(g), full_invariants(h))
+
+
+@SETTINGS
+@given(multigraphs(), st.data())
+def test_relabelling_and_edge_order_leave_the_record(g, data):
+    labels = data.draw(st.permutations([f"w{i}" for i in range(len(g.vertices))]))
+    name = dict(zip(g.vertices, labels)).__getitem__
+    moved = renamed(g, name)
+    order = data.draw(st.permutations(range(len(g.vertices))))
+    edges = data.draw(st.permutations(moved.edges))
+    shuffled = MultiDigraph(tuple(moved.vertices[i] for i in order), tuple(edges))
+    assert full_invariants(shuffled) == full_invariants(g)
+
+
+@SETTINGS
+@given(multigraphs())
+def test_converse_swaps_zt_and_tz(g):
+    converse = MultiDigraph(g.vertices, tuple((t, s) for s, t in g.edges))
+    assert full_invariants(converse) == full_invariants(g).swapped()
+
+
+@SETTINGS
+@given(multigraphs(), st.data())
+def test_each_parallel_edge_adds_one_ztz0(g, data):
+    assume(g.edges)
+    extra = data.draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=3))
+    base = full_invariants(g)
+    ztz = Counter(base.ztz) + Counter({0: len(extra)})
+    more = MultiDigraph(g.vertices, g.edges + tuple(extra))
+    assert full_invariants(more) == InvariantRecord(base.zt, base.tz, base.t, ztz, base.cycles)
