@@ -77,9 +77,10 @@ def _cmd_reduce(args) -> int:
             "split_count": summary.split_count,
         })
     else:
+        text = serialize(summary.reduced, "edge-list")
         print(f"# reduced: vertices={summary.reduced.vertex_count} "
               f"edges={summary.reduced.edge_count} split_count={summary.split_count}")
-        sys.stdout.write(serialize(summary.reduced, "edge-list"))
+        sys.stdout.write(text)
     return 0
 
 
@@ -102,10 +103,11 @@ def _cmd_contract(args) -> int:
     elif args.dot:
         sys.stdout.write(_quotient_dot(contracted, part))
     else:
+        text = serialize(contracted, "edge-list")
         print(f"# contraction left={args.left} right={args.right} "
               f"classes={len(part.classes)}")
         print(f"# partition: {_partition_str(part)}")
-        sys.stdout.write(serialize(contracted, "edge-list"))
+        sys.stdout.write(text)
     return 0
 
 
@@ -139,6 +141,8 @@ def _diagram_lines(d: ContractionDiagram, extra_band: int) -> list[str]:
 
 
 def _cmd_diagram(args) -> int:
+    if args.max_band < 0:
+        raise _Usage("--max-band must be nonnegative")
     g = _load_graph(args.path, args)
     d = gamma_table(reduce_graph(g).reduced)
     if args.json:

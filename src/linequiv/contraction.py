@@ -19,10 +19,14 @@ steps alike).  A step therefore costs the degrees of those classes and the
 entries its merges rename, not the size of the relation.
 
 gamma_table runs two alternating chains, one after the other so that one
-quotient is alive at a time.  The left-first chain gives gamma at (k, k),
-(k + 1, k) and, by a probe that counts a step's merges without making them,
-(k + 2, k); its fixpoint is the stable relation.  The right-first chain
-gives (k, k + 1) and (k, k + 2).
+quotient is alive at a time, and the table is what they counted.  The
+left-first chain gives gamma at (k, k), (k + 1, k) and, by a probe that
+counts a step's merges without making them, (k + 2, k); its fixpoint is the
+stable relation.  The right-first chain gives (k, k + 1) and (k, k + 2).  A
+chain stops only after two idle steps, so it ends at the fixpoint; every
+suitable point it did not pass lies beyond that end, and contracting a
+fixpoint changes nothing, so the point takes the stable value.  The record
+formulas read this table through the diagram cells of invariants.py.
 
 Every contracted relation eventually stabilizes at a disjoint union of
 directed cycles and simple directed paths; anything else raises
@@ -302,11 +306,12 @@ def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
 class ContractionDiagram:
     """Class counts gamma(m, n) on the suitable band |m - n| <= 2.
 
-    gamma stores every computed point; beyond the stored band all suitable
-    points take stable_value.  horizon is the least D with gamma constant on
-    suitable points having min(m, n) >= D; band_end the last computed
-    antidiagonal m + n.  stable and depth are the fully contracted relation
-    and the number of left-then-right rounds that reach it, as `stabilize`
+    gamma holds the count at every point the two chains of gamma_table
+    passed, and band_end is the largest m + n among them.  Every other
+    suitable point lies beyond a chain's fixpoint and takes stable_value.
+    horizon is the least D with gamma constant on suitable points having
+    min(m, n) >= D.  stable and depth are the fully contracted relation and
+    the number of left-then-right rounds that reach it, as `stabilize`
     returns them.
     """
 
@@ -324,12 +329,7 @@ class ContractionDiagram:
     def value(self, m: int, n: int) -> int:
         if not self.is_suitable(m, n):
             raise ValueError(f"({m}, {n}) is not a suitable lattice point")
-        got = self.gamma.get((m, n))
-        if got is not None:
-            return got
-        if min(m, n) >= self.horizon or m + n > self.band_end:
-            return self.stable_value
-        raise AssertionError(f"gamma table has a hole at ({m}, {n})")
+        return self.gamma.get((m, n), self.stable_value)
 
     def nonstable_points(self) -> dict[tuple[int, int], int]:
         return {p: g for p, g in sorted(self.gamma.items()) if g != self.stable_value}
@@ -340,31 +340,15 @@ class ContractionDiagram:
         return (self.stable_value, tuple(sorted(self.nonstable_points().items())))
 
 
-def _suitable_ms(s: int) -> list[int]:
-    return [m for m in range((s - 2 + 1) // 2, s // 2 + 2) if 0 <= m <= s and abs(2 * m - s) <= 2]
-
-
 def gamma_table(r: BinaryRelation) -> ContractionDiagram:
-    """Tabulate gamma over the suitable band from the two alternating chains,
-    up to the first three consecutive antidiagonals at the stable value."""
-    counts, depth, final = _chain(r, _SIDE["l"])
+    """Tabulate gamma over the suitable band: the counts of the left-first
+    chain and, transposed, of the right-first chain."""
+    gamma, depth, final = _chain(r, _SIDE["l"])
     right, _, right_final = _chain(r, _SIDE["r"])
     if right_final != final:
         raise AssertionError("the left-first and right-first chains reach different fixpoints")
-    counts.update(((n, m), g) for (m, n), g in right.items())
+    gamma.update(((n, m), g) for (m, n), g in right.items())
     stable = quotient(r, final)
     stable_value = stable.vertex_count
-    gamma: dict[tuple[int, int], int] = {(0, 0): counts[0, 0]}
-    s = 0
-    stable_run = 3 if counts[0, 0] == stable_value else 0
-    limit = 2 * len(r.vertices) + 8
-    while stable_run < 3:
-        s += 1
-        if s > limit:
-            raise AssertionError("contraction table failed to stabilize")
-        row = {(m, s - m): counts.get((m, s - m), stable_value) for m in _suitable_ms(s)}
-        gamma.update(row)
-        stable_run = stable_run + 1 if all(g == stable_value for g in row.values()) else 0
-    nonstable = [p for p, g in gamma.items() if g != stable_value]
-    horizon = 1 + max(min(p) for p in nonstable) if nonstable else 0
-    return ContractionDiagram(gamma, stable_value, horizon, s, stable, depth)
+    horizon = max((1 + min(p) for p, g in gamma.items() if g != stable_value), default=0)
+    return ContractionDiagram(gamma, stable_value, horizon, max(map(sum, gamma)), stable, depth)

@@ -10,9 +10,10 @@ The five indecomposable families are tracked as:
                contracted relation, stored as the bare cycle length, which
                keeps the record independent of the ground field
 
-Second-difference formulas over the contraction table gamma produce zt, tz
-and ztz[n >= 1] (each by two redundant forms that must agree); the stable
-cycle/path shape gives t and cycles; the edge-count identity pins ztz[0].
+The diagram cells, signed four-corner sums over the contraction table gamma,
+produce zt, tz and ztz[n >= 1] (zt, tz and even ztz each by two dual cells
+that must agree); the stable cycle/path shape gives t and cycles; the
+edge-count identity pins ztz[0].
 The vertex-count identity must then close, or the input exposed a bug.
 
 Orientation of the zt/tz difference formulas is the one validated by the
@@ -147,6 +148,48 @@ def cyclotomic_refine(cycles) -> RationalRegularPart:
     return RationalRegularPart(tuple(sorted(counts.items())))
 
 
+# -- the diagram cells ---------------------------------------------------------
+
+# The seven cells with index k: name for str.format(k), multiplicity family,
+# family index i*k + j as (i, j), and each corner as (role, m - k, n - k).
+# Squares have roles a, b, c, d and parallelograms a, a2, b, b2; _SIGN gives
+# each role's sign in the cell's content.  B and B' both count ztz[2k], C and
+# C' tz[k], D and D' zt[k].
+_CELLS = (
+    ("A{}", "ztz", (2, -1), (("a", -1, -1), ("b", -1, 0), ("c", 0, 0), ("d", 0, -1))),
+    ("B{}", "ztz", (2, 0), (("a", 0, -1), ("b", 0, 0), ("c", 1, 0), ("d", 1, -1))),
+    ("B{}'", "ztz", (2, 0), (("a", -1, 0), ("b", -1, 1), ("c", 0, 1), ("d", 0, 0))),
+    ("C{}", "tz", (1, 0), (("a", -1, 1), ("a2", 0, -1), ("b", -1, 0), ("b2", 0, 0))),
+    ("C{}'", "tz", (1, 0), (("a", 0, 1), ("a2", 1, -1), ("b", 0, 0), ("b2", 1, 0))),
+    ("D{}", "zt", (1, 0), (("a", -1, 1), ("a2", 1, 0), ("b", 0, 0), ("b2", 0, 1))),
+    ("D{}'", "zt", (1, 0), (("a", 1, -1), ("a2", -1, 0), ("b", 0, 0), ("b2", 0, -1))),
+)
+_SIGN = {"a": 1, "a2": 1, "c": 1, "b": -1, "b2": -1, "d": -1}
+# the same cells as signed corner offsets (m - k, n - k, sign)
+_SIGNED = tuple(tuple((dm, dn, _SIGN[role]) for role, dm, dn in corners)
+                for *_, corners in _CELLS)
+
+
+def diagram_cells(k: int) -> list[tuple[str, str, int, dict[str, tuple[int, int]]]]:
+    """The standard annotated cells with index k: name, multiplicity family,
+    family index, and corner roles."""
+    return [(name.format(k), family, i * k + j,
+             {role: (k + dm, k + dn) for role, dm, dn in corners})
+            for name, family, (i, j), corners in _CELLS]
+
+
+def gamma_content(d: ContractionDiagram, cell: dict[str, tuple[int, int]]) -> int:
+    """Signed four-corner sum over a diagram cell.
+
+    Squares use roles a, b, c, d (content gamma_a - gamma_b - gamma_d +
+    gamma_c); parallelograms use a, a2, b, b2 (gamma_a + gamma_a2 - gamma_b
+    - gamma_b2).  Every corner must be a suitable lattice point.
+    """
+    if set(cell) not in ({"a", "b", "c", "d"}, {"a", "a2", "b", "b2"}):
+        raise ValueError(f"unrecognized cell roles {sorted(cell)}")
+    return sum(_SIGN[role] * d.value(*corner) for role, corner in cell.items())
+
+
 # -- the three computation stages -------------------------------------------
 
 
@@ -159,38 +202,24 @@ def _dual(label: str, n: int, form_a: int, form_b: int) -> int:
 
 
 def part_one(d: ContractionDiagram) -> tuple[MultMap, MultMap, MultMap]:
-    """zt, tz, and ztz for indices >= 1, read off the gamma table.
+    """zt, tz, and ztz for indices >= 1: the contents of the diagram cells
+    with index k = 1 .. horizon + 1, each dual pair checked to agree.
 
-    Every index beyond 2*horizon + 2 reads only stable values and vanishes.
+    Every corner of a cell with a larger index has min(m, n) > horizon, so
+    such a cell reads only stable values and its content vanishes.
     """
-    g = d.value
-    zt: MultMap = {}
-    tz: MultMap = {}
-    ztz: MultMap = {}
-    for n in range(1, 2 * d.horizon + 3):
-        v = _dual("zt", n,
-                  g(n - 1, n + 1) - g(n, n) - g(n, n + 1) + g(n + 1, n),
-                  g(n + 1, n - 1) - g(n, n) - g(n, n - 1) + g(n - 1, n))
-        if v:
-            zt[n] = v
-        v = _dual("tz", n,
-                  g(n + 1, n - 1) - g(n, n) - g(n + 1, n) + g(n, n + 1),
-                  g(n - 1, n + 1) - g(n, n) - g(n - 1, n) + g(n, n - 1))
-        if v:
-            tz[n] = v
-        if n % 2:
-            p = n // 2
-            v = g(p, p) - g(p, p + 1) - g(p + 1, p) + g(p + 1, p + 1)
-            if v < 0:
-                raise NegativeMultiplicity(f"ztz[{n}] = {v}")
-        else:
-            p = n // 2
-            v = _dual("ztz", n,
-                      g(p, p - 1) - g(p, p) - g(p + 1, p - 1) + g(p + 1, p),
-                      g(p - 1, p) - g(p, p) - g(p - 1, p + 1) + g(p, p + 1))
-        if v:
-            ztz[n] = v
-    return zt, tz, ztz
+    # every corner is suitable, so read gamma as d.value does, without its check
+    get, stable = d.gamma.get, d.stable_value
+    zt, tz, ztz = {}, {}, {}
+    for k in range(1, d.horizon + 2):
+        a, b, b2, c, c2, dk, dk2 = (
+            sum(sign * get((k + dm, k + dn), stable) for dm, dn, sign in cell)
+            for cell in _SIGNED)
+        if a < 0:
+            raise NegativeMultiplicity(f"ztz[{2 * k - 1}] = {a}")
+        ztz[2 * k - 1], ztz[2 * k] = a, _dual("ztz", 2 * k, b, b2)
+        tz[k], zt[k] = _dual("tz", k, c2, c), _dual("zt", k, dk, dk2)
+    return tuple({n: v for n, v in mult.items() if v} for mult in (zt, tz, ztz))
 
 
 def part_two(shape: StableShape) -> tuple[MultMap, tuple[int, ...]]:
@@ -262,45 +291,7 @@ def full_invariants(g: MultiDigraph | BinaryRelation) -> InvariantRecord:
     return analyze_graph(g).record
 
 
-# -- diagram cells and equivalence -------------------------------------------
-
-
-def gamma_content(d: ContractionDiagram, cell: dict[str, tuple[int, int]]) -> int:
-    """Signed four-corner sum over a diagram cell.
-
-    Squares use roles a, b, c, d (content gamma_a - gamma_b - gamma_d +
-    gamma_c); parallelograms use a, a2, b, b2 (gamma_a + gamma_a2 - gamma_b
-    - gamma_b2).  Every corner must be a suitable lattice point.
-    """
-    roles = set(cell)
-    if roles == {"a", "b", "c", "d"}:
-        signs = {"a": 1, "b": -1, "c": 1, "d": -1}
-    elif roles == {"a", "a2", "b", "b2"}:
-        signs = {"a": 1, "a2": 1, "b": -1, "b2": -1}
-    else:
-        raise ValueError(f"unrecognized cell roles {sorted(roles)}")
-    return sum(sign * d.value(*cell[role]) for role, sign in signs.items())
-
-
-def diagram_cells(k: int) -> list[tuple[str, str, int, dict[str, tuple[int, int]]]]:
-    """The standard annotated cells with index k: name, multiplicity family,
-    family index, and corner roles."""
-    return [
-        (f"A{k}", "ztz", 2 * k - 1,
-         {"a": (k - 1, k - 1), "b": (k - 1, k), "c": (k, k), "d": (k, k - 1)}),
-        (f"B{k}", "ztz", 2 * k,
-         {"a": (k, k - 1), "b": (k, k), "c": (k + 1, k), "d": (k + 1, k - 1)}),
-        (f"B{k}'", "ztz", 2 * k,
-         {"a": (k - 1, k), "b": (k - 1, k + 1), "c": (k, k + 1), "d": (k, k)}),
-        (f"C{k}", "tz", k,
-         {"a": (k - 1, k + 1), "a2": (k, k - 1), "b": (k - 1, k), "b2": (k, k)}),
-        (f"C{k}'", "tz", k,
-         {"a": (k, k + 1), "a2": (k + 1, k - 1), "b": (k, k), "b2": (k + 1, k)}),
-        (f"D{k}", "zt", k,
-         {"a": (k - 1, k + 1), "a2": (k + 1, k), "b": (k, k), "b2": (k, k + 1)}),
-        (f"D{k}'", "zt", k,
-         {"a": (k + 1, k - 1), "a2": (k - 1, k), "b": (k, k), "b2": (k, k - 1)}),
-    ]
+# -- equivalence ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int
 
 
 def _pencil_matrix(first, second, e: int, v: int) -> list[list[Poly]]:
-    return [[rp.norm((first[i][j], second[i][j])) for j in range(v)] for i in range(e)]
+    return [[rp.poly(first[i][j], second[i][j]) for j in range(v)] for i in range(e)]
 
 
 def invariant_factors(mat: list[list[Poly]]) -> list[Poly]:

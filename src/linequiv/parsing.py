@@ -218,10 +218,19 @@ def _dot_id(label: str) -> str:
     return f'"{label}"'
 
 
+def _edge_list_id(label: str, source: bool = False) -> str:
+    """The label as an edge-list field: one whitespace-free token without
+    '#', and not the keyword as an edge's first field."""
+    if label.split() != [label] or "#" in label or (source and label == "vertex"):
+        raise ValueError(f"label {label!r} cannot be written in edge-list output")
+    return label
+
+
 def serialize(r: BinaryRelation | MultiDigraph, format: str = "edge-list") -> str:
     """Render a graph in one of the two input formats.
 
-    Round-trips with parse_graph up to vertex/edge ordering normalization.
+    Round-trips with parse_graph up to vertex/edge ordering normalization;
+    a label the format cannot carry raises ValueError.
     """
     if isinstance(r, BinaryRelation):
         vertices, edges = r.vertices, r.sorted_pairs()
@@ -229,8 +238,8 @@ def serialize(r: BinaryRelation | MultiDigraph, format: str = "edge-list") -> st
         vertices, edges = r.vertices, r.edges
     touched = {v for e in edges for v in e}
     if format == "edge-list":
-        lines = [f"vertex {v}" for v in vertices if v not in touched]
-        lines += [f"{s} {t}" for s, t in edges]
+        lines = [f"vertex {_edge_list_id(v)}" for v in vertices if v not in touched]
+        lines += [f"{_edge_list_id(s, source=True)} {_edge_list_id(t)}" for s, t in edges]
         return "\n".join(lines) + ("\n" if lines else "")
     if format == "dot":
         stmts = [f"  {_dot_id(v)};" for v in vertices if v not in touched]

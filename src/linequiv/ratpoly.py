@@ -24,11 +24,12 @@ def poly(*coeffs) -> Poly:
 
 
 def norm(p) -> Poly:
-    p = tuple(Fraction(c) for c in p)
+    """p without trailing zeros, as a tuple; its coefficients must already be
+    Fractions (use poly for raw numbers)."""
     end = len(p)
     while end > 0 and p[end - 1] == 0:
         end -= 1
-    return p[:end]
+    return tuple(p[:end])
 
 
 def deg(p: Poly) -> int:

@@ -156,6 +156,22 @@ def test_diagram_max_band(capsys, g1_file):
     assert len(wide.splitlines()) > len(narrow.splitlines())
 
 
+def test_diagram_negative_max_band_is_usage_error(capsys, g1_file):
+    code, out, err = run(capsys, "diagram", g1_file, "--max-band", "-9")
+    assert code == 2 and out == ""
+    assert "max-band" in err
+
+
+@pytest.mark.parametrize("dot", ["vertex -> x", '"a b" -> c', '"" -> x'])
+def test_unwritable_edge_list_label_is_usage_error(capsys, tmp_path, dot):
+    path = tmp_path / "g.dot"
+    path.write_text(f"digraph {{ {dot}; }}\n")
+    for argv in (["reduce"], ["contract", "--left", "1"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "edge-list" in err
+
+
 def test_equiv_exit_codes(capsys, g1_file, g2_file, tmp_path):
     relabeled = tmp_path / "relabeled.edges"
     relabeled.write_text("x z\nx y\nz y\ny z\n")

@@ -325,9 +325,14 @@ def naive_partition(r: BinaryRelation, word: str) -> Partition:
     return Partition(r.vertices, tuple(map(tuple, classes.values())))
 
 
+def naive_count(r: BinaryRelation, m: int, n: int) -> int:
+    """gamma(m, n) from its own word of n rights and m lefts."""
+    return len(naive_partition(r, "r" * n + "l" * m))
+
+
 def naive_diagram(r: BinaryRelation) -> tuple:
-    """(gamma, stable_value, horizon, band_end, stable, depth), each point of
-    gamma from its own word of n rights and m lefts."""
+    """(stable_value, horizon, stable, depth) from naive counts, the horizon
+    by walking antidiagonals until three in a row are stable."""
     depth = 0
     while naive_partition(r, "lr" * (depth + 1)) != naive_partition(r, "lr" * depth):
         depth += 1
@@ -337,13 +342,13 @@ def naive_diagram(r: BinaryRelation) -> tuple:
     s, run = 0, 3 if r.vertex_count == stable_value else 0
     while run < 3:
         s += 1
-        row = {(m, s - m): len(naive_partition(r, "r" * (s - m) + "l" * m))
+        row = {(m, s - m): naive_count(r, m, s - m)
                for m in range(s + 1) if abs(2 * m - s) <= 2}
         gamma.update(row)
         run = run + 1 if set(row.values()) == {stable_value} else 0
     nonstable = [min(p) for p, g in gamma.items() if g != stable_value]
     horizon = 1 + max(nonstable) if nonstable else 0
-    return gamma, stable_value, horizon, s, quotient(r, final), depth
+    return stable_value, horizon, quotient(r, final), depth
 
 
 @pytest.fixture
@@ -361,7 +366,13 @@ def reference_inputs(g1, g2, g3, g4):
 def test_gamma_table_matches_definition(reference_inputs):
     for r in reference_inputs:
         d = gamma_table(r)
-        got = (d.gamma, d.stable_value, d.horizon, d.band_end, d.stable, d.depth)
+        assert all(d.is_suitable(m, n) for m, n in d.gamma), sorted(r.pairs)
+        assert d.band_end == max(m + n for m, n in d.gamma), sorted(r.pairs)
+        for s in range(d.band_end + 4):
+            for m in range(s + 1):
+                if d.is_suitable(m, s - m):
+                    assert d.value(m, s - m) == naive_count(r, m, s - m), (sorted(r.pairs), m)
+        got = (d.stable_value, d.horizon, d.stable, d.depth)
         assert got == naive_diagram(r), sorted(r.pairs)
 
 

@@ -287,6 +287,22 @@ def test_matrix_file_through_oracle():
     assert oracle_invariants(parse_pair_file(text)) == rec(ztz={1: 1})
 
 
+def test_integer_entries_give_the_fraction_result(g4):
+    # plain int entries become Fractions where the Smith forms build their
+    # polynomials, so monic never divides two ints into a float
+    pairs = [linearize(g4), regular_pair(rp.poly(-2, 1)),
+             parse_pair_file("3 2\n2 0\n1 1\n0 -3\n0 2\n3 0\n1 1\n")]
+    for p in pairs:
+        assert all(x.denominator == 1 for mat in (p.m, p.n) for row in mat for x in row)
+        as_int = PairMatrices(p.edge_dim, p.vertex_dim,
+                              *(tuple(tuple(int(x) for x in row) for row in mat)
+                                for mat in (p.m, p.n)))
+        assert oracle_invariants(as_int) == oracle_invariants(p)
+        report = analyze(as_int)
+        assert report == analyze(p)
+        assert all(type(c) is Fraction for poly, _ in report.finite_divisors for c in poly)
+
+
 def test_every_rational_pair_closes_dimensions():
     # the record must account for e and v exactly on arbitrary rational
     # pairs, not just 0/1 graph pairs (DimensionMismatch stays a pure

@@ -81,12 +81,26 @@ def test_format_sniffing():
 
 
 @pytest.mark.parametrize("format", ["edge-list", "dot"])
-def test_round_trips(format, g1, g3):
+def test_round_trips(format, g1, g2, g3, g4):
     edgeless = BinaryRelation(("a", "b"), frozenset())
-    for r in (relation(g1), relation(g3), edgeless):
+    for r in (relation(g1), relation(g2), relation(g3), relation(g4), edgeless):
         back = reduce(parse_graph(serialize(r, format), format=format)).reduced
         assert set(back.vertices) == set(r.vertices)
         assert back.pairs == r.pairs
+
+
+@pytest.mark.parametrize("edges", [(("vertex", "x"),), (("a b", "c"),), (("", "x"),),
+                                   (("a#b", "c"),), (("a", "b\tc"),)])
+def test_edge_list_rejects_labels_it_cannot_write(edges):
+    r = BinaryRelation(tuple(sorted({v for e in edges for v in e})), frozenset(edges))
+    with pytest.raises(ValueError, match="edge-list"):
+        serialize(r, "edge-list")
+
+
+def test_edge_list_writes_the_keyword_where_it_reads_back():
+    r = BinaryRelation(("x", "vertex", "y"), frozenset({("x", "vertex")}))
+    back = reduce(parse_graph(serialize(r, "edge-list"), format="edge-list")).reduced
+    assert set(back.vertices) == set(r.vertices) and back.pairs == r.pairs
 
 
 @pytest.mark.parametrize("format", ["edge-list", "dot"])
