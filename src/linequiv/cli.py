@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import sys
@@ -27,7 +28,7 @@ from .invariants import (ConsistencyError, DualFormMismatch, NegativeMultiplicit
                          gamma_content, record_to_json)
 from .linearize import linearize, parse_pair_file
 from .oracle import DimensionMismatch, OracleFactorError, compare, oracle_invariants
-from .parsing import ParseError, parse_graph, serialize
+from .parsing import ParseError, dot_id, parse_graph, serialize
 from .relation import BinaryRelation, GraphError, MultiDigraph, reduce as reduce_graph
 
 _INTERNAL_ERRORS = (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
@@ -116,7 +117,8 @@ def _quotient_dot(contracted: BinaryRelation, part) -> str:
     lines = ["digraph {"]
     for i, cls in enumerate(part.classes):
         names[class_label(cls)] = f"c{i}"
-        lines.append(f'  c{i} [label="{{{",".join(cls)}}}"];')
+        label = dot_id("{" + ",".join(cls) + "}")
+        lines.append(f"  c{i} [label={label}];")
     for s, t in contracted.sorted_pairs():
         lines.append(f"  {names[s]} -> {names[t]};")
     return "\n".join(lines) + "\n}\n"
@@ -367,9 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parse_args leaves a parser
+    unchanged, so every call of main can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,22 +1,32 @@
 """Independent verification path: the same multiplicity record, computed from
-the raw matrix pair by exact rational linear algebra.
+the raw matrix pair by exact linear algebra.
 
 No contractions are used anywhere here.  The pair (M, N) is analyzed as the
-polynomial matrix M + X*N:
+pencil M + X*N, and every count in the record is read off exact ranks of
+sparse integer matrices built from M and N:
 
-  * row-solution degrees (nullity second differences of block matrices) give
-    the ztz indices, and the same computation on the transposed pair gives t;
-  * the Smith normal form of M + X*N yields elementary divisors: X-powers
-    are zt, the rest is the regular part;
-  * the Smith normal form of N + X*M read at X-powers gives tz.
+  * the normal rank r, the rank of M + t*N at a few integer points t;
+  * the minimal indices: the nullities of the block matrices whose kernels
+    are the row solutions x(t)(M + tN) = 0 of degree < k give ztz, and the
+    same on the transposed pair gives t;
+  * the local Jordan type of a pencil A + s*B at s = 0, from the nullities
+    of truncated block Toeplitz matrices: (A, B) = (M, N) gives zt, and
+    (N, M) gives tz;
+  * the regular part: a stored divisor S(Phi_d^n) is a Jordan block of size
+    n at each pencil eigenvalue X = -zeta, zeta a primitive d-th root of
+    unity.  Ranks of M - zeta*N, lifted to Q by the companion matrix of
+    Phi_d, count those blocks for d = 1, 2, ... until they account for the
+    regular degree; a rank modulo a prime rules most d out first.
 
-Everything is exact; nothing touches floating point.  Ranks (the normal
-rank and the block matrices behind the minimal indices) come from
-fraction-free elimination on integer rows, each rational row first scaled to
-integers; the Smith forms work on polynomials with Fraction coefficients.
-Divisors of the pencil are reported in the convention where a single loop
-edge yields S(X - 1): a pencil factor q gives the stored polynomial
-monic(q(-X)).
+Each rank comes from fraction-free elimination on integer rows (a rational
+row is first scaled to integers), and a sequence of ranks over k grows one
+elimination instead of restarting it.  Nothing touches floating point.
+
+The regular part of a graph pair is cyclotomic, so graphs never go further.
+Only a residue the cyclotomic scan leaves, possible on matrix input, falls
+back to the Smith normal form of M + X*N over Q[X] and factors it.
+Divisors are reported in the convention where a single loop edge yields
+S(X - 1): a pencil factor q gives the stored polynomial monic(q(-X)).
 """
 
 from __future__ import annotations
@@ -24,68 +34,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import ratpoly as rp
+from .echelon import Echelon, SparseRow, prime_and_root, rank_mod, rank_of_rows
 from .invariants import InvariantRecord, cyclotomic_refine
 from .linearize import PairMatrices
 from .ratpoly import Poly
+# OracleFactorError stays importable from here: callers catch it as part of the oracle
+from .smith import OracleFactorError, factor_stored, invariant_factors, pencil_matrix
 
 
 class DimensionMismatch(RuntimeError):
-    """The assembled record does not account for every matrix dimension."""
-
-
-class OracleFactorError(RuntimeError):
-    """An invariant factor has a non-cyclotomic irreducible part of degree
-    above one; cannot happen for graph-derived pairs."""
-
-
-SparseRow = dict[int, int]
-
-
-def _primitive(row: dict) -> SparseRow:
-    """The nonzeros of a rational row times the positive constant that makes
-    them coprime integers; the rank of a set of rows does not change."""
-    row = {j: x for j, x in row.items() if x}
-    den = lcm(*(x.denominator for x in row.values()))
-    row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    content = gcd(*row.values())
-    if content > 1:
-        row = {j: x // content for j, x in row.items()}
-    return row
-
-
-def rank_of_rows(rows) -> int:
-    """Exact rank of sparse rational rows (dicts column -> int or Fraction),
-    by incremental fraction-free elimination: each row is first scaled to
-    coprime integers, then reduced against a pivot by row = a*row - b*pivot
-    and divided by the gcd of its entries, so every entry stays an integer."""
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        row = _primitive(row)
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                break
-            a, b = pivot[col], row.pop(col)
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {j: a * x for j, x in row.items()}
-            for j, x in pivot.items():
-                if j != col:
-                    new = row.get(j, 0) - b * x
-                    if new:
-                        row[j] = new
-                    else:
-                        del row[j]
-            content = gcd(*row.values())
-            if content > 1:
-                row = {j: x // content for j, x in row.items()}
-    return len(pivots)
+    """The record, or the cyclotomic scan behind its regular part, does not
+    account for the matrix dimensions exactly."""
 
 
 def _integer_rows(p: PairMatrices) -> list[tuple[SparseRow, SparseRow]]:
@@ -146,14 +108,19 @@ def normal_rank(p: PairMatrices) -> int:
 
 def _solution_space_dims(p: PairMatrices, k_max: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
-    = 0, for k = 0..; stops once the increments reach `total`."""
+    = 0, for k = 0..; stops once the increments reach `total`.  Block k - 1
+    of rows only adds rows to the matrix of f(k - 1), so one elimination
+    serves every k."""
     e, v = p.edge_dim, p.vertex_dim
     rows = _integer_rows(p)
+    echelon = Echelon()
     f = [0]
     for k in range(1, k_max + 1):
-        blocks = [{**_shifted(m, j * v), **_shifted(n, (j + 1) * v)}
-                  for j in range(k) for m, n in rows]
-        f.append(k * e - rank_of_rows(blocks))
+        for m, n in rows:
+            block_row = {**_shifted(m, (k - 1) * v), **_shifted(n, k * v)}
+            if block_row:
+                echelon.add(block_row)
+        f.append(k * e - echelon.rank)
         if f[-1] - f[-2] == total:
             break
     return f
@@ -188,134 +155,159 @@ def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int
     return minimal_indices_left(p.transposed(), rank)
 
 
-# -- Smith normal form over Q[X] ---------------------------------------------
+# -- local Jordan types ---------------------------------------------------------
 
 
-def _pencil_matrix(first, second, e: int, v: int) -> list[list[Poly]]:
-    return [[rp.poly(first[i][j], second[i][j]) for j in range(v)] for i in range(e)]
+def _columns(rows: list[SparseRow], cols: int) -> list[SparseRow]:
+    out: list[SparseRow] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
-def invariant_factors(mat: list[list[Poly]]) -> list[Poly]:
-    """Monic nonzero invariant factors of a polynomial matrix, in divisibility
-    order, by the classical pivot-and-reduce Smith procedure."""
-    mat = [row[:] for row in mat]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    factors: list[Poly] = []
-    top = 0
-    while True:
-        pos = None
-        best = -1
-        for i in range(top, rows):
-            for j in range(top, cols):
-                d = rp.deg(mat[i][j])
-                if mat[i][j] and (pos is None or d < best):
-                    pos, best = (i, j), d
-        if pos is None:
+def _local_type(a: list[SparseRow], b: list[SparseRow], cols: int,
+                rank: int) -> tuple[int, ...]:
+    """Sizes of the Jordan blocks of the pencil A + s*B at s = 0, i.e. the
+    exponents of its elementary divisors s^n; `rank` is its normal rank.
+
+    T_k is the truncated block Toeplitz matrix whose row block j < k holds A
+    in column block j and B in column block j + 1 (when j + 1 < k); its left
+    kernel is the row solutions of x(s)(A + sB) = 0 modulo s^k.  So
+    h(k) = (k*e - rank T_k) - k*(e - rank) = sum of min(n, k) over the
+    blocks, and its second differences are the block counts.  Column block
+    k of T_(k+1) touches only row blocks k - 1 and k, so T_k's columns are
+    fed as rows to one elimination, which serves every k."""
+    e = len(a)
+    a_cols, b_cols = _columns(a, cols), _columns(b, cols)
+    echelon = Echelon()
+    h = [0]
+    for k in range(1, cols + 2):
+        for a_col, b_col in zip(a_cols, b_cols):
+            col = _shifted(a_col, (k - 1) * e)
+            if k > 1:
+                col.update(_shifted(b_col, (k - 2) * e))
+            if col:
+                echelon.add(col)
+        h.append(k * e - echelon.rank - k * (e - rank))
+        if h[-1] == h[-2]:
             break
-        i, j = pos
-        mat[top], mat[i] = mat[i], mat[top]
-        for row in mat:
-            row[top], row[j] = row[j], row[top]
-        while True:
-            # clear the pivot column, restarting whenever a remainder of
-            # smaller degree shows up (it becomes the better pivot)
-            restart = False
-            for i in range(top + 1, rows):
-                if rp.is_zero(mat[i][top]):
-                    continue
-                q, r = rp.divmod_poly(mat[i][top], mat[top][top])
-                mat[i] = [rp.sub(a, rp.mul(q, b)) if b else a
-                          for a, b in zip(mat[i], mat[top])]
-                if not rp.is_zero(r):
-                    mat[top], mat[i] = mat[i], mat[top]
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(top + 1, cols):
-                if rp.is_zero(mat[top][j]):
-                    continue
-                q, r = rp.divmod_poly(mat[top][j], mat[top][top])
-                for row in mat:
-                    if row[top]:
-                        row[j] = rp.sub(row[j], rp.mul(q, row[top]))
-                if not rp.is_zero(r):
-                    for row in mat:
-                        row[top], row[j] = row[j], row[top]
-                    restart = True
-                    break
-            if restart:
-                continue
-            if any(not rp.is_zero(mat[i][top]) for i in range(top + 1, rows)):
-                continue
-            break
-        factors.append(rp.monic(mat[top][top]))
-        top += 1
-        if top == rows or top == cols:
-            break
-    # repair the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            if not rp.divides(a, b):
-                factors[i], factors[i + 1] = rp.gcd(a, b), rp.lcm(a, b)
-                changed = True
-    return factors
+    else:
+        raise AssertionError("local Jordan chains failed to saturate")
+    out = []
+    for n in range(1, len(h) - 1):
+        mult = 2 * h[n] - h[n - 1] - h[n + 1]
+        if mult < 0:
+            raise AssertionError("local nullity sequence is not concave")
+        out.extend([n] * mult)
+    if len(out) != h[1]:
+        raise AssertionError("Jordan block count mismatch")
+    return tuple(out)
 
 
-def _factor_stored(q: Poly) -> list[tuple[Poly, int]]:
-    """Split monic(q(-X)) into irreducibles: an X-power, cyclotomic factors,
-    linear leftovers; anything else is unsupported."""
-    g = rp.monic(rp.substitute_neg_x(q))
-    out: Counter[Poly] = Counter()
-    k = rp.x_order(g)
-    if k:
-        out[rp.X] += k
-        g = rp.norm(g[k:])
+# -- the regular part: roots of unity -------------------------------------------
+
+
+def _screen_clears(rows, rank: int, d: int) -> bool:
+    """True when M - zeta*N has rank `rank` over F_p, for p and zeta from
+    `prime_and_root(d)`.  A rank cannot rise under the ring map
+    Z[zeta_d] -> F_p that sends zeta_d to zeta, and cannot exceed the normal
+    rank, so then M - zeta_d*N has full rank `rank` and -zeta_d is no
+    eigenvalue.  A lower rank proves nothing."""
+    p, zeta = prime_and_root(d)
+    sample = []
+    for m, n in rows:
+        row = dict(m)
+        for j, x in n.items():
+            row[j] = row.get(j, 0) - zeta * x
+        sample.append(row)
+    return rank_mod(sample, p) == rank
+
+
+def _lift(rows, d: int) -> list[SparseRow]:
+    """The rows of M (x) I - N (x) C, where C is the companion matrix of
+    Phi_d: M - zeta_d*N over Q(zeta_d), written over Q.  Every rank over
+    Q(zeta_d) becomes phi(d) times as large."""
+    coeffs = [int(c) for c in rp.cyclotomic(d)]
+    phi = len(coeffs) - 1
+    companion = [{a + 1: 1} for a in range(phi - 1)]
+    companion.append({b: -c for b, c in enumerate(coeffs[:-1]) if c})
+    out = []
+    for m, n in rows:
+        for a in range(phi):
+            row = {j * phi + a: x for j, x in m.items()}
+            for j, x in n.items():
+                for b, c in companion[a].items():
+                    key = j * phi + b
+                    new = row.get(key, 0) - x * c
+                    if new:
+                        row[key] = new
+                    else:
+                        row.pop(key, None)
+            out.append(row)
+    return out
+
+
+def _cyclotomic_blocks(rows, v: int, rank: int,
+                       degree: int) -> list[tuple[int, int]] | None:
+    """One (d, n) per Jordan block of size n at the pencil eigenvalues -zeta,
+    zeta a primitive d-th root of unity; None when blocks at roots of unity
+    leave part of the regular `degree` unaccounted for.
+
+    First, one lifted rank per d counts the blocks at d: phi(d) times their
+    number is rank*phi(d) minus the rank of the lift of M - zeta_d*N.  The
+    scan runs while phi(d) fits in the degree not yet counted, up to the
+    bound 2*deg^2 + 6 past which phi(d) > deg.  If phi(d) times the counts
+    fills the degree, every block has size 1, as it always does for graphs
+    (X^k - 1 is squarefree).  Otherwise the lifted local type gives the
+    sizes at each d found whose phi(d) fits in the degree still left, since
+    a block of size n adds (n - 1)*phi(d) beyond its count.  The local type
+    is this second pass, and not the scan itself, because its T_2 costs far
+    more than one rank: 20 times as much on the 37-cycle at d = 37.
+    Blocks beyond the regular degree are an error.  The scan stops once the
+    degree is filled, so it cannot see blocks the degree leaves no room
+    for."""
+    found: dict[int, int] = {}
+    left = degree
     d = 1
-    while rp.deg(g) >= 1:
-        if d > 2 * rp.deg(g) ** 2 + 6:
-            break
-        if rp.totient(d) <= rp.deg(g):
-            phi = rp.cyclotomic(d)
-            quo, rem = rp.divmod_poly(g, phi)
-            if rp.is_zero(rem):
-                out[phi] += 1
-                g = quo
-                continue  # repeat the same d; exponents can exceed one
+    while left > 0 and d <= 2 * left * left + 6:
+        phi = rp.totient(d)
+        if phi <= left and not _screen_clears(rows, rank, d):
+            count, rest = divmod(phi * rank - rank_of_rows(_lift(rows, d)), phi)
+            if rest or count < 0:
+                raise AssertionError(f"lifted rank at d={d} is not a multiple of phi(d)")
+            if count:
+                found[d] = count
+                left -= phi * count
         d += 1
-    if rp.deg(g) == 1:
-        out[rp.monic(g)] += 1
-        g = rp.ONE
-    if rp.deg(g) >= 1:
-        raise OracleFactorError(
-            f"cannot factor invariant-factor part {rp.poly_str(g)} over the rationals")
-    # group equal irreducibles into (p, exponent) with exponent = multiplicity
-    return sorted(out.items())
+    blocks = []
+    for d, count in found.items():
+        phi = rp.totient(d)
+        if phi > left:  # a block of size n > 1 at d would add (n - 1)*phi(d)
+            blocks += [(d, 1)] * count
+        else:
+            lifted_n = [{j * phi + a: x for j, x in n.items()} for _, n in rows for a in range(phi)]
+            sizes = Counter(_local_type(_lift(rows, d), lifted_n, v * phi, rank * phi))
+            if any(mult % phi for mult in sizes.values()) or sum(sizes.values()) != phi * count:
+                raise AssertionError(f"lifted Jordan type at d={d} is not {phi} equal copies")
+            blocks += [(d, n) for n, mult in sizes.items() for _ in range(mult // phi)]
+    left = degree - sum(rp.totient(d) * n for d, n in blocks)
+    if left < 0:
+        raise DimensionMismatch(f"roots of unity carry more than the regular degree {degree}")
+    return blocks if left == 0 else None
 
 
-def finite_divisors(p: PairMatrices) -> tuple[tuple[Poly, int], ...]:
-    """Elementary divisors of M + X*N, stored in the loop-gives-S(X-1)
-    convention; pairs with first component X are zt summands."""
+def _smith_finite_divisors(p: PairMatrices) -> tuple[tuple[Poly, int], ...]:
+    """The divisors of M + X*N from its Smith form, factored: the fallback
+    for a regular part that is not all cyclotomic."""
     out: Counter[tuple[Poly, int]] = Counter()
-    for q in invariant_factors(_pencil_matrix(p.m, p.n, p.edge_dim, p.vertex_dim)):
-        for irred, mult in _factor_stored(q):
+    for q in invariant_factors(pencil_matrix(p.m, p.n, p.edge_dim, p.vertex_dim)):
+        for irred, mult in factor_stored(q):
             out[(irred, mult)] += 1
     return tuple(sorted(out.elements()))
 
 
-def infinite_divisors(p: PairMatrices) -> tuple[int, ...]:
-    """X-power exponents in the Smith form of N + X*M; one tz summand each.
-    (zt summands contribute unimodular factors there and stay invisible.)"""
-    out = []
-    for q in invariant_factors(_pencil_matrix(p.n, p.m, p.edge_dim, p.vertex_dim)):
-        k = rp.x_order(q)
-        if k:
-            out.append(k)
-    return tuple(sorted(out))
+# -- the report -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -329,13 +321,40 @@ class OracleReport:
 
 
 def analyze(p: PairMatrices) -> OracleReport:
+    """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
+    all from exact ranks; see the module docstring."""
     rank = normal_rank(p)
-    return OracleReport(
-        minimal_indices_left(p, rank),
-        minimal_indices_right(p, rank),
-        finite_divisors(p),
-        infinite_divisors(p),
-    )
+    left = minimal_indices_left(p, rank)
+    right = minimal_indices_right(p, rank)
+    rows = _integer_rows(p)
+    m_rows, n_rows = [m for m, _ in rows], [n for _, n in rows]
+    v = p.vertex_dim
+    zt = _local_type(m_rows, n_rows, v, rank)
+    tz = _local_type(n_rows, m_rows, v, rank)
+    degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
+    if degree < 0:
+        raise DimensionMismatch(f"singular and nilpotent parts take more than {v} vertices")
+    regular = _cyclotomic_blocks(rows, v, rank, degree)
+    if regular is None:
+        finite = _smith_finite_divisors(p)
+        if sorted(n for poly, n in finite if poly == rp.X) != sorted(zt):
+            raise AssertionError("Smith form and local ranks disagree on zt")
+    else:
+        finite = tuple(sorted([(rp.X, n) for n in zt]
+                              + [(rp.cyclotomic(d), n) for d, n in regular]))
+    return OracleReport(left, right, finite, tuple(sorted(tz)))
+
+
+def finite_divisors(p: PairMatrices) -> tuple[tuple[Poly, int], ...]:
+    """Elementary divisors of M + X*N, stored in the loop-gives-S(X-1)
+    convention; pairs with first component X are zt summands."""
+    return analyze(p).finite_divisors
+
+
+def infinite_divisors(p: PairMatrices) -> tuple[int, ...]:
+    """X-power exponents in the Smith form of N + X*M; one tz summand each.
+    (zt summands contribute unimodular factors there and stay invisible.)"""
+    return analyze(p).infinite_divisors
 
 
 def _assemble_cycles(regular: list[tuple[Poly, int]]) -> tuple[int, ...] | None:
@@ -365,7 +384,18 @@ def _assemble_cycles(regular: list[tuple[Poly, int]]) -> tuple[int, ...] | None:
 
 def oracle_invariants(p: PairMatrices) -> InvariantRecord:
     """Assemble the full record from the pencil data and verify that it
-    accounts for both matrix dimensions exactly."""
+    accounts for both matrix dimensions exactly.
+
+    On the rank route both counts close by construction: the regular degree
+    is v minus the other parts, and the normal rank fixes the numbers of t
+    and ztz summands, which pins the edge count.  So the check below
+    compares two independent computations only after the Smith fallback.
+    On the rank route the checks are the cyclotomic scan's: a degree found
+    beyond the regular degree raises DimensionMismatch, and a shortfall
+    takes the Smith route, where the check below then applies.  A regular
+    degree that is too small (zt, tz or a minimal index overcounted) goes
+    unseen when the blocks found first fill it: scanned with degree 4, the
+    6-cycle gives the blocks at d = 1, 2, 3 and drops Phi_6."""
     report = analyze(p)
     ztz = Counter(report.left_minimal_indices)
     t = Counter(report.right_minimal_indices)

@@ -46,12 +46,16 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
     """
     if format == "auto":
         stripped = _strip_comments(text).lstrip()
-        format = "dot" if stripped.startswith("digraph") else "edge-list"
+        format = "dot" if _DOT_START.match(stripped) else "edge-list"
     if format == "edge-list":
         return _parse_edge_list(text, strict)
     if format == "dot":
         return _parse_dot(text, strict)
     raise ValueError(f"unknown format {format!r}")
+
+
+# `digraph` as a whole first DOT token: not followed by a bare-id character
+_DOT_START = re.compile(r'digraph(?![^\s{};=\[\],"])')
 
 
 def _strip_comments(text: str) -> str:
@@ -210,7 +214,9 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
 _BARE_ID = re.compile(r"[A-Za-z0-9_.]+\Z")
 
 
-def _dot_id(label: str) -> str:
+def dot_id(label: str) -> str:
+    """The label as a DOT identifier, quoted unless bare; a label with a
+    double quote or backslash raises ValueError."""
     if _BARE_ID.match(label):
         return label
     if '"' in label or "\\" in label:
@@ -220,8 +226,10 @@ def _dot_id(label: str) -> str:
 
 def _edge_list_id(label: str, source: bool = False) -> str:
     """The label as an edge-list field: one whitespace-free token without
-    '#', and not the keyword as an edge's first field."""
-    if label.split() != [label] or "#" in label or (source and label == "vertex"):
+    '#'; an edge's first field is neither the keyword nor a label that would
+    make a first line read as DOT."""
+    if (label.split() != [label] or "#" in label
+            or (source and (label == "vertex" or _DOT_START.match(label)))):
         raise ValueError(f"label {label!r} cannot be written in edge-list output")
     return label
 
@@ -242,7 +250,7 @@ def serialize(r: BinaryRelation | MultiDigraph, format: str = "edge-list") -> st
         lines += [f"{_edge_list_id(s, source=True)} {_edge_list_id(t)}" for s, t in edges]
         return "\n".join(lines) + ("\n" if lines else "")
     if format == "dot":
-        stmts = [f"  {_dot_id(v)};" for v in vertices if v not in touched]
-        stmts += [f"  {_dot_id(s)} -> {_dot_id(t)};" for s, t in edges]
+        stmts = [f"  {dot_id(v)};" for v in vertices if v not in touched]
+        stmts += [f"  {dot_id(s)} -> {dot_id(t)};" for s, t in edges]
         return "digraph {\n" + "\n".join(stmts) + ("\n" if stmts else "") + "}\n"
     raise ValueError(f"unknown format {format!r}")

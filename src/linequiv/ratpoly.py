@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
 
 Poly = tuple[Fraction, ...]
 
@@ -129,7 +128,17 @@ def x_order(p: Poly) -> int:
 
 
 def totient(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if _int_gcd(k, d) == 1)
+    """Euler's phi(d), from the prime factors of d found by trial division."""
+    out, rest, q = d, d, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            out -= out // q
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        out -= out // rest
+    return out
 
 
 @lru_cache(maxsize=None)

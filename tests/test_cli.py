@@ -172,6 +172,27 @@ def test_unwritable_edge_list_label_is_usage_error(capsys, tmp_path, dot):
         assert err.startswith("error:") and "edge-list" in err
 
 
+def test_unwritable_dot_class_label_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "quote.edges"
+    path.write_text('a"b c\n')
+    code, out, err = run(capsys, "contract", "--dot", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "DOT" in err
+
+
+def test_main_calls_share_one_parser(capsys, g1_file):
+    code, out, _ = run(capsys, "invariants", g1_file)
+    assert code == 0 and "record:" in out
+    code, out, _ = run(capsys, "fuzz", "--count", "2", "--json")
+    assert code == 0 and json.loads(out)["trials"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "reduce", g1_file)
+    assert code == 0 and out.startswith("# reduced:")
+    assert cli._parser() is cli._parser()
+
+
 def test_equiv_exit_codes(capsys, g1_file, g2_file, tmp_path):
     relabeled = tmp_path / "relabeled.edges"
     relabeled.write_text("x z\nx y\nz y\ny z\n")

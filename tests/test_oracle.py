@@ -2,6 +2,8 @@
 route.  All expected values here are forced by hand-checkable elimination on
 the small pairs, or by the canonical single-summand matrices."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,15 @@ import pytest
 from linequiv import (InvariantRecord, canonical_pair, compare, full_invariants,
                       kernel_meet_dim, minimal_indices_left, minimal_indices_right,
                       oracle_invariants, regular_pair)
-from linequiv import ratpoly as rp
+from linequiv import oracle, ratpoly as rp
+from linequiv.cli import run_fuzz
+from linequiv.echelon import Echelon, primitive
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
-from linequiv.oracle import (OracleFactorError, analyze, finite_divisors,
-                             infinite_divisors, invariant_factors, normal_rank,
-                             rank_of_rows)
+from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
+                             _cyclotomic_blocks, _integer_rows, _lift, _screen_clears,
+                             analyze, finite_divisors, infinite_divisors,
+                             invariant_factors, normal_rank, rank_of_rows)
+from linequiv.smith import factor_stored, pencil_matrix
 
 from conftest import multidigraph, seeded_relation
 
@@ -332,3 +338,133 @@ def test_oracle_matches_contractions_across_probabilities():
         r = seeded_relation(f"cross:{i}", max_vertices=6,
                             prob=Fraction(1 + (i % 5), 10))
         assert not compare(full_invariants(r), oracle_invariants(linearize(r)))
+
+
+# -- the rank-only route against the Smith-form reference ----------------------
+
+
+def cycles_graph(lengths, tail=0):
+    """Disjoint directed cycles, plus an in-path of `tail` edges into the
+    first cycle."""
+    vertices, edges = [], []
+    for c, length in enumerate(lengths):
+        names = [f"c{c}.{i}" for i in range(length)]
+        vertices += names
+        edges += list(zip(names, names[1:] + names[:1]))
+    prev = vertices[0]
+    for i in range(tail):
+        vertices.append(f"t{i}")
+        edges.append((f"t{i}", prev))
+        prev = f"t{i}"
+    return multidigraph(vertices, edges)
+
+
+def differential_pairs():
+    pairs = [linearize(seeded_relation(f"rank-only:{i}", max_vertices=10,
+                                       prob=Fraction(1 + i % 5, 10)))
+             for i in range(150)]
+    pairs += [canonical_pair(family, n) for family in ("zt", "tz") for n in range(1, 6)]
+    pairs += [canonical_pair(family, n) for family in ("t", "ztz") for n in range(6)]
+    powers = [regular_pair(poly, e) for poly in (rp.poly(-1, 1), rp.cyclotomic(3),
+                                                 rp.cyclotomic(4)) for e in (2, 3)]
+    pairs += powers + [regular_pair(rp.cyclotomic(12))]
+    # X^6 - 1 times X - 1 or X - 2: a block of size 2 at d = 1 among blocks
+    # of size 1, and a cyclotomic part beside a residue for the Smith route
+    six = rp.sub(rp.x_power(6), rp.ONE)
+    pairs += [regular_pair(rp.mul(six, rp.poly(c, 1))) for c in (-1, -2)]
+    for reg in (regular_pair(rp.poly(-1, 1)), powers[0], powers[2]):
+        for family, n in (("zt", 2), ("tz", 3), ("t", 1), ("ztz", 2)):
+            pairs.append(direct_sum(reg, canonical_pair(family, n)))
+    pairs += [linearize(cycles_graph((24,))), linearize(cycles_graph((6, 10, 15), 3))]
+    return pairs
+
+
+def smith_reference(p: PairMatrices) -> OracleReport:
+    """Minimal indices re-eliminated from scratch for every k, and both
+    divisor lists from the Smith forms of M + X*N and N + X*M."""
+    def left(q: PairMatrices) -> tuple[int, ...]:
+        e, v = q.edge_dim, q.vertex_dim
+        rows = _integer_rows(q)
+        f = [0]
+        for k in range(1, min(e, v) + 3):
+            f.append(k * e - rank_of_rows({**{j * v + c: x for c, x in m.items()},
+                                           **{(j + 1) * v + c: x for c, x in n.items()}}
+                                          for j in range(k) for m, n in rows))
+        return tuple(d for d in range(len(f) - 1)
+                     for _ in range(f[d + 1] - 2 * f[d] + (f[d - 1] if d else 0)))
+
+    e, v = p.edge_dim, p.vertex_dim
+    finite = Counter()
+    for q in invariant_factors(pencil_matrix(p.m, p.n, e, v)):
+        for irred, mult in factor_stored(q):
+            finite[(irred, mult)] += 1
+    infinite = [rp.x_order(q) for q in invariant_factors(pencil_matrix(p.n, p.m, e, v))]
+    return OracleReport(left(p), left(p.transposed()), tuple(sorted(finite.elements())),
+                        tuple(sorted(k for k in infinite if k)))
+
+
+def test_rank_only_analyze_matches_the_smith_reference():
+    for p in differential_pairs():
+        assert analyze(p) == smith_reference(p), p
+
+
+def test_smith_fallback_never_runs_on_graph_pairs(monkeypatch, g1, g2, g3, g4):
+    calls = []
+    smith = oracle.invariant_factors
+    monkeypatch.setattr(oracle, "invariant_factors",
+                        lambda mat: calls.append(len(mat)) or smith(mat))
+    for g in (g1, g2, g3, g4):
+        oracle_invariants(linearize(g))
+    assert run_fuzz(5, 20, 6, Fraction(3, 10))[0] == 0
+    assert calls == []
+    # S(X - 2) is no root of unity: its residue takes the Smith route
+    assert oracle_invariants(regular_pair(rp.poly(-2, 1))).regular_divisors == (
+        (rp.poly(-2, 1), 1),)
+    assert calls
+
+
+def test_echelon_rank_after_every_row():
+    rng = random.Random("echelon")
+    for trial in range(40):
+        width = rng.randint(1, 7)
+        rows = [{j: rng.choice((-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)))
+                 for j in range(width) if rng.random() < 0.4}
+                for _ in range(rng.randint(1, 9))]
+        if trial % 3 == 0:  # repeat combinations so the rank stalls
+            rows += [{j: 2 * x for j, x in row.items()} for row in rows[:2]]
+        echelon = Echelon()
+        for i, row in enumerate(rows):
+            echelon.add(primitive(row))
+            prefix = rows[:i + 1]
+            assert echelon.rank == rank_of_rows(prefix)
+            assert echelon.rank == fraction_rank(
+                [[row.get(j, 0) for j in range(width)] for row in prefix])
+
+
+def test_screen_keeps_every_root_the_lift_finds():
+    for p in differential_pairs():
+        rank = normal_rank(p)
+        rows = _integer_rows(p)
+        for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
+            if rp.totient(d) * p.vertex_dim > 160:
+                continue
+            present = rp.totient(d) * rank > rank_of_rows(_lift(rows, d))
+            if present:
+                assert not _screen_clears(rows, rank, d), (p, d)
+
+
+def test_cyclotomic_scan_accounts_for_the_degree_exactly():
+    rows = _integer_rows(linearize(cycles_graph((6,))))
+    assert _cyclotomic_blocks(rows, 6, 6, 6) == [(1, 1), (2, 1), (3, 1), (6, 1)]
+    # too small a degree: phi(6) = 2 no longer fits, so d = 6 stays unscanned
+    # and the shortfall goes to the Smith route
+    assert _cyclotomic_blocks(rows, 6, 6, 5) is None
+    # the blind spot: a degree too small by 2 is filled at d = 3, so the
+    # scan stops there and never sees Phi_6
+    assert _cyclotomic_blocks(rows, 6, 6, 4) == [(1, 1), (2, 1), (3, 1)]
+    # two loops found where the degree leaves room for one
+    with pytest.raises(DimensionMismatch):
+        _cyclotomic_blocks(_integer_rows(linearize(cycles_graph((1, 1)))), 2, 2, 1)
+    # (X - 1)^2: one block at d = 1 of size 2, found by the lifted local type
+    p = regular_pair(rp.poly(-1, 1), 2)
+    assert _cyclotomic_blocks(_integer_rows(p), 2, 2, 2) == [(1, 2)]

@@ -80,6 +80,28 @@ def test_format_sniffing():
     assert parse_graph("digraph x", format="edge-list").vertices == ("digraph", "x")
 
 
+def test_dot_sniffing_takes_the_whole_first_token():
+    for text in ("digraphs x\n", "digraph_1 x\n", "# digraph\ndigraph.x y\n"):
+        g = parse_graph(text)
+        assert g.edge_count == 1 and g.vertices[0].startswith("digraph")
+    for text in ("digraph{ a -> b; }", 'digraph"g"{ a -> b; }', "\n  digraph\n{ a -> b }"):
+        assert parse_graph(text).edge_count == 1
+
+
+@pytest.mark.parametrize("source", ["digraph", "digraph{", "digraph;x"])
+def test_edge_list_rejects_a_source_that_reads_as_dot(source):
+    r = BinaryRelation((source, "x"), frozenset({(source, "x")}))
+    with pytest.raises(ValueError, match="edge-list"):
+        serialize(r, "edge-list")
+
+
+def test_edge_list_with_digraph_like_labels_reads_back_sniffed():
+    r = BinaryRelation(("digraphs", "digraph", "x"),
+                       frozenset({("digraphs", "digraph"), ("x", "digraph")}))
+    back = reduce(parse_graph(serialize(r, "edge-list"))).reduced
+    assert set(back.vertices) == set(r.vertices) and back.pairs == r.pairs
+
+
 @pytest.mark.parametrize("format", ["edge-list", "dot"])
 def test_round_trips(format, g1, g2, g3, g4):
     edgeless = BinaryRelation(("a", "b"), frozenset())

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -67,6 +68,8 @@ def test_cyclotomic_product_property():
 
 def test_totient():
     assert [rp.totient(d) for d in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
+    for d in range(1, 400):
+        assert rp.totient(d) == sum(1 for k in range(1, d + 1) if gcd(k, d) == 1), d
 
 
 def test_cyclotomic_index():
