@@ -21,8 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .contraction import (ContractionDiagram, StabilizationShapeError, class_label,
-                          gamma_table, iterated_contraction)
+from .contraction import (ContractionDiagram, StabilizationShapeError, gamma_table,
+                          iterated_contraction)
 from .invariants import (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
                          analyze_graph, decide_equiv, diagram_cells, full_invariants,
                          gamma_content, record_to_json)
@@ -113,14 +113,12 @@ def _cmd_contract(args) -> int:
 
 
 def _quotient_dot(contracted: BinaryRelation, part) -> str:
-    names = {}
+    """DOT with one node c<i> per class, labelled by its members; the
+    quotient's vertex ids are the class indices."""
     lines = ["digraph {"]
-    for i, cls in enumerate(part.classes):
-        names[class_label(cls)] = f"c{i}"
-        label = dot_id("{" + ",".join(cls) + "}")
-        lines.append(f"  c{i} [label={label}];")
-    for s, t in contracted.sorted_pairs():
-        lines.append(f"  {names[s]} -> {names[t]};")
+    lines += [f"  c{i} [label={dot_id('{' + ','.join(cls) + '}')}];"
+              for i, cls in enumerate(part.classes)]
+    lines += [f"  c{s} -> c{t};" for s, t in sorted(contracted.ids)]
     return "\n".join(lines) + "\n}\n"
 
 

@@ -7,16 +7,18 @@ reached after m left and n right steps is independent of the interleaving.
 The number of classes at each suitable lattice point (|m - n| <= 2) is what
 the invariant formulas read.
 
-One engine does every contraction: a mutable quotient holding a union-find
-over the original vertex indices and, for each class with edges, the sets
-of its out- and in-neighbor classes.  A merge folds the class with fewer
-adjacency entries into the other and renames it in its neighbors' sets, as
-in congruence closure (Downey, Sethi and Tarjan, JACM 1980).  A left step
-merges only the out-neighbors of classes with out-degree >= 2, and a merge
-raises the degree of no class but the merged one, so the classes merged
-since the last left step are the only ones that can feed the next (right
-steps alike).  A step therefore costs the degrees of those classes and the
-entries its merges rename, not the size of the relation.
+Everything here works on vertex ids, positions in the relation's vertex
+tuple.  One engine does every contraction: a mutable quotient holding a
+union-find over the ids and, for each class with edges, the sets of its
+out- and in-neighbor classes, all in lists indexed by id.  A merge folds
+the class with fewer adjacency entries into the other and renames it in
+its neighbors' sets, as in congruence closure (Downey, Sethi and Tarjan,
+JACM 1980).  A left step merges only the out-neighbors of classes with
+out-degree >= 2, and a merge raises the degree of no class but the merged
+one, so the classes merged since the last left step are the only ones that
+can feed the next (right steps alike).  A step therefore costs the degrees
+of those classes and the entries its merges rename, not the size of the
+relation.
 
 gamma_table runs two alternating chains, one after the other so that one
 quotient is alive at a time, and the table is what they counted.  The
@@ -28,6 +30,13 @@ suitable point it did not pass lies beyond that end, and contracting a
 fixpoint changes nothing, so the point takes the stable value.  The record
 formulas read this table through the diagram cells of invariants.py.
 
+A contraction's result is an array of class ids, the classes numbered in
+the order of their first vertex, which is the canonical order of a
+Partition; two chains agree when their arrays are equal.  Labels come back
+only at the boundary: a Partition is read off such an array in one scan,
+and a quotient relation makes its class labels when they are first read,
+so gamma_table and the record never build them.
+
 Every contracted relation eventually stabilizes at a disjoint union of
 directed cycles and simple directed paths; anything else raises
 StabilizationShapeError, which would signal a bug, not bad input.
@@ -35,7 +44,6 @@ StabilizationShapeError, which would signal a bug, not bad input.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .relation import BinaryRelation, GraphError
@@ -45,26 +53,26 @@ class StabilizationShapeError(RuntimeError):
     """The fully contracted relation is not a union of cycles and paths."""
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
+def _find(parent, a: int) -> int:
+    """Root of a in a union-find forest (a list or dict, roots their own
+    parent), with path compression."""
+    root = a
+    while parent[root] != root:
+        root = parent[root]
+    while parent[a] != root:
+        parent[a], a = root, parent[a]
+    return root
 
-    def find(self, a: int) -> int:
-        root = a
-        while root in self.parent:
-            root = self.parent[root]
-        while a != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+def _join(groups, parent, merge) -> None:
+    """Join the members of each group in the union-find forest parent;
+    merge(a, b) joins two roots and returns the one that stays a root."""
+    for group in groups:
+        a = _find(parent, group[0])
+        for y in group[1:]:
+            b = _find(parent, y)
+            if a != b:
+                a = merge(a, b)
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,18 @@ class Partition:
         canon.sort(key=lambda c: ix[c[0]])
         object.__setattr__(self, "classes", tuple(canon))
 
+    @classmethod
+    def _of(cls, over: tuple[str, ...], ids: list[int]) -> "Partition":
+        """The partition of a canonical class-id array (class c's smallest
+        vertex precedes class c + 1's), read in one scan, unchecked."""
+        classes: list[list[str]] = [[] for _ in range(max(ids, default=-1) + 1)]
+        for v, c in zip(over, ids):
+            classes[c].append(v)
+        p = cls.__new__(cls)
+        object.__setattr__(p, "over", over)
+        object.__setattr__(p, "classes", tuple(map(tuple, classes)))
+        return p
+
     @staticmethod
     def singletons(vertices: tuple[str, ...]) -> "Partition":
         return Partition(vertices, tuple((v,) for v in vertices))
@@ -102,11 +122,8 @@ class Partition:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def class_sets(self) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(c) for c in self.classes)
 
-
-def class_label(members: tuple[str, ...]) -> str:
+def class_label(members) -> str:
     """Vertex label for a merged class: bare label for singletons, so that a
     trivial quotient is the identity; set notation otherwise."""
     if len(members) == 1:
@@ -114,72 +131,110 @@ def class_label(members: tuple[str, ...]) -> str:
     return "{" + ",".join(members) + "}"
 
 
+def _quotient(r: BinaryRelation, cls: list[int]) -> BinaryRelation:
+    """The relation r induces on the classes of a canonical class-id array;
+    its class labels are made on first read."""
+    k = max(cls, default=-1) + 1
+    if k == r.vertex_count:  # every class a singleton, in vertex order
+        return r
+
+    def labels() -> tuple[str, ...]:
+        out = tuple(map(class_label, Partition._of(r.vertices, cls).classes))
+        if len(set(out)) < k:
+            raise GraphError("duplicate vertex label")
+        return out
+
+    return BinaryRelation._of(k, frozenset([(cls[s], cls[t]) for s, t in r.ids]), labels)
+
+
 # -- the contraction engine ---------------------------------------------------
 _SIDE = {"l": 0, "r": 1}
+_NONE: frozenset = frozenset()
 
 
 class _Quotient:
-    """Quotient of r.  adj[0], adj[1] map a class root to its out-, in-neighbor
-    roots; front[side] holds every root whose degree there may be >= 2."""
+    """Quotient of a relation on vertex ids 0..n-1.  parent is a union-find
+    forest over the ids; adj[0][x], adj[1][x] hold the out- and in-neighbour
+    roots of a root x, and _NONE for a merged-away id; front[side] holds
+    every root whose degree there may be >= 2."""
 
     def __init__(self, r: BinaryRelation):
-        self.r, self.uf, self.count = r, _UnionFind(), len(r.vertices)
-        ix = r.index()
-        out, inn = self.adj = ({}, {})
-        for s, t in r.pairs:
-            out.setdefault(ix[s], set()).add(ix[t])
-            inn.setdefault(ix[t], set()).add(ix[s])
-        self.front = tuple({x for x, nbrs in adj.items() if len(nbrs) > 1} for adj in self.adj)
+        n = r.vertex_count
+        out, inn = self.adj = ([_NONE] * n, [_NONE] * n)
+        for s, t in r.ids:
+            if out[s] is _NONE:
+                out[s] = set()
+            out[s].add(t)
+            if inn[t] is _NONE:
+                inn[t] = set()
+            inn[t].add(s)
+        self.directions = ((out, inn), (inn, out))
+        self.parent, self.count = list(range(n)), n
+        self.front = tuple({x for x, s in enumerate(side) if len(s) > 1} for side in self.adj)
 
-    def _union(self, a: int, b: int) -> None:
-        a, b = self.uf.find(a), self.uf.find(b)
-        if a == b:
-            return
+    def _merge(self, a: int, b: int) -> int:
+        """Fold one of the roots a, b into the other; returns the survivor."""
         out, inn = self.adj
-        if len(out.get(a, ())) + len(inn.get(a, ())) < len(out.get(b, ())) + len(inn.get(b, ())):
+        if len(out[a]) + len(inn[a]) < len(out[b]) + len(inn[b]):
             a, b = b, a
-        self.uf.parent[b] = a
+        self.parent[b] = a
         self.count -= 1
-        for fwd, back in ((out, inn), (inn, out)):
-            moved = {a if x == b else x for x in fwd.pop(b, ())}
+        for fwd, back in self.directions:
+            moved = fwd[b]
+            if not moved:
+                continue
+            fwd[b] = _NONE
+            # a loop at b is renamed by the second pass: the first puts a in
+            # b's in-set, whose pass then renames b to a in a's out-set
             for x in moved:
-                back.setdefault(x, set()).discard(b)
-                back[x].add(a)
-            fwd.setdefault(a, set()).update(moved)
+                nbrs = back[x]
+                nbrs.discard(b)
+                nbrs.add(a)
+            if len(fwd[a]) < len(moved):  # keep the larger set, add the smaller
+                fwd[a], moved = moved, fwd[a]
+            if moved:
+                fwd[a] |= moved
         for front in self.front:
             front.add(a)
+        return a
 
     def _groups(self, side: int) -> list[tuple[int, ...]]:
         adj = self.adj[side]
-        return [tuple(adj[x]) for x in self.front[side] if len(adj.get(x, ())) > 1]
+        return [tuple(adj[x]) for x in self.front[side] if len(adj[x]) > 1]
 
     def step(self, side: int) -> int:
         """Contract once on side (0 left, 1 right); returns the merge count.
         All groups are read before the first merge, so merges never cascade."""
         groups, before = self._groups(side), self.count
         self.front[side].clear()
-        for group in groups:
-            for y in group[1:]:
-                self._union(group[0], y)
+        _join(groups, self.parent, self._merge)
         return before - self.count
 
     def probe(self, side: int) -> int:
         """The merge count step(side) would return, without merging."""
-        uf = _UnionFind()
-        return sum(uf.union(group[0], y) for group in self._groups(side) for y in group[1:])
+        groups = self._groups(side)
+        parent = {y: y for group in groups for y in group}
 
-    def partition(self) -> Partition:
-        classes: dict[int, list[str]] = {}
-        for i, v in enumerate(self.r.vertices):
-            classes.setdefault(self.uf.find(i), []).append(v)
-        return Partition(self.r.vertices, tuple(map(tuple, classes.values())))
+        def link(a: int, b: int) -> int:
+            parent[b] = a
+            return a
+
+        _join(groups, parent, link)
+        return sum(x != p for x, p in parent.items())
+
+    def classes(self) -> list[int]:
+        """The class id of every vertex, classes numbered in the order of
+        their smallest vertex: the canonical order of Partition."""
+        number: dict[int, int] = {}
+        parent = self.parent
+        return [number.setdefault(_find(parent, v), len(number)) for v in range(len(parent))]
 
 
-def _chain(r: BinaryRelation, side: int) -> tuple[dict[tuple[int, int], int], int, Partition]:
-    """Contract r in rounds, one step on side then one on the other, until
+def _chain(r: BinaryRelation, side: int) -> tuple[dict[tuple[int, int], int], int, list[int]]:
+    """Contract in rounds, one step on side then one on the other, until
     two steps in a row merge nothing.  Returns the class count at every
     (i, j) passed, i steps on side and j on the other, and at each (j + 2, j)
-    by a probe; the rounds before the fixpoint; and the fixpoint."""
+    by a probe; the rounds before the fixpoint; and the fixpoint's classes."""
     q = _Quotient(r)
     gamma = {(0, 0): q.count}
     j = idle = 0
@@ -190,7 +245,7 @@ def _chain(r: BinaryRelation, side: int) -> tuple[dict[tuple[int, int], int], in
         idle = 0 if q.step(1 - side) else idle + 1
         j += 1
         gamma[j, j] = q.count
-    return gamma, j - 1, q.partition()
+    return gamma, j - 1, q.classes()
 
 
 # -- public operations -------------------------------------------------------
@@ -211,10 +266,8 @@ def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
     member pair is."""
     if p.over != r.vertices:
         raise GraphError("partition is over a different vertex set")
-    vertices = tuple(class_label(cls) for cls in p.classes)
-    labels = {v: label for cls, label in zip(p.classes, vertices) for v in cls}
-    pairs = frozenset((labels[s], labels[t]) for s, t in r.pairs)
-    return BinaryRelation(vertices, pairs)
+    number = {v: c for c, members in enumerate(p.classes) for v in members}
+    return _quotient(r, [number[v] for v in r.vertices])
 
 
 def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation, Partition]:
@@ -225,8 +278,8 @@ def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation,
         if step not in _SIDE:
             raise ValueError(f"unknown contraction step {step!r}")
         q.step(_SIDE[step])
-    part = q.partition()
-    return quotient(r, part), part
+    cls = q.classes()
+    return _quotient(r, cls), Partition._of(r.vertices, cls)
 
 
 def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelation, Partition]:
@@ -240,8 +293,8 @@ def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelat
     for side, count in ((_SIDE["r"], n), (_SIDE["l"], m)):
         while count and q.step(side):
             count -= 1
-    part = q.partition()
-    return quotient(r, part), part
+    cls = q.classes()
+    return _quotient(r, cls), Partition._of(r.vertices, cls)
 
 
 @dataclass(frozen=True)
@@ -264,33 +317,24 @@ class StableShape:
 def classify_stable(r: BinaryRelation) -> StableShape:
     """Decompose a bi-stable relation into directed cycles C_k and simple
     directed paths on k vertices; anything else is a shape error."""
-    ix = r.index()
-    uf = _UnionFind()
-    for s, t in r.pairs:
-        uf.union(ix[s], ix[t])
-    comp_vertices: dict[int, list[str]] = {}
-    for v in r.vertices:
-        comp_vertices.setdefault(uf.find(ix[v]), []).append(v)
-    comp_edges = Counter(uf.find(ix[s]) for s, _t in r.pairs)
-    outdeg = {v: 0 for v in r.vertices}
-    indeg = {v: 0 for v in r.vertices}
-    for s, t in r.pairs:
-        outdeg[s] += 1
-        indeg[t] += 1
-    cycles = []
-    paths = []
-    for root, members in comp_vertices.items():
-        k = len(members)
-        edges = comp_edges[root]
-        if any(outdeg[v] > 1 or indeg[v] > 1 for v in members):
-            raise StabilizationShapeError("branching component in stable relation")
-        if edges == k:
-            cycles.append(k)
-        elif edges == k - 1:
-            paths.append(k)
-        else:
-            raise StabilizationShapeError(
-                f"component with {k} vertices and {edges} edges is neither cycle nor path")
+    succ = dict(r.ids)
+    targets = set(succ.values())
+    if len(targets) < r.edge_count or len(succ) < r.edge_count:
+        raise StabilizationShapeError("branching component in stable relation")
+    # every degree is at most one: walk each path from its start; what is
+    # left lies on cycles
+    seen: set[int] = set()
+
+    def walk(v: int | None) -> int:
+        k = 0
+        while v is not None and v not in seen:
+            seen.add(v)
+            k += 1
+            v = succ.get(v)
+        return k
+
+    paths = [walk(v) for v in range(r.vertex_count) if v not in targets]
+    cycles = [walk(v) for v in range(r.vertex_count) if v not in seen]
     return StableShape(tuple(cycles), tuple(paths))
 
 
@@ -298,7 +342,7 @@ def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
     """Contract in full left-then-right rounds until a round changes nothing;
     returns the cycle/path shape, the stable relation, and the round count."""
     _, rounds, final = _chain(r, _SIDE["l"])
-    stable = quotient(r, final)
+    stable = _quotient(r, final)
     return classify_stable(stable), stable, rounds
 
 
@@ -348,7 +392,7 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
     if right_final != final:
         raise AssertionError("the left-first and right-first chains reach different fixpoints")
     gamma.update(((n, m), g) for (m, n), g in right.items())
-    stable = quotient(r, final)
+    stable = _quotient(r, final)
     stable_value = stable.vertex_count
     horizon = max((1 + min(p) for p, g in gamma.items() if g != stable_value), default=0)
     return ContractionDiagram(gamma, stable_value, horizon, max(map(sum, gamma)), stable, depth)

@@ -26,8 +26,6 @@ class PairMatrices:
     vertex_dim: int
     m: tuple[Row, ...]
     n: tuple[Row, ...]
-    edge_order: tuple[tuple[str, str], ...] = ()
-    vertex_order: tuple[str, ...] = ()
 
     def __post_init__(self):
         for mat in (self.m, self.n):
@@ -46,23 +44,18 @@ class PairMatrices:
 
 def linearize(g: MultiDigraph | BinaryRelation) -> PairMatrices:
     """Build (M, N) for a graph; edge order follows the input edge order."""
-    if isinstance(g, BinaryRelation):
-        vertices, edges = g.vertices, g.sorted_pairs()
-    else:
-        vertices, edges = g.vertices, g.edges
-    ix = {v: i for i, v in enumerate(vertices)}
+    ids = sorted(g.ids) if isinstance(g, BinaryRelation) else g.ids
     zero, one = Fraction(0), Fraction(1)
     m_rows = []
     n_rows = []
-    for s, t in edges:
-        row = [zero] * len(vertices)
-        row[ix[s]] = one
+    for s, t in ids:
+        row = [zero] * g.vertex_count
+        row[s] = one
         m_rows.append(tuple(row))
-        row = [zero] * len(vertices)
-        row[ix[t]] = one
+        row = [zero] * g.vertex_count
+        row[t] = one
         n_rows.append(tuple(row))
-    return PairMatrices(len(edges), len(vertices), tuple(m_rows), tuple(n_rows),
-                        tuple(edges), tuple(vertices))
+    return PairMatrices(len(ids), g.vertex_count, tuple(m_rows), tuple(n_rows))
 
 
 def parse_pair_file(text: str) -> PairMatrices:

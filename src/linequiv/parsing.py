@@ -11,12 +11,19 @@ DOT subset:
     digraph [name] { <id>; <id> -> <id>; ... }
 
 Only node and edge statements are accepted; attributes, subgraphs and
-undirected edges are rejected.  Identifiers may be double-quoted, which is
-how class labels like ``{a,b}`` survive a round trip.
+undirected edges are rejected, except that a node statement may carry one
+``[label=<id>]``, which is ignored (so ``contract --dot`` output reads
+back).  Identifiers may be double-quoted, which is how class labels like
+``{a,b}`` survive a round trip.
 
 Parsing is lenient by default: a label first seen in an edge is declared on
 the spot.  With ``strict=True`` an edge may only use previously declared
 vertices.
+
+The parser is where labels become vertex ids: each label gets the next id
+when it is first declared, and edges are stored as id pairs, so the graph it
+returns is checked here once and never again.  An error's line and column
+are worked out only when it is raised.
 """
 
 from __future__ import annotations
@@ -45,8 +52,7 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
     is ``digraph``).
     """
     if format == "auto":
-        stripped = _strip_comments(text).lstrip()
-        format = "dot" if _DOT_START.match(stripped) else "edge-list"
+        format = "dot" if _DOT_START.match(text) else "edge-list"
     if format == "edge-list":
         return _parse_edge_list(text, strict)
     if format == "dot":
@@ -54,62 +60,51 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
     raise ValueError(f"unknown format {format!r}")
 
 
-# `digraph` as a whole first DOT token: not followed by a bare-id character
-_DOT_START = re.compile(r'digraph(?![^\s{};=\[\],"])')
+# `digraph` as a whole first DOT token, after blanks and whole comment lines:
+# not followed by a bare-id character or a comment
+_DOT_START = re.compile(r'(?:\s|#[^\n]*(?![^\n]))*digraph(?![^\s{};=\[\],"#])')
 
 
 def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
 
 
-class _Builder:
-    def __init__(self, strict: bool):
-        self.strict = strict
-        self.order: list[str] = []
-        self.declared: set[str] = set()
-        self.edges: list[tuple[str, str]] = []
-
-    def declare(self, label: str, line: int, col: int, explicit: bool):
-        if label in self.declared:
-            if explicit:
-                raise ParseError(f"duplicate vertex declaration {label!r}", line, col)
-            return
-        self.declared.add(label)
-        self.order.append(label)
-
-    def touch(self, label: str, line: int, col: int):
-        if label not in self.declared:
-            if self.strict:
-                raise ParseError(f"undeclared vertex {label!r}", line, col)
-            self.declare(label, line, col, explicit=False)
-
-    def finish(self, n_lines: int) -> MultiDigraph:
-        if not self.order:
-            raise ParseError("no vertices", max(n_lines, 1))
-        return MultiDigraph(tuple(self.order), tuple(self.edges))
+def _column(line: str, fields: list[str], k: int) -> int:
+    """1-based column of fields[k], k = 0 or 1, in line; worked out only to
+    report an error."""
+    start = line.index(fields[0])
+    return (line.index(fields[1], start + len(fields[0])) if k else start) + 1
 
 
 def _parse_edge_list(text: str, strict: bool) -> MultiDigraph:
-    b = _Builder(strict)
+    index: dict[str, int] = {}
+    ids = []
+    declare = index.setdefault
     lines = text.split("\n")
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
+    for ln, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         fields = line.split()
-        if not fields:
-            continue
-        col = line.index(fields[0]) + 1
-        if fields[0] == "vertex":
-            if len(fields) != 2:
-                raise ParseError("expected: vertex <label>", ln, col)
-            b.declare(fields[1], ln, col, explicit=True)
-        elif len(fields) == 2:
+        if len(fields) == 2 and fields[0] != "vertex":
+            if strict:
+                for k, label in enumerate(fields):
+                    if label not in index:
+                        raise ParseError(f"undeclared vertex {label!r}", ln,
+                                         _column(line, fields, k))
             src, dst = fields
-            b.touch(src, ln, col)
-            b.touch(dst, ln, line.index(dst, col - 1 + len(src)) + 1)
-            b.edges.append((src, dst))
-        else:
-            raise ParseError("expected: <src> <dst> or vertex <label>", ln, col)
-    return b.finish(len(lines))
+            ids.append((declare(src, len(index)), declare(dst, len(index))))
+        elif len(fields) == 2:
+            if fields[1] in index:
+                raise ParseError(f"duplicate vertex declaration {fields[1]!r}", ln,
+                                 _column(line, fields, 0))
+            index[fields[1]] = len(index)
+        elif fields:
+            message = ("expected: vertex <label>" if fields[0] == "vertex"
+                       else "expected: <src> <dst> or vertex <label>")
+            raise ParseError(message, ln, _column(line, fields, 0))
+    if not index:
+        raise ParseError("no vertices", max(len(lines), 1))
+    return MultiDigraph._of(len(index), tuple(ids), tuple(index))
 
 
 _DOT_TOKEN = re.compile(
@@ -122,93 +117,104 @@ _DOT_TOKEN = re.compile(
 )
 
 
-def _dot_tokens(text: str):
-    """Yield (token, line, column, kind) across the whole text."""
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of an offset; called only to report an error."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _dot_tokens(text: str) -> list[tuple[str, int, str]]:
+    """(token, offset, kind) across the whole text."""
+    toks = []
     pos = 0
     while pos < len(text):
         m = _DOT_TOKEN.match(text, pos)
         if m is None:
             break
-        start = m.start(m.lastgroup)
-        line = text.count("\n", 0, start) + 1
-        col = start - (text.rfind("\n", 0, start) + 1) + 1
-        tok = m.group(m.lastgroup)
-        if m.lastgroup == "quoted":
-            tok = tok[1:-1]
-        yield tok, line, col, m.lastgroup
+        kind = m.lastgroup
+        tok = m.group(kind)
+        toks.append((tok[1:-1] if kind == "quoted" else tok, m.start(kind), kind))
         pos = m.end()
     if text[pos:].strip():
-        line = text.count("\n", 0, pos) + 1
-        raise ParseError("unreadable input", line)
+        raise ParseError("unreadable input", _position(text, pos)[0])
+    return toks
+
+
+_DOT_HINTS = {
+    "[": "attributes are not supported",
+    "=": "attributes are not supported",
+    "--": "undirected edges are not supported",
+    "{": "subgraphs are not supported",
+}
 
 
 def _parse_dot(text: str, strict: bool) -> MultiDigraph:
-    toks = list(_dot_tokens(_strip_comments(text)))
+    text = _strip_comments(text)
+    toks = _dot_tokens(text)
     if not toks:
         raise ParseError("no vertices", 1)
-    i = 0
-
-    def expect(what: str):
-        nonlocal i
-        if i >= len(toks):
-            raise ParseError(f"expected {what!r}, got end of input", toks[-1][1])
-        tok, ln, col, _kind = toks[i]
-        if tok != what:
-            raise ParseError(f"expected {what!r}, got {tok!r}", ln, col)
-        i += 1
-
-    tok, ln, col, kind = toks[i]
-    if tok != "digraph":
-        raise ParseError("expected 'digraph'", ln, col)
-    i += 1
-    if i < len(toks) and toks[i][0] != "{" and toks[i][3] in ("bare", "quoted"):
-        i += 1  # optional graph name
-    expect("{")
-
-    b = _Builder(strict)
     n_lines = text.count("\n") + 1
-    while True:
-        if i >= len(toks):
+    toks.append(("", len(text), "end"))
+    index: dict[str, int] = {}
+    ids = []
+
+    def fail(message: str, j: int):
+        raise ParseError(message, *_position(text, toks[j][1]))
+
+    def is_id(j: int) -> bool:
+        return toks[j][2] in ("bare", "quoted")
+
+    def punct(j: int, what: str) -> bool:
+        return toks[j][::2] == (what, "punct")
+
+    def vertex(j: int) -> int:
+        tok = toks[j][0]
+        if tok not in index:
+            if strict:
+                fail(f"undeclared vertex {tok!r}", j)
+            index[tok] = len(index)
+        return index[tok]
+
+    if toks[0][0] != "digraph":
+        fail("expected 'digraph'", 0)
+    i = 2 if is_id(1) and toks[1][0] != "{" else 1  # an optional graph name
+    if toks[i][2] == "end":
+        raise ParseError("expected '{', got end of input", _position(text, toks[i - 1][1])[0])
+    if toks[i][0] != "{":
+        fail(f"expected '{{', got {toks[i][0]!r}", i)
+    i += 1
+    while toks[i][0] != "}":
+        tok, _, kind = toks[i]
+        if kind == "end":
             raise ParseError("missing closing '}'", n_lines)
-        tok, ln, col, kind = toks[i]
-        if tok == "}":
-            i += 1
-            break
         if tok == ";":
             i += 1
             continue
         if kind == "punct":
-            hints = {
-                "[": "attributes are not supported",
-                "=": "attributes are not supported",
-                "--": "undirected edges are not supported",
-                "{": "subgraphs are not supported",
-            }
-            raise ParseError(hints.get(tok, f"unexpected {tok!r}"), ln, col)
+            fail(_DOT_HINTS.get(tok, f"unexpected {tok!r}"), i)
         if tok == "subgraph":
-            raise ParseError("subgraphs are not supported", ln, col)
-        # node or edge statement
-        first, fln, fcol = tok, ln, col
-        i += 1
-        if i < len(toks) and toks[i][0] == "->":
+            fail("subgraphs are not supported", i)
+        if toks[i + 1][0] == "->":  # an edge statement
+            if not is_id(i + 2):
+                fail("expected a vertex after '->'", i + 1)
+            if toks[i + 3][0] == "->":
+                fail("chained edges are not supported; one edge per statement", i + 3)
+            ids.append((vertex(i), vertex(i + 2)))
+            i += 3
+        else:  # a node statement; a lone [label=<id>], as `contract --dot` writes it, is skipped
+            if tok in index:
+                fail(f"duplicate vertex declaration {tok!r}", i)
+            index[tok] = len(index)
             i += 1
-            if i >= len(toks) or toks[i][3] not in ("bare", "quoted"):
-                raise ParseError("expected a vertex after '->'", toks[i - 1][1], toks[i - 1][2])
-            second, sln, scol, _ = toks[i]
+            if (punct(i, "[") and is_id(i + 1) and toks[i + 1][0] == "label"
+                    and punct(i + 2, "=") and is_id(i + 3) and punct(i + 4, "]")):
+                i += 5
+        if toks[i][0] == ";":
             i += 1
-            if i < len(toks) and toks[i][0] == "->":
-                raise ParseError("chained edges are not supported; one edge per statement", toks[i][1], toks[i][2])
-            b.touch(first, fln, fcol)
-            b.touch(second, sln, scol)
-            b.edges.append((first, second))
-        else:
-            b.declare(first, fln, fcol, explicit=True)
-        if i < len(toks) and toks[i][0] == ";":
-            i += 1
-    if i < len(toks):
-        tok, ln, col, _ = toks[i]
-        raise ParseError(f"trailing input {tok!r}", ln, col)
-    return b.finish(n_lines)
+    if toks[i + 1][2] != "end":
+        fail(f"trailing input {toks[i + 1][0]!r}", i + 1)
+    if not index:
+        raise ParseError("no vertices", n_lines)
+    return MultiDigraph._of(len(index), tuple(ids), tuple(index))
 
 
 _BARE_ID = re.compile(r"[A-Za-z0-9_.]+\Z")

@@ -5,83 +5,109 @@ an ordered edge list that may contain parallel edges and loops.  A
 :class:`BinaryRelation` is the reduced form every other operation works on:
 the edge set is a genuine set of ordered pairs.  Both are immutable values;
 all functions here are pure.
+
+Both store their edges as vertex ids, a vertex's id being its position in
+`vertices`.  Labels become ids once: in the parser, or in the public
+constructors here, which check them.  Every later stage works on `ids`; the
+label pairs (`edges`, `pairs`) are built only when a caller reads them, and
+a relation the contraction engine builds makes even its vertex labels only
+then.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphError(ValueError):
     """Raised for structurally invalid graphs."""
 
 
-@dataclass(frozen=True)
-class MultiDigraph:
-    """Finite directed graph; parallel edges and loops allowed."""
+class _Graph:
+    """Vertex labels and edge ids, equal when both agree.  The constructor
+    checks labels and turns them into ids; subclasses name the container
+    that holds the ids."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    _container: type
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((s, t) for s, t in self.edges))
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                raise GraphError(f"duplicate vertex label {v!r}")
-            seen.add(v)
-        for s, t in self.edges:
-            if s not in seen:
-                raise GraphError(f"edge source {s!r} is not a declared vertex")
-            if t not in seen:
-                raise GraphError(f"edge target {t!r} is not a declared vertex")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class BinaryRelation:
-    """Reduced directed graph: pairs is a set, so no parallel edges."""
-
-    vertices: tuple[str, ...]
-    pairs: frozenset[tuple[str, str]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+    def __init__(self, vertices, edges):
+        vertices = tuple(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) < len(vertices):
             raise GraphError("duplicate vertex label")
-        for s, t in self.pairs:
-            if s not in index or t not in index:
-                raise GraphError(f"pair ({s!r}, {t!r}) leaves the vertex set")
+        try:
+            ids = self._container((index[s], index[t]) for s, t in edges)
+        except KeyError as exc:
+            raise GraphError(f"edge end {exc.args[0]!r} is not a vertex") from None
+        object.__setattr__(self, "vertex_count", len(vertices))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "ids", ids)
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
+    @classmethod
+    def _of(cls, vertex_count: int, ids, vertices):
+        """A graph whose ids are known to be valid, so nothing is checked.
+        vertices is the label tuple, or a function that makes it on first
+        read."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "ids", ids)
+        object.__setattr__(g, "vertices" if isinstance(vertices, tuple) else "_labels", vertices)
+        return g
+
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        return self._labels()
 
     @property
     def edge_count(self) -> int:
-        return len(self.pairs)
+        return len(self.ids)
 
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ids == other.ids
+                and self.vertices == other.vertices)
+
+    def __hash__(self):
+        return hash((self.vertices, self.ids))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(vertices={self.vertices!r}, ids={self.ids!r})"
+
+
+class MultiDigraph(_Graph):
+    """Finite directed graph; parallel edges and loops allowed.  ids holds
+    the edges as (source id, target id) pairs, in input order."""
+
+    _container = tuple
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        v = self.vertices
+        return tuple((v[s], v[t]) for s, t in self.ids)
+
+
+class BinaryRelation(_Graph):
+    """Reduced directed graph: ids, the pairs as (source id, target id), is a
+    set, so no parallel edges."""
+
+    _container = frozenset
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        v = self.vertices
+        return frozenset((v[s], v[t]) for s, t in self.ids)
 
     def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
         """Pairs in (source index, target index) order; the canonical edge order."""
-        ix = self.index()
-        return tuple(sorted(self.pairs, key=lambda p: (ix[p[0]], ix[p[1]])))
+        v = self.vertices
+        return tuple((v[s], v[t]) for s, t in sorted(self.ids))
 
     def to_multidigraph(self) -> MultiDigraph:
-        return MultiDigraph(self.vertices, self.sorted_pairs())
+        return MultiDigraph._of(self.vertex_count, tuple(sorted(self.ids)), self.vertices)
 
 
 @dataclass(frozen=True)
@@ -106,13 +132,12 @@ class ReductionSummary:
 
 def reduce(g: MultiDigraph) -> ReductionSummary:
     """Merge parallel edges, keeping one representative per (source, target)."""
-    classes = Counter(g.edges)
-    reduced = BinaryRelation(g.vertices, frozenset(classes))
+    classes = Counter(g.ids)
+    reduced = BinaryRelation._of(g.vertex_count, frozenset(classes), g.vertices)
     sizes = tuple(sorted(classes.values()))
     return ReductionSummary(reduced, sizes, sum(sizes) - len(sizes))
 
 
 def converse(r: BinaryRelation) -> BinaryRelation:
     """Reverse every pair; vertices unchanged."""
-    return BinaryRelation(r.vertices, frozenset((t, s) for s, t in r.pairs))
-
+    return BinaryRelation._of(r.vertex_count, frozenset((t, s) for s, t in r.ids), r.vertices)

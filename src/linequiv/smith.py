@@ -7,7 +7,9 @@ input can have.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from fractions import Fraction
 
 from . import ratpoly as rp
 from .ratpoly import Poly
@@ -94,9 +96,23 @@ def invariant_factors(mat: list[list[Poly]]) -> list[Poly]:
     return factors
 
 
+def _root_candidates(g: Poly) -> set[Fraction]:
+    """+-a/b with a | g(0) and b | lead(g), g cleared of denominators: every
+    rational root of g, g(0) != 0, is among them (the rational-root test)."""
+    scale = math.lcm(*(c.denominator for c in g))
+
+    def divisors(c: Fraction) -> set[int]:
+        n = abs(int(c * scale))
+        small = {d for d in range(1, math.isqrt(n) + 1) if n % d == 0}
+        return small | {n // d for d in small}
+
+    return {Fraction(sign * a, b) for a in divisors(g[0]) for b in divisors(g[-1])
+            for sign in (1, -1)}
+
+
 def factor_stored(q: Poly) -> list[tuple[Poly, int]]:
     """Split monic(q(-X)) into irreducibles: an X-power, cyclotomic factors,
-    linear leftovers; anything else is unsupported."""
+    linear factors at its rational roots; anything else is unsupported."""
     g = rp.monic(rp.substitute_neg_x(q))
     out: Counter[Poly] = Counter()
     k = rp.x_order(g)
@@ -115,9 +131,11 @@ def factor_stored(q: Poly) -> list[tuple[Poly, int]]:
                 g = quo
                 continue  # repeat the same d; exponents can exceed one
         d += 1
-    if rp.deg(g) == 1:
-        out[rp.monic(g)] += 1
-        g = rp.ONE
+    for root in _root_candidates(g):
+        linear = rp.poly(-root, 1)
+        while rp.divides(linear, g):
+            out[linear] += 1
+            g = rp.divmod_poly(g, linear)[0]
     if rp.deg(g) >= 1:
         raise OracleFactorError(
             f"cannot factor invariant-factor part {rp.poly_str(g)} over the rationals")

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from linequiv import cli, contraction, invariants, oracle, stabilize
+from linequiv import relation as graphs
 from linequiv.cli import main, random_relation, run_fuzz, trial_seed
 from linequiv.parsing import serialize
 
@@ -113,6 +114,48 @@ def test_contract_command(capsys, g4_file):
     assert out.startswith("digraph {")
     assert '[label="{1,11}"]' in out
 
+
+def test_contract_dot_reads_back(capsys, tmp_path):
+    source = tmp_path / "acd.edges"
+    source.write_text("a c\nb c\nc d\n")
+    code, out, _ = run(capsys, "contract", str(source), "--right", "1", "--dot")
+    assert code == 0 and '  c0 [label="{a,b}"];' in out
+    quotient = tmp_path / "quotient.dot"
+    quotient.write_text(out)
+    code, out, err = run(capsys, "reduce", str(quotient), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"vertices": ["c0", "c1", "c2"],
+                               "pairs": [["c0", "c1"], ["c1", "c2"]],
+                               "parallel_class_sizes": [1, 1], "split_count": 0}
+
+
+def test_output_follows_declaration_order(capsys, tmp_path):
+    # "11" and "10" sort before "9", and "100" between them: outputs list
+    # vertices, classes and pairs by first appearance in the file
+    path = tmp_path / "order.edges"
+    path.write_text("vertex 11\n10 9\n10 100\n9 2\n100 2\n")
+    code, out, _ = run(capsys, "reduce", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["vertices"] == ["11", "10", "9", "100", "2"]
+    assert doc["pairs"] == [["10", "9"], ["10", "100"], ["9", "2"], ["100", "2"]]
+    code, out, _ = run(capsys, "contract", str(path), "--left", "1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["partition"] == [["11"], ["10"], ["9", "100"], ["2"]]
+    assert doc["vertices"] == ["11", "10", "{9,100}", "2"]
+    assert doc["pairs"] == [["10", "{9,100}"], ["{9,100}", "2"]]
+
+
+def test_class_labels_matter_only_where_they_are_written(capsys, tmp_path):
+    # merging a and b makes a class labelled like the vertex "{a,b}": the
+    # record never reads labels, a labelled quotient cannot be written
+    path = tmp_path / "clash.edges"
+    path.write_text("a c\nb c\nc d\nvertex {a,b}\n")
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 0 and "vertex identity: ok" in out
+    code, out, err = run(capsys, "contract", str(path), "--right", "1")
+    assert (code, out, err) == (2, "", "error: duplicate vertex label\n")
 
 
 def test_contract_huge_counts_stop_at_the_fixpoint(capsys, g4_file):
@@ -233,6 +276,14 @@ def test_oracle_matrix_file(capsys, tmp_path):
     assert "comparison skipped" in out
 
 
+def test_oracle_matrix_with_rational_eigenvalues(capsys, tmp_path):
+    path = tmp_path / "pair.txt"
+    path.write_text("2 2\n2 0\n0 3\n1 0\n0 1\n")  # M = diag(2, 3), N = I
+    code, out, _ = run(capsys, "oracle", str(path), "--matrix")
+    assert code == 0
+    assert "S((X - 3)^1) S((X - 2)^1)" in out
+
+
 def test_oracle_matrix_unfactorable_is_usage_error(capsys, tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text("2 2\n0 1\n2 0\n1 0\n0 1\n")  # M = [[0,1],[2,0]], N = I: X^2 - 2
@@ -281,6 +332,40 @@ def test_each_stage_runs_once_per_graph(monkeypatch, capsys, g1_file, g4_file):
     assert run(capsys, "equiv", g1_file, g4_file)[0] == 1
     assert calls == {"stabilizing chain": 2, "gamma_table": 2}
 
+
+
+def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_file, g4_file):
+    # labels are checked once, by the parser, and the contraction route
+    # works on vertex ids: no Partition, no quotient, no validating
+    # constructor of a graph type
+    calls = Counter()
+
+    class CountedPartition(contraction.Partition):
+        def __new__(cls, *args, **kwargs):
+            calls["Partition"] += 1
+            return super().__new__(cls)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(contraction, "Partition", CountedPartition)
+    monkeypatch.setattr(contraction, "quotient", counted("quotient", contraction.quotient))
+    monkeypatch.setattr(cli, "parse_graph", counted("parse_graph", cli.parse_graph))
+    monkeypatch.setattr(graphs._Graph, "__init__",
+                        counted("validating constructor", graphs._Graph.__init__))
+    for argv, code, inputs in ((["invariants", g4_file, "--json"], 0, 1),
+                               (["equiv", g1_file, g4_file], 1, 2)):
+        assert run(capsys, *argv)[0] == code
+        assert calls == {"parse_graph": inputs}
+        calls.clear()
+    # the counters do see the label-level paths
+    run(capsys, "contract", g4_file, "--left", "1")
+    assert calls["Partition"] > 0
+    graphs.BinaryRelation(("a",), ())
+    assert calls["validating constructor"] == 1
 
 
 def test_oracle_takes_one_normal_rank_per_pair(monkeypatch, capsys, g4_file):

@@ -8,7 +8,8 @@ from linequiv import (BinaryRelation, StabilizationShapeError, classify_stable,
                       quotient, right_partition, stabilize)
 from linequiv.contraction import (Partition, StableShape, class_label,
                                   contraction_sequence)
-from linequiv.relation import GraphError
+from linequiv.parsing import parse_graph
+from linequiv.relation import GraphError, reduce
 
 from conftest import class_sets, relation, seeded_relation, sets, spider
 
@@ -351,6 +352,24 @@ def naive_diagram(r: BinaryRelation) -> tuple:
     return stable_value, horizon, quotient(r, final), depth
 
 
+# labels whose declaration order is not their lexical order; no merged
+# class can take the label of a vertex
+ODD_LABELS = ("10", "9", "{a,b}", "{c}", "100", "2", "x y", "b", "01", "z")
+
+
+def declared_out_of_order(r: BinaryRelation, tag: str) -> BinaryRelation:
+    """r relabelled with ODD_LABELS and read back through the DOT parser,
+    statements in seeded order and isolated vertices declared by node
+    statements, so vertex ids follow first appearance in the text."""
+    rng = random.Random(tag)
+    name = dict(zip(r.vertices, rng.sample(ODD_LABELS, r.vertex_count)))
+    touched = {v for pair in r.pairs for v in pair}
+    stmts = [f'"{name[v]}";' for v in r.vertices if v not in touched]
+    stmts += [f'"{name[s]}" -> "{name[t]}";' for s, t in sorted(r.pairs)]
+    rng.shuffle(stmts)
+    return reduce(parse_graph("digraph {\n" + "\n".join(stmts) + "\n}\n")).reduced
+
+
 @pytest.fixture
 def reference_inputs(g1, g2, g3, g4):
     inputs = [relation(g) for g in (g1, g2, g3, g4)]
@@ -360,6 +379,10 @@ def reference_inputs(g1, g2, g3, g4):
     inputs += [seeded_relation(f"reference:{i}", max_vertices=9,
                                prob=Fraction(random.Random(i).randint(1, 6), 10))
                for i in range(200)]
+    odd = [seeded_relation(f"odd-labels:{i}", max_vertices=9, prob=Fraction(1 + i % 4, 10))
+           for i in range(60)]
+    inputs += [declared_out_of_order(r, f"odd-labels:{i}")
+               for i, r in enumerate(odd) if r.vertices]
     return inputs
 
 
@@ -374,6 +397,7 @@ def test_gamma_table_matches_definition(reference_inputs):
                     assert d.value(m, s - m) == naive_count(r, m, s - m), (sorted(r.pairs), m)
         got = (d.stable_value, d.horizon, d.stable, d.depth)
         assert got == naive_diagram(r), sorted(r.pairs)
+        assert stabilize(r) == (classify_stable(d.stable), d.stable, d.depth)
 
 
 def test_contractions_match_definition(reference_inputs):

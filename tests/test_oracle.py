@@ -262,6 +262,9 @@ def test_oracle_non_cyclotomic_regular_part():
     assert squared.regular_divisors == ((rp.poly(-1, 1), 2),)
     linear = oracle_invariants(regular_pair(rp.poly(-2, 1)))
     assert linear.regular_divisors == ((rp.poly(-2, 1), 1),)
+    half, three = rp.poly(Fraction(-1, 2), 1), rp.poly(-3, 1)
+    split = oracle_invariants(regular_pair(rp.mul(rp.mul(half, half), three)))
+    assert split.regular_divisors == ((rp.poly(-3, 1), 1), (half, 2))
 
 
 def test_oracle_rejects_unfactorable_quadratic():
@@ -372,6 +375,10 @@ def differential_pairs():
     # of size 1, and a cyclotomic part beside a residue for the Smith route
     six = rp.sub(rp.x_power(6), rp.ONE)
     pairs += [regular_pair(rp.mul(six, rp.poly(c, 1))) for c in (-1, -2)]
+    # regular parts with several rational, non-root-of-unity eigenvalues
+    two, three = rp.poly(-2, 1), rp.poly(-3, 1)
+    pairs += [regular_pair(rp.mul(two, three)), regular_pair(rp.mul(rp.mul(two, two), three)),
+              regular_pair(rp.mul(rp.poly(Fraction(-1, 2), 1), three))]
     for reg in (regular_pair(rp.poly(-1, 1)), powers[0], powers[2]):
         for family, n in (("zt", 2), ("tz", 3), ("t", 1), ("ztz", 2)):
             pairs.append(direct_sum(reg, canonical_pair(family, n)))

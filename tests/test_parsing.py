@@ -61,8 +61,18 @@ def test_dot_named_graph_isolated_nodes_quoted_ids():
     assert g.edges == (("y z w", "x"),)
 
 
+def test_dot_node_label_attribute_is_ignored():
+    g = parse_graph('digraph {\n  c0 [label="{a,b}"];\n  c1 [ label = c ]\n  c0 -> c1;\n}\n')
+    assert g.vertices == ("c0", "c1")
+    assert g.edges == (("c0", "c1"),)
+
+
 @pytest.mark.parametrize("text, message", [
     ("digraph { a -> b [color=red]; }", "attributes"),
+    ("digraph { a -> b [label=x]; }", "attributes"),
+    ("digraph { a [color=red]; }", "attributes"),
+    ("digraph { a [label=x, color=red]; }", "attributes"),
+    ("digraph { a [label=x] [label=y]; }", "attributes"),
     ("digraph { a -- b; }", "undirected"),
     ("digraph { subgraph c { a -> b; } }", "subgraphs"),
     ("digraph { a -> b -> c; }", "chained"),
@@ -72,6 +82,34 @@ def test_dot_named_graph_isolated_nodes_quoted_ids():
 def test_dot_rejects_unsupported(text, message):
     with pytest.raises(ParseError, match=message):
         parse_graph(text, format="dot")
+
+
+@pytest.mark.parametrize("text, strict, message", [
+    ("a b\n  a b c\n", False, "line 2, column 3: expected: <src> <dst> or vertex <label>"),
+    ("vertex a\n  b   a\n", True, "line 2, column 3: undeclared vertex 'b'"),
+    ("vertex a\na   zz\n", True, "line 2, column 5: undeclared vertex 'zz'"),
+    ("vertex ab\n ab b\n", True, "line 2, column 5: undeclared vertex 'b'"),
+    ("vertex a\n vertex a\n", False, "line 2, column 2: duplicate vertex declaration 'a'"),
+    ("  vertex a b\n", False, "line 1, column 3: expected: vertex <label>"),
+    ("digraph {\n  a -> b [color=red];\n}", False,
+     "line 2, column 10: attributes are not supported"),
+    ("digraph {\n c0 [label=x, color=red];\n}", False,
+     "line 2, column 5: attributes are not supported"),
+    ("digraph {\n  a;\n  a -> ;\n}", False, "line 3, column 5: expected a vertex after '->'"),
+    ("digraph {\n a -> b -> c;\n}", False,
+     "line 2, column 9: chained edges are not supported; one edge per statement"),
+    ("digraph", False, "line 1, column 1: expected '{', got end of input"),
+    ("digraph { a; } x", False, "line 1, column 16: trailing input 'x'"),
+    ('digraph {\n  a -> "b\n}', False, "line 2, column 1: unreadable input"),
+    ("digraph {\n  a;\n  a;\n}", False, "line 3, column 3: duplicate vertex declaration 'a'"),
+    ("digraph {\n  vertex a;\n b -> c;\n}", True, "line 3, column 2: undeclared vertex 'b'"),
+    ("digraph { ] }", False, "line 1, column 11: unexpected ']'"),
+    ("digraph { }", False, "line 1, column 1: no vertices"),
+])
+def test_error_positions(text, strict, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, strict=strict)
+    assert str(err.value) == message
 
 
 def test_format_sniffing():

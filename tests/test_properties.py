@@ -6,6 +6,7 @@ it checks the contraction route at any size.  Seeds are fixed
 (derandomize=True), and hypothesis shrinks a failing graph.
 """
 
+import random
 from collections import Counter
 
 from hypothesis import assume, given, settings, strategies as st
@@ -71,3 +72,57 @@ def test_each_parallel_edge_adds_one_ztz0(g, data):
     ztz = Counter(base.ztz) + Counter({0: len(extra)})
     more = MultiDigraph(g.vertices, g.edges + tuple(extra))
     assert full_invariants(more) == InvariantRecord(base.zt, base.tz, base.t, ztz, base.cycles)
+
+
+# -- the same rules at bench scale ---------------------------------------------
+#
+# Hypothesis draws graphs of at most seven vertices; these inputs are the
+# bench families at ~10^4 vertices, whose records have closed forms: a
+# functional graph's cycles are its map's cycle lengths and its tz the Jordan
+# type of the nilpotent part, read off the image sizes r_k = |f^k(V)|; the
+# Y graph Y(a, a) has t[a] = tz[a] = 1.
+
+
+def functional_record(f: list) -> InvariantRecord:
+    sizes, image = [len(f)], set(range(len(f)))
+    while len(sizes) < 2 or sizes[-1] != sizes[-2]:
+        image = {f[v] for v in image}
+        sizes.append(len(image))
+    tz = {k: sizes[k - 1] - 2 * sizes[k] + sizes[k + 1] for k in range(1, len(sizes) - 1)}
+    cycles, seen = [], set()
+    for v in sorted(image):
+        u, k = v, 0
+        while u not in seen:
+            seen.add(u)
+            u, k = f[u], k + 1
+        if k:
+            cycles.append(k)
+    return InvariantRecord(tz=tz, cycles=tuple(cycles))
+
+
+def test_rules_hold_at_bench_scale():
+    rng = random.Random("bench-scale")
+    n = 10_000
+    f = [rng.randrange(n) for _ in range(n)]
+    functional = MultiDigraph([f"f{v}" for v in range(n)],
+                              [(f"f{v}", f"f{f[v]}") for v in range(n)])
+    arm = 2000
+    arms = [[f"{side}{i}" for i in range(arm)] + ["hub"] for side in "ab"]
+    y_graph = MultiDigraph(["hub"] + arms[0][:-1] + arms[1][:-1],
+                           [e for chain in arms for e in zip(chain, chain[1:])])
+    expected = [functional_record(f), InvariantRecord(tz={arm: 1}, t={arm: 1})]
+    for g, closed_form in zip((functional, y_graph), expected):
+        record = full_invariants(g)
+        assert record == closed_form
+        order = list(range(g.vertex_count))
+        rng.shuffle(order)
+        name = {v: f"w{order[i]}" for i, v in enumerate(g.vertices)}.__getitem__
+        moved = renamed(g, name)
+        edges = list(moved.edges)
+        rng.shuffle(edges)
+        shuffled = MultiDigraph(sorted(moved.vertices, key=lambda v: int(v[1:])), edges)
+        assert full_invariants(shuffled) == record
+        converse = MultiDigraph(g.vertices, [(t, s) for s, t in g.edges])
+        assert full_invariants(converse) == record.swapped()
+    union = MultiDigraph(functional.vertices + y_graph.vertices, functional.edges + y_graph.edges)
+    assert full_invariants(union) == record_sum(*expected)
