@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .parsing import ParseError
 from .relation import BinaryRelation, MultiDigraph
@@ -34,6 +36,23 @@ class PairMatrices:
             for row in mat:
                 if len(row) != self.vertex_dim:
                     raise ValueError("matrix column count differs from vertex dimension")
+
+    @cached_property
+    def rows(self) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
+        """The oracle's working format, built once and read by every rank
+        stage, which must not change it: the nonzeros of row i of M and of N,
+        both times one positive integer that clears their denominators.  That
+        is a left multiplication by an invertible diagonal matrix, so no rank
+        taken on them changes."""
+        out = []
+        for m_row, n_row in zip(self.m, self.n):
+            m_nz = {j: x for j, x in enumerate(m_row) if x}
+            n_nz = {j: x for j, x in enumerate(n_row) if x}
+            den = lcm(*(x.denominator for x in m_nz.values()),
+                      *(x.denominator for x in n_nz.values()))
+            out.append(({j: x.numerator * (den // x.denominator) for j, x in m_nz.items()},
+                        {j: x.numerator * (den // x.denominator) for j, x in n_nz.items()}))
+        return tuple(out)
 
     def transposed(self) -> "PairMatrices":
         e, v = self.edge_dim, self.vertex_dim

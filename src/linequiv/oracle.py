@@ -18,9 +18,10 @@ sparse integer matrices built from M and N:
     Phi_d, count those blocks for d = 1, 2, ... until they account for the
     regular degree; a rank modulo a prime rules most d out first.
 
-Each rank comes from fraction-free elimination on integer rows (a rational
-row is first scaled to integers), and a sequence of ranks over k grows one
-elimination instead of restarting it.  Nothing touches floating point.
+Each rank comes from fraction-free elimination on the pair's integer rows,
+`PairMatrices.rows`, built once per pair; the column side reads their sparse
+transpose.  A sequence of ranks over k grows one elimination instead of
+restarting it.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -34,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import ratpoly as rp
 from .echelon import Echelon, SparseRow, prime_and_root, rank_mod, rank_of_rows
@@ -50,32 +50,35 @@ class DimensionMismatch(RuntimeError):
     account for the matrix dimensions exactly."""
 
 
-def _integer_rows(p: PairMatrices) -> list[tuple[SparseRow, SparseRow]]:
-    """The nonzeros of row i of M and of N, both times one positive integer
-    that clears their denominators.  Scaling row i of M and N alike is a
-    left multiplication by a constant invertible diagonal matrix, so it
-    leaves every rank taken below unchanged."""
-    out = []
-    for m_row, n_row in zip(p.m, p.n):
-        m_nz = {j: x for j, x in enumerate(m_row) if x}
-        n_nz = {j: x for j, x in enumerate(n_row) if x}
-        den = lcm(*(x.denominator for x in m_nz.values()),
-                  *(x.denominator for x in n_nz.values()))
-        out.append(({j: x.numerator * (den // x.denominator) for j, x in m_nz.items()},
-                    {j: x.numerator * (den // x.denominator) for j, x in n_nz.items()}))
+def _shifted(row: SparseRow, offset: int) -> SparseRow:
+    return {offset + j: x for j, x in row.items()}
+
+
+def _columns(rows: list[SparseRow], cols: int) -> list[SparseRow]:
+    out: list[SparseRow] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
-def _shifted(row: SparseRow, offset: int) -> SparseRow:
-    return {offset + j: x for j, x in row.items()}
+def _transpose(p: PairMatrices) -> tuple[list[SparseRow], list[SparseRow]]:
+    """The columns of M and of N from `p.rows`: the transposed pair's rows
+    times an invertible diagonal matrix on the right, which changes no rank."""
+    return (_columns([m for m, _ in p.rows], p.vertex_dim),
+            _columns([n for _, n in p.rows], p.vertex_dim))
+
+
+def _pencil_rows(rows, c: int) -> list[SparseRow]:
+    """The rows of M + c*N; entries that cancel stay as zeros."""
+    return [{j: m.get(j, 0) + c * n.get(j, 0) for j in m.keys() | n.keys()} for m, n in rows]
 
 
 def kernel_meet_dim(p: PairMatrices) -> int:
     """Dimension of the joint row kernel {x : xM = 0 and xN = 0}; equals
     ztz[0] of the pair."""
     v = p.vertex_dim
-    return p.edge_dim - rank_of_rows({**m, **_shifted(n, v)}
-                                     for m, n in _integer_rows(p))
+    return p.edge_dim - rank_of_rows({**m, **_shifted(n, v)} for m, n in p.rows)
 
 
 def normal_rank(p: PairMatrices) -> int:
@@ -89,30 +92,20 @@ def normal_rank(p: PairMatrices) -> int:
     degree at most min(e, v) in t, so it vanishes at no more than min(e, v)
     of them."""
     e, v = p.edge_dim, p.vertex_dim
-    rows = _integer_rows(p)
-    bound = min(rank_of_rows({**m, **_shifted(n, v)} for m, n in rows),
-                rank_of_rows([m for m, _ in rows] + [n for _, n in rows]))
+    bound = min(e - kernel_meet_dim(p), rank_of_rows(row for pair in p.rows for row in pair))
     best = 0
     for t in range(1, min(e, v) + 2):
         if best == bound:
             break
-        sample = []
-        for m, n in rows:
-            row = dict(m)
-            for j, x in n.items():
-                row[j] = row.get(j, 0) + t * x
-            sample.append(row)
-        best = max(best, rank_of_rows(sample))
+        best = max(best, rank_of_rows(_pencil_rows(p.rows, t)))
     return best
 
 
-def _solution_space_dims(p: PairMatrices, k_max: int, total: int) -> list[int]:
+def _solution_space_dims(rows, e: int, v: int, k_max: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
-    = 0, for k = 0..; stops once the increments reach `total`.  Block k - 1
-    of rows only adds rows to the matrix of f(k - 1), so one elimination
-    serves every k."""
-    e, v = p.edge_dim, p.vertex_dim
-    rows = _integer_rows(p)
+    = 0, for the e rows (m, n) of a pair with v columns and k = 0..; stops
+    once the increments reach `total`.  Block k - 1 of rows only adds rows
+    to the matrix of f(k - 1), so one elimination serves every k."""
     echelon = Echelon()
     f = [0]
     for k in range(1, k_max + 1):
@@ -126,16 +119,13 @@ def _solution_space_dims(p: PairMatrices, k_max: int, total: int) -> list[int]:
     return f
 
 
-def minimal_indices_left(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
-    """Degrees of a minimal basis of polynomial row solutions of
-    x(t)(M + tN) = 0; one ztz summand per index.  `rank` is the normal
-    rank of the pair when already known."""
-    if rank is None:
-        rank = normal_rank(p)
-    total = p.edge_dim - rank
+def _minimal_indices(rows, e: int, v: int, rank: int) -> tuple[int, ...]:
+    """The left minimal indices of the e rows (m, n) of a pair with v
+    columns and normal rank `rank`."""
+    total = e - rank
     if total == 0:
         return ()
-    f = _solution_space_dims(p, min(p.edge_dim, p.vertex_dim) + 2, total)
+    f = _solution_space_dims(rows, e, v, min(e, v) + 2, total)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     out = []
@@ -149,27 +139,29 @@ def minimal_indices_left(p: PairMatrices, rank: int | None = None) -> tuple[int,
     return tuple(out)
 
 
+def minimal_indices_left(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
+    """Degrees of a minimal basis of polynomial row solutions of
+    x(t)(M + tN) = 0; one ztz summand per index.  `rank` is the normal
+    rank of the pair when already known."""
+    return _minimal_indices(p.rows, p.edge_dim, p.vertex_dim,
+                            normal_rank(p) if rank is None else rank)
+
+
 def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
-    """Column-side analogue; one t summand per index.  The transposed pair
-    has the same normal rank, so a known `rank` carries over."""
-    return minimal_indices_left(p.transposed(), rank)
+    """Column-side analogue, on the sparse transpose; one t summand per index.
+    The transposed pair has the same normal rank, so `rank` carries over."""
+    return _minimal_indices(list(zip(*_transpose(p))), p.vertex_dim, p.edge_dim,
+                            normal_rank(p) if rank is None else rank)
 
 
 # -- local Jordan types ---------------------------------------------------------
 
 
-def _columns(rows: list[SparseRow], cols: int) -> list[SparseRow]:
-    out: list[SparseRow] = [{} for _ in range(cols)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[j][i] = x
-    return out
-
-
-def _local_type(a: list[SparseRow], b: list[SparseRow], cols: int,
+def _local_type(a_cols: list[SparseRow], b_cols: list[SparseRow], e: int,
                 rank: int) -> tuple[int, ...]:
-    """Sizes of the Jordan blocks of the pencil A + s*B at s = 0, i.e. the
-    exponents of its elementary divisors s^n; `rank` is its normal rank.
+    """Sizes of the Jordan blocks of the e-row pencil A + s*B at s = 0, i.e.
+    the exponents of its elementary divisors s^n, from the columns of A and
+    B; `rank` is its normal rank.
 
     T_k is the truncated block Toeplitz matrix whose row block j < k holds A
     in column block j and B in column block j + 1 (when j + 1 < k); its left
@@ -178,11 +170,9 @@ def _local_type(a: list[SparseRow], b: list[SparseRow], cols: int,
     blocks, and its second differences are the block counts.  Column block
     k of T_(k+1) touches only row blocks k - 1 and k, so T_k's columns are
     fed as rows to one elimination, which serves every k."""
-    e = len(a)
-    a_cols, b_cols = _columns(a, cols), _columns(b, cols)
     echelon = Echelon()
     h = [0]
-    for k in range(1, cols + 2):
+    for k in range(1, len(a_cols) + 2):
         for a_col, b_col in zip(a_cols, b_cols):
             col = _shifted(a_col, (k - 1) * e)
             if k > 1:
@@ -215,13 +205,7 @@ def _screen_clears(rows, rank: int, d: int) -> bool:
     rank, so then M - zeta_d*N has full rank `rank` and -zeta_d is no
     eigenvalue.  A lower rank proves nothing."""
     p, zeta = prime_and_root(d)
-    sample = []
-    for m, n in rows:
-        row = dict(m)
-        for j, x in n.items():
-            row[j] = row.get(j, 0) - zeta * x
-        sample.append(row)
-    return rank_mod(sample, p) == rank
+    return rank_mod(_pencil_rows(rows, -zeta), p) == rank
 
 
 def _lift(rows, d: int) -> list[SparseRow]:
@@ -287,7 +271,8 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
             blocks += [(d, 1)] * count
         else:
             lifted_n = [{j * phi + a: x for j, x in n.items()} for _, n in rows for a in range(phi)]
-            sizes = Counter(_local_type(_lift(rows, d), lifted_n, v * phi, rank * phi))
+            sizes = Counter(_local_type(_columns(_lift(rows, d), v * phi),
+                                        _columns(lifted_n, v * phi), len(rows) * phi, rank * phi))
             if any(mult % phi for mult in sizes.values()) or sum(sizes.values()) != phi * count:
                 raise AssertionError(f"lifted Jordan type at d={d} is not {phi} equal copies")
             blocks += [(d, n) for n, mult in sizes.items() for _ in range(mult // phi)]
@@ -326,15 +311,14 @@ def analyze(p: PairMatrices) -> OracleReport:
     rank = normal_rank(p)
     left = minimal_indices_left(p, rank)
     right = minimal_indices_right(p, rank)
-    rows = _integer_rows(p)
-    m_rows, n_rows = [m for m, _ in rows], [n for _, n in rows]
-    v = p.vertex_dim
-    zt = _local_type(m_rows, n_rows, v, rank)
-    tz = _local_type(n_rows, m_rows, v, rank)
+    e, v = p.edge_dim, p.vertex_dim
+    m_cols, n_cols = _transpose(p)
+    zt = _local_type(m_cols, n_cols, e, rank)
+    tz = _local_type(n_cols, m_cols, e, rank)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise DimensionMismatch(f"singular and nilpotent parts take more than {v} vertices")
-    regular = _cyclotomic_blocks(rows, v, rank, degree)
+    regular = _cyclotomic_blocks(p.rows, v, rank, degree)
     if regular is None:
         finite = _smith_finite_divisors(p)
         if sorted(n for poly, n in finite if poly == rp.X) != sorted(zt):
@@ -343,18 +327,6 @@ def analyze(p: PairMatrices) -> OracleReport:
         finite = tuple(sorted([(rp.X, n) for n in zt]
                               + [(rp.cyclotomic(d), n) for d, n in regular]))
     return OracleReport(left, right, finite, tuple(sorted(tz)))
-
-
-def finite_divisors(p: PairMatrices) -> tuple[tuple[Poly, int], ...]:
-    """Elementary divisors of M + X*N, stored in the loop-gives-S(X-1)
-    convention; pairs with first component X are zt summands."""
-    return analyze(p).finite_divisors
-
-
-def infinite_divisors(p: PairMatrices) -> tuple[int, ...]:
-    """X-power exponents in the Smith form of N + X*M; one tz summand each.
-    (zt summands contribute unimodular factors there and stay invisible.)"""
-    return analyze(p).infinite_divisors
 
 
 def _assemble_cycles(regular: list[tuple[Poly, int]]) -> tuple[int, ...] | None:

@@ -96,14 +96,19 @@ def invariant_factors(mat: list[list[Poly]]) -> list[Poly]:
     return factors
 
 
+DIVISOR_LIMIT = 10**6
+
+
 def _root_candidates(g: Poly) -> set[Fraction]:
-    """+-a/b with a | g(0) and b | lead(g), g cleared of denominators: every
-    rational root of g, g(0) != 0, is among them (the rational-root test)."""
+    """+-a/b with a | g(0) and b | lead(g), g cleared of denominators, each of
+    a and b found by trial division up to DIVISOR_LIMIT or as the cofactor of
+    one so found.  When both ends are at most DIVISOR_LIMIT^2, every rational
+    root of g, g(0) != 0, is among them (the rational-root test)."""
     scale = math.lcm(*(c.denominator for c in g))
 
     def divisors(c: Fraction) -> set[int]:
         n = abs(int(c * scale))
-        small = {d for d in range(1, math.isqrt(n) + 1) if n % d == 0}
+        small = {d for d in range(1, min(math.isqrt(n), DIVISOR_LIMIT) + 1) if n % d == 0}
         return small | {n // d for d in small}
 
     return {Fraction(sign * a, b) for a in divisors(g[0]) for b in divisors(g[-1])
@@ -131,13 +136,16 @@ def factor_stored(q: Poly) -> list[tuple[Poly, int]]:
                 g = quo
                 continue  # repeat the same d; exponents can exceed one
         d += 1
-    for root in _root_candidates(g):
+    for root in _root_candidates(g) if rp.deg(g) > 1 else ():
         linear = rp.poly(-root, 1)
-        while rp.divides(linear, g):
+        while rp.deg(g) > 1 and rp.divides(linear, g):
             out[linear] += 1
             g = rp.divmod_poly(g, linear)[0]
-    if rp.deg(g) >= 1:
+    if rp.deg(g) == 1:  # a linear residue is its own root
+        out[g] += 1
+    elif rp.deg(g) > 1:
         raise OracleFactorError(
-            f"cannot factor invariant-factor part {rp.poly_str(g)} over the rationals")
+            f"cannot factor invariant-factor part {rp.poly_str(g)} over the rationals "
+            f"(rational roots are sought by trial division up to {DIVISOR_LIMIT})")
     # group equal irreducibles into (p, exponent) with exponent = multiplicity
     return sorted(out.items())

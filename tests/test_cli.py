@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import sys
@@ -9,6 +10,7 @@ import pytest
 from linequiv import cli, contraction, invariants, oracle, stabilize
 from linequiv import relation as graphs
 from linequiv.cli import main, random_relation, run_fuzz, trial_seed
+from linequiv.linearize import PairMatrices
 from linequiv.parsing import serialize
 
 from conftest import braided, relation
@@ -284,6 +286,33 @@ def test_oracle_matrix_with_rational_eigenvalues(capsys, tmp_path):
     assert "S((X - 3)^1) S((X - 2)^1)" in out
 
 
+@pytest.mark.parametrize("text, record", [
+    # 1x1 pair M = 10^40, N = 1: a linear residue, read off without a search
+    ("1 1\n1e40\n1\n", "S((X - 1" + "0" * 40 + ")^1)"),
+    # companion pair of (X - 10^20)(X - 3), N = I: the root 10^20 is the
+    # cofactor of the divisor 3 of the constant 3*10^20
+    ("2 2\n0 1\n-300000000000000000000 100000000000000000003\n1 0\n0 1\n",
+     "S((X - 100000000000000000000)^1) S((X - 3)^1)"),
+])
+def test_oracle_matrix_with_large_rational_eigenvalues(capsys, tmp_path, text, record):
+    path = tmp_path / "pair.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "oracle", str(path), "--matrix")
+    assert code == 0
+    assert f"oracle record: {record}\n" in out
+
+
+def test_oracle_matrix_root_search_limit_is_usage_error(capsys, tmp_path):
+    # (X - 1000003)(X - 1000033): both roots are primes above the trial
+    # division limit, so neither they nor their cofactors are tried
+    path = tmp_path / "pair.txt"
+    path.write_text("2 2\n0 1\n-1000036000099 2000036\n1 0\n0 1\n")
+    code, out, err = run(capsys, "oracle", str(path), "--matrix")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "trial division up to 1000000" in err
+
+
 def test_oracle_matrix_unfactorable_is_usage_error(capsys, tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text("2 2\n0 1\n2 0\n1 0\n0 1\n")  # M = [[0,1],[2,0]], N = I: X^2 - 2
@@ -381,6 +410,30 @@ def test_oracle_takes_one_normal_rank_per_pair(monkeypatch, capsys, g4_file):
     monkeypatch.setattr(oracle, "normal_rank", counted)
     assert run(capsys, "oracle", g4_file)[0] == 0
     assert calls == {"normal_rank": 1}
+
+
+def test_oracle_converts_each_pair_once(monkeypatch, capsys, g4_file):
+    # every rank stage reads the pair's one integer conversion, and the
+    # column side transposes those rows instead of the Fraction matrices
+    built, transposed = [], []
+    rows, transpose = PairMatrices.rows, PairMatrices.transposed
+
+    def counted_rows(p):
+        built.append(p)
+        return rows.func(p)
+
+    counted = functools.cached_property(counted_rows)
+    counted.__set_name__(PairMatrices, "rows")
+    monkeypatch.setattr(PairMatrices, "rows", counted)
+    monkeypatch.setattr(PairMatrices, "transposed",
+                        lambda p: transposed.append(p) or transpose(p))
+    for argv, pairs in ((["oracle", g4_file], 1), (["fuzz", "--count", "3"], 3)):
+        assert run(capsys, *argv)[0] == 0
+        # `built` keeps every pair alive, so distinct ids are distinct pairs
+        assert len(built) == len({id(p) for p in built}) == pairs
+        built.clear()
+    assert transposed == []
+
 
 def test_dot_format_flag(capsys, tmp_path):
     path = tmp_path / "g.dot"

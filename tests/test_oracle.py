@@ -16,8 +16,7 @@ from linequiv.cli import run_fuzz
 from linequiv.echelon import Echelon, primitive
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
-                             _cyclotomic_blocks, _integer_rows, _lift, _screen_clears,
-                             analyze, finite_divisors, infinite_divisors,
+                             _cyclotomic_blocks, _lift, _screen_clears, analyze,
                              invariant_factors, normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored, pencil_matrix
 
@@ -170,26 +169,26 @@ def test_invariant_factors_divisibility_chain():
 
 def test_finite_divisors_loop_calibration():
     loop = linearize(multidigraph("v", [("v", "v")]))
-    assert finite_divisors(loop) == ((rp.poly(-1, 1), 1),)  # S(X - 1)
+    assert analyze(loop).finite_divisors == ((rp.poly(-1, 1), 1),)  # S(X - 1)
 
 
 def test_finite_divisors_small(g3):
-    divs = finite_divisors(linearize(g3))
+    divs = analyze(linearize(g3)).finite_divisors
     assert divs == ((rp.poly(-1, 1), 1), (rp.X, 1), (rp.poly(1, 1), 1))
 
 
 def test_finite_divisors_canonical_zt():
-    assert finite_divisors(canonical_pair("zt", 2)) == ((rp.X, 2),)
+    assert analyze(canonical_pair("zt", 2)).finite_divisors == ((rp.X, 2),)
 
 
 def test_infinite_divisors_examples(g1, g4):
-    assert infinite_divisors(canonical_pair("tz", 3)) == (3,)
-    assert infinite_divisors(linearize(g1)) == (1,)
+    assert analyze(canonical_pair("tz", 3)).infinite_divisors == (3,)
+    assert analyze(linearize(g1)).infinite_divisors == (1,)
     # g4's one identity-first nilpotent summand has depth 2 (its mirror zt
     # summand has depth 3), read from the X^2 in the Smith form of N + X*M;
     # the counting identities close under either zt/tz orientation, so they
     # cannot pin it
-    assert infinite_divisors(linearize(g4)) == (2,)
+    assert analyze(linearize(g4)).infinite_divisors == (2,)
 
 
 def test_oracle_records_reference_graphs(g1, g2, g3, g4):
@@ -391,7 +390,7 @@ def smith_reference(p: PairMatrices) -> OracleReport:
     divisor lists from the Smith forms of M + X*N and N + X*M."""
     def left(q: PairMatrices) -> tuple[int, ...]:
         e, v = q.edge_dim, q.vertex_dim
-        rows = _integer_rows(q)
+        rows = q.rows
         f = [0]
         for k in range(1, min(e, v) + 3):
             f.append(k * e - rank_of_rows({**{j * v + c: x for c, x in m.items()},
@@ -451,7 +450,7 @@ def test_echelon_rank_after_every_row():
 def test_screen_keeps_every_root_the_lift_finds():
     for p in differential_pairs():
         rank = normal_rank(p)
-        rows = _integer_rows(p)
+        rows = p.rows
         for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
             if rp.totient(d) * p.vertex_dim > 160:
                 continue
@@ -461,7 +460,7 @@ def test_screen_keeps_every_root_the_lift_finds():
 
 
 def test_cyclotomic_scan_accounts_for_the_degree_exactly():
-    rows = _integer_rows(linearize(cycles_graph((6,))))
+    rows = linearize(cycles_graph((6,))).rows
     assert _cyclotomic_blocks(rows, 6, 6, 6) == [(1, 1), (2, 1), (3, 1), (6, 1)]
     # too small a degree: phi(6) = 2 no longer fits, so d = 6 stays unscanned
     # and the shortfall goes to the Smith route
@@ -471,7 +470,36 @@ def test_cyclotomic_scan_accounts_for_the_degree_exactly():
     assert _cyclotomic_blocks(rows, 6, 6, 4) == [(1, 1), (2, 1), (3, 1)]
     # two loops found where the degree leaves room for one
     with pytest.raises(DimensionMismatch):
-        _cyclotomic_blocks(_integer_rows(linearize(cycles_graph((1, 1)))), 2, 2, 1)
+        _cyclotomic_blocks(linearize(cycles_graph((1, 1))).rows, 2, 2, 1)
     # (X - 1)^2: one block at d = 1 of size 2, found by the lifted local type
     p = regular_pair(rp.poly(-1, 1), 2)
-    assert _cyclotomic_blocks(_integer_rows(p), 2, 2, 2) == [(1, 2)]
+    assert _cyclotomic_blocks(p.rows, 2, 2, 2) == [(1, 2)]
+
+
+def unit_triangular(n: int, rng: random.Random, lower: bool) -> list[list[Fraction]]:
+    """A random unit lower (or upper) triangular n-by-n matrix, off-diagonal
+    entries drawn from {0, +-1/2, 2/3}: invertible, with mixed denominators."""
+    entries = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
+    return [[Fraction(1) if i == j else rng.choice(entries) if (j < i) == lower else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b, inner: int, cols: int):
+    return tuple(tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0))
+                       for j in range(cols)) for row in a)
+
+
+def test_analyze_is_invariant_under_simultaneous_equivalence(g1, g2, g3, g4):
+    # the paper's linear equivalence: (M, N) ~ (S*M*T, S*N*T) for invertible
+    # S and T.  The transformed rows carry different denominators, so their
+    # integer scales differ row by row when they reach the column side.
+    rng = random.Random("equivalence")
+    pairs = [q for q in differential_pairs() if 0 < q.vertex_dim <= 4 and q.edge_dim]
+    pairs += [linearize(g) for g in (g1, g2, g3, g4)]
+    assert any(q.edge_dim != q.vertex_dim and analyze(q).right_minimal_indices for q in pairs)
+    for p in pairs:
+        e, v = p.edge_dim, p.vertex_dim
+        s, t = unit_triangular(e, rng, lower=True), unit_triangular(v, rng, lower=False)
+        moved = PairMatrices(e, v, *(matmul(matmul(s, mat, e, v), t, v, v)
+                                     for mat in (p.m, p.n)))
+        assert analyze(moved) == analyze(p), p
