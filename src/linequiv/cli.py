@@ -231,10 +231,11 @@ def trial_seed(seed: int, trial: int) -> int:
 def random_relation(rng: random.Random, vertices: int, edge_prob: Fraction) -> BinaryRelation:
     """Each of the vertices^2 ordered pairs (loops included) is present
     independently with probability edge_prob; exact dyadic sampling keeps
-    runs reproducible across platforms."""
+    runs reproducible across platforms: u/2^53 < p/q iff u*q < p*2^53."""
     labels = tuple(f"v{i}" for i in range(vertices))
+    den, threshold = edge_prob.denominator, edge_prob.numerator << 53
     pairs = frozenset((a, b) for a in labels for b in labels
-                      if Fraction(rng.getrandbits(53), 2**53) < edge_prob)
+                      if rng.getrandbits(53) * den < threshold)
     return BinaryRelation(labels, pairs)
 
 

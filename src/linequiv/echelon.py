@@ -8,21 +8,9 @@ entries, so every entry stays an integer.  Modulo p, pivots are monic.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 SparseRow = dict[int, int]
-
-
-def primitive(row: dict) -> SparseRow:
-    """The nonzeros of a rational row times the positive constant that makes
-    them coprime integers; the rank of a set of rows does not change."""
-    row = {j: x for j, x in row.items() if x}
-    den = lcm(*(x.denominator for x in row.values()))
-    row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    content = gcd(*row.values())
-    if content > 1:
-        row = {j: x // content for j, x in row.items()}
-    return row
 
 
 class Echelon:
@@ -67,11 +55,12 @@ class Echelon:
 
 
 def rank_of_rows(rows) -> int:
-    """Exact rank of sparse rational rows (dicts column -> int or Fraction):
-    each row is scaled to coprime integers and added to one `Echelon`."""
+    """Exact rank of sparse integer rows (dicts column -> int): a copy of
+    each row without its zeros goes to one `Echelon`, so the rows passed in
+    stay as they are."""
     echelon = Echelon()
     for row in rows:
-        echelon.add(primitive(row))
+        echelon.add({j: x for j, x in row.items() if x})
     return echelon.rank
 
 

@@ -9,25 +9,43 @@ which case entries may be arbitrary rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .parsing import ParseError
 from .relation import BinaryRelation, MultiDigraph
 
 Row = tuple[Fraction, ...]
+IntegerRows = tuple[tuple[dict[int, int], dict[int, int]], ...]
+
+
+def _integer_rows(m: tuple[Row, ...], n: tuple[Row, ...]) -> IntegerRows:
+    """The nonzeros of row i of M and of N, both times one positive integer
+    that clears their denominators: a left multiplication by an invertible
+    diagonal matrix, which changes no rank."""
+    out = []
+    for m_row, n_row in zip(m, n):
+        m_nz = {j: x for j, x in enumerate(m_row) if x}
+        n_nz = {j: x for j, x in enumerate(n_row) if x}
+        den = lcm(*(x.denominator for x in m_nz.values()),
+                  *(x.denominator for x in n_nz.values()))
+        out.append(({j: x.numerator * (den // x.denominator) for j, x in m_nz.items()},
+                    {j: x.numerator * (den // x.denominator) for j, x in n_nz.items()}))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class PairMatrices:
-    """An ordered pair (M, N) of e-by-v matrices over the rationals."""
+    """An ordered pair (M, N) of e-by-v matrices over the rationals, and
+    `rows` = `_integer_rows(m, n)`, scanned unless handed in: the oracle's
+    working format, which every rank stage reads and none may change."""
 
     edge_dim: int
     vertex_dim: int
     m: tuple[Row, ...]
     n: tuple[Row, ...]
+    rows: IntegerRows = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for mat in (self.m, self.n):
@@ -36,23 +54,8 @@ class PairMatrices:
             for row in mat:
                 if len(row) != self.vertex_dim:
                     raise ValueError("matrix column count differs from vertex dimension")
-
-    @cached_property
-    def rows(self) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
-        """The oracle's working format, built once and read by every rank
-        stage, which must not change it: the nonzeros of row i of M and of N,
-        both times one positive integer that clears their denominators.  That
-        is a left multiplication by an invertible diagonal matrix, so no rank
-        taken on them changes."""
-        out = []
-        for m_row, n_row in zip(self.m, self.n):
-            m_nz = {j: x for j, x in enumerate(m_row) if x}
-            n_nz = {j: x for j, x in enumerate(n_row) if x}
-            den = lcm(*(x.denominator for x in m_nz.values()),
-                      *(x.denominator for x in n_nz.values()))
-            out.append(({j: x.numerator * (den // x.denominator) for j, x in m_nz.items()},
-                        {j: x.numerator * (den // x.denominator) for j, x in n_nz.items()}))
-        return tuple(out)
+        if self.rows is None:
+            object.__setattr__(self, "rows", _integer_rows(self.m, self.n))
 
     def transposed(self) -> "PairMatrices":
         e, v = self.edge_dim, self.vertex_dim
@@ -62,19 +65,18 @@ class PairMatrices:
 
 
 def linearize(g: MultiDigraph | BinaryRelation) -> PairMatrices:
-    """Build (M, N) for a graph; edge order follows the input edge order."""
+    """Build (M, N) for a graph, and its integer rows straight from the edge
+    ids; edge order follows the input edge order."""
     ids = sorted(g.ids) if isinstance(g, BinaryRelation) else g.ids
+    v = g.vertex_count
     zero, one = Fraction(0), Fraction(1)
-    m_rows = []
-    n_rows = []
-    for s, t in ids:
-        row = [zero] * g.vertex_count
-        row[s] = one
-        m_rows.append(tuple(row))
-        row = [zero] * g.vertex_count
-        row[t] = one
-        n_rows.append(tuple(row))
-    return PairMatrices(len(ids), g.vertex_count, tuple(m_rows), tuple(n_rows))
+    unit = []
+    for j in range(v):
+        row = [zero] * v
+        row[j] = one
+        unit.append(tuple(row))
+    return PairMatrices(len(ids), v, tuple(unit[s] for s, _ in ids),
+                        tuple(unit[t] for _, t in ids), tuple(({s: 1}, {t: 1}) for s, t in ids))
 
 
 def parse_pair_file(text: str) -> PairMatrices:

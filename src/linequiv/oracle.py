@@ -5,10 +5,11 @@ No contractions are used anywhere here.  The pair (M, N) is analyzed as the
 pencil M + X*N, and every count in the record is read off exact ranks of
 sparse integer matrices built from M and N:
 
-  * the normal rank r, the rank of M + t*N at a few integer points t;
-  * the minimal indices: the nullities of the block matrices whose kernels
-    are the row solutions x(t)(M + tN) = 0 of degree < k give ztz, and the
-    same on the transposed pair gives t;
+  * the minimal indices: the nullities f(k) of the block matrices whose
+    kernels are the row solutions x(t)(M + tN) = 0 of degree < k give ztz,
+    and the same on the transposed pair gives t;
+  * the normal rank r, from one sample rank(M + 2N) that the same f
+    certifies, so one elimination gives both r and ztz;
   * the local Jordan type of a pencil A + s*B at s = 0, from the nullities
     of truncated block Toeplitz matrices: (A, B) = (M, N) gives zt, and
     (N, M) gives tz;
@@ -81,34 +82,15 @@ def kernel_meet_dim(p: PairMatrices) -> int:
     return p.edge_dim - rank_of_rows({**m, **_shifted(n, v)} for m, n in p.rows)
 
 
-def normal_rank(p: PairMatrices) -> int:
-    """Rank of M + t*N over the rational function field, by exact integer
-    evaluation at t = 1, 2, ...
-
-    The rank at each point is at most the normal rank, which is at most
-    min(rank [M N], rank [M; N]) since M + tN = [M N]*[I; tI] = [I tI]*[M; N].
-    So sampling stops at the first point whose rank meets that bound.
-    Otherwise it takes min(e, v) + 1 points: a nonzero maximal minor has
-    degree at most min(e, v) in t, so it vanishes at no more than min(e, v)
-    of them."""
-    e, v = p.edge_dim, p.vertex_dim
-    bound = min(e - kernel_meet_dim(p), rank_of_rows(row for pair in p.rows for row in pair))
-    best = 0
-    for t in range(1, min(e, v) + 2):
-        if best == bound:
-            break
-        best = max(best, rank_of_rows(_pencil_rows(p.rows, t)))
-    return best
-
-
-def _solution_space_dims(rows, e: int, v: int, k_max: int, total: int) -> list[int]:
+def _solution_space_dims(rows, e: int, v: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
     = 0, for the e rows (m, n) of a pair with v columns and k = 0..; stops
-    once the increments reach `total`.  Block k - 1 of rows only adds rows
-    to the matrix of f(k - 1), so one elimination serves every k."""
+    once an increment reaches `total`, or at k = min(e, v) + 2.  Block k - 1
+    of rows only adds rows to the matrix of f(k - 1), so one elimination
+    serves every k."""
     echelon = Echelon()
     f = [0]
-    for k in range(1, k_max + 1):
+    for k in range(1, min(e, v) + 3):
         for m, n in rows:
             block_row = {**_shifted(m, (k - 1) * v), **_shifted(n, k * v)}
             if block_row:
@@ -119,39 +101,60 @@ def _solution_space_dims(rows, e: int, v: int, k_max: int, total: int) -> list[i
     return f
 
 
-def _minimal_indices(rows, e: int, v: int, rank: int) -> tuple[int, ...]:
-    """The left minimal indices of the e rows (m, n) of a pair with v
-    columns and normal rank `rank`."""
-    total = e - rank
-    if total == 0:
-        return ()
-    f = _solution_space_dims(rows, e, v, min(e, v) + 2, total)
-    if f[-1] - f[-2] != total:
-        raise AssertionError("row solution dimensions failed to saturate")
+def _indices(f: list[int]) -> tuple[int, ...]:
+    """The minimal indices of a saturated nullity sequence f: index d
+    occurs as often as the second difference of f at d."""
     out = []
     for d in range(len(f) - 1):
         mult = f[d + 1] - 2 * f[d] + (f[d - 1] if d else 0)
         if mult < 0:
             raise AssertionError("nullity sequence is not concave")
         out.extend([d] * mult)
-    if len(out) != total:
+    if len(out) != f[-1] - f[-2]:
         raise AssertionError("minimal index count mismatch")
     return tuple(out)
 
 
-def minimal_indices_left(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
+def minimal_indices_left(p: PairMatrices) -> tuple[int, ...]:
     """Degrees of a minimal basis of polynomial row solutions of
-    x(t)(M + tN) = 0; one ztz summand per index.  `rank` is the normal
-    rank of the pair when already known."""
-    return _minimal_indices(p.rows, p.edge_dim, p.vertex_dim,
-                            normal_rank(p) if rank is None else rank)
+    x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
+    also certifies the normal rank; see `normal_rank`."""
+    e, v = p.edge_dim, p.vertex_dim
+    sample = rank_of_rows(_pencil_rows(p.rows, 2))
+    if sample == e:
+        return ()
+    f = _solution_space_dims(p.rows, e, v, e - sample)
+    last = f[-1] - f[-2]
+    if last > e - sample or (last < e - sample and last != f[-2] - f[-3]):
+        raise AssertionError("row solution dimensions failed to saturate")
+    return _indices(f)
+
+
+def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
+    """Rank r of M + t*N over the rational function field: e minus the
+    number of left minimal indices (`left`, when already known).
+
+    `minimal_indices_left` takes one sample s = rank(M + 2N) <= r, then the
+    left nullity sequence f.  By the predictable-degree property of minimal
+    bases, f(k) - f(k-1) counts the left minimal indices below k, so it is
+    at most e - r, and an increment e - s proves r = s.  If 2 is an
+    eigenvalue, f runs on to k = min(e, v) + 2, past every minimal index
+    (their sum is at most r), where the increment is e - r.  A graph pencil
+    has eigenvalues only at 0 and at -zeta, zeta a root of unity: never 2."""
+    return p.edge_dim - len(minimal_indices_left(p) if left is None else left)
 
 
 def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
     """Column-side analogue, on the sparse transpose; one t summand per index.
     The transposed pair has the same normal rank, so `rank` carries over."""
-    return _minimal_indices(list(zip(*_transpose(p))), p.vertex_dim, p.edge_dim,
-                            normal_rank(p) if rank is None else rank)
+    e, v = p.edge_dim, p.vertex_dim
+    total = v - (normal_rank(p) if rank is None else rank)
+    if total == 0:
+        return ()
+    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total)
+    if f[-1] - f[-2] != total:
+        raise AssertionError("row solution dimensions failed to saturate")
+    return _indices(f)
 
 
 # -- local Jordan types ---------------------------------------------------------
@@ -308,8 +311,8 @@ class OracleReport:
 def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
-    rank = normal_rank(p)
-    left = minimal_indices_left(p, rank)
+    left = minimal_indices_left(p)
+    rank = normal_rank(p, left)
     right = minimal_indices_right(p, rank)
     e, v = p.edge_dim, p.vertex_dim
     m_cols, n_cols = _transpose(p)

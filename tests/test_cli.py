@@ -1,4 +1,3 @@
-import functools
 import io
 import json
 import sys
@@ -7,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from linequiv import cli, contraction, invariants, oracle, stabilize
+from linequiv import cli, contraction, echelon, invariants, oracle, stabilize
 from linequiv import relation as graphs
 from linequiv.cli import main, random_relation, run_fuzz, trial_seed
 from linequiv.linearize import PairMatrices
@@ -286,6 +285,16 @@ def test_oracle_matrix_with_rational_eigenvalues(capsys, tmp_path):
     assert "S((X - 3)^1) S((X - 2)^1)" in out
 
 
+def test_oracle_matrix_with_the_rank_sample_on_an_eigenvalue(capsys, tmp_path):
+    # M = -2, N = 1: M + 2N = 0, so the normal rank comes from the end of
+    # the left nullity sequence, not from the sample
+    path = tmp_path / "pair.txt"
+    path.write_text("1 1\n-2\n1\n")
+    code, out, _ = run(capsys, "oracle", str(path), "--matrix")
+    assert code == 0
+    assert "oracle record: S((X + 2)^1)\n" in out
+
+
 @pytest.mark.parametrize("text, record", [
     # 1x1 pair M = 10^40, N = 1: a linear residue, read off without a search
     ("1 1\n1e40\n1\n", "S((X - 1" + "0" * 40 + ")^1)"),
@@ -397,42 +406,55 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
     assert calls["validating constructor"] == 1
 
 
-def test_oracle_takes_one_normal_rank_per_pair(monkeypatch, capsys, g4_file):
-    # the transposed pair has the same normal rank, so the column-side
-    # minimal indices reuse the row side's
-    calls = Counter()
-    rank = oracle.normal_rank
+@pytest.mark.parametrize("argv, count", [(["oracle", "g4"], 1), (["fuzz", "--count", "3"], 3)],
+                         ids=["oracle-g4", "fuzz-3"])
+def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, count):
+    # the normal rank is one sample of M + c*N, certified by the left block
+    # elimination that the left minimal indices read too, with no rank
+    # [M N] or [M; N] bound; a graph pair's integer rows come from its edge
+    # ids, and the column side transposes those rows, not the Fraction pair
+    pairs = []  # (pair, sample points, rows added per elimination)
 
-    def counted(p):
-        calls["normal_rank"] += 1
-        return rank(p)
+    class Recorded(echelon.Echelon):
+        def __init__(self):
+            super().__init__()
+            self.added = []
+            pairs[-1][2].append(self.added)
 
-    monkeypatch.setattr(oracle, "normal_rank", counted)
-    assert run(capsys, "oracle", g4_file)[0] == 0
-    assert calls == {"normal_rank": 1}
+        def add(self, row):
+            if row:
+                self.added.append(dict(row))
+            super().add(row)
 
-
-def test_oracle_converts_each_pair_once(monkeypatch, capsys, g4_file):
-    # every rank stage reads the pair's one integer conversion, and the
-    # column side transposes those rows instead of the Fraction matrices
-    built, transposed = [], []
-    rows, transpose = PairMatrices.rows, PairMatrices.transposed
-
-    def counted_rows(p):
-        built.append(p)
-        return rows.func(p)
-
-    counted = functools.cached_property(counted_rows)
-    counted.__set_name__(PairMatrices, "rows")
-    monkeypatch.setattr(PairMatrices, "rows", counted)
+    analyze, pencil, meet = oracle.analyze, oracle._pencil_rows, oracle.kernel_meet_dim
+    transpose = PairMatrices.transposed
+    scans, meets, transposed = [], [], []
+    monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [])) or analyze(p))
+    monkeypatch.setattr(oracle, "_pencil_rows",
+                        lambda rows, c: (c > 0 and pairs[-1][1].append(c)) or pencil(rows, c))
+    monkeypatch.setattr(oracle, "Echelon", Recorded)
+    monkeypatch.setattr(echelon, "Echelon", Recorded)
+    monkeypatch.setattr(oracle, "kernel_meet_dim", lambda p: meets.append(p) or meet(p))
+    # the package's `linearize` name is the function, so find the module
+    linearize_module = sys.modules["linequiv.linearize"]
+    integer_rows = linearize_module._integer_rows
+    monkeypatch.setattr(linearize_module, "_integer_rows",
+                        lambda m, n: scans.append(m) or integer_rows(m, n))
     monkeypatch.setattr(PairMatrices, "transposed",
                         lambda p: transposed.append(p) or transpose(p))
-    for argv, pairs in ((["oracle", g4_file], 1), (["fuzz", "--count", "3"], 3)):
-        assert run(capsys, *argv)[0] == 0
-        # `built` keeps every pair alive, so distinct ids are distinct pairs
-        assert len(built) == len({id(p) for p in built}) == pairs
-        built.clear()
-    assert transposed == []
+    argv = [g4_file if arg == "g4" else arg for arg in argv]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.undo()
+    assert len(pairs) == count
+    assert scans == [] and meets == [] and transposed == []
+    for p, samples, eliminations in pairs:
+        v = p.vertex_dim
+        stacked = [row for pair in p.rows for row in pair if row]
+        block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
+        assert len(samples) == 1, p
+        assert stacked not in eliminations, p
+        left = sum(added[:len(block)] == block for added in eliminations)
+        assert left == (1 if oracle.normal_rank(p) < p.edge_dim else 0), p
 
 
 def test_dot_format_flag(capsys, tmp_path):
@@ -475,6 +497,23 @@ def test_fuzz_determinism_and_seed_reproduction():
     a = random_relation(random.Random(child), 4, Fraction(1, 2))
     b = random_relation(random.Random(trial_seed(child, 0)), 4, Fraction(1, 2))
     assert a == b
+
+
+def test_random_relation_draws_match_the_fraction_formula():
+    # the integer test u*q < p*2^53 against the comparison it replaced,
+    # u/2^53 < p/q as Fractions, on the same RNG calls
+    def reference(rng, vertices, edge_prob):
+        labels = tuple(f"v{i}" for i in range(vertices))
+        return graphs.BinaryRelation(labels, frozenset(
+            (a, b) for a in labels for b in labels
+            if Fraction(rng.getrandbits(53), 2**53) < edge_prob))
+
+    for prob in (Fraction(0), Fraction(1, 3), Fraction(3, 10), Fraction(1)):
+        for seed in range(300):
+            vertices = seed % 7
+            a, b = random.Random(seed), random.Random(seed)
+            assert random_relation(a, vertices, prob) == reference(b, vertices, prob)
+            assert a.getstate() == b.getstate()
 
 
 def test_fuzz_json(capsys):

@@ -2,9 +2,12 @@
 route.  All expected values here are forced by hand-checkable elimination on
 the small pairs, or by the canonical single-summand matrices."""
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from linequiv import (InvariantRecord, canonical_pair, compare, full_invariants,
                       oracle_invariants, regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import run_fuzz
-from linequiv.echelon import Echelon, primitive
+from linequiv.echelon import Echelon
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
                              _cyclotomic_blocks, _lift, _screen_clears, analyze,
@@ -23,12 +26,30 @@ from linequiv.smith import factor_stored, pencil_matrix
 from conftest import multidigraph, seeded_relation
 
 
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
 def rec(**kw) -> InvariantRecord:
     return InvariantRecord(**kw)
 
 
 def frac_rows(rows):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+
+
+def primitive(row: dict) -> dict:
+    """The nonzeros of a rational row times the positive constant that makes
+    them coprime integers; the rank of a set of rows does not change."""
+    row = {j: x for j, x in row.items() if x}
+    den = lcm(*(Fraction(x).denominator for x in row.values()))
+    row = {j: int(x * den) for j, x in row.items()}
+    content = gcd(*row.values())
+    return {j: x // content for j, x in row.items()} if content > 1 else row
+
+
+def integer_rank(rows) -> int:
+    """`rank_of_rows` on rational rows, each scaled to integers first."""
+    return rank_of_rows(map(primitive, rows))
 
 
 def fraction_rank(rows) -> int:
@@ -67,10 +88,14 @@ def direct_sum(p: PairMatrices, q: PairMatrices) -> PairMatrices:
 
 
 def test_rank_of_rows():
-    assert rank_of_rows(frac_rows([[1, 2], [2, 4], [0, 1]])) == 2
-    assert rank_of_rows(frac_rows([[0, 0], [0, 0]])) == 0
+    assert integer_rank(frac_rows([[1, 2], [2, 4], [0, 1]])) == 2
+    assert integer_rank(frac_rows([[0, 0], [0, 0]])) == 0
     assert rank_of_rows(iter([])) == 0
-    assert rank_of_rows(frac_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == 2
+    assert integer_rank(frac_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == 2
+    # zeros left in integer rows, as in rows of M + c*N where entries cancel
+    rows = [{0: 1, 1: 0}, {0: 0, 1: 0}, {0: 2, 1: 0, 2: 3}]
+    assert rank_of_rows(rows) == 2
+    assert rows == [{0: 1, 1: 0}, {0: 0, 1: 0}, {0: 2, 1: 0, 2: 3}]
 
 
 @pytest.mark.parametrize("rows, rank", [
@@ -88,11 +113,11 @@ def test_rank_of_rows():
 ])
 def test_rank_of_rows_integer_elimination(rows, rank):
     assert fraction_rank(rows) == rank
-    assert rank_of_rows(frac_rows(rows)) == rank
+    assert integer_rank(frac_rows(rows)) == rank
     # int-valued and Fraction-valued rows mixed, fed as a generator
     mixed = ({j: (Fraction(v) if i % 2 else v) for j, v in enumerate(row) if v}
              for i, row in enumerate(rows))
-    assert rank_of_rows(mixed) == rank
+    assert integer_rank(mixed) == rank
 
 
 def test_normal_rank_matches_fraction_reference():
@@ -108,19 +133,56 @@ def test_normal_rank_matches_fraction_reference():
         "3 3\n1/2 0 0\n0 0 -3\n0 0 0\n0 -2/3 0\n0 0 0\n0 0 5/7\n",
         # diag(1, t - 1): the rank drops at t = 1
         "2 2\n1 0\n0 -1\n0 0\n0 1\n",
-        # diag(t - 1, t - 2): the rank drops at t = 1 and t = 2, so only the
-        # third of min(e, v) + 1 = 3 points finds it
+        # diag(t - 1, t - 2): the rank drops at t = 1 and at the sample t = 2
         "2 2\n-1 0\n0 -2\n1 0\n0 1\n",
     )]
     split = direct_sum(canonical_pair("t", 1), canonical_pair("ztz", 1))
-    # normal rank 2 under a bound min(rank [M N], rank [M; N]) of 3: the
-    # sampling never stops early
+    # normal rank 2 under a bound min(rank [M N], rank [M; N]) of 3, which
+    # therefore cannot certify it
     assert min(fraction_rank([m + n for m, n in zip(split.m, split.n)]),
                fraction_rank(split.m + split.n)) == 3
     pairs.append(split)
     for p in pairs:
         assert normal_rank(p) == reference_normal_rank(p), p
     assert normal_rank(split) == 2
+
+
+def test_normal_rank_is_the_largest_sampled_rank():
+    # the definition: the largest rank of M + tN over t = 0..min(e, v), on
+    # pairs with both ztz[k >= 1] and t[k >= 1], where no rank bound from
+    # [M N] and [M; N] is tight, and on pairs whose sample t = 2 is an
+    # eigenvalue
+    relations = (seeded_relation(f"certified:{i}", max_vertices=10, prob=Fraction(1 + i % 3, 10))
+                 for i in range(1000))
+    small = [linearize(r) for r in relations if len(r.ids) <= 10][:200]
+    assert len(small) == 200
+    pairs = differential_pairs() + small
+    both = 0
+    for p in pairs:
+        e, v = p.edge_dim, p.vertex_dim
+        # integer elimination, as `reference_normal_rank` is too slow here
+        sampled = max(rank_of_rows([{j: m.get(j, 0) + t * n.get(j, 0) for j in m.keys() | n.keys()}
+                                    for m, n in p.rows]) for t in range(min(e, v) + 1))
+        assert normal_rank(p) == sampled, p
+        report = analyze(p)
+        if max(report.left_minimal_indices, default=0) and max(report.right_minimal_indices,
+                                                               default=0):
+            both += 1
+    assert both >= 5
+    two_at_sample = parse_pair_file("1 1\n-2\n1\n")
+    assert normal_rank(two_at_sample) == 1
+    assert minimal_indices_left(two_at_sample) == ()
+
+
+def test_no_stage_changes_the_integer_rows(g1, g2, g3, g4):
+    # `rank_of_rows` copies each row before `Echelon.add` takes it over, and
+    # every other stage builds new rows from `p.rows`
+    pairs = [parse_pair_file((DATA / "pair_ztz1.txt").read_text())]
+    pairs += [linearize(g) for g in (g1, g2, g3, g4)] + differential_pairs()
+    for p in pairs:
+        before = copy.deepcopy(p.rows)
+        oracle_invariants(p)
+        assert p.rows == before, p
 
 
 def test_kernel_meet_dim_examples(g1, g2):
@@ -382,6 +444,12 @@ def differential_pairs():
         for family, n in (("zt", 2), ("tz", 3), ("t", 1), ("ztz", 2)):
             pairs.append(direct_sum(reg, canonical_pair(family, n)))
     pairs += [linearize(cycles_graph((24,))), linearize(cycles_graph((6, 10, 15), 3))]
+    # X - 2 alone and beside ztz[1] and t[1]: M + 2N loses rank, so the
+    # normal rank's one sample sits on an eigenvalue and the left nullity
+    # sequence runs to its cap
+    two_at_sample = parse_pair_file("1 1\n-2\n1\n")
+    pairs += [two_at_sample, direct_sum(direct_sum(two_at_sample, canonical_pair("ztz", 1)),
+                                        canonical_pair("t", 1))]
     return pairs
 
 
@@ -442,7 +510,7 @@ def test_echelon_rank_after_every_row():
         for i, row in enumerate(rows):
             echelon.add(primitive(row))
             prefix = rows[:i + 1]
-            assert echelon.rank == rank_of_rows(prefix)
+            assert echelon.rank == integer_rank(prefix)
             assert echelon.rank == fraction_rank(
                 [[row.get(j, 0) for j in range(width)] for row in prefix])
 
