@@ -6,7 +6,13 @@ or a failed cross-check, 2 usage or parse error, or a matrix pair the oracle
 cannot factor, 3 internal consistency error, 141 the reader closed the output
 pipe early (128 + SIGPIPE, as a shell reports it).  With --json all output is
 a single JSON document with sorted keys, byte-stable for a given input and
-version.
+version, written by `json_text`.
+
+Graph commands load only the contraction route.  The oracle side
+(`linearize`, `oracle`, and through it `smith` and `echelon`) runs only for
+`oracle` and `fuzz`: the package registers `linearize` and `oracle` in
+`sys.modules` as lazy modules, which compile on first attribute access, and
+this module calls them as `_linearize.<name>` and `_oracle.<name>`.
 """
 
 from __future__ import annotations
@@ -14,25 +20,28 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from . import __version__
+from . import __version__, _lazy_submodule
 from .contraction import (ContractionDiagram, StabilizationShapeError, gamma_table,
                           iterated_contraction)
 from .invariants import (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
                          analyze_graph, decide_equiv, diagram_cells, full_invariants,
                          gamma_content, record_to_json)
-from .linearize import linearize, parse_pair_file
-from .oracle import DimensionMismatch, OracleFactorError, compare, oracle_invariants
 from .parsing import ParseError, dot_id, parse_graph, serialize
 from .relation import BinaryRelation, GraphError, MultiDigraph, reduce as reduce_graph
 
+_linearize = _lazy_submodule("linearize")
+_oracle = _lazy_submodule("oracle")
+
+# the oracle's DimensionMismatch is an AssertionError, and its
+# OracleFactorError a ValueError, so main catches both without loading it
 _INTERNAL_ERRORS = (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
-                    StabilizationShapeError, DimensionMismatch, AssertionError)
+                    StabilizationShapeError, AssertionError)
 
 _GOLDEN_RATIO_STEP = 0x9E3779B97F4A7C15  # odd, so trial seeds cover Z/2^64
 
@@ -53,7 +62,43 @@ def _load_graph(path: str, args) -> MultiDigraph:
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json_text(doc))
+
+
+def json_text(doc, newline: str = "\n") -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte, for the
+    values a document holds: str, int, bool, None, and lists, tuples and
+    str-keyed dicts of them; anything else raises TypeError.  `newline` is
+    the line break and indent that close the value.  With an indent,
+    CPython's json runs its pure-Python encoder; this writer quotes strings
+    with the same C function and joins the long label and pair lists of a
+    large graph in one step."""
+    if isinstance(doc, str):
+        return _quote(doc)
+    if doc is None or doc is True or doc is False:
+        return "null" if doc is None else "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    inner = newline + "  "
+    if isinstance(doc, (list, tuple)):
+        brackets = "[]"
+        if all(type(x) is str for x in doc):
+            items = map(_quote, doc)
+        elif all(type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is str
+                 for x in doc):
+            pair = "," + inner + "  "
+            items = (f"[{inner}  {_quote(a)}{pair}{_quote(b)}{inner}]" for a, b in doc)
+        else:
+            items = (json_text(x, inner) for x in doc)
+    elif isinstance(doc, dict):
+        brackets = "{}"
+        items = (f"{_quote(key)}: {json_text(value, inner)}"
+                 for key, value in sorted(doc.items()))
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    if not doc:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _gamma_json(d: ContractionDiagram) -> dict:
@@ -191,8 +236,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.matrix:
-        pair = parse_pair_file(_read(args.path))
-        rec = oracle_invariants(pair)
+        pair = _linearize.parse_pair_file(_read(args.path))
+        rec = _oracle.oracle_invariants(pair)
         if args.json:
             _emit_json({
                 "record": record_to_json(rec, pair.edge_dim, pair.vertex_dim),
@@ -204,8 +249,8 @@ def _cmd_oracle(args) -> int:
         return 0
     g = _load_graph(args.path, args)
     combinatorial = full_invariants(g)
-    oracle_rec = oracle_invariants(linearize(g))
-    diffs = compare(combinatorial, oracle_rec)
+    oracle_rec = _oracle.oracle_invariants(_linearize.linearize(g))
+    diffs = _oracle.compare(combinatorial, oracle_rec)
     if args.json:
         _emit_json({
             "combinatorial": record_to_json(combinatorial, g.edge_count, g.vertex_count),
@@ -249,7 +294,8 @@ def run_fuzz(seed: int, count: int, vertices: int, edge_prob: Fraction):
         child = trial_seed(seed, trial)
         rng = random.Random(child)
         rel = random_relation(rng, vertices, edge_prob)
-        diffs = compare(full_invariants(rel), oracle_invariants(linearize(rel)))
+        diffs = _oracle.compare(full_invariants(rel),
+                               _oracle.oracle_invariants(_linearize.linearize(rel)))
         if diffs:
             failures += 1
             if first_seed is None:
@@ -381,7 +427,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (_Usage, ParseError, GraphError, ValueError, OracleFactorError) as exc:
+    except (_Usage, ParseError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _INTERNAL_ERRORS as exc:

@@ -17,7 +17,8 @@ sparse integer matrices built from M and N:
     n at each pencil eigenvalue X = -zeta, zeta a primitive d-th root of
     unity.  Ranks of M - zeta*N, lifted to Q by the companion matrix of
     Phi_d, count those blocks for d = 1, 2, ... until they account for the
-    regular degree; a rank modulo a prime rules most d out first.
+    regular degree; from d = 2 on, a rank modulo a prime rules most d out
+    first.
 
 Each rank comes from fraction-free elimination on the pair's integer rows,
 `PairMatrices.rows`, built once per pair; the column side reads their sparse
@@ -46,9 +47,10 @@ from .ratpoly import Poly
 from .smith import OracleFactorError, factor_stored, invariant_factors, pencil_matrix
 
 
-class DimensionMismatch(RuntimeError):
+class DimensionMismatch(RuntimeError, AssertionError):
     """The record, or the cyclotomic scan behind its regular part, does not
-    account for the matrix dimensions exactly."""
+    account for the matrix dimensions exactly.  An AssertionError too: a
+    failed internal check, which the CLI reports with exit 3."""
 
 
 def _shifted(row: SparseRow, offset: int) -> SparseRow:
@@ -242,8 +244,11 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
     leave part of the regular `degree` unaccounted for.
 
     First, one lifted rank per d counts the blocks at d: phi(d) times their
-    number is rank*phi(d) minus the rank of the lift of M - zeta_d*N.  The
-    scan runs while phi(d) fits in the degree not yet counted, up to the
+    number is rank*phi(d) minus the rank of the lift of M - zeta_d*N.  For
+    d >= 2 a rank modulo a prime screens d first.  At d = 1 the lift is
+    M - N itself, so the screen would cost as much as the rank, and on a
+    graph pair with a cycle X - 1 always divides, so it would never clear.
+    The scan runs while phi(d) fits in the degree not yet counted, up to the
     bound 2*deg^2 + 6 past which phi(d) > deg.  If phi(d) times the counts
     fills the degree, every block has size 1, as it always does for graphs
     (X^k - 1 is squarefree).  Otherwise the lifted local type gives the
@@ -259,7 +264,7 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
     d = 1
     while left > 0 and d <= 2 * left * left + 6:
         phi = rp.totient(d)
-        if phi <= left and not _screen_clears(rows, rank, d):
+        if phi <= left and (d == 1 or not _screen_clears(rows, rank, d)):
             count, rest = divmod(phi * rank - rank_of_rows(_lift(rows, d)), phi)
             if rest or count < 0:
                 raise AssertionError(f"lifted rank at d={d} is not a multiple of phi(d)")

@@ -15,9 +15,10 @@ from . import ratpoly as rp
 from .ratpoly import Poly
 
 
-class OracleFactorError(RuntimeError):
+class OracleFactorError(RuntimeError, ValueError):
     """An invariant factor has a non-cyclotomic irreducible part of degree
-    above one; cannot happen for graph-derived pairs."""
+    above one; cannot happen for graph-derived pairs.  A ValueError too: it
+    rejects the input, and the CLI says so with exit 2."""
 
 
 def pencil_matrix(first, second, e: int, v: int) -> list[list[Poly]]:

@@ -3,6 +3,7 @@ import json
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +332,25 @@ def test_oracle_matrix_unfactorable_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (oracle.DimensionMismatch, 3, "internal error: DimensionMismatch: "),
+    (oracle.OracleFactorError, 2, "error: "),
+], ids=["DimensionMismatch", "OracleFactorError"])
+def test_oracle_errors_exit_by_their_base_class(monkeypatch, capsys, g4_file, error, code,
+                                                prefix):
+    # main names neither class: DimensionMismatch is caught as an
+    # AssertionError and OracleFactorError as a ValueError
+    def fail(p):
+        raise error("seen in the test")
+
+    monkeypatch.setattr(oracle, "oracle_invariants", fail)
+    for argv in (["oracle", g4_file], ["fuzz", "--count", "1"]):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err == prefix + "seen in the test\n"
+
+
 def test_closed_output_pipe_exits_cleanly(monkeypatch, tmp_path):
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -457,6 +477,28 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, cou
         assert left == (1 if oracle.normal_rank(p) < p.edge_dim else 0), p
 
 
+
+@pytest.mark.parametrize("argv", [["oracle", "g4"], ["fuzz", "--count", "3"],
+                                  ["oracle", "two-cycle"]],
+                         ids=["oracle-g4", "fuzz-3", "oracle-two-cycle"])
+def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file, argv):
+    # at d = 1 the lift is M - N itself, as large as the screen's
+    # elimination, so the lifted rank runs unscreened
+    two_cycle = tmp_path / "two-cycle.edges"
+    two_cycle.write_text("a b\nb a\n")
+    screened, lifted = [], []
+    screen, lift = oracle._screen_clears, oracle._lift
+    monkeypatch.setattr(oracle, "_screen_clears",
+                        lambda rows, rank, d: screened.append(d) or screen(rows, rank, d))
+    monkeypatch.setattr(oracle, "_lift", lambda rows, d: lifted.append(d) or lift(rows, d))
+    files = {"g4": g4_file, "two-cycle": str(two_cycle)}
+    assert run(capsys, *[files.get(arg, arg) for arg in argv])[0] == 0
+    assert 1 not in screened
+    assert 1 in lifted
+    if "two-cycle" in argv:  # X^2 - 1 puts d = 2 in the scan, behind the screen
+        assert screened == [2] and lifted == [1, 2]
+
+
 def test_dot_format_flag(capsys, tmp_path):
     path = tmp_path / "g.dot"
     path.write_text("digraph { a -> b; b -> c; }\n")
@@ -521,3 +563,45 @@ def test_fuzz_json(capsys):
     doc = json.loads(out)
     assert doc["trials"] == 4 and doc["failures"] == 0
     assert doc["first_failing_seed"] is None
+
+
+def _json_documents(monkeypatch, capsys, argvs) -> list:
+    docs = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda doc: docs.append(doc) or emit(doc))
+    for argv in argvs:
+        run(capsys, *argv, "--json")
+    monkeypatch.undo()
+    return docs
+
+
+def test_json_text_matches_json_dumps(monkeypatch, capsys, tmp_path, g1_file, g2_file,
+                                      g4_file):
+    pair = Path(__file__).resolve().parent.parent / "demos" / "data" / "pair_ztz1.txt"
+    odd = tmp_path / "odd.edges"
+    # non-ASCII, a quote, a backslash and control characters in labels, and
+    # an isolated vertex
+    odd.write_text('caf\u00e9 "q"\nb\\s \u2603\n\u00e9\x01\x7f x\nvertex lone\n')
+    argvs = [[command, path] for path in (g1_file, g2_file, g4_file, str(odd))
+             for command in ("reduce", "contract", "diagram", "invariants", "oracle")]
+    argvs += [["contract", g4_file, "--left", "2", "--right", "1"],
+              ["oracle", str(pair), "--matrix"], ["equiv", g1_file, g2_file],
+              ["equiv", g4_file, g4_file], ["fuzz", "--count", "2"],
+              ["fuzz", "--count", "3", "--edge-prob", "1"]]
+    docs = _json_documents(monkeypatch, capsys, argvs)
+    assert len(docs) == len(argvs)
+    docs += [
+        {}, [], {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        ["", "\x00\x1f\x7f", "\"\\/", "\u00e9\u2603\U0001f600", "\ud800"],
+        [["a", "b"], ["\u00e9", "\n"]], [["a", "b"], ["c"]], [["a", 1]], [("a", "b")],
+        {"z": None, "y": True, "x": False, "w": -12, "v": 10**30, "\u00e9": [1, [2, [3]]]},
+        [True, False, None, 0, "s", ["t", "u"]],
+    ]
+    for doc in docs:
+        assert cli.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+
+
+@pytest.mark.parametrize("doc", [1.5, {1: 2}, {"a": {3}}, [Fraction(1, 2)], b"x"])
+def test_json_text_rejects_other_values(doc):
+    with pytest.raises(TypeError):
+        cli.json_text(doc)
