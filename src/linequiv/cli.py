@@ -171,11 +171,8 @@ def _diagram_lines(d: ContractionDiagram, extra_band: int) -> list[str]:
     lines = []
     s_max = 2 * (d.horizon + extra_band) + 2
     for s in range(s_max + 1):
-        row = [f"({m},{n}): {d.value(m, n)}"
-               for m in range(s + 1)
-               if ContractionDiagram.is_suitable(m, n := s - m)]
-        if row:
-            lines.append("  ".join(row))
+        lines.append("  ".join(f"({m},{n}): {d.value(m, n)}"
+                               for m, n in ContractionDiagram.antidiagonal(s)))
     lines.append(f"stable value {d.stable_value} from min(m,n) >= {d.horizon}")
     for k in range(1, d.horizon + 2):
         cells = []

@@ -21,14 +21,17 @@ of those classes and the entries its merges rename, not the size of the
 relation.
 
 gamma_table runs two alternating chains, one after the other so that one
-quotient is alive at a time, and the table is what they counted.  The
-left-first chain gives gamma at (k, k), (k + 1, k) and, by a probe that
-counts a step's merges without making them, (k + 2, k); its fixpoint is the
-stable relation.  The right-first chain gives (k, k + 1) and (k, k + 2).  A
-chain stops only after two idle steps, so it ends at the fixpoint; every
-suitable point it did not pass lies beyond that end, and contracting a
-fixpoint changes nothing, so the point takes the stable value.  The record
-formulas read this table through the diagram cells of invariants.py.
+quotient is alive at a time, and stores the band as its five diagonals
+m - n = -2 .. 2, each a list indexed by min(m, n) that a chain appends to
+as it goes.  The left-first chain gives the diagonals 0, 1 and, by a probe
+that counts a step's merges without making them, 2; its fixpoint is the
+stable relation.  The right-first chain gives -1 and -2, and counts the
+main diagonal a second time: the two counts must agree, as must the two
+fixpoints.  A chain stops only after two idle steps, so it ends at the
+fixpoint; every suitable point it did not pass lies beyond that end, and
+contracting a fixpoint changes nothing, so the point takes the stable
+value.  The record formulas read the diagonals through the diagram cells
+of invariants.py.
 
 A contraction's result is an array of class ids, the classes numbered in
 the order of their first vertex, which is the canonical order of a
@@ -44,7 +47,8 @@ StabilizationShapeError, which would signal a bug, not bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .relation import BinaryRelation, GraphError
 
@@ -230,22 +234,22 @@ class _Quotient:
         return [number.setdefault(_find(parent, v), len(number)) for v in range(len(parent))]
 
 
-def _chain(r: BinaryRelation, side: int) -> tuple[dict[tuple[int, int], int], int, list[int]]:
+def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, list[int]]:
     """Contract in rounds, one step on side then one on the other, until
-    two steps in a row merge nothing.  Returns the class count at every
-    (i, j) passed, i steps on side and j on the other, and at each (j + 2, j)
-    by a probe; the rounds before the fixpoint; and the fixpoint's classes."""
+    two steps in a row merge nothing.  Returns three lists indexed by the
+    round j: the class count after j steps on each side, after j + 1 on side
+    and j on the other, and by a probe after j + 2 and j; then the rounds
+    before the fixpoint, and the fixpoint's classes."""
     q = _Quotient(r)
-    gamma = {(0, 0): q.count}
-    j = idle = 0
+    same, one, two = [q.count], [], []
+    idle = 0
     while idle < 2:
         idle = 0 if q.step(side) else idle + 1
-        gamma[j + 1, j] = q.count
-        gamma[j + 2, j] = q.count - q.probe(side)
+        one.append(q.count)
+        two.append(q.count - q.probe(side))
         idle = 0 if q.step(1 - side) else idle + 1
-        j += 1
-        gamma[j, j] = q.count
-    return gamma, j - 1, q.classes()
+        same.append(q.count)
+    return (same, one, two), len(one) - 1, q.classes()
 
 
 # -- public operations -------------------------------------------------------
@@ -346,53 +350,100 @@ def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
     return classify_stable(stable), stable, rounds
 
 
+# the point (m, n) at index 0 of each diagonal m - n = -2 .. 2
+_FIRST_POINTS = ((0, 2), (0, 1), (0, 0), (1, 0), (2, 0))
+
+
+def _trim(diagonal: tuple[int, ...], stable_value: int) -> tuple[int, ...]:
+    """A diagonal without its tail of stable values."""
+    end = len(diagonal)
+    while end and diagonal[end - 1] == stable_value:
+        end -= 1
+    return diagonal[:end]
+
+
 @dataclass(frozen=True)
 class ContractionDiagram:
-    """Class counts gamma(m, n) on the suitable band |m - n| <= 2.
+    """Class counts gamma(m, n) on the suitable band |m - n| <= 2, stored as
+    its five diagonals.
 
-    gamma holds the count at every point the two chains of gamma_table
-    passed, and band_end is the largest m + n among them.  Every other
-    suitable point lies beyond a chain's fixpoint and takes stable_value.
-    horizon is the least D with gamma constant on suitable points having
-    min(m, n) >= D.  stable and depth are the fully contracted relation and
-    the number of left-then-right rounds that reach it, as `stabilize`
-    returns them.
+    diagonals[o + 2][i] is gamma at m - n = o and min(m, n) = i, for every
+    point the two chains of gamma_table passed: o = 0, 1, 2 from the
+    left-first chain, o = -1, -2 from the right-first one, and the main
+    diagonal from whichever went further, once the two agreed on it.  Every
+    other suitable point lies beyond a chain's fixpoint and takes
+    stable_value.  horizon is the least D with gamma constant on suitable
+    points having min(m, n) >= D, and band_end the largest m + n of a stored
+    point; gamma maps each stored point (m, n) to its count.  stable and
+    depth are the fully contracted relation and the number of
+    left-then-right rounds that reach it, as `stabilize` returns them.
     """
 
-    gamma: dict[tuple[int, int], int]
+    diagonals: tuple[tuple[int, ...], ...]
     stable_value: int
-    horizon: int
-    band_end: int
     stable: BinaryRelation
     depth: int
+    horizon: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "horizon", max(map(len, self.signature()[1])))
 
     @staticmethod
     def is_suitable(m: int, n: int) -> bool:
         return m >= 0 and n >= 0 and abs(m - n) <= 2
 
+    @staticmethod
+    def antidiagonal(s: int) -> list[tuple[int, int]]:
+        """The suitable points with m + n = s, in increasing m."""
+        reach = min(s, 2)
+        return [((s + o) // 2, (s - o) // 2)
+                for o in range(-reach, reach + 1) if (s + o) % 2 == 0]
+
     def value(self, m: int, n: int) -> int:
         if not self.is_suitable(m, n):
             raise ValueError(f"({m}, {n}) is not a suitable lattice point")
-        return self.gamma.get((m, n), self.stable_value)
+        diagonal, i = self.diagonals[m - n + 2], min(m, n)
+        return diagonal[i] if i < len(diagonal) else self.stable_value
+
+    def _stored(self):
+        """((m, n), gamma) for every stored point, diagonal by diagonal."""
+        return (((m + i, n + i), g) for (m, n), diagonal in zip(_FIRST_POINTS, self.diagonals)
+                for i, g in enumerate(diagonal))
+
+    @property
+    def gamma(self) -> MappingProxyType[tuple[int, int], int]:
+        """gamma at every stored point, keyed by (m, n); read-only."""
+        return MappingProxyType(dict(self._stored()))
+
+    @property
+    def band_end(self) -> int:
+        return max(m + n + 2 * len(diagonal) - 2
+                   for (m, n), diagonal in zip(_FIRST_POINTS, self.diagonals) if diagonal)
 
     def nonstable_points(self) -> dict[tuple[int, int], int]:
-        return {p: g for p, g in sorted(self.gamma.items()) if g != self.stable_value}
+        stable_value = self.stable_value
+        return dict(sorted(point for point in self._stored() if point[1] != stable_value))
 
     def signature(self) -> tuple:
         """Equal signatures iff the gamma functions agree on every suitable
-        point."""
-        return (self.stable_value, tuple(sorted(self.nonstable_points().items())))
+        point: the stable value and each diagonal without its stable tail."""
+        return (self.stable_value,
+                tuple(_trim(diagonal, self.stable_value) for diagonal in self.diagonals))
 
 
 def gamma_table(r: BinaryRelation) -> ContractionDiagram:
-    """Tabulate gamma over the suitable band: the counts of the left-first
-    chain and, transposed, of the right-first chain."""
-    gamma, depth, final = _chain(r, _SIDE["l"])
-    right, _, right_final = _chain(r, _SIDE["r"])
+    """Tabulate gamma over the suitable band: the diagonals m - n = 0, 1, 2
+    from the left-first chain and m - n = -1, -2 from the right-first one.
+    Both chains count gamma(k, k) and must agree on it and on their fixpoint."""
+    (same, left_one, left_two), depth, final = _chain(r, _SIDE["l"])
+    (right_same, right_one, right_two), _, right_final = _chain(r, _SIDE["r"])
     if right_final != final:
         raise AssertionError("the left-first and right-first chains reach different fixpoints")
-    gamma.update(((n, m), g) for (m, n), g in right.items())
+    common = min(len(same), len(right_same))
+    if same[:common] != right_same[:common]:
+        raise AssertionError("the left-first and right-first chains count different gamma(k, k)")
+    if len(right_same) > len(same):
+        same = right_same
     stable = _quotient(r, final)
-    stable_value = stable.vertex_count
-    horizon = max((1 + min(p) for p, g in gamma.items() if g != stable_value), default=0)
-    return ContractionDiagram(gamma, stable_value, horizon, max(map(sum, gamma)), stable, depth)
+    diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
+    return ContractionDiagram(diagonals, stable.vertex_count, stable, depth)

@@ -165,8 +165,11 @@ _CELLS = (
     ("D{}'", "zt", (1, 0), (("a", 1, -1), ("a2", -1, 0), ("b", 0, 0), ("b2", 0, -1))),
 )
 _SIGN = {"a": 1, "a2": 1, "c": 1, "b": -1, "b2": -1, "d": -1}
-# the same cells as signed corner offsets (m - k, n - k, sign)
-_SIGNED = tuple(tuple((dm, dn, _SIGN[role]) for role, dm, dn in corners)
+# the same cells as slices of the diagonals padded to horizon + 3: each
+# corner as (diagonal m - n + 2, start min(m, n) - k + 1), the two with sign
+# + first; the slice of length horizon + 1 from there reads k = 1 ..
+_SLICES = tuple(tuple((dm - dn + 2, 1 + min(dm, dn))
+                      for _, dm, dn in sorted(corners, key=lambda c: -_SIGN[c[0]]))
                 for *_, corners in _CELLS)
 
 
@@ -208,13 +211,14 @@ def part_one(d: ContractionDiagram) -> tuple[MultMap, MultMap, MultMap]:
     Every corner of a cell with a larger index has min(m, n) > horizon, so
     such a cell reads only stable values and its content vanishes.
     """
-    # every corner is suitable, so read gamma as d.value does, without its check
-    get, stable = d.gamma.get, d.stable_value
+    count, stable = d.horizon + 1, d.stable_value
+    padded = [diagonal[:count + 2] + (stable,) * (count + 2 - len(diagonal))
+              for diagonal in d.diagonals]
+    contents = ([a + a2 - b - b2 for a, a2, b, b2 in
+                 zip(*[padded[o][start:start + count] for o, start in cell])]
+                for cell in _SLICES)
     zt, tz, ztz = {}, {}, {}
-    for k in range(1, d.horizon + 2):
-        a, b, b2, c, c2, dk, dk2 = (
-            sum(sign * get((k + dm, k + dn), stable) for dm, dn, sign in cell)
-            for cell in _SIGNED)
+    for k, a, b, b2, c, c2, dk, dk2 in zip(range(1, count + 1), *contents):
         if a < 0:
             raise NegativeMultiplicity(f"ztz[{2 * k - 1}] = {a}")
         ztz[2 * k - 1], ztz[2 * k] = a, _dual("ztz", 2 * k, b, b2)
@@ -304,11 +308,9 @@ class EquivVerdict:
 
 
 def _first_gamma_difference(da: ContractionDiagram, db: ContractionDiagram) -> str:
-    bound = max(da.band_end, db.band_end) + 3
-    for s in range(bound + 1):
-        for m in range(s + 1):
-            n = s - m
-            if ContractionDiagram.is_suitable(m, n) and da.value(m, n) != db.value(m, n):
+    for s in range(max(da.band_end, db.band_end) + 4):
+        for m, n in ContractionDiagram.antidiagonal(s):
+            if da.value(m, n) != db.value(m, n):
                 return f"gamma[{m},{n}]: {da.value(m, n)} != {db.value(m, n)}"
     raise AssertionError("gamma signatures differ but no differing point found")
 

@@ -201,6 +201,51 @@ def test_diagram_max_band(capsys, g1_file):
     assert len(wide.splitlines()) > len(narrow.splitlines())
 
 
+def test_diagram_max_band_reads_only_suitable_points(monkeypatch, capsys, tmp_path):
+    # rows walk the at most five suitable points of each antidiagonal, so
+    # neither value nor is_suitable is called for every m in 0..s
+    path = tmp_path / "tail.edges"
+    path.write_text("a b\nb c\nc c\n")
+    calls = Counter()
+    diagram = contraction.ContractionDiagram
+    value, is_suitable = diagram.value, diagram.is_suitable
+
+    def counted_value(self, m, n):
+        calls["value"] += 1
+        return value(self, m, n)
+
+    def counted_is_suitable(m, n):
+        calls["is_suitable"] += 1
+        return is_suitable(m, n)
+
+    monkeypatch.setattr(diagram, "value", counted_value)
+    monkeypatch.setattr(diagram, "is_suitable", staticmethod(counted_is_suitable))
+    code, out, _ = run(capsys, "diagram", str(path), "--max-band", "1000")
+    tail = graphs.BinaryRelation(tuple("abc"), frozenset({("a", "b"), ("b", "c"), ("c", "c")}))
+    horizon = contraction.gamma_table(tail).horizon
+    s_max = 2 * (horizon + 1000) + 2
+    assert code == 0 and len(out.splitlines()) == s_max + 1 + 1 + horizon + 1
+    assert 0 < calls["value"] <= 5 * (s_max + 1)
+    assert calls["is_suitable"] <= 5 * (s_max + 1)
+
+
+def test_chains_must_agree_on_the_main_diagonal(monkeypatch, capsys, g4_file):
+    chain = contraction._chain
+
+    def perturbed(r, side):
+        (same, one, two), depth, final = chain(r, side)
+        if side == contraction._SIDE["r"]:
+            same[1] += 1
+        return (same, one, two), depth, final
+
+    monkeypatch.setattr(contraction, "_chain", perturbed)
+    with pytest.raises(AssertionError, match=r"gamma\(k, k\)"):
+        contraction.gamma_table(relation(braided()))
+    code, out, err = run(capsys, "invariants", g4_file)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: AssertionError: ") and "gamma(k, k)" in err
+
+
 def test_diagram_negative_max_band_is_usage_error(capsys, g1_file):
     code, out, err = run(capsys, "diagram", g1_file, "--max-band", "-9")
     assert code == 2 and out == ""

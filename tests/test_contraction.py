@@ -6,8 +6,9 @@ import pytest
 from linequiv import (BinaryRelation, StabilizationShapeError, classify_stable,
                       converse, gamma_table, iterated_contraction, left_partition,
                       quotient, right_partition, stabilize)
-from linequiv.contraction import (Partition, StableShape, class_label,
+from linequiv.contraction import (ContractionDiagram, Partition, StableShape, class_label,
                                   contraction_sequence)
+from linequiv.invariants import diagram_cells, gamma_content, part_one
 from linequiv.parsing import parse_graph
 from linequiv.relation import GraphError, reduce
 
@@ -412,3 +413,33 @@ def test_contractions_match_definition(reference_inputs):
             assert iterated_contraction(r, m, n)[1] == naive_partition(r, "r" * n + "l" * m)
         assert left_partition(r) == naive_partition(r, "l")
         assert right_partition(r) == naive_partition(r, "r")
+
+
+def test_part_one_matches_the_cell_reader(reference_inputs):
+    # part_one reads the cells as slices of the padded diagonals;
+    # gamma_content reads each corner through value, point by point
+    for r in reference_inputs:
+        d = gamma_table(r)
+        mult = dict(zip(("zt", "tz", "ztz"), part_one(d)))
+        for k in range(1, d.horizon + 2):
+            for name, family, index, corners in diagram_cells(k):
+                assert mult[family].get(index, 0) == gamma_content(d, corners), \
+                    (sorted(r.pairs), name)
+
+
+def test_diagonals_hold_the_stored_points(reference_inputs):
+    for r in reference_inputs:
+        d = gamma_table(r)
+        assert len(d.diagonals) == 5
+        for o, diagonal in enumerate(d.diagonals, -2):
+            for i, g in enumerate(diagonal):
+                m, n = (i + o, i) if o >= 0 else (i, i - o)
+                assert d.gamma[m, n] == g == d.value(m, n)
+        assert sum(map(len, d.diagonals)) == len(d.gamma)
+
+
+def test_antidiagonal_lists_the_suitable_points_in_order():
+    for s in range(12):
+        expected = [(m, s - m) for m in range(s + 1)
+                    if ContractionDiagram.is_suitable(m, s - m)]
+        assert ContractionDiagram.antidiagonal(s) == expected

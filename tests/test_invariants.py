@@ -15,6 +15,7 @@ test_oracle.py / the acceptance suite).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -215,6 +216,30 @@ def test_decide_equiv_isolated_vertex(g2):
     assert not verdict.equivalent
     assert verdict.reason == "gamma[0,0]: 2 != 3"
     assert full_invariants(padded).t == {0: 1}
+
+
+def test_decide_equiv_reason_deep_in_the_band():
+    # Y(64, 64) and Y(63, 65) first differ on the diagonal m - n = -2
+    verdict = decide_equiv(spider((64, 64)), spider((63, 65)))
+    assert verdict.reason == "gamma[62,64]: 65 != 66"
+    r = seeded_relation("toggle:531", max_vertices=9, prob=Fraction(15, 100))
+    toggled = BinaryRelation(r.vertices, r.pairs ^ {("v2", "v7")})
+    assert decide_equiv(r, toggled).reason == "gamma[1,3]: 2 != 1"
+
+
+def test_signature_equal_iff_gamma_agrees_everywhere():
+    diagrams = [gamma_table(seeded_relation(f"signature:{i}", max_vertices=4))
+                for i in range(40)]
+    equal_pairs = 0
+    for da in diagrams:
+        for db in diagrams:
+            end = max(da.band_end, db.band_end) + 4
+            agree = all(da.value(m, n) == db.value(m, n)
+                        for m in range(end + 1) for n in range(end + 1 - m)
+                        if da.is_suitable(m, n))
+            assert (da.signature() == db.signature()) == agree
+            equal_pairs += agree
+    assert equal_pairs > len(diagrams)
 
 
 def test_decide_equiv_edge_count_tiebreak(g4):
