@@ -21,9 +21,15 @@ sparse integer matrices built from M and N:
     first.
 
 Each rank comes from fraction-free elimination on the pair's integer rows,
-`PairMatrices.rows`, built once per pair; the column side reads their sparse
-transpose.  A sequence of ranks over k grows one elimination instead of
-restarting it.  Nothing touches floating point.
+`PairMatrices.rows`, built once per pair.  One elimination of the rows of
+[M N] gives a row basis of at most 2v rows (`_row_basis`), and the sample,
+the row-side nullity sequence and the roots of unity read it instead of the
+e rows: each of their matrices has a row space that is a sum of linear
+images of rowspace([M N]), so any basis of that space spans it too, and
+only the counts k*e of the nullities read e.  The column side reads a
+basis of the sparse transpose the same way for its nullity sequence; the
+local types read the columns themselves.  A sequence of ranks over k grows
+one elimination instead of restarting it.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -77,26 +83,39 @@ def _pencil_rows(rows, c: int) -> list[SparseRow]:
     return [{j: m.get(j, 0) + c * n.get(j, 0) for j in m.keys() | n.keys()} for m, n in rows]
 
 
+def _row_basis(rows, v: int) -> list[tuple[SparseRow, SparseRow]]:
+    """A basis of R = rowspace([M N]) for the rows (m, n) of a pair with v
+    columns: the pivot rows of one elimination of the rows of [M N], split
+    back into pairs (m, n).  At most 2v rows, however many rows come in."""
+    echelon = Echelon()
+    for m, n in rows:
+        echelon.add({**m, **_shifted(n, v)})
+    return [({j: x for j, x in row.items() if j < v}, {j - v: x for j, x in row.items() if j >= v})
+            for row in echelon.pivots.values()]
+
+
 def kernel_meet_dim(p: PairMatrices) -> int:
     """Dimension of the joint row kernel {x : xM = 0 and xN = 0}; equals
     ztz[0] of the pair."""
-    v = p.vertex_dim
-    return p.edge_dim - rank_of_rows({**m, **_shifted(n, v)} for m, n in p.rows)
+    return p.edge_dim - len(_row_basis(p.rows, p.vertex_dim))
 
 
-def _solution_space_dims(rows, e: int, v: int, total: int) -> list[int]:
+def _solution_space_dims(basis, e: int, v: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
-    = 0, for the e rows (m, n) of a pair with v columns and k = 0..; stops
-    once an increment reaches `total`, or at k = min(e, v) + 2.  Block k - 1
-    of rows only adds rows to the matrix of f(k - 1), so one elimination
-    serves every k."""
+    = 0, for a pair of e rows and v columns whose [M N] has the row basis
+    `basis`, and k = 0..; stops once an increment reaches `total`, or at
+    k = min(e, v) + 2.
+
+    f(k) = k*e - rank T_k, where row block j < k of T_k is [M N] at column
+    blocks j and j + 1.  So rowspace(T_k) is the sum of the row spaces of
+    [M N] shifted by j*v, and the basis shifted block by block spans it as
+    the e rows do; only k*e counts the rows themselves.  Block k - 1 only
+    adds rows to T_(k-1), so one elimination serves every k."""
     echelon = Echelon()
     f = [0]
     for k in range(1, min(e, v) + 3):
-        for m, n in rows:
-            block_row = {**_shifted(m, (k - 1) * v), **_shifted(n, k * v)}
-            if block_row:
-                echelon.add(block_row)
+        for m, n in basis:
+            echelon.add({**_shifted(m, (k - 1) * v), **_shifted(n, k * v)})
         f.append(k * e - echelon.rank)
         if f[-1] - f[-2] == total:
             break
@@ -117,15 +136,22 @@ def _indices(f: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def minimal_indices_left(p: PairMatrices) -> tuple[int, ...]:
+def minimal_indices_left(p: PairMatrices,
+                         basis: list[tuple[SparseRow, SparseRow]] | None = None) -> tuple[int, ...]:
     """Degrees of a minimal basis of polynomial row solutions of
     x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
-    also certifies the normal rank; see `normal_rank`."""
+    also certifies the normal rank; see `normal_rank`.  Both read `basis`,
+    the row basis of [M N] (computed when not handed in), not the e rows:
+    the rows of M + 2N are their images under (x, y) -> x + 2y, so the
+    basis's images span them, and `_solution_space_dims` says why the basis
+    stands in for the rows there."""
     e, v = p.edge_dim, p.vertex_dim
-    sample = rank_of_rows(_pencil_rows(p.rows, 2))
+    if basis is None:
+        basis = _row_basis(p.rows, v)
+    sample = rank_of_rows(_pencil_rows(basis, 2))
     if sample == e:
         return ()
-    f = _solution_space_dims(p.rows, e, v, e - sample)
+    f = _solution_space_dims(basis, e, v, e - sample)
     last = f[-1] - f[-2]
     if last > e - sample or (last < e - sample and last != f[-2] - f[-3]):
         raise AssertionError("row solution dimensions failed to saturate")
@@ -147,13 +173,14 @@ def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
 
 
 def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
-    """Column-side analogue, on the sparse transpose; one t summand per index.
-    The transposed pair has the same normal rank, so `rank` carries over."""
+    """Column-side analogue, on a row basis of the sparse transpose; one t
+    summand per index.  The transposed pair has the same normal rank, so
+    `rank` carries over."""
     e, v = p.edge_dim, p.vertex_dim
     total = v - (normal_rank(p) if rank is None else rank)
     if total == 0:
         return ()
-    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total)
+    f = _solution_space_dims(_row_basis(zip(*_transpose(p)), e), v, e, total)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _indices(f)
@@ -205,10 +232,13 @@ def _local_type(a_cols: list[SparseRow], b_cols: list[SparseRow], e: int,
 
 def _screen_clears(rows, rank: int, d: int) -> bool:
     """True when M - zeta*N has rank `rank` over F_p, for p and zeta from
-    `prime_and_root(d)`.  A rank cannot rise under the ring map
-    Z[zeta_d] -> F_p that sends zeta_d to zeta, and cannot exceed the normal
-    rank, so then M - zeta_d*N has full rank `rank` and -zeta_d is no
-    eigenvalue.  A lower rank proves nothing."""
+    `prime_and_root(d)`, read from integer rows (m, n) that span the same
+    rational row space as those of [M N], such as its row basis.  Their
+    images x - zeta_d*y span the row space of M - zeta_d*N over Q(zeta_d).
+    A rank cannot rise under the ring map Z[zeta_d] -> F_p that sends
+    zeta_d to zeta, and cannot exceed the normal rank, so then M - zeta_d*N
+    has full rank `rank` and -zeta_d is no eigenvalue.  A lower rank proves
+    nothing."""
     p, zeta = prime_and_root(d)
     return rank_mod(_pencil_rows(rows, -zeta), p) == rank
 
@@ -242,6 +272,13 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
     """One (d, n) per Jordan block of size n at the pencil eigenvalues -zeta,
     zeta a primitive d-th root of unity; None when blocks at roots of unity
     leave part of the regular `degree` unaccounted for.
+
+    `rows` are integer rows (m, n) that span rowspace([M N]): the pair's
+    own, or its row basis, which `analyze` passes.  Each lifted row is a
+    fixed Q-linear map of one (m, n), and each row of a lifted T_k a fixed
+    linear map of a lifted row, so every rank below is the same from any
+    spanning rows, and the local type's h(k) = k*rank - rank T_k does not
+    read their number.
 
     First, one lifted rank per d counts the blocks at d: phi(d) times their
     number is rank*phi(d) minus the rank of the lift of M - zeta_d*N.  For
@@ -316,17 +353,18 @@ class OracleReport:
 def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
-    left = minimal_indices_left(p)
+    e, v = p.edge_dim, p.vertex_dim
+    basis = _row_basis(p.rows, v)
+    left = minimal_indices_left(p, basis)
     rank = normal_rank(p, left)
     right = minimal_indices_right(p, rank)
-    e, v = p.edge_dim, p.vertex_dim
     m_cols, n_cols = _transpose(p)
     zt = _local_type(m_cols, n_cols, e, rank)
     tz = _local_type(n_cols, m_cols, e, rank)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise DimensionMismatch(f"singular and nilpotent parts take more than {v} vertices")
-    regular = _cyclotomic_blocks(p.rows, v, rank, degree)
+    regular = _cyclotomic_blocks(basis, v, rank, degree)
     if regular is None:
         finite = _smith_finite_divisors(p)
         if sorted(n for poly, n in finite if poly == rp.X) != sorted(zt):

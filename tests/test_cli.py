@@ -474,17 +474,19 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
 @pytest.mark.parametrize("argv, count", [(["oracle", "g4"], 1), (["fuzz", "--count", "3"], 3)],
                          ids=["oracle-g4", "fuzz-3"])
 def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, count):
-    # the normal rank is one sample of M + c*N, certified by the left block
-    # elimination that the left minimal indices read too, with no rank
-    # [M N] or [M; N] bound; a graph pair's integer rows come from its edge
-    # ids, and the column side transposes those rows, not the Fraction pair
-    pairs = []  # (pair, sample points, rows added per elimination)
+    # the rows of [M N] are eliminated once per pair, into a row basis; the
+    # normal rank's one sample of M + c*N and every block of the left
+    # nullity sequence that certifies it read that basis, not the e rows,
+    # with no rank [M; N] bound; a graph pair's integer rows come from its
+    # edge ids, and the column side transposes those rows, not the Fraction
+    # pair
+    pairs = []  # (pair, rows per sample, eliminations)
 
     class Recorded(echelon.Echelon):
         def __init__(self):
             super().__init__()
             self.added = []
-            pairs[-1][2].append(self.added)
+            pairs[-1][2].append(self)
 
         def add(self, row):
             if row:
@@ -496,7 +498,8 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, cou
     scans, meets, transposed = [], [], []
     monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [])) or analyze(p))
     monkeypatch.setattr(oracle, "_pencil_rows",
-                        lambda rows, c: (c > 0 and pairs[-1][1].append(c)) or pencil(rows, c))
+                        lambda rows, c: (c > 0 and pairs[-1][1].append(len(rows)))
+                        or pencil(rows, c))
     monkeypatch.setattr(oracle, "Echelon", Recorded)
     monkeypatch.setattr(echelon, "Echelon", Recorded)
     monkeypatch.setattr(oracle, "kernel_meet_dim", lambda p: meets.append(p) or meet(p))
@@ -516,11 +519,21 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, cou
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]
         block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
-        assert len(samples) == 1, p
-        assert stacked not in eliminations, p
-        left = sum(added[:len(block)] == block for added in eliminations)
-        assert left == (1 if oracle.normal_rank(p) < p.edge_dim else 0), p
-
+        assert block and stacked not in [el.added for el in eliminations], p
+        raw = [el for el in eliminations if el.added == block]
+        assert len(raw) == 1, p
+        basis = list(raw[0].pivots.values())
+        rank = len(basis)
+        assert rank == oracle.rank_of_rows(block)
+        assert samples == [rank], p
+        # block k of the left nullity sequence is the basis shifted by (k - 1)*v
+        left = [el.added for el in eliminations if el is not raw[0]
+                and el.added[:rank] == basis]
+        assert len(left) == (1 if oracle.normal_rank(p) < p.edge_dim else 0), p
+        for added in left:
+            blocks = len(added) // rank
+            assert added == [{c + k * v: x for c, x in row.items()}
+                             for k in range(blocks) for row in basis], p
 
 
 @pytest.mark.parametrize("argv", [["oracle", "g4"], ["fuzz", "--count", "3"],

@@ -19,8 +19,9 @@ from linequiv.cli import run_fuzz
 from linequiv.echelon import Echelon
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
-                             _cyclotomic_blocks, _lift, _screen_clears, analyze,
-                             invariant_factors, normal_rank, rank_of_rows)
+                             _cyclotomic_blocks, _lift, _row_basis, _screen_clears,
+                             _solution_space_dims, _transpose, analyze, invariant_factors,
+                             normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored, pencil_matrix
 
 from conftest import multidigraph, seeded_relation
@@ -516,15 +517,65 @@ def test_echelon_rank_after_every_row():
 
 
 def test_screen_keeps_every_root_the_lift_finds():
+    # the row basis is integer rows with the rows' span over Q, so the
+    # screen stays sound on it
     for p in differential_pairs():
         rank = normal_rank(p)
-        rows = p.rows
-        for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
-            if rp.totient(d) * p.vertex_dim > 160:
-                continue
-            present = rp.totient(d) * rank > rank_of_rows(_lift(rows, d))
-            if present:
-                assert not _screen_clears(rows, rank, d), (p, d)
+        for rows in (p.rows, _row_basis(p.rows, p.vertex_dim)):
+            for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
+                if rp.totient(d) * p.vertex_dim > 160:
+                    continue
+                present = rp.totient(d) * rank > rank_of_rows(_lift(rows, d))
+                if present:
+                    assert not _screen_clears(rows, rank, d), (p, d)
+
+
+def random_rational_pair(rng: random.Random) -> PairMatrices:
+    """A `--matrix` pair of small e-by-v rational matrices, often of low
+    rank: rows repeat, scaled, half the time."""
+    e, v = rng.randint(1, 7), rng.randint(1, 5)
+    entries = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    rows = [[rng.choice(entries) for _ in range(2 * v)] for _ in range(e)]
+    for i in range(1, e):
+        if rng.random() < 0.5:
+            rows[i] = [Fraction(rng.choice((1, -3, Fraction(1, 2)))) * x for x in rows[i - 1]]
+    text = "\n".join([f"{e} {v}"] + [" ".join(map(str, row[:v])) for row in rows]
+                     + [" ".join(map(str, row[v:])) for row in rows])
+    return parse_pair_file(text + "\n")
+
+
+def explicit_block_rank(rows, v: int, k: int) -> int:
+    """rank T_k, with row block j < k holding every row (m, n) at column
+    blocks j and j + 1."""
+    return rank_of_rows({**{j * v + c: x for c, x in m.items()},
+                         **{(j + 1) * v + c: x for c, x in n.items()}}
+                        for j in range(k) for m, n in rows)
+
+
+def test_row_basis_stands_in_for_the_rows():
+    pairs = differential_pairs()
+    pairs += [linearize(seeded_relation(f"dense:{i}", max_vertices=10, prob=Fraction(1, 2)))
+              for i in range(12)]
+    pairs += [parse_pair_file((DATA / "pair_ztz1.txt").read_text())]
+    rng = random.Random("basis")
+    pairs += [random_rational_pair(rng) for _ in range(40)]
+    assert any(p.edge_dim > 2 * p.vertex_dim > 0 for p in pairs)
+    for p in pairs:
+        e, v = p.edge_dim, p.vertex_dim
+        columns = list(zip(*_transpose(p)))
+        rank = normal_rank(p)
+        for rows, count, width in ((p.rows, e, v), (columns, v, e)):
+            basis = _row_basis(rows, width)
+            stacked = [{**m, **{width + j: x for j, x in n.items()}} for m, n in basis]
+            everything = [{**m, **{width + j: x for j, x in n.items()}} for m, n in rows]
+            assert rank_of_rows(stacked) == len(basis) == rank_of_rows(stacked + everything), p
+            f = _solution_space_dims(basis, count, width, count - rank)
+            assert f == [k * count - explicit_block_rank(rows, width, k)
+                         for k in range(len(f))], p
+        basis = _row_basis(p.rows, v)
+        for d in range(1, 13):
+            if rp.totient(d) * v <= 160:
+                assert rank_of_rows(_lift(basis, d)) == rank_of_rows(_lift(p.rows, d)), (p, d)
 
 
 def test_cyclotomic_scan_accounts_for_the_degree_exactly():
