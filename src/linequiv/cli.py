@@ -71,8 +71,8 @@ def json_text(doc, newline: str = "\n") -> str:
     str-keyed dicts of them; anything else raises TypeError.  `newline` is
     the line break and indent that close the value.  With an indent,
     CPython's json runs its pure-Python encoder; this writer quotes strings
-    with the same C function and joins the long label and pair lists of a
-    large graph in one step."""
+    with the same C function and joins the long label, pair and int lists
+    of a large graph in one step."""
     if isinstance(doc, str):
         return _quote(doc)
     if doc is None or doc is True or doc is False:
@@ -84,8 +84,10 @@ def json_text(doc, newline: str = "\n") -> str:
         brackets = "[]"
         if all(type(x) is str for x in doc):
             items = map(_quote, doc)
-        elif all(type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is str
-                 for x in doc):
+        elif all(type(x) is int for x in doc):  # bool is not int here
+            items = map(int.__repr__, doc)
+        elif all((type(x) is list or type(x) is tuple) and len(x) == 2
+                 and type(x[0]) is type(x[1]) is str for x in doc):
             pair = "," + inner + "  "
             items = (f"[{inner}  {_quote(a)}{pair}{_quote(b)}{inner}]" for a, b in doc)
         else:
@@ -117,9 +119,9 @@ def _cmd_reduce(args) -> int:
     summary = reduce_graph(g)
     if args.json:
         _emit_json({
-            "vertices": list(summary.reduced.vertices),
-            "pairs": [list(p) for p in summary.reduced.sorted_pairs()],
-            "parallel_class_sizes": list(summary.parallel_class_sizes),
+            "vertices": summary.reduced.vertices,
+            "pairs": summary.reduced.sorted_pairs(),
+            "parallel_class_sizes": summary.parallel_class_sizes,
             "split_count": summary.split_count,
         })
     else:
@@ -142,9 +144,9 @@ def _cmd_contract(args) -> int:
         _emit_json({
             "left": args.left,
             "right": args.right,
-            "partition": [list(cls) for cls in part.classes],
-            "vertices": list(contracted.vertices),
-            "pairs": [list(p) for p in contracted.sorted_pairs()],
+            "partition": part.classes,
+            "vertices": contracted.vertices,
+            "pairs": contracted.sorted_pairs(),
         })
     elif args.dot:
         sys.stdout.write(_quotient_dot(contracted, part))
@@ -203,7 +205,7 @@ def _cmd_invariants(args) -> int:
             "vertices": g.vertex_count,
             "edges": g.edge_count,
             "gamma": _gamma_json(d),
-            "stable_shape": {"cycles": list(shape.cycles), "paths": list(shape.paths)},
+            "stable_shape": {"cycles": shape.cycles, "paths": shape.paths},
             "stabilization_depth": d.depth,
             "record": record_to_json(rec, g.edge_count, g.vertex_count),
         })

@@ -9,16 +9,19 @@ the invariant formulas read.
 
 Everything here works on vertex ids, positions in the relation's vertex
 tuple.  One engine does every contraction: a mutable quotient holding a
-union-find over the ids and, for each class with edges, the sets of its
-out- and in-neighbor classes, all in lists indexed by id.  A merge folds
-the class with fewer adjacency entries into the other and renames it in
-its neighbors' sets, as in congruence closure (Downey, Sethi and Tarjan,
-JACM 1980).  A left step merges only the out-neighbors of classes with
-out-degree >= 2, and a merge raises the degree of no class but the merged
-one, so the classes merged since the last left step are the only ones that
-can feed the next (right steps alike).  A step therefore costs the degrees
-of those classes and the entries its merges rename, not the size of the
-relation.
+union-find over the ids and, for each class with edges, its out- and
+in-neighbor classes, all in lists indexed by id.  A lone neighbor is kept
+as a bare id and only a second one makes a set, so a functional graph
+holds no out-sets at all.  A merge folds the class with fewer vertices
+into the other (union by size, Tarjan, JACM 1975) and renames it in its
+neighbors' entries, as in congruence closure (Downey, Sethi and Tarjan,
+JACM 1980): an edge end is renamed only when its class at least doubles,
+so O(E log V) renames in all.  A left step merges only the out-neighbors of
+classes with out-degree >= 2, and a merge raises the degree of no class
+but the merged one, so the classes whose out-set grew since the last left
+step are the only ones that can feed the next (right steps alike).  A step
+therefore costs the degrees of those classes and the entries its merges
+rename, not the size of the relation.
 
 gamma_table runs two alternating chains, one after the other so that one
 quotient is alive at a time, and stores the band as its five diagonals
@@ -70,11 +73,12 @@ def _find(parent, a: int) -> int:
 
 def _join(groups, parent, merge) -> None:
     """Join the members of each group in the union-find forest parent;
-    merge(a, b) joins two roots and returns the one that stays a root."""
+    merge(a, b) joins two roots and returns the one that stays a root.
+    Most members are roots, so a member's root is looked up inline first."""
     for group in groups:
         a = _find(parent, group[0])
         for y in group[1:]:
-            b = _find(parent, y)
+            b = y if parent[y] == y else _find(parent, y)
             if a != b:
                 a = merge(a, b)
 
@@ -153,58 +157,99 @@ def _quotient(r: BinaryRelation, cls: list[int]) -> BinaryRelation:
 
 # -- the contraction engine ---------------------------------------------------
 _SIDE = {"l": 0, "r": 1}
-_NONE: frozenset = frozenset()
 
 
 class _Quotient:
     """Quotient of a relation on vertex ids 0..n-1.  parent is a union-find
-    forest over the ids; adj[0][x], adj[1][x] hold the out- and in-neighbour
-    roots of a root x, and _NONE for a merged-away id; front[side] holds
-    every root whose degree there may be >= 2."""
+    forest over the ids and size[x] the number of ids in the class of a root
+    x.  adj[0][x], adj[1][x] hold the out- and in-neighbour roots of a root
+    x: None for none, a bare id for one, a set from the second on, and None
+    again once x is merged away.  A set is never turned back into an id,
+    though renames may shrink it.  front[side] holds every root whose set
+    on that side was made or grew since that side's last step."""
 
     def __init__(self, r: BinaryRelation):
         n = r.vertex_count
-        out, inn = self.adj = ([_NONE] * n, [_NONE] * n)
+        out, inn = self.adj = ([None] * n, [None] * n)
+        sources, targets = grown = ([], [])
         for s, t in r.ids:
-            if out[s] is _NONE:
-                out[s] = set()
-            out[s].add(t)
-            if inn[t] is _NONE:
-                inn[t] = set()
-            inn[t].add(s)
-        self.directions = ((out, inn), (inn, out))
-        self.parent, self.count = list(range(n)), n
-        self.front = tuple({x for x, s in enumerate(side) if len(s) > 1} for side in self.adj)
+            x = out[s]
+            if x is None:
+                out[s] = t
+            elif x.__class__ is int:
+                out[s] = {x, t}
+                sources.append(s)
+            else:
+                x.add(t)
+            x = inn[t]
+            if x is None:
+                inn[t] = s
+            elif x.__class__ is int:
+                inn[t] = {x, s}
+                targets.append(t)
+            else:
+                x.add(s)
+        self.front = tuple(map(set, grown))
+        self.directions = ((out, inn, self.front[0]), (inn, out, self.front[1]))
+        self.parent, self.size, self.count = list(range(n)), [1] * n, n
 
     def _merge(self, a: int, b: int) -> int:
-        """Fold one of the roots a, b into the other; returns the survivor."""
-        out, inn = self.adj
-        if len(out[a]) + len(inn[a]) < len(out[b]) + len(inn[b]):
+        """Fold the smaller of the roots a, b into the larger; returns the
+        survivor."""
+        size = self.size
+        if size[a] < size[b]:
             a, b = b, a
+        size[a] += size[b]
         self.parent[b] = a
         self.count -= 1
-        for fwd, back in self.directions:
+        for fwd, back, front in self.directions:
             moved = fwd[b]
-            if not moved:
+            if moved is None:
                 continue
-            fwd[b] = _NONE
+            fwd[b] = None
+            kept = fwd[a]
             # a loop at b is renamed by the second pass: the first puts a in
-            # b's in-set, whose pass then renames b to a in a's out-set
-            for x in moved:
-                nbrs = back[x]
-                nbrs.discard(b)
-                nbrs.add(a)
-            if len(fwd[a]) < len(moved):  # keep the larger set, add the smaller
-                fwd[a], moved = moved, fwd[a]
-            if moved:
-                fwd[a] |= moved
-        for front in self.front:
+            # b's in-entry, whose pass then renames b to a in a's out-entry
+            if moved.__class__ is int:
+                nbrs = back[moved]
+                if nbrs.__class__ is int:  # its one neighbour is b
+                    back[moved] = a
+                else:
+                    nbrs.discard(b)
+                    nbrs.add(a)
+                if kept is None:
+                    fwd[a] = moved
+                    continue
+                if kept.__class__ is int:
+                    if kept == moved:
+                        continue
+                    kept = fwd[a] = {kept}
+                kept.add(moved)
+            else:
+                for x in moved:
+                    nbrs = back[x]
+                    if nbrs.__class__ is int:
+                        back[x] = a
+                    else:
+                        nbrs.discard(b)
+                        nbrs.add(a)
+                if kept is None:
+                    fwd[a] = moved
+                elif kept.__class__ is int:
+                    moved.add(kept)
+                    fwd[a] = moved
+                elif len(kept) < len(moved):  # keep the larger set, add the smaller
+                    moved |= kept
+                    fwd[a] = moved
+                else:
+                    kept |= moved
             front.add(a)
         return a
 
     def _groups(self, side: int) -> list[tuple[int, ...]]:
         adj = self.adj[side]
-        return [tuple(adj[x]) for x in self.front[side] if len(adj[x]) > 1]
+        return [tuple(s) for s in map(adj.__getitem__, self.front[side])
+                if s is not None and len(s) > 1]
 
     def step(self, side: int) -> int:
         """Contract once on side (0 left, 1 right); returns the merge count.
@@ -228,10 +273,16 @@ class _Quotient:
 
     def classes(self) -> list[int]:
         """The class id of every vertex, classes numbered in the order of
-        their smallest vertex: the canonical order of Partition."""
-        number: dict[int, int] = {}
-        parent = self.parent
-        return [number.setdefault(_find(parent, v), len(number)) for v in range(len(parent))]
+        their smallest vertex: the canonical order of Partition.  Pointer
+        jumping compresses every path in C-level passes, one per halving
+        of the deepest path."""
+        root, up = self.parent, None
+        while up != root:
+            up, root = root, list(map(root.__getitem__, root))
+        number = dict.fromkeys(root)
+        for i, x in enumerate(number):
+            number[x] = i
+        return list(map(number.__getitem__, root))
 
 
 def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, list[int]]:

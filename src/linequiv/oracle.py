@@ -26,10 +26,12 @@ Each rank comes from fraction-free elimination on the pair's integer rows,
 the row-side nullity sequence and the roots of unity read it instead of the
 e rows: each of their matrices has a row space that is a sum of linear
 images of rowspace([M N]), so any basis of that space spans it too, and
-only the counts k*e of the nullities read e.  The column side reads a
-basis of the sparse transpose the same way for its nullity sequence; the
-local types read the columns themselves.  A sequence of ranks over k grows
-one elimination instead of restarting it.  Nothing touches floating point.
+only the counts k*e of the nullities read e.  The column side feeds the
+v rows of the sparse transpose straight to its nullity sequence: on a
+graph pair they are nearly always independent, so a basis would cost one
+more elimination and save none.  The local types read the columns too.
+A sequence of ranks over k grows one elimination instead of restarting
+it.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -41,7 +43,7 @@ S(X - 1): a pencil factor q gives the stored polynomial monic(q(-X)).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratpoly as rp
@@ -173,14 +175,15 @@ def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
 
 
 def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
-    """Column-side analogue, on a row basis of the sparse transpose; one t
-    summand per index.  The transposed pair has the same normal rank, so
-    `rank` carries over."""
+    """Column-side analogue, on the v rows of the sparse transpose; one t
+    summand per index.  Those rows span their own row space, so they stand
+    in for a basis in `_solution_space_dims`.  The transposed pair has the
+    same normal rank, so `rank` carries over."""
     e, v = p.edge_dim, p.vertex_dim
     total = v - (normal_rank(p) if rank is None else rank)
     if total == 0:
         return ()
-    f = _solution_space_dims(_row_basis(zip(*_transpose(p)), e), v, e, total)
+    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _indices(f)
@@ -342,12 +345,15 @@ def _smith_finite_divisors(p: PairMatrices) -> tuple[tuple[Poly, int], ...]:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Raw pencil data the record is assembled from."""
+    """Raw pencil data the record is assembled from.  cyclotomic_blocks
+    holds one (d, n) per divisor S(Phi_d^n) when the rank route found the
+    whole regular part, and None after the Smith fallback."""
 
     left_minimal_indices: tuple[int, ...]
     right_minimal_indices: tuple[int, ...]
     finite_divisors: tuple[tuple[Poly, int], ...]
     infinite_divisors: tuple[int, ...]
+    cyclotomic_blocks: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
 
 def analyze(p: PairMatrices) -> OracleReport:
@@ -372,20 +378,17 @@ def analyze(p: PairMatrices) -> OracleReport:
     else:
         finite = tuple(sorted([(rp.X, n) for n in zt]
                               + [(rp.cyclotomic(d), n) for d, n in regular]))
-    return OracleReport(left, right, finite, tuple(sorted(tz)))
+        regular = tuple(regular)
+    return OracleReport(left, right, finite, tuple(sorted(tz)), regular)
 
 
-def _assemble_cycles(regular: list[tuple[Poly, int]]) -> tuple[int, ...] | None:
-    """Match a multiset of (irreducible, exponent) against full divisor sets
-    of X^n - 1, largest n first; None when they do not assemble."""
-    if any(e != 1 for _, e in regular):
+def _assemble_cycles(blocks: tuple[tuple[int | None, int], ...]) -> tuple[int, ...] | None:
+    """Match a multiset of (d, exponent), one per divisor S(Phi_d^n) and d
+    None for a non-cyclotomic factor, against full divisor sets of X^n - 1,
+    largest n first; None when they do not assemble."""
+    if any(d is None or e != 1 for d, e in blocks):
         return None
-    indices: Counter[int] = Counter()
-    for poly, _ in regular:
-        d = rp.cyclotomic_index(poly)
-        if d is None:
-            return None
-        indices[d] += 1
+    indices = Counter(d for d, _ in blocks)
     cycles = []
     while indices:
         n = max(indices)
@@ -425,7 +428,10 @@ def oracle_invariants(p: PairMatrices) -> InvariantRecord:
         else:
             regular.append((poly, e))
     tz = Counter(report.infinite_divisors)
-    cycles = _assemble_cycles(regular)
+    blocks = report.cyclotomic_blocks
+    if blocks is None:  # the Smith fallback names each factor's d itself
+        blocks = tuple((rp.cyclotomic_index(poly), e) for poly, e in regular)
+    cycles = _assemble_cycles(blocks)
     if cycles is not None:
         rec = InvariantRecord(dict(zt), dict(tz), dict(t), dict(ztz), cycles)
     else:

@@ -640,12 +640,14 @@ def test_json_text_matches_json_dumps(monkeypatch, capsys, tmp_path, g1_file, g2
     # non-ASCII, a quote, a backslash and control characters in labels, and
     # an isolated vertex
     odd.write_text('caf\u00e9 "q"\nb\\s \u2603\n\u00e9\x01\x7f x\nvertex lone\n')
+    multi = tmp_path / "multi.edges"
+    multi.write_text("a b\na b\nb a\nb a\nb a\na a\nc a\n")
     argvs = [[command, path] for path in (g1_file, g2_file, g4_file, str(odd))
              for command in ("reduce", "contract", "diagram", "invariants", "oracle")]
     argvs += [["contract", g4_file, "--left", "2", "--right", "1"],
               ["oracle", str(pair), "--matrix"], ["equiv", g1_file, g2_file],
               ["equiv", g4_file, g4_file], ["fuzz", "--count", "2"],
-              ["fuzz", "--count", "3", "--edge-prob", "1"]]
+              ["fuzz", "--count", "3", "--edge-prob", "1"], ["reduce", str(multi)]]
     docs = _json_documents(monkeypatch, capsys, argvs)
     assert len(docs) == len(argvs)
     docs += [
@@ -654,9 +656,17 @@ def test_json_text_matches_json_dumps(monkeypatch, capsys, tmp_path, g1_file, g2
         [["a", "b"], ["\u00e9", "\n"]], [["a", "b"], ["c"]], [["a", 1]], [("a", "b")],
         {"z": None, "y": True, "x": False, "w": -12, "v": 10**30, "\u00e9": [1, [2, [3]]]},
         [True, False, None, 0, "s", ["t", "u"]],
+        [0, 1, -1, 7, 10**30, -10**30], (3, -4), [True, False], [1, True, 0, False],
+        [False, 2], [1, None], [1, "a"], [1, [2]], [[1, 2], [3, 4]],
+        (("a", "b"), ("c", "d")), [["a", "b"], ("c", "d")], [("a", "b"), ["c", "d"]],
+        [("a", "b"), ("c",)], [("a", 1)], [("a", "b", "c")],
     ]
     for doc in docs:
         assert cli.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+    # reduce hands its pairs and parallel class sizes over as tuples
+    reduced = docs[len(argvs) - 1]
+    assert type(reduced["pairs"]) is tuple and type(reduced["parallel_class_sizes"]) is tuple
+    assert json.loads(cli.json_text(reduced))["parallel_class_sizes"] == [1, 1, 2, 3]
 
 
 @pytest.mark.parametrize("doc", [1.5, {1: 2}, {"a": {3}}, [Fraction(1, 2)], b"x"])

@@ -6,8 +6,8 @@ import pytest
 from linequiv import (BinaryRelation, StabilizationShapeError, classify_stable,
                       converse, gamma_table, iterated_contraction, left_partition,
                       quotient, right_partition, stabilize)
-from linequiv.contraction import (ContractionDiagram, Partition, StableShape, class_label,
-                                  contraction_sequence)
+from linequiv.contraction import (ContractionDiagram, Partition, StableShape, _Quotient,
+                                  _find, class_label, contraction_sequence)
 from linequiv.invariants import diagram_cells, gamma_content, part_one
 from linequiv.parsing import parse_graph
 from linequiv.relation import GraphError, reduce
@@ -371,6 +371,27 @@ def declared_out_of_order(r: BinaryRelation, tag: str) -> BinaryRelation:
     return reduce(parse_graph("digraph {\n" + "\n".join(stmts) + "\n}\n")).reduced
 
 
+def functional_relation(f: list[int]) -> BinaryRelation:
+    """The relation x -> f(x) on vertices 0 .. len(f) - 1."""
+    labels = tuple(map(str, range(len(f))))
+    return BinaryRelation(labels, frozenset((labels[x], labels[y]) for x, y in enumerate(f)))
+
+
+def loop_heavy_maps() -> list[BinaryRelation]:
+    """Functional graphs rich in fixed points and 2-cycles, and a loop on a
+    vertex of degree one, alone and inside larger relations."""
+    maps = [functional_relation(f) for f in
+            ([0], [0, 0], [1, 0], [0, 1], [1, 0, 2, 2, 3], [0, 0, 1, 1, 2, 2], [1, 0, 0, 1, 4, 4])]
+    maps.append(BinaryRelation(("a", "b"), frozenset({("a", "a")})))
+    maps.append(BinaryRelation(("a", "b", "c"), frozenset({("a", "a"), ("b", "c"), ("c", "b")})))
+    for i in range(40):
+        rng = random.Random(f"loop-heavy:{i}")
+        n = rng.randint(2, 9)
+        maps.append(functional_relation([x if rng.random() < 0.4 else rng.randrange(n)
+                                         for x in range(n)]))
+    return maps
+
+
 @pytest.fixture
 def reference_inputs(g1, g2, g3, g4):
     inputs = [relation(g) for g in (g1, g2, g3, g4)]
@@ -384,7 +405,7 @@ def reference_inputs(g1, g2, g3, g4):
            for i in range(60)]
     inputs += [declared_out_of_order(r, f"odd-labels:{i}")
                for i, r in enumerate(odd) if r.vertices]
-    return inputs
+    return inputs + loop_heavy_maps()
 
 
 def test_gamma_table_matches_definition(reference_inputs):
@@ -443,3 +464,65 @@ def test_antidiagonal_lists_the_suitable_points_in_order():
         expected = [(m, s - m) for m in range(s + 1)
                     if ContractionDiagram.is_suitable(m, s - m)]
         assert ContractionDiagram.antidiagonal(s) == expected
+
+
+# -- the engine's own layout ---------------------------------------------------
+
+
+def test_single_neighbours_stay_bare_ids():
+    rng = random.Random("bare-ids")
+    n = 10 ** 4
+    f = [rng.randrange(n) for _ in range(n)]
+    q = _Quotient(functional_relation(f))
+    sources: dict[int, set[int]] = {}
+    for x, y in enumerate(f):
+        sources.setdefault(y, set()).add(x)
+    out, inn = q.adj
+    assert out == f
+    assert q.front[0] == set()
+    many = {y for y, xs in sources.items() if len(xs) >= 2}
+    assert many and q.front[1] == many
+    for y, entry in enumerate(inn):
+        xs = sources.get(y, set())
+        if not xs:
+            assert entry is None
+        elif len(xs) == 1:
+            assert type(entry) is int and {entry} == xs
+        else:
+            assert type(entry) is set and entry == xs
+
+
+def check_layout(r: BinaryRelation, q: _Quotient) -> None:
+    """The quotient's adjacency is the relation r induces on its classes,
+    keyed by root and holding only roots, the two sides mirror each other,
+    and every root with two neighbours on a side is in that side's front."""
+    roots = [_find(q.parent, v) for v in range(r.vertex_count)]
+    induced = ({}, {})
+    for s, t in r.ids:
+        induced[0].setdefault(roots[s], set()).add(roots[t])
+        induced[1].setdefault(roots[t], set()).add(roots[s])
+    assert q.count == len(set(roots))
+    assert all(q.size[x] == roots.count(x) for x in set(roots))
+
+    def held(entry) -> set:
+        return set() if entry is None else {entry} if type(entry) is int else entry
+
+    for side, (adj, front) in enumerate(zip(q.adj, q.front)):
+        for x, entry in enumerate(adj):
+            assert held(entry) == induced[side].get(x, set()) if roots[x] == x else entry is None
+            assert all(x in held(q.adj[1 - side][y]) for y in held(entry))
+            if len(held(entry)) > 1:
+                assert type(entry) is set and x in front
+
+
+def test_every_step_keeps_the_layout(reference_inputs):
+    for r in reference_inputs:
+        for side in (0, 1):
+            q = _Quotient(r)
+            check_layout(r, q)
+            idle, turn = 0, side
+            while idle < 2:
+                q.probe(turn)
+                idle = 0 if q.step(turn) else idle + 1
+                check_layout(r, q)
+                turn = 1 - turn

@@ -498,6 +498,21 @@ def test_smith_fallback_never_runs_on_graph_pairs(monkeypatch, g1, g2, g3, g4):
     assert calls
 
 
+def test_rank_route_names_each_cycle_without_cyclotomic_index(monkeypatch, g1, g2, g3, g4):
+    # the cyclotomic scan knows each d it finds, so a graph pair never maps
+    # a Phi_d back to d; only the Smith fallback still does
+    calls = []
+    index = rp.cyclotomic_index
+    monkeypatch.setattr(rp, "cyclotomic_index", lambda poly: calls.append(poly) or index(poly))
+    graphs = [g1, g2, g3, g4, cycles_graph((6, 2)), cycles_graph((12, 5, 1), tail=3)]
+    records = [oracle_invariants(linearize(g)) for g in graphs]
+    assert records[4].cycles == (2, 6) and records[5].cycles == (1, 5, 12)
+    assert run_fuzz(6, 20, 6, Fraction(3, 10))[0] == 0
+    assert calls == []
+    assert oracle_invariants(regular_pair(rp.poly(-2, 1))).cycles == ()
+    assert calls == [rp.poly(-2, 1)]
+
+
 def test_echelon_rank_after_every_row():
     rng = random.Random("echelon")
     for trial in range(40):
