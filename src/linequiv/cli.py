@@ -23,12 +23,13 @@ import functools
 import random
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__, _lazy_submodule
-from .contraction import (ContractionDiagram, StabilizationShapeError, gamma_table,
-                          iterated_contraction)
+from .contraction import (FIRST_POINTS, ContractionDiagram, StabilizationShapeError,
+                          gamma_table, iterated_contraction)
 from .invariants import (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
                          analyze_graph, decide_equiv, diagram_cells, full_invariants,
                          gamma_content, record_to_json)
@@ -72,7 +73,7 @@ def json_text(doc, newline: str = "\n") -> str:
     the line break and indent that close the value.  With an indent,
     CPython's json runs its pure-Python encoder; this writer quotes strings
     with the same C function and joins the long label, pair and int lists
-    of a large graph in one step."""
+    of a large graph, and an int-valued map, in one step."""
     if isinstance(doc, str):
         return _quote(doc)
     if doc is None or doc is True or doc is False:
@@ -94,8 +95,13 @@ def json_text(doc, newline: str = "\n") -> str:
             items = (json_text(x, inner) for x in doc)
     elif isinstance(doc, dict):
         brackets = "{}"
-        items = (f"{_quote(key)}: {json_text(value, inner)}"
-                 for key, value in sorted(doc.items()))
+        keys = sorted(doc)
+        values = list(map(doc.__getitem__, keys))
+        if set(map(type, values)) == {int}:  # bool is not int here
+            items = map("{}: {}".format, map(_quote, keys), map(int.__repr__, values))
+        else:
+            items = (f"{_quote(key)}: {json_text(value, inner)}"
+                     for key, value in zip(keys, values))
     else:
         raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
     if not doc:
@@ -104,11 +110,13 @@ def json_text(doc, newline: str = "\n") -> str:
 
 
 def _gamma_json(d: ContractionDiagram) -> dict:
-    return {
-        "stable_value": d.stable_value,
-        "horizon": d.horizon,
-        "nonstable": {f"{m},{n}": g for (m, n), g in d.nonstable_points().items()},
-    }
+    """The gamma table as stable value, horizon, and the "m,n" keyed values
+    that differ from the stable one, each diagonal keyed in C-level passes."""
+    stable, nonstable = d.stable_value, {}
+    for (m, n), diagonal in zip(FIRST_POINTS, d.diagonals):
+        keys = map("{},{}".format, range(m, m + len(diagonal)), range(n, n + len(diagonal)))
+        nonstable.update(compress(zip(keys, diagonal), map(stable.__ne__, diagonal)))
+    return {"stable_value": stable, "horizon": d.horizon, "nonstable": nonstable}
 
 
 # -- commands -----------------------------------------------------------------

@@ -28,13 +28,24 @@ quotient is alive at a time, and stores the band as its five diagonals
 m - n = -2 .. 2, each a list indexed by min(m, n) that a chain appends to
 as it goes.  The left-first chain gives the diagonals 0, 1 and, by a probe
 that counts a step's merges without making them, 2; its fixpoint is the
-stable relation.  The right-first chain gives -1 and -2, and counts the
-main diagonal a second time: the two counts must agree, as must the two
-fixpoints.  A chain stops only after two idle steps, so it ends at the
-fixpoint; every suitable point it did not pass lies beyond that end, and
-contracting a fixpoint changes nothing, so the point takes the stable
-value.  The record formulas read the diagonals through the diagram cells
-of invariants.py.
+stable relation, read off the adjacency of its roots.  The right-first
+chain gives -1 and -2, and counts the main diagonal a second time: the two
+counts must agree, as must the two fixpoints.  A chain stops only after
+two idle steps, so it ends at the fixpoint; every suitable point it did
+not pass lies beyond that end, and contracting a fixpoint changes nothing,
+so the point takes the stable value.  The record formulas read the
+diagonals through the diagram cells of invariants.py.
+
+A chain skips the work that an empty front proves idle, by two exact
+rules.  Rule 1: a step or probe on a side whose front is empty is not run;
+such a step has no group to merge, so it would merge nothing.  Rule 2: at
+the probe point, after j + 1 steps on the chain's side and j on the other,
+an empty front on the other side makes that side's next step idle, so the
+partition after the next step on the chain's side is the one j + 2 and j
+steps reach (a step is a function of the partition alone); gamma(j + 2, j)
+is then the count after that step, and the probe is not run.  On a graph
+whose merges all fall on one side, such as a Y graph, each chain runs only
+the steps that merge, and no probe.
 
 A contraction's result is an array of class ids, the classes numbered in
 the order of their first vertex, which is the canonical order of a
@@ -139,9 +150,10 @@ def class_label(members) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def _quotient(r: BinaryRelation, cls: list[int]) -> BinaryRelation:
-    """The relation r induces on the classes of a canonical class-id array;
-    its class labels are made on first read."""
+def _quotient(r: BinaryRelation, cls: list[int], pairs: frozenset | None = None) -> BinaryRelation:
+    """The relation r induces on the classes of a canonical class-id array,
+    its class-id pairs read off r's edges unless given; its class labels
+    are made on first read."""
     k = max(cls, default=-1) + 1
     if k == r.vertex_count:  # every class a singleton, in vertex order
         return r
@@ -152,7 +164,9 @@ def _quotient(r: BinaryRelation, cls: list[int]) -> BinaryRelation:
             raise GraphError("duplicate vertex label")
         return out
 
-    return BinaryRelation._of(k, frozenset([(cls[s], cls[t]) for s, t in r.ids]), labels)
+    if pairs is None:
+        pairs = frozenset([(cls[s], cls[t]) for s, t in r.ids])
+    return BinaryRelation._of(k, pairs, labels)
 
 
 # -- the contraction engine ---------------------------------------------------
@@ -271,36 +285,72 @@ class _Quotient:
         _join(groups, parent, link)
         return sum(x != p for x, p in parent.items())
 
-    def classes(self) -> list[int]:
-        """The class id of every vertex, classes numbered in the order of
-        their smallest vertex: the canonical order of Partition.  Pointer
-        jumping compresses every path in C-level passes, one per halving
-        of the deepest path."""
+    def _numbered(self) -> tuple[dict[int, int], list[int]]:
+        """The class id of each root and of every vertex, classes numbered
+        in the order of their smallest vertex: the canonical order of
+        Partition.  Pointer jumping compresses every path in C-level passes,
+        one per halving of the deepest path."""
         root, up = self.parent, None
         while up != root:
             up, root = root, list(map(root.__getitem__, root))
         number = dict.fromkeys(root)
         for i, x in enumerate(number):
             number[x] = i
-        return list(map(number.__getitem__, root))
+        return number, list(map(number.__getitem__, root))
+
+    def classes(self) -> list[int]:
+        """The class id of every vertex, in canonical order."""
+        return self._numbered()[1]
+
+    def relation(self, r: BinaryRelation) -> tuple[list[int], BinaryRelation]:
+        """classes(), and the relation that r, the relation this quotient
+        was made from, induces on them, read off the out-entries of the k
+        roots, which hold only roots: O(k + its edges) past classes(), not
+        O(r's edges)."""
+        number, cls = self._numbered()
+        if len(number) == r.vertex_count:
+            return cls, r
+        out, pairs = self.adj[0], []
+        for x, c in number.items():
+            ys = out[x]
+            if ys.__class__ is int:
+                pairs.append((c, number[ys]))
+            elif ys:
+                pairs += [(c, number[y]) for y in ys]
+        return cls, _quotient(r, cls, frozenset(pairs))
 
 
-def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, list[int]]:
+def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, _Quotient]:
     """Contract in rounds, one step on side then one on the other, until
     two steps in a row merge nothing.  Returns three lists indexed by the
     round j: the class count after j steps on each side, after j + 1 on side
-    and j on the other, and by a probe after j + 2 and j; then the rounds
-    before the fixpoint, and the fixpoint's classes."""
+    and j on the other, and after j + 2 and j; then the rounds before the
+    fixpoint, and the quotient at the fixpoint.
+
+    The lists are those of a loop that runs a step, a probe and a step in
+    every round; two exact rules skip the calls that cannot merge.  Rule 1:
+    a step or probe on a side with an empty front has no group to merge,
+    so it is not run and counts as idle.  Rule 2: if at the probe point the
+    other side's front is empty, that side's next step is idle, so the next
+    step on side reaches the partition of j + 2 and j steps; its count is
+    gamma(j + 2, j), and the probe is not run.  Such a round's step on side
+    merged (it left a front), so the loop goes on to that next step."""
     q = _Quotient(r)
+    front, other = q.front[side], q.front[1 - side]
     same, one, two = [q.count], [], []
-    idle = 0
+    idle, late = 0, False
     while idle < 2:
-        idle = 0 if q.step(side) else idle + 1
-        one.append(q.count)
-        two.append(q.count - q.probe(side))
-        idle = 0 if q.step(1 - side) else idle + 1
+        idle = 0 if front and q.step(side) else idle + 1
+        count = q.count
+        if late:  # rule 2: the count the last round's probe was not run for
+            two.append(count)
+        one.append(count)
+        late = not other and bool(front)
+        if not late:
+            two.append(count - q.probe(side) if front else count)
+        idle = 0 if other and q.step(1 - side) else idle + 1
         same.append(q.count)
-    return (same, one, two), len(one) - 1, q.classes()
+    return (same, one, two), len(one) - 1, q
 
 
 # -- public operations -------------------------------------------------------
@@ -333,8 +383,8 @@ def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation,
         if step not in _SIDE:
             raise ValueError(f"unknown contraction step {step!r}")
         q.step(_SIDE[step])
-    cls = q.classes()
-    return _quotient(r, cls), Partition._of(r.vertices, cls)
+    cls, rel = q.relation(r)
+    return rel, Partition._of(r.vertices, cls)
 
 
 def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelation, Partition]:
@@ -348,8 +398,8 @@ def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelat
     for side, count in ((_SIDE["r"], n), (_SIDE["l"], m)):
         while count and q.step(side):
             count -= 1
-    cls = q.classes()
-    return _quotient(r, cls), Partition._of(r.vertices, cls)
+    cls, rel = q.relation(r)
+    return rel, Partition._of(r.vertices, cls)
 
 
 @dataclass(frozen=True)
@@ -396,13 +446,13 @@ def classify_stable(r: BinaryRelation) -> StableShape:
 def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
     """Contract in full left-then-right rounds until a round changes nothing;
     returns the cycle/path shape, the stable relation, and the round count."""
-    _, rounds, final = _chain(r, _SIDE["l"])
-    stable = _quotient(r, final)
+    _, rounds, q = _chain(r, _SIDE["l"])
+    stable = q.relation(r)[1]
     return classify_stable(stable), stable, rounds
 
 
 # the point (m, n) at index 0 of each diagonal m - n = -2 .. 2
-_FIRST_POINTS = ((0, 2), (0, 1), (0, 0), (1, 0), (2, 0))
+FIRST_POINTS = ((0, 2), (0, 1), (0, 0), (1, 0), (2, 0))
 
 
 def _trim(diagonal: tuple[int, ...], stable_value: int) -> tuple[int, ...]:
@@ -458,7 +508,7 @@ class ContractionDiagram:
 
     def _stored(self):
         """((m, n), gamma) for every stored point, diagonal by diagonal."""
-        return (((m + i, n + i), g) for (m, n), diagonal in zip(_FIRST_POINTS, self.diagonals)
+        return (((m + i, n + i), g) for (m, n), diagonal in zip(FIRST_POINTS, self.diagonals)
                 for i, g in enumerate(diagonal))
 
     @property
@@ -469,7 +519,7 @@ class ContractionDiagram:
     @property
     def band_end(self) -> int:
         return max(m + n + 2 * len(diagonal) - 2
-                   for (m, n), diagonal in zip(_FIRST_POINTS, self.diagonals) if diagonal)
+                   for (m, n), diagonal in zip(FIRST_POINTS, self.diagonals) if diagonal)
 
     def nonstable_points(self) -> dict[tuple[int, int], int]:
         stable_value = self.stable_value
@@ -486,15 +536,16 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
     """Tabulate gamma over the suitable band: the diagonals m - n = 0, 1, 2
     from the left-first chain and m - n = -1, -2 from the right-first one.
     Both chains count gamma(k, k) and must agree on it and on their fixpoint."""
-    (same, left_one, left_two), depth, final = _chain(r, _SIDE["l"])
-    (right_same, right_one, right_two), _, right_final = _chain(r, _SIDE["r"])
-    if right_final != final:
+    (same, left_one, left_two), depth, q = _chain(r, _SIDE["l"])
+    final, stable = q.relation(r)
+    del q  # one quotient alive at a time
+    (right_same, right_one, right_two), _, q = _chain(r, _SIDE["r"])
+    if q.classes() != final:
         raise AssertionError("the left-first and right-first chains reach different fixpoints")
     common = min(len(same), len(right_same))
     if same[:common] != right_same[:common]:
         raise AssertionError("the left-first and right-first chains count different gamma(k, k)")
     if len(right_same) > len(same):
         same = right_same
-    stable = _quotient(r, final)
     diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
     return ContractionDiagram(diagonals, stable.vertex_count, stable, depth)

@@ -27,8 +27,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from math import isqrt
+from operator import ne
 
-from .contraction import ContractionDiagram, StableShape, classify_stable, gamma_table
+from .contraction import (FIRST_POINTS, ContractionDiagram, StableShape, classify_stable,
+                          gamma_table)
 from .ratpoly import Poly, poly_str, totient
 from .relation import BinaryRelation, MultiDigraph, reduce as reduce_graph
 
@@ -140,11 +144,16 @@ class RationalRegularPart:
 
 
 def cyclotomic_refine(cycles) -> RationalRegularPart:
+    """Each cycle length n contributes one Phi_d for every divisor d of n;
+    each distinct length is factored once, its divisors paired up to
+    sqrt(n)."""
     counts: Counter[int] = Counter()
-    for n in cycles:
-        for d in range(1, n + 1):
+    for n, mult in Counter(cycles).items():
+        for d in range(1, isqrt(n) + 1):
             if n % d == 0:
-                counts[d] += 1
+                counts[d] += mult
+                if d * d != n:
+                    counts[n // d] += mult
     return RationalRegularPart(tuple(sorted(counts.items())))
 
 
@@ -308,11 +317,23 @@ class EquivVerdict:
 
 
 def _first_gamma_difference(da: ContractionDiagram, db: ContractionDiagram) -> str:
-    for s in range(max(da.band_end, db.band_end) + 4):
-        for m, n in ContractionDiagram.antidiagonal(s):
-            if da.value(m, n) != db.value(m, n):
-                return f"gamma[{m},{n}]: {da.value(m, n)} != {db.value(m, n)}"
-    raise AssertionError("gamma signatures differ but no differing point found")
+    """The first suitable point, scanning antidiagonals m + n = 0, 1, ...
+    each in increasing m, where the two gamma functions differ.  Along a
+    diagonal m + n and m both grow, so it is the least by (m + n, m) of the
+    first difference on each diagonal, padded one past the longer with
+    stable values."""
+    found = []
+    for (m, n), a, b in zip(FIRST_POINTS, da.diagonals, db.diagonals):
+        end = max(len(a), len(b)) + 1
+        a += (da.stable_value,) * (end - len(a))
+        b += (db.stable_value,) * (end - len(b))
+        i = next(compress(range(end), map(ne, a, b)), None)
+        if i is not None:
+            found.append((m + n + 2 * i, m + i, n + i, a[i], b[i]))
+    if not found:
+        raise AssertionError("gamma signatures differ but no differing point found")
+    _, m, n, a, b = min(found)
+    return f"gamma[{m},{n}]: {a} != {b}"
 
 
 def decide_equiv(a: MultiDigraph | BinaryRelation,

@@ -233,10 +233,10 @@ def test_chains_must_agree_on_the_main_diagonal(monkeypatch, capsys, g4_file):
     chain = contraction._chain
 
     def perturbed(r, side):
-        (same, one, two), depth, final = chain(r, side)
+        (same, one, two), depth, q = chain(r, side)
         if side == contraction._SIDE["r"]:
             same[1] += 1
-        return (same, one, two), depth, final
+        return (same, one, two), depth, q
 
     monkeypatch.setattr(contraction, "_chain", perturbed)
     with pytest.raises(AssertionError, match=r"gamma\(k, k\)"):
@@ -660,6 +660,10 @@ def test_json_text_matches_json_dumps(monkeypatch, capsys, tmp_path, g1_file, g2
         [False, 2], [1, None], [1, "a"], [1, [2]], [[1, 2], [3, 4]],
         (("a", "b"), ("c", "d")), [["a", "b"], ("c", "d")], [("a", "b"), ["c", "d"]],
         [("a", "b"), ("c",)], [("a", 1)], [("a", "b", "c")],
+        {"1,0": 3, "0,0": 4, "10,8": -2, "2,0": 10**30}, {"n": {"b": 0, "a": 1}},
+        {"a": True}, {"a": True, "b": False}, {"a": 1, "b": True}, {"a": False, "b": 0},
+        {"e": {}}, {"a": 1, "b": None}, {"a": 1, "b": "x"}, {"a": 1, "b": [2]},
+        {"a": 1, "b": {"c": 2}}, [{"a": 1}, {}, {"b": True}],
     ]
     for doc in docs:
         assert cli.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc

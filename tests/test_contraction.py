@@ -6,8 +6,10 @@ import pytest
 from linequiv import (BinaryRelation, StabilizationShapeError, classify_stable,
                       converse, gamma_table, iterated_contraction, left_partition,
                       quotient, right_partition, stabilize)
-from linequiv.contraction import (ContractionDiagram, Partition, StableShape, _Quotient,
-                                  _find, class_label, contraction_sequence)
+from linequiv.cli import random_relation
+from linequiv.contraction import (ContractionDiagram, Partition, StableShape, _chain,
+                                  _Quotient, _find, _quotient, class_label,
+                                  contraction_sequence)
 from linequiv.invariants import diagram_cells, gamma_content, part_one
 from linequiv.parsing import parse_graph
 from linequiv.relation import GraphError, reduce
@@ -526,3 +528,82 @@ def test_every_step_keeps_the_layout(reference_inputs):
                 idle = 0 if q.step(turn) else idle + 1
                 check_layout(r, q)
                 turn = 1 - turn
+
+
+# -- the chain's skip rules ----------------------------------------------------
+
+
+def reference_chain(r: BinaryRelation, side: int) -> tuple:
+    """_chain's lists, depth and fixpoint classes from a loop that runs a
+    step, a probe and a step in every round, skipping nothing."""
+    q = _Quotient(r)
+    same, one, two = [q.count], [], []
+    idle = 0
+    while idle < 2:
+        idle = 0 if q.step(side) else idle + 1
+        one.append(q.count)
+        two.append(q.count - q.probe(side))
+        idle = 0 if q.step(1 - side) else idle + 1
+        same.append(q.count)
+    return (same, one, two), len(one) - 1, q.classes()
+
+
+def chain_inputs() -> list[BinaryRelation]:
+    """Y graphs, spiders, functional graphs and relations drawn as `fuzz`
+    draws them (8 vertices, edge probability 3/10)."""
+    rng = random.Random("chain-inputs")
+    inputs = [spider((a, b)) for a in range(6) for b in range(a, 9)]
+    inputs += [spider((L, L)) for L in (16, 33, 64)] + [spider((20, 21)), spider((7, 40))]
+    inputs += [spider(tuple(rng.randint(1, 12) for _ in range(rng.randint(3, 6))))
+               for _ in range(30)]
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        inputs.append(functional_relation([rng.randrange(n) for _ in range(n)]))
+    fuzz = random.Random(1)
+    return inputs + [random_relation(fuzz, 8, Fraction(3, 10)) for _ in range(300)]
+
+
+def test_chain_equals_the_loop_that_skips_nothing(reference_inputs):
+    for r in reference_inputs + chain_inputs():
+        for side in (0, 1):
+            lists, depth, q = _chain(r, side)
+            assert (lists, depth, q.classes()) == reference_chain(r, side), \
+                (sorted(r.pairs), side)
+
+
+@pytest.mark.parametrize("L", [32, 256])
+def test_y_graph_table_runs_only_the_merging_steps(monkeypatch, L):
+    # every merge of Y(L, L) is a right merge: the left front stays empty
+    calls = {"step": 0, "probe": 0}
+    step, probe = _Quotient.step, _Quotient.probe
+
+    def counted(name, fn):
+        def wrapper(self, side):
+            calls[name] += 1
+            return fn(self, side)
+        return wrapper
+
+    monkeypatch.setattr(_Quotient, "step", counted("step", step))
+    monkeypatch.setattr(_Quotient, "probe", counted("probe", probe))
+    d = gamma_table(spider((L, L)))
+    assert calls == {"step": 2 * L, "probe": 0}
+    assert d.stable_value == L + 1 and d.depth == L
+
+
+def test_stable_relation_is_read_off_the_roots(reference_inputs):
+    rng = random.Random("stable-relation")
+    n = 10 ** 4
+    big = functional_relation([rng.randrange(n) for _ in range(n)])
+    for r in reference_inputs + [big]:
+        quotients = [_chain(r, 0)[2]]
+        for word in ((), (0,), (1, 0)):  # and before the fixpoint, where sets hold more
+            quotients.append(_Quotient(r))
+            for side in word:
+                quotients[-1].step(side)
+        for q in quotients:
+            cls, stable = q.relation(r)
+            expected = _quotient(r, q.classes())
+            assert cls == q.classes()
+            assert (stable.ids, stable.vertex_count) == (expected.ids, expected.vertex_count)
+            assert stable.vertices == expected.vertices
+        assert gamma_table(r).stable == _quotient(r, quotients[0].classes())

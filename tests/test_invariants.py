@@ -15,6 +15,7 @@ test_oracle.py / the acceptance suite).
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,8 @@ from linequiv import (BinaryRelation, InvariantRecord, converse,
                       cyclotomic_refine, decide_equiv, full_invariants,
                       gamma_content, gamma_table, part_one, part_three_zt00,
                       part_two, vertex_check)
-from linequiv.contraction import StableShape
-from linequiv.invariants import NegativeMultiplicity, edge_check
+from linequiv.contraction import ContractionDiagram, StableShape
+from linequiv.invariants import NegativeMultiplicity, _first_gamma_difference, edge_check
 from linequiv.ratpoly import totient
 from linequiv.relation import MultiDigraph
 
@@ -118,6 +119,26 @@ def test_cyclotomic_refine_cases():
     assert part.divisors == ((1, 2), (2, 2), (3, 1), (6, 1))
     # independent degree bookkeeping: sum of phi(d) * mult = sum of lengths
     assert sum(totient(d) * m for d, m in part.divisors) == 8 == part.degree()
+
+
+def refine_by_definition(cycles) -> tuple:
+    """One Phi_d for each divisor d of each cycle length, d tried 1 .. n."""
+    counts = Counter()
+    for n in cycles:
+        for d in range(1, n + 1):
+            if n % d == 0:
+                counts[d] += 1
+    return tuple(sorted(counts.items()))
+
+
+def test_cyclotomic_refine_matches_the_definition():
+    rng = random.Random("cyclotomic-refine")
+    cases = [[], list(range(1, 61)), [36, 36, 49, 1, 1]]
+    cases += [[rng.randint(1, 60) for _ in range(rng.randint(1, 12))] for _ in range(300)]
+    # the identity map on 10^5 vertices, and one 10^5-cycle
+    cases += [[1] * 10 ** 5, [10 ** 5]]
+    for cycles in cases:
+        assert cyclotomic_refine(cycles).divisors == refine_by_definition(cycles), cycles[:12]
 
 
 def test_full_invariants_golden_small(g1, g2, g3):
@@ -225,6 +246,67 @@ def test_decide_equiv_reason_deep_in_the_band():
     r = seeded_relation("toggle:531", max_vertices=9, prob=Fraction(15, 100))
     toggled = BinaryRelation(r.vertices, r.pairs ^ {("v2", "v7")})
     assert decide_equiv(r, toggled).reason == "gamma[1,3]: 2 != 1"
+
+
+def scanned_difference(da: ContractionDiagram, db: ContractionDiagram) -> str | None:
+    """The first point where two gamma functions differ, by its definition:
+    antidiagonals m + n = 0, 1, ... in turn, each in increasing m."""
+    for s in range(max(da.band_end, db.band_end) + 4):
+        for m, n in ContractionDiagram.antidiagonal(s):
+            if da.value(m, n) != db.value(m, n):
+                return f"gamma[{m},{n}]: {da.value(m, n)} != {db.value(m, n)}"
+    return None
+
+
+def random_diagram_pair(rng: random.Random) -> tuple[ContractionDiagram, ContractionDiagram]:
+    """Two diagrams with short diagonals of small values, the second often
+    the first with one value changed, a diagonal cut or grown, or another
+    stable value, so that most pairs differ at one point."""
+    empty = BinaryRelation((), frozenset())
+
+    def diagonals() -> list[list[int]]:
+        return [[rng.randint(0, 3) for _ in range(rng.randint(o == 0, 6))] for o in range(5)]
+
+    first, stable = diagonals(), rng.randint(1, 2)
+    second, other_stable = [list(d) for d in first], stable
+    change = rng.randrange(5)
+    o = rng.randrange(5)
+    if change == 0:
+        second = diagonals()
+    elif change == 1 and second[o]:
+        second[o][rng.randrange(len(second[o]))] = rng.randint(0, 3)
+    elif change == 2 and len(second[o]) > (o == 2):
+        del second[o][rng.randrange(o == 2, len(second[o])):]
+    elif change == 3:
+        second[o] += [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    else:
+        other_stable = 3 - stable
+    return tuple(ContractionDiagram(tuple(map(tuple, d)), v, empty, 0)
+                 for d, v in ((first, stable), (second, other_stable)))
+
+
+def test_first_gamma_difference_matches_the_scan():
+    rng = random.Random("first-difference")
+    pairs = [random_diagram_pair(rng) for _ in range(3000)]
+    pairs += [(gamma_table(spider((L, L))), gamma_table(spider((L - 1, L + 1))))
+              for L in (1, 2, 3, 8, 33, 64)]
+    graphs = [gamma_table(seeded_relation(f"first-difference:{i}", max_vertices=7))
+              for i in range(30)]
+    pairs += [(da, db) for da in graphs for db in graphs]
+    differing = Counter()
+    for da, db in pairs:
+        expected = scanned_difference(da, db)
+        assert (expected is None) == (da.signature() == db.signature())
+        if expected is None:
+            with pytest.raises(AssertionError):
+                _first_gamma_difference(da, db)
+            continue
+        assert _first_gamma_difference(da, db) == expected, (da.diagonals, db.diagonals)
+        differing["pairs"] += 1
+        differing["lengths"] += list(map(len, da.diagonals)) != list(map(len, db.diagonals))
+        differing["stable"] += da.stable_value != db.stable_value
+    assert differing["pairs"] >= 2000
+    assert differing["lengths"] >= 500 and differing["stable"] >= 500
 
 
 def test_signature_equal_iff_gamma_agrees_everywhere():
