@@ -3,10 +3,10 @@
 Commands: reduce, contract, diagram, invariants, equiv, oracle, fuzz.
 Exit codes: 0 success (or equivalent / all trials passed), 1 not equivalent
 or a failed cross-check, 2 usage or parse error, or a matrix pair the oracle
-cannot factor, 3 internal consistency error, 141 the reader closed the output
-pipe early (128 + SIGPIPE, as a shell reports it).  With --json all output is
-a single JSON document with sorted keys, byte-stable for a given input and
-version, written by `json_text`.
+cannot factor, 3 internal consistency error or out of memory, 141 the reader
+closed the output pipe early (128 + SIGPIPE, as a shell reports it).  With
+--json all output is a single JSON document with sorted keys, byte-stable for
+a given input and version, written by `json_text`.
 
 Graph commands load only the contraction route.  The oracle side
 (`linearize`, `oracle`, and through it `smith` and `echelon`) runs only for
@@ -389,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the contraction diagram with cell contents")
     p.add_argument("path")
     p.add_argument("--max-band", type=int, default=0, metavar="K",
-                   help="render K extra antidiagonal bands beyond the horizon")
+                   help="render K extra antidiagonal bands beyond the horizon "
+                        "(2K more lines, each up to 2K cells longer)")
     p.set_defaults(func=_cmd_diagram)
 
     p = sub.add_parser("invariants", parents=[common, graphish],
@@ -414,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-validate random relations against the oracle")
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--vertices", type=int, default=4)
+    p.add_argument("--vertices", type=int, default=4, metavar="N",
+                   help="vertices per random relation; each trial draws N^2 edge coins")
     p.add_argument("--edge-prob", default="3/10",
                    help="rational in [0, 1], e.g. 0.3 or 3/10")
     p.set_defaults(func=_cmd_fuzz)
@@ -439,6 +441,9 @@ def main(argv=None) -> int:
         return 2
     except _INTERNAL_ERRORS as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except BrokenPipeError:
         # Closing drops the output the reader will never take, so the flush at

@@ -3,35 +3,33 @@ the raw matrix pair by exact linear algebra.
 
 No contractions are used anywhere here.  The pair (M, N) is analyzed as the
 pencil M + X*N, and every count in the record is read off exact ranks of
-sparse integer matrices built from M and N:
+sparse integer matrices built from M and N.  One routine, `_eliminations`,
+grows a block matrix T_k a block per k in one elimination, and one reader,
+`_multiset`, turns the saturated nullities of T_k into a multiset:
 
-  * the minimal indices: the nullities f(k) of the block matrices whose
-    kernels are the row solutions x(t)(M + tN) = 0 of degree < k give ztz,
-    and the same on the transposed pair gives t;
-  * the normal rank r, from one sample rank(M + 2N) that the same f
-    certifies, so one elimination gives both r and ztz;
-  * the local Jordan type of a pencil A + s*B at s = 0, from the nullities
-    of truncated block Toeplitz matrices: (A, B) = (M, N) gives zt, and
-    (N, M) gives tz;
-  * the regular part: a stored divisor S(Phi_d^n) is a Jordan block of size
-    n at each pencil eigenvalue X = -zeta, zeta a primitive d-th root of
-    unity.  Ranks of M - zeta*N, lifted to Q by the companion matrix of
-    Phi_d, count those blocks for d = 1, 2, ... until they account for the
-    regular degree; from d = 2 on, a rank modulo a prime rules most d out
-    first.
+  * the minimal indices, from row solutions x(t)(M + tN) = 0 of degree
+    < k: ztz, and t on the transposed pair;
+  * the local Jordan type at s = 0 of A + s*B, from truncated block
+    Toeplitz T_k: (A, B) = (M, N) gives zt, and (N, M) gives tz.
+
+The normal rank r is one sample rank(M + 2N) that the ztz nullities
+certify.  A stored divisor S(Phi_d^n) of the regular part is a Jordan
+block of size n at each pencil eigenvalue X = -zeta, zeta a primitive d-th
+root of unity: ranks of M - zeta*N, lifted to Q by the companion matrix of
+Phi_d, count those blocks for d = 1, 2, ... until they fill the regular
+degree (from d = 2 on, a rank modulo a prime rules most d out first), and
+the lifted local type gives their sizes when needed.
 
 Each rank comes from fraction-free elimination on the pair's integer rows,
-`PairMatrices.rows`, built once per pair.  One elimination of the rows of
-[M N] gives a row basis of at most 2v rows (`_row_basis`), and the sample,
-the row-side nullity sequence and the roots of unity read it instead of the
-e rows: each of their matrices has a row space that is a sum of linear
-images of rowspace([M N]), so any basis of that space spans it too, and
-only the counts k*e of the nullities read e.  The column side feeds the
-v rows of the sparse transpose straight to its nullity sequence: on a
-graph pair they are nearly always independent, so a basis would cost one
-more elimination and save none.  The local types read the columns too.
-A sequence of ranks over k grows one elimination instead of restarting
-it.  Nothing touches floating point.
+`PairMatrices.rows`, built once per pair.  T_1 = [M N] gives a row basis
+of at most 2v rows (`_row_basis`), which the sample, the ztz nullities and
+the roots of unity read instead of the e rows: each of their matrices has
+a row space that is a sum of linear images of rowspace([M N]), so the
+basis spans it too, and only the counts k*e of the nullities read e.  The
+column side feeds the v rows of the sparse transpose to its nullities
+directly: on a graph pair they are nearly always independent, so a basis
+would cost one more elimination and save none.  The local types read the
+columns too.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -42,7 +40,9 @@ S(X - 1): a pencil factor q gives the stored polynomial monic(q(-X)).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,10 +59,6 @@ class DimensionMismatch(RuntimeError, AssertionError):
     """The record, or the cyclotomic scan behind its regular part, does not
     account for the matrix dimensions exactly.  An AssertionError too: a
     failed internal check, which the CLI reports with exit 3."""
-
-
-def _shifted(row: SparseRow, offset: int) -> SparseRow:
-    return {offset + j: x for j, x in row.items()}
 
 
 def _columns(rows: list[SparseRow], cols: int) -> list[SparseRow]:
@@ -85,15 +81,31 @@ def _pencil_rows(rows, c: int) -> list[SparseRow]:
     return [{j: m.get(j, 0) + c * n.get(j, 0) for j in m.keys() | n.keys()} for m, n in rows]
 
 
+def _eliminations(pairs, width: int, shift: int) -> Iterator[Echelon]:
+    """One elimination of the block matrices T_1, T_2, ..., yielded after
+    each block: row block j of T_k (j < k) holds one row per pair (x, y),
+    x at column block j and y at column block j + shift (left out below
+    block 0), in column blocks `width` wide.  T_k is T_(k-1) plus block
+    k - 1, so every k reads the same elimination."""
+    echelon = Echelon()
+    for j in itertools.count():
+        x_at, y_at, with_y = j * width, (j + shift) * width, j + shift >= 0
+        for x, y in pairs:
+            row = {x_at + c: a for c, a in x.items()} if j else dict(x)
+            if with_y:
+                for c, b in y.items():
+                    row[y_at + c] = b
+            if row:
+                echelon.add(row)
+        yield echelon
+
+
 def _row_basis(rows, v: int) -> list[tuple[SparseRow, SparseRow]]:
     """A basis of R = rowspace([M N]) for the rows (m, n) of a pair with v
-    columns: the pivot rows of one elimination of the rows of [M N], split
-    back into pairs (m, n).  At most 2v rows, however many rows come in."""
-    echelon = Echelon()
-    for m, n in rows:
-        echelon.add({**m, **_shifted(n, v)})
+    columns: the pivot rows of T_1 = [M N], split back into pairs (m, n).
+    At most 2v rows, however many rows come in."""
     return [({j: x for j, x in row.items() if j < v}, {j - v: x for j, x in row.items() if j >= v})
-            for row in echelon.pivots.values()]
+            for row in next(_eliminations(rows, v, 1)).pivots.values()]
 
 
 def kernel_meet_dim(p: PairMatrices) -> int:
@@ -111,22 +123,19 @@ def _solution_space_dims(basis, e: int, v: int, total: int) -> list[int]:
     f(k) = k*e - rank T_k, where row block j < k of T_k is [M N] at column
     blocks j and j + 1.  So rowspace(T_k) is the sum of the row spaces of
     [M N] shifted by j*v, and the basis shifted block by block spans it as
-    the e rows do; only k*e counts the rows themselves.  Block k - 1 only
-    adds rows to T_(k-1), so one elimination serves every k."""
-    echelon = Echelon()
+    the e rows do; only k*e counts the rows themselves."""
     f = [0]
-    for k in range(1, min(e, v) + 3):
-        for m, n in basis:
-            echelon.add({**_shifted(m, (k - 1) * v), **_shifted(n, k * v)})
+    for k, echelon in zip(range(1, min(e, v) + 3), _eliminations(basis, v, 1)):
         f.append(k * e - echelon.rank)
         if f[-1] - f[-2] == total:
             break
     return f
 
 
-def _indices(f: list[int]) -> tuple[int, ...]:
-    """The minimal indices of a saturated nullity sequence f: index d
-    occurs as often as the second difference of f at d."""
+def _multiset(f: list[int]) -> tuple[int, ...]:
+    """The multiset of a saturated sequence f(k) = sum of max(0, k - n)
+    over its members n: n occurs as often as the second difference of f
+    at n, and the last increment counts them all."""
     out = []
     for d in range(len(f) - 1):
         mult = f[d + 1] - 2 * f[d] + (f[d - 1] if d else 0)
@@ -134,7 +143,7 @@ def _indices(f: list[int]) -> tuple[int, ...]:
             raise AssertionError("nullity sequence is not concave")
         out.extend([d] * mult)
     if len(out) != f[-1] - f[-2]:
-        raise AssertionError("minimal index count mismatch")
+        raise AssertionError("multiset count mismatch")
     return tuple(out)
 
 
@@ -157,7 +166,7 @@ def minimal_indices_left(p: PairMatrices,
     last = f[-1] - f[-2]
     if last > e - sample or (last < e - sample and last != f[-2] - f[-3]):
         raise AssertionError("row solution dimensions failed to saturate")
-    return _indices(f)
+    return _multiset(f)
 
 
 def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
@@ -186,7 +195,7 @@ def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int
     f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
-    return _indices(f)
+    return _multiset(f)
 
 
 # -- local Jordan types ---------------------------------------------------------
@@ -201,33 +210,20 @@ def _local_type(a_cols: list[SparseRow], b_cols: list[SparseRow], e: int,
     T_k is the truncated block Toeplitz matrix whose row block j < k holds A
     in column block j and B in column block j + 1 (when j + 1 < k); its left
     kernel is the row solutions of x(s)(A + sB) = 0 modulo s^k.  So
-    h(k) = (k*e - rank T_k) - k*(e - rank) = sum of min(n, k) over the
-    blocks, and its second differences are the block counts.  Column block
-    k of T_(k+1) touches only row blocks k - 1 and k, so T_k's columns are
-    fed as rows to one elimination, which serves every k."""
-    echelon = Echelon()
+    h(k) = (k*e - rank T_k) - k*(e - rank) = k*rank - rank T_k is the sum
+    of min(n, k) over the blocks, and k*h(1) - h(k), the sum of
+    max(0, k - n), is the shape `_multiset` reads.  Column block j of T_k
+    touches only row blocks j - 1 and j, so T_k's columns are fed as rows
+    to `_eliminations`, shift -1."""
     h = [0]
-    for k in range(1, len(a_cols) + 2):
-        for a_col, b_col in zip(a_cols, b_cols):
-            col = _shifted(a_col, (k - 1) * e)
-            if k > 1:
-                col.update(_shifted(b_col, (k - 2) * e))
-            if col:
-                echelon.add(col)
-        h.append(k * e - echelon.rank - k * (e - rank))
+    for k, echelon in zip(range(1, len(a_cols) + 2),
+                          _eliminations(list(zip(a_cols, b_cols)), e, -1)):
+        h.append(k * rank - echelon.rank)
         if h[-1] == h[-2]:
             break
     else:
         raise AssertionError("local Jordan chains failed to saturate")
-    out = []
-    for n in range(1, len(h) - 1):
-        mult = 2 * h[n] - h[n - 1] - h[n + 1]
-        if mult < 0:
-            raise AssertionError("local nullity sequence is not concave")
-        out.extend([n] * mult)
-    if len(out) != h[1]:
-        raise AssertionError("Jordan block count mismatch")
-    return tuple(out)
+    return _multiset([k * h[1] - x for k, x in enumerate(h)])
 
 
 # -- the regular part: roots of unity -------------------------------------------

@@ -42,9 +42,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-FORMATS = ("edge-list", "dot")
-
-
 def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiDigraph:
     """Parse text into a MultiDigraph.
 

@@ -7,13 +7,24 @@ every value double-checked by the exact-linear-algebra oracle.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import linequiv
 from linequiv import BinaryRelation, MultiDigraph
 from linequiv.cli import random_relation
+
+
+def checkout_env() -> dict:
+    """The environment for a new interpreter that imports this checkout's
+    package."""
+    src = str(Path(linequiv.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 def multidigraph(vertices, edges) -> MultiDigraph:

@@ -6,7 +6,6 @@ attribute of a lazily registered module, so it loads nothing.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import linequiv
+
+from conftest import checkout_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -23,10 +24,7 @@ SPANS = ROOT / "bench" / "spans.py"
 def run_fresh(code: str) -> dict:
     """Run `code` in a new interpreter that imports this checkout's package;
     it must print one JSON document, which is returned."""
-    src = str(Path(linequiv.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=checkout_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
