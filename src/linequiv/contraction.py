@@ -23,18 +23,15 @@ step are the only ones that can feed the next (right steps alike).  A step
 therefore costs the degrees of those classes and the entries its merges
 rename, not the size of the relation.
 
-gamma_table runs two alternating chains, one after the other so that one
-quotient is alive at a time, and stores the band as its five diagonals
-m - n = -2 .. 2, each a list indexed by min(m, n) that a chain appends to
-as it goes.  The left-first chain gives the diagonals 0, 1 and, by a probe
-that counts a step's merges without making them, 2; its fixpoint is the
-stable relation, read off the adjacency of its roots.  The right-first
-chain gives -1 and -2, and counts the main diagonal a second time: the two
-counts must agree, as must the two fixpoints.  A chain stops only after
-two idle steps, so it ends at the fixpoint; every suitable point it did
-not pass lies beyond that end, and contracting a fixpoint changes nothing,
-so the point takes the stable value.  The record formulas read the
-diagonals through the diagram cells of invariants.py.
+gamma_table stores the band as its five diagonals m - n = -2 .. 2, each a
+list indexed by min(m, n) that a chain appends to as it goes.  The
+left-first chain gives the diagonals 0, 1 and, by a probe that counts a
+step's merges without making them, 2; its fixpoint is the stable relation,
+read off the adjacency of its roots.  A chain stops only after two idle
+steps, so it ends at the fixpoint; every suitable point it did not pass lies
+beyond that end, and contracting a fixpoint changes nothing, so the point
+takes the stable value.  The record formulas read the diagonals through the
+diagram cells of invariants.py.
 
 A chain skips the work that an empty front proves idle, by two exact
 rules.  Rule 1: a step or probe on a side whose front is empty is not run;
@@ -44,8 +41,26 @@ an empty front on the other side makes that side's next step idle, so the
 partition after the next step on the chain's side is the one j + 2 and j
 steps reach (a step is a function of the partition alone); gamma(j + 2, j)
 is then the count after that step, and the probe is not run.  On a graph
-whose merges all fall on one side, such as a Y graph, each chain runs only
-the steps that merge, and no probe.
+whose merges all fall on one side, such as a Y graph, a chain runs only the
+steps that merge, and no probe.
+
+The diagonals -1 and -2 come from a second, right-first chain, which counts
+the main diagonal a second time: the two counts must agree, as must the two
+fixpoints.  Rule 3 drops that chain when the left-first one ran no step on
+one side.  Only that side's step clears its front, so the front was empty
+all along; as every class with two neighbours on a side is in that side's
+front, the side's step is idle at every partition P(j, j) the chain passed.
+The right-first chain would then start from the same quotient and run the
+same steps in the same order, and no probe, so its lists follow from the
+left-first main diagonal same[j] = gamma(j, j).  With no left step,
+P(j, j + 1) = P(j + 1, j + 1) and P(j, j + 2) = P(j + 2, j + 2), so the
+diagonals -1 and -2 are same[1:] and same[2:] padded with the stable value;
+with no right step, both are same[:-1], since right steps leave P(j, j) as
+it is.  The two agreement checks would compare a computation with a replay
+of itself there, so they lose nothing.  Functional graphs, in-trees and
+their converses run one chain; a graph whose left-first chain steps both
+sides runs two, one after the other so that one quotient is alive at a
+time.
 
 A contraction's result is an array of class ids, the classes numbered in
 the order of their first vertex, which is the canonical order of a
@@ -180,7 +195,8 @@ class _Quotient:
     x: None for none, a bare id for one, a set from the second on, and None
     again once x is merged away.  A set is never turned back into an id,
     though renames may shrink it.  front[side] holds every root whose set
-    on that side was made or grew since that side's last step."""
+    on that side was made or grew since that side's last step, and
+    steps[side] counts the steps run on that side."""
 
     def __init__(self, r: BinaryRelation):
         n = r.vertex_count
@@ -206,6 +222,7 @@ class _Quotient:
         self.front = tuple(map(set, grown))
         self.directions = ((out, inn, self.front[0]), (inn, out, self.front[1]))
         self.parent, self.size, self.count = list(range(n)), [1] * n, n
+        self.steps = [0, 0]
 
     def _merge(self, a: int, b: int) -> int:
         """Fold the smaller of the roots a, b into the larger; returns the
@@ -270,6 +287,7 @@ class _Quotient:
         All groups are read before the first merge, so merges never cascade."""
         groups, before = self._groups(side), self.count
         self.front[side].clear()
+        self.steps[side] += 1
         _join(groups, self.parent, self._merge)
         return before - self.count
 
@@ -334,7 +352,8 @@ def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, _Q
     other side's front is empty, that side's next step is idle, so the next
     step on side reaches the partition of j + 2 and j steps; its count is
     gamma(j + 2, j), and the probe is not run.  Such a round's step on side
-    merged (it left a front), so the loop goes on to that next step."""
+    merged (it left a front), so the loop goes on to that next step.  The
+    quotient's steps tell which sides the chain stepped."""
     q = _Quotient(r)
     front, other = q.front[side], q.front[1 - side]
     same, one, two = [q.count], [], []
@@ -469,15 +488,17 @@ class ContractionDiagram:
     its five diagonals.
 
     diagonals[o + 2][i] is gamma at m - n = o and min(m, n) = i, for every
-    point the two chains of gamma_table passed: o = 0, 1, 2 from the
-    left-first chain, o = -1, -2 from the right-first one, and the main
-    diagonal from whichever went further, once the two agreed on it.  Every
-    other suitable point lies beyond a chain's fixpoint and takes
-    stable_value.  horizon is the least D with gamma constant on suitable
-    points having min(m, n) >= D, and band_end the largest m + n of a stored
-    point; gamma maps each stored point (m, n) to its count.  stable and
-    depth are the fully contracted relation and the number of
-    left-then-right rounds that reach it, as `stabilize` returns them.
+    point the chains of gamma_table passed: o = 0, 1, 2 from the left-first
+    chain, o = -1, -2 from the right-first one, and the main diagonal from
+    whichever went further, once the two agreed on it.  When the left-first
+    chain ran no step on one side, o = -1, -2 are read off its main diagonal
+    instead (rule 3), and no right-first chain runs.  Every other suitable
+    point lies beyond a chain's fixpoint and takes stable_value.  horizon
+    is the least D with gamma constant on suitable points having
+    min(m, n) >= D, and band_end the largest m + n of a stored point; gamma
+    maps each stored point (m, n) to its count.  stable and depth are the
+    fully contracted relation and the number of left-then-right rounds that
+    reach it, as `stabilize` returns them.
     """
 
     diagonals: tuple[tuple[int, ...], ...]
@@ -535,17 +556,25 @@ class ContractionDiagram:
 def gamma_table(r: BinaryRelation) -> ContractionDiagram:
     """Tabulate gamma over the suitable band: the diagonals m - n = 0, 1, 2
     from the left-first chain and m - n = -1, -2 from the right-first one.
-    Both chains count gamma(k, k) and must agree on it and on their fixpoint."""
+    Both chains count gamma(k, k) and must agree on it and on their fixpoint.
+    If the left-first chain ran no step on one side, the right-first one
+    would replay it, so -1 and -2 are read off its main diagonal (rule 3)."""
     (same, left_one, left_two), depth, q = _chain(r, _SIDE["l"])
     final, stable = q.relation(r)
+    left_steps, right_steps = q.steps
     del q  # one quotient alive at a time
-    (right_same, right_one, right_two), _, q = _chain(r, _SIDE["r"])
-    if q.classes() != final:
-        raise AssertionError("the left-first and right-first chains reach different fixpoints")
-    common = min(len(same), len(right_same))
-    if same[:common] != right_same[:common]:
-        raise AssertionError("the left-first and right-first chains count different gamma(k, k)")
-    if len(right_same) > len(same):
-        same = right_same
+    if not left_steps:  # P(j, j + k) = P(j + k, j + k)
+        right_one, right_two = same[1:], same[2:] + same[-1:]
+    elif not right_steps:  # P(j, j + k) = P(j, j)
+        right_one = right_two = same[:-1]
+    else:
+        (right_same, right_one, right_two), _, q = _chain(r, _SIDE["r"])
+        if q.classes() != final:
+            raise AssertionError("the left-first and right-first chains reach different fixpoints")
+        common = min(len(same), len(right_same))
+        if same[:common] != right_same[:common]:
+            raise AssertionError("the left-first and right-first chains count different gamma(k, k)")
+        if len(right_same) > len(same):
+            same = right_same
     diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
     return ContractionDiagram(diagonals, stable.vertex_count, stable, depth)

@@ -573,21 +573,58 @@ def test_chain_equals_the_loop_that_skips_nothing(reference_inputs):
 
 @pytest.mark.parametrize("L", [32, 256])
 def test_y_graph_table_runs_only_the_merging_steps(monkeypatch, L):
-    # every merge of Y(L, L) is a right merge: the left front stays empty
-    calls = {"step": 0, "probe": 0}
-    step, probe = _Quotient.step, _Quotient.probe
+    # every merge of Y(L, L) is a right merge, and every merge of its
+    # converse a left one: the other front stays empty, so one chain runs
+    calls = {"step": 0, "probe": 0, "build": 0}
+    step, probe, build = _Quotient.step, _Quotient.probe, _Quotient.__init__
 
     def counted(name, fn):
-        def wrapper(self, side):
+        def wrapper(self, arg):
             calls[name] += 1
-            return fn(self, side)
+            return fn(self, arg)
         return wrapper
 
     monkeypatch.setattr(_Quotient, "step", counted("step", step))
     monkeypatch.setattr(_Quotient, "probe", counted("probe", probe))
-    d = gamma_table(spider((L, L)))
-    assert calls == {"step": 2 * L, "probe": 0}
-    assert d.stable_value == L + 1 and d.depth == L
+    monkeypatch.setattr(_Quotient, "__init__", counted("build", build))
+    for r in (spider((L, L)), converse(spider((L, L)))):
+        calls.update(step=0, probe=0, build=0)
+        d = gamma_table(r)
+        assert calls == {"step": L, "probe": 0, "build": 1}
+        assert d.stable_value == L + 1 and d.depth == L
+
+
+def test_two_sided_table_runs_both_chains(monkeypatch, g4):
+    sides = []
+
+    def logged(r, side):
+        sides.append(side)
+        return _chain(r, side)
+
+    monkeypatch.setattr("linequiv.contraction._chain", logged)
+    gamma_table(relation(g4))
+    assert sides == [0, 1]
+
+
+def two_chain_table(r: BinaryRelation) -> ContractionDiagram:
+    """The table of both reference chains, the main diagonal from the
+    longer one."""
+    (same, left_one, left_two), depth, classes = reference_chain(r, 0)
+    (right_same, right_one, right_two), _, right_classes = reference_chain(r, 1)
+    assert classes == right_classes
+    same = max(same, right_same, key=len)
+    diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
+    return ContractionDiagram(diagonals, max(classes, default=-1) + 1,
+                              _quotient(r, classes), depth)
+
+
+def test_one_sided_table_equals_the_two_chain_table(reference_inputs):
+    # the converses take the other branch of rule 3: a functional graph or
+    # in-tree never steps left, its converse never steps right
+    for r in reference_inputs + chain_inputs():
+        for s in (r, converse(r)):
+            d, expected = gamma_table(s), two_chain_table(s)
+            assert (d, d.band_end) == (expected, expected.band_end), sorted(s.pairs)
 
 
 def test_stable_relation_is_read_off_the_roots(reference_inputs):

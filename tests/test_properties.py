@@ -11,7 +11,8 @@ from collections import Counter
 
 from hypothesis import assume, given, settings, strategies as st
 
-from linequiv import InvariantRecord, MultiDigraph, full_invariants
+from linequiv import InvariantRecord, MultiDigraph, contraction, full_invariants
+from linequiv.contraction import _chain
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -80,7 +81,9 @@ def test_each_parallel_edge_adds_one_ztz0(g, data):
 # bench families at ~10^4 vertices, whose records have closed forms: a
 # functional graph's cycles are its map's cycle lengths and its tz the Jordan
 # type of the nilpotent part, read off the image sizes r_k = |f^k(V)|; the
-# Y graph Y(a, a) has t[a] = tz[a] = 1.
+# Y graph Y(a, a) has t[a] = tz[a] = 1.  Every merge of these graphs falls
+# on one side, so each table runs one chain (rule 3 of contraction.py), and
+# the converses take its no-right-step branch.
 
 
 def functional_record(f: list) -> InvariantRecord:
@@ -100,7 +103,14 @@ def functional_record(f: list) -> InvariantRecord:
     return InvariantRecord(tz=tz, cycles=tuple(cycles))
 
 
-def test_rules_hold_at_bench_scale():
+def test_rules_hold_at_bench_scale(monkeypatch):
+    chains = []
+
+    def logged(r, side):
+        chains.append(side)
+        return _chain(r, side)
+
+    monkeypatch.setattr(contraction, "_chain", logged)
     rng = random.Random("bench-scale")
     n = 10_000
     f = [rng.randrange(n) for _ in range(n)]
@@ -126,3 +136,4 @@ def test_rules_hold_at_bench_scale():
         assert full_invariants(converse) == record.swapped()
     union = MultiDigraph(functional.vertices + y_graph.vertices, functional.edges + y_graph.edges)
     assert full_invariants(union) == record_sum(*expected)
+    assert chains == [0] * 7
