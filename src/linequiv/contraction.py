@@ -46,21 +46,36 @@ steps that merge, and no probe.
 
 The diagonals -1 and -2 come from a second, right-first chain, which counts
 the main diagonal a second time: the two counts must agree, as must the two
-fixpoints.  Rule 3 drops that chain when the left-first one ran no step on
-one side.  Only that side's step clears its front, so the front was empty
-all along; as every class with two neighbours on a side is in that side's
-front, the side's step is idle at every partition P(j, j) the chain passed.
-The right-first chain would then start from the same quotient and run the
-same steps in the same order, and no probe, so its lists follow from the
-left-first main diagonal same[j] = gamma(j, j).  With no left step,
-P(j, j + 1) = P(j + 1, j + 1) and P(j, j + 2) = P(j + 2, j + 2), so the
-diagonals -1 and -2 are same[1:] and same[2:] padded with the stable value;
-with no right step, both are same[:-1], since right steps leave P(j, j) as
-it is.  The two agreement checks would compare a computation with a replay
-of itself there, so they lose nothing.  Functional graphs, in-trees and
-their converses run one chain; a graph whose left-first chain steps both
-sides runs two, one after the other so that one quotient is alive at a
-time.
+fixpoints.  The chains run one after the other, so that one quotient is
+alive at a time.
+
+A one-sided relation runs no chain.  If every vertex has at most one
+out-edge, the relation is a partial map f.  A right merge joins classes that
+share their only target, so no class ever gets two out-neighbours and no
+left step ever merges; a vertex with two out-edges starts in the left
+front, so the first left step runs.  Hence the left-first chain runs no left
+step iff the out-degree is at most one, and no right step iff the in-degree
+is, which is the mirror case, read on the converse.  On a partial map, k
+right steps join x and x' iff f^i(x) = f^i(x') for some i <= k, and left
+steps are idle, so gamma(m, k) = c_k counts vertices: one class per vertex
+that f^k reaches, and for each sink z one per distance d < k at which some
+vertex lies from z:
+
+    c_k = #{y : ht(y) >= k} + sum over sinks z of min(k, ht(z) + 1),
+
+where ht(y) is the length of the longest path ending at y, infinite on a
+cycle, from one pass in topological order (Kahn, CACM 1962).  The depth D
+is the least k with c_{k+1} = c_k, and the main diagonal is c_0 .. c_{D+1},
+as the left-first chain lists it.  With no left step, P(j, j + k) is
+P(j + k, j + k) and P(j + k, j) is P(j, j), so the diagonals -1 and -2 are
+the main diagonal shifted by one and two, padded with the stable value,
+and 1 and 2 are the main diagonal less its last entry; with no right step,
+the mirror.  The fixpoint joins x and x' iff f^j(x) = f^j(x') for some j:
+a class is a sink and a distance to it, or, on a cycle's trees, the cycle
+vertex that lies that distance behind the cycle entry, numbered in
+Partition order.  The reader builds no quotient: a random map's trees are
+Theta(sqrt n) tall (Flajolet and Odlyzko, 1989), so a chain would run
+Theta(sqrt n) rounds where the reader makes two passes.
 
 A contraction's result is an array of class ids, the classes numbered in
 the order of their first vertex, which is the canonical order of a
@@ -76,7 +91,10 @@ StabilizationShapeError, which would signal a bug, not bad input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, count, filterfalse, repeat
+from operator import itemgetter
 from types import MappingProxyType
 
 from .relation import BinaryRelation, GraphError
@@ -184,6 +202,16 @@ def _quotient(r: BinaryRelation, cls: list[int], pairs: frozenset | None = None)
     return BinaryRelation._of(k, pairs, labels)
 
 
+def _canonical(labels: list[int]) -> tuple[dict[int, int], list[int]]:
+    """Number the distinct labels of a per-vertex label array in the order
+    of their first vertex, the canonical order of Partition: the number of
+    each label, and every vertex's class id."""
+    number = dict.fromkeys(labels)
+    for i, x in enumerate(number):
+        number[x] = i
+    return number, list(map(number.__getitem__, labels))
+
+
 # -- the contraction engine ---------------------------------------------------
 _SIDE = {"l": 0, "r": 1}
 
@@ -195,8 +223,7 @@ class _Quotient:
     x: None for none, a bare id for one, a set from the second on, and None
     again once x is merged away.  A set is never turned back into an id,
     though renames may shrink it.  front[side] holds every root whose set
-    on that side was made or grew since that side's last step, and
-    steps[side] counts the steps run on that side."""
+    on that side was made or grew since that side's last step."""
 
     def __init__(self, r: BinaryRelation):
         n = r.vertex_count
@@ -222,7 +249,6 @@ class _Quotient:
         self.front = tuple(map(set, grown))
         self.directions = ((out, inn, self.front[0]), (inn, out, self.front[1]))
         self.parent, self.size, self.count = list(range(n)), [1] * n, n
-        self.steps = [0, 0]
 
     def _merge(self, a: int, b: int) -> int:
         """Fold the smaller of the roots a, b into the larger; returns the
@@ -287,7 +313,6 @@ class _Quotient:
         All groups are read before the first merge, so merges never cascade."""
         groups, before = self._groups(side), self.count
         self.front[side].clear()
-        self.steps[side] += 1
         _join(groups, self.parent, self._merge)
         return before - self.count
 
@@ -311,10 +336,7 @@ class _Quotient:
         root, up = self.parent, None
         while up != root:
             up, root = root, list(map(root.__getitem__, root))
-        number = dict.fromkeys(root)
-        for i, x in enumerate(number):
-            number[x] = i
-        return number, list(map(number.__getitem__, root))
+        return _canonical(root)
 
     def classes(self) -> list[int]:
         """The class id of every vertex, in canonical order."""
@@ -352,8 +374,7 @@ def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, _Q
     other side's front is empty, that side's next step is idle, so the next
     step on side reaches the partition of j + 2 and j steps; its count is
     gamma(j + 2, j), and the probe is not run.  Such a round's step on side
-    merged (it left a front), so the loop goes on to that next step.  The
-    quotient's steps tell which sides the chain stepped."""
+    merged (it left a front), so the loop goes on to that next step."""
     q = _Quotient(r)
     front, other = q.front[side], q.front[1 - side]
     same, one, two = [q.count], [], []
@@ -370,6 +391,69 @@ def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, _Q
         idle = 0 if other and q.step(1 - side) else idle + 1
         same.append(q.count)
     return (same, one, two), len(one) - 1, q
+
+
+# -- one-sided relations: no chain -------------------------------------------
+
+
+def _one_sided(r: BinaryRelation) -> tuple[int, list[int], BinaryRelation] | None:
+    """For a relation with out-degree <= 1, a partial map f, or in-degree
+    <= 1, the converse of one: the side that never steps (0 left, 1 right),
+    the counts c_0 .. c_{D+1} after 0 .. D + 1 steps on the other side, and
+    the stable relation.  None when both sides have a vertex of degree two,
+    where the chains run.
+
+    Kahn's topological sort, its queue a list that grows as vertices lose
+    their last in-edge, meets the vertices in order of ht(y), the length
+    of the longest path ending at y, so y's last in-neighbour to be met has
+    ht(y) - 1; the vertices it never meets lie on cycles, where ht is
+    infinite.  c_k is #{y : ht(y) >= k} plus, over the sinks z,
+    min(k, ht(z) + 1), so c_{k+1} - c_k is the number of sinks with
+    ht(z) >= k less the number of vertices with ht(y) = k.  At the fixpoint
+    x ~ x' iff f^j(x) = f^j(x') for some j: a second pass, from the sinks
+    and cycles outward, names a class by the first vertex it meets, the
+    class of x being the one that f maps into the class of f(x) (on a
+    cycle, its vertex one step back).  All members of a class map into one
+    class, so the stable relation has one pair per class with an image,
+    read off the vertex that names it."""
+    f = dict(r.ids)
+    side = 0
+    if len(f) < r.edge_count:
+        f, side = dict(map(itemgetter(1, 0), r.ids)), 1
+        if len(f) < r.edge_count:
+            return None
+    n = r.vertex_count
+    succ = list(map(f.get, range(n)))  # None at a sink
+    waiting = list(map(Counter(f.values()).get, range(n), repeat(0)))
+    order, ht = list(compress(range(n), map((0).__eq__, waiting))), [0] * n
+    for x in order:
+        y = succ[x]
+        if y is not None:
+            waiting[y] -= 1
+            if not waiting[y]:
+                ht[y] = ht[x] + 1
+                order.append(y)
+    at_height = Counter(map(ht.__getitem__, order))
+    sinks_at = Counter(map(ht.__getitem__, filterfalse(f.__contains__, range(n))))
+    counts, open_sinks = [n], n - len(f)  # the sinks z with ht(z) >= k
+    for k in count():
+        counts.append(counts[-1] + open_sinks - at_height[k])
+        if counts[-1] == counts[-2]:
+            break
+        open_sinks -= sinks_at[k]
+    cyclic = list(compress(range(n), waiting))
+    back = dict(zip(map(succ.__getitem__, cyclic), cyclic))  # the cycle vertex one step back
+    label = list(range(n))
+    for x in reversed(order):
+        y = succ[x]
+        if y is not None:
+            label[x] = back.setdefault(label[y], x)
+    number, final = _canonical(label)
+    pairs = [(number[c], number[label[y]])
+             for c, y in zip(number, map(succ.__getitem__, number)) if y is not None]
+    if side:
+        pairs = map(itemgetter(1, 0), pairs)
+    return side, counts, _quotient(r, final, frozenset(pairs))
 
 
 # -- public operations -------------------------------------------------------
@@ -464,9 +548,15 @@ def classify_stable(r: BinaryRelation) -> StableShape:
 
 def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
     """Contract in full left-then-right rounds until a round changes nothing;
-    returns the cycle/path shape, the stable relation, and the round count."""
-    _, rounds, q = _chain(r, _SIDE["l"])
-    stable = q.relation(r)[1]
+    returns the cycle/path shape, the stable relation, and the round count.
+    A one-sided relation is read without contracting."""
+    one_sided = _one_sided(r)
+    if one_sided is None:
+        _, rounds, q = _chain(r, _SIDE["l"])
+        stable = q.relation(r)[1]
+    else:
+        _, counts, stable = one_sided
+        rounds = len(counts) - 2
     return classify_stable(stable), stable, rounds
 
 
@@ -490,9 +580,10 @@ class ContractionDiagram:
     diagonals[o + 2][i] is gamma at m - n = o and min(m, n) = i, for every
     point the chains of gamma_table passed: o = 0, 1, 2 from the left-first
     chain, o = -1, -2 from the right-first one, and the main diagonal from
-    whichever went further, once the two agreed on it.  When the left-first
-    chain ran no step on one side, o = -1, -2 are read off its main diagonal
-    instead (rule 3), and no right-first chain runs.  Every other suitable
+    whichever went further, once the two agreed on it.  A relation with
+    out- or in-degree at most one runs no chain: every diagonal is read off
+    the counts of its one-sided reader, the main diagonal as the left-first
+    chain would list it.  Every other suitable
     point lies beyond a chain's fixpoint and takes stable_value.  horizon
     is the least D with gamma constant on suitable points having
     min(m, n) >= D, and band_end the largest m + n of a stored point; gamma
@@ -557,17 +648,21 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
     """Tabulate gamma over the suitable band: the diagonals m - n = 0, 1, 2
     from the left-first chain and m - n = -1, -2 from the right-first one.
     Both chains count gamma(k, k) and must agree on it and on their fixpoint.
-    If the left-first chain ran no step on one side, the right-first one
-    would replay it, so -1 and -2 are read off its main diagonal (rule 3)."""
-    (same, left_one, left_two), depth, q = _chain(r, _SIDE["l"])
-    final, stable = q.relation(r)
-    left_steps, right_steps = q.steps
-    del q  # one quotient alive at a time
-    if not left_steps:  # P(j, j + k) = P(j + k, j + k)
-        right_one, right_two = same[1:], same[2:] + same[-1:]
-    elif not right_steps:  # P(j, j + k) = P(j, j)
-        right_one = right_two = same[:-1]
+    A one-sided relation runs no chain: its counts c_k after k steps on the
+    side that steps give every diagonal."""
+    one_sided = _one_sided(r)
+    if one_sided is not None:
+        idle_side, same, stable = one_sided
+        depth = len(same) - 2
+        # gamma(j, j + k) is c_{j + k} if the left side never steps, c_j if
+        # the right side never steps, and the mirror for gamma(j + k, j)
+        idle, stepping = (same[:-1], same[:-1]), (same[1:], same[2:] + same[-1:])
+        (left_one, left_two), (right_one, right_two) = \
+            (idle, stepping) if idle_side == _SIDE["l"] else (stepping, idle)
     else:
+        (same, left_one, left_two), depth, q = _chain(r, _SIDE["l"])
+        final, stable = q.relation(r)
+        del q  # one quotient alive at a time
         (right_same, right_one, right_two), _, q = _chain(r, _SIDE["r"])
         if q.classes() != final:
             raise AssertionError("the left-first and right-first chains reach different fixpoints")

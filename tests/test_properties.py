@@ -11,8 +11,9 @@ from collections import Counter
 
 from hypothesis import assume, given, settings, strategies as st
 
-from linequiv import InvariantRecord, MultiDigraph, contraction, full_invariants
-from linequiv.contraction import _chain
+from linequiv import (BinaryRelation, InvariantRecord, MultiDigraph, contraction, converse,
+                      full_invariants, gamma_table)
+from linequiv.contraction import ContractionDiagram, _chain
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -81,9 +82,9 @@ def test_each_parallel_edge_adds_one_ztz0(g, data):
 # bench families at ~10^4 vertices, whose records have closed forms: a
 # functional graph's cycles are its map's cycle lengths and its tz the Jordan
 # type of the nilpotent part, read off the image sizes r_k = |f^k(V)|; the
-# Y graph Y(a, a) has t[a] = tz[a] = 1.  Every merge of these graphs falls
-# on one side, so each table runs one chain (rule 3 of contraction.py), and
-# the converses take its no-right-step branch.
+# Y graph Y(a, a) has t[a] = tz[a] = 1.  These graphs have out-degree <= 1,
+# so each table is read off the map's in-heights with no chain (the one-sided
+# reader of contraction.py), and the converses take its in-degree branch.
 
 
 def functional_record(f: list) -> InvariantRecord:
@@ -136,4 +137,28 @@ def test_rules_hold_at_bench_scale(monkeypatch):
         assert full_invariants(converse) == record.swapped()
     union = MultiDigraph(functional.vertices + y_graph.vertices, functional.edges + y_graph.edges)
     assert full_invariants(union) == record_sum(*expected)
-    assert chains == [0] * 7
+    assert chains == []
+
+
+def chain_table(r: BinaryRelation) -> ContractionDiagram:
+    """The table the engine's two chains give, the main diagonal from the
+    longer one: a second algorithm for a one-sided relation's table."""
+    (same, left_one, left_two), depth, q = _chain(r, 0)
+    final, stable = q.relation(r)
+    (right_same, right_one, right_two), _, q = _chain(r, 1)
+    assert q.classes() == final
+    same = max(same, right_same, key=len)
+    diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
+    return ContractionDiagram(diagonals, stable.vertex_count, stable, depth)
+
+
+def test_partial_map_table_equals_the_chains_at_bench_scale():
+    # one vertex in a hundred is a sink: deep trees run into sinks and cycles
+    rng = random.Random("partial-map")
+    n = 10_000
+    f = [None if rng.random() < 0.01 else rng.randrange(n) for _ in range(n)]
+    labels = [f"p{v}" for v in range(n)]
+    r = BinaryRelation(labels, [(labels[v], labels[y]) for v, y in enumerate(f) if y is not None])
+    for s in (r, converse(r)):
+        d, expected = gamma_table(s), chain_table(s)
+        assert (d, d.band_end) == (expected, expected.band_end)
