@@ -19,9 +19,9 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "contraction": ("ContractionDiagram", "Partition", "StabilizationShapeError",
-                    "StableShape", "classify_stable", "gamma_table", "iterated_contraction",
-                    "left_partition", "quotient", "right_partition", "stabilize"),
+    "contraction": ("ContractionDiagram", "StabilizationShapeError", "StableShape",
+                    "classify_stable", "gamma_table", "iterated_contraction", "left_partition",
+                    "right_partition", "stabilize"),
     "invariants": ("ConsistencyError", "DualFormMismatch", "EquivVerdict",
                    "InvariantRecord", "NegativeMultiplicity", "RationalRegularPart",
                    "analyze_graph", "cyclotomic_refine", "decide_equiv", "full_invariants",
@@ -32,8 +32,8 @@ _EXPORTS = {
                "kernel_meet_dim", "minimal_indices_left", "minimal_indices_right",
                "oracle_invariants", "regular_pair"),
     "parsing": ("ParseError", "parse_graph", "serialize"),
-    "relation": ("BinaryRelation", "GraphError", "MultiDigraph", "ReductionSummary",
-                 "converse", "reduce"),
+    "relation": ("BinaryRelation", "GraphError", "MultiDigraph", "Partition",
+                 "ReductionSummary", "converse", "quotient", "reduce"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

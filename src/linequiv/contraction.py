@@ -26,9 +26,9 @@ rename, not the size of the relation.
 gamma_table stores the band as its five diagonals m - n = -2 .. 2, each a
 list indexed by min(m, n) that a chain appends to as it goes.  The
 left-first chain gives the diagonals 0, 1 and, by a probe that counts a
-step's merges without making them, 2; its fixpoint is the stable relation,
-read off the adjacency of its roots.  A chain stops only after two idle
-steps, so it ends at the fixpoint; every suitable point it did not pass lies
+step's merges without making them, 2; r induces the stable relation on the
+classes of its fixpoint.  A chain stops only after two idle steps, so it
+ends at the fixpoint; every suitable point it did not pass lies
 beyond that end, and contracting a fixpoint changes nothing, so the point
 takes the stable value.  The record formulas read the diagonals through the
 diagram cells of invariants.py.
@@ -46,8 +46,8 @@ steps that merge, and no probe.
 
 The diagonals -1 and -2 come from a second, right-first chain, which counts
 the main diagonal a second time: the two counts must agree, as must the two
-fixpoints.  The chains run one after the other, so that one quotient is
-alive at a time.
+fixpoints.  The chains run one after the other and each returns only the
+class ids of its fixpoint, so one quotient is alive at a time.
 
 A one-sided relation runs no chain.  If every vertex has at most one
 out-edge, the relation is a partial map f.  A right merge joins classes that
@@ -79,10 +79,8 @@ Theta(sqrt n) rounds where the reader makes two passes.
 
 A contraction's result is an array of class ids, the classes numbered in
 the order of their first vertex, which is the canonical order of a
-Partition; two chains agree when their arrays are equal.  Labels come back
-only at the boundary: a Partition is read off such an array in one scan,
-and a quotient relation makes its class labels when they are first read,
-so gamma_table and the record never build them.
+Partition; two chains agree when their arrays are equal.  relation.py
+turns such an array back into labels.
 
 Every contracted relation eventually stabilizes at a disjoint union of
 directed cycles and simple directed paths; anything else raises
@@ -97,7 +95,7 @@ from itertools import compress, count, filterfalse, repeat
 from operator import itemgetter
 from types import MappingProxyType
 
-from .relation import BinaryRelation, GraphError
+from .relation import BinaryRelation, Partition, _quotient
 
 
 class StabilizationShapeError(RuntimeError):
@@ -125,81 +123,6 @@ def _join(groups, parent, merge) -> None:
             b = y if parent[y] == y else _find(parent, y)
             if a != b:
                 a = merge(a, b)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Partition of a relation's vertex set, in canonical form: members of
-    each class ascend in the base vertex order, classes are listed by their
-    smallest member."""
-
-    over: tuple[str, ...]
-    classes: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "over", tuple(self.over))
-        ix = {v: i for i, v in enumerate(self.over)}
-        seen: set[str] = set()
-        canon = []
-        for cls in self.classes:
-            members = tuple(sorted(cls, key=ix.__getitem__))
-            if not members:
-                raise GraphError("empty partition class")
-            for v in members:
-                if v not in ix or v in seen:
-                    raise GraphError(f"partition misuses vertex {v!r}")
-                seen.add(v)
-            canon.append(members)
-        if len(seen) != len(self.over):
-            raise GraphError("partition does not cover the vertex set")
-        canon.sort(key=lambda c: ix[c[0]])
-        object.__setattr__(self, "classes", tuple(canon))
-
-    @classmethod
-    def _of(cls, over: tuple[str, ...], ids: list[int]) -> "Partition":
-        """The partition of a canonical class-id array (class c's smallest
-        vertex precedes class c + 1's), read in one scan, unchecked."""
-        classes: list[list[str]] = [[] for _ in range(max(ids, default=-1) + 1)]
-        for v, c in zip(over, ids):
-            classes[c].append(v)
-        p = cls.__new__(cls)
-        object.__setattr__(p, "over", over)
-        object.__setattr__(p, "classes", tuple(map(tuple, classes)))
-        return p
-
-    @staticmethod
-    def singletons(vertices: tuple[str, ...]) -> "Partition":
-        return Partition(vertices, tuple((v,) for v in vertices))
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def class_label(members) -> str:
-    """Vertex label for a merged class: bare label for singletons, so that a
-    trivial quotient is the identity; set notation otherwise."""
-    if len(members) == 1:
-        return members[0]
-    return "{" + ",".join(members) + "}"
-
-
-def _quotient(r: BinaryRelation, cls: list[int], pairs: frozenset | None = None) -> BinaryRelation:
-    """The relation r induces on the classes of a canonical class-id array,
-    its class-id pairs read off r's edges unless given; its class labels
-    are made on first read."""
-    k = max(cls, default=-1) + 1
-    if k == r.vertex_count:  # every class a singleton, in vertex order
-        return r
-
-    def labels() -> tuple[str, ...]:
-        out = tuple(map(class_label, Partition._of(r.vertices, cls).classes))
-        if len(set(out)) < k:
-            raise GraphError("duplicate vertex label")
-        return out
-
-    if pairs is None:
-        pairs = frozenset([(cls[s], cls[t]) for s, t in r.ids])
-    return BinaryRelation._of(k, pairs, labels)
 
 
 def _canonical(labels: list[int]) -> tuple[dict[int, int], list[int]]:
@@ -328,44 +251,23 @@ class _Quotient:
         _join(groups, parent, link)
         return sum(x != p for x, p in parent.items())
 
-    def _numbered(self) -> tuple[dict[int, int], list[int]]:
-        """The class id of each root and of every vertex, classes numbered
-        in the order of their smallest vertex: the canonical order of
-        Partition.  Pointer jumping compresses every path in C-level passes,
-        one per halving of the deepest path."""
+    def classes(self) -> list[int]:
+        """The class id of every vertex, classes numbered in the order of
+        their smallest vertex: the canonical order of Partition.  Pointer
+        jumping compresses every path in C-level passes, one per halving of
+        the deepest path."""
         root, up = self.parent, None
         while up != root:
             up, root = root, list(map(root.__getitem__, root))
-        return _canonical(root)
-
-    def classes(self) -> list[int]:
-        """The class id of every vertex, in canonical order."""
-        return self._numbered()[1]
-
-    def relation(self, r: BinaryRelation) -> tuple[list[int], BinaryRelation]:
-        """classes(), and the relation that r, the relation this quotient
-        was made from, induces on them, read off the out-entries of the k
-        roots, which hold only roots: O(k + its edges) past classes(), not
-        O(r's edges)."""
-        number, cls = self._numbered()
-        if len(number) == r.vertex_count:
-            return cls, r
-        out, pairs = self.adj[0], []
-        for x, c in number.items():
-            ys = out[x]
-            if ys.__class__ is int:
-                pairs.append((c, number[ys]))
-            elif ys:
-                pairs += [(c, number[y]) for y in ys]
-        return cls, _quotient(r, cls, frozenset(pairs))
+        return _canonical(root)[1]
 
 
-def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, _Quotient]:
+def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, list[int]]:
     """Contract in rounds, one step on side then one on the other, until
     two steps in a row merge nothing.  Returns three lists indexed by the
     round j: the class count after j steps on each side, after j + 1 on side
     and j on the other, and after j + 2 and j; then the rounds before the
-    fixpoint, and the quotient at the fixpoint.
+    fixpoint, and the class ids of the fixpoint.
 
     The lists are those of a loop that runs a step, a probe and a step in
     every round; two exact rules skip the calls that cannot merge.  Rule 1:
@@ -390,7 +292,7 @@ def _chain(r: BinaryRelation, side: int) -> tuple[tuple[list[int], ...], int, _Q
             two.append(count - q.probe(side) if front else count)
         idle = 0 if other and q.step(1 - side) else idle + 1
         same.append(q.count)
-    return (same, one, two), len(one) - 1, q
+    return (same, one, two), len(one) - 1, q.classes()
 
 
 # -- one-sided relations: no chain -------------------------------------------
@@ -469,15 +371,6 @@ def right_partition(r: BinaryRelation) -> Partition:
     return contraction_sequence(r, "r")[1]
 
 
-def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
-    """Relation induced on the classes of p: a class pair is related iff some
-    member pair is."""
-    if p.over != r.vertices:
-        raise GraphError("partition is over a different vertex set")
-    number = {v: c for c, members in enumerate(p.classes) for v in members}
-    return _quotient(r, [number[v] for v in r.vertices])
-
-
 def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation, Partition]:
     """Apply a mixed word of contractions, e.g. "rlr" (left to right); returns
     the final quotient and the induced partition of r's vertices."""
@@ -486,8 +379,8 @@ def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation,
         if step not in _SIDE:
             raise ValueError(f"unknown contraction step {step!r}")
         q.step(_SIDE[step])
-    cls, rel = q.relation(r)
-    return rel, Partition._of(r.vertices, cls)
+    cls = q.classes()
+    return _quotient(r, cls), Partition._of(r.vertices, cls)
 
 
 def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelation, Partition]:
@@ -501,8 +394,8 @@ def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelat
     for side, count in ((_SIDE["r"], n), (_SIDE["l"], m)):
         while count and q.step(side):
             count -= 1
-    cls, rel = q.relation(r)
-    return rel, Partition._of(r.vertices, cls)
+    cls = q.classes()
+    return _quotient(r, cls), Partition._of(r.vertices, cls)
 
 
 @dataclass(frozen=True)
@@ -552,8 +445,8 @@ def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
     A one-sided relation is read without contracting."""
     one_sided = _one_sided(r)
     if one_sided is None:
-        _, rounds, q = _chain(r, _SIDE["l"])
-        stable = q.relation(r)[1]
+        _, rounds, final = _chain(r, _SIDE["l"])
+        stable = _quotient(r, final)
     else:
         _, counts, stable = one_sided
         rounds = len(counts) - 2
@@ -660,16 +553,15 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
         (left_one, left_two), (right_one, right_two) = \
             (idle, stepping) if idle_side == _SIDE["l"] else (stepping, idle)
     else:
-        (same, left_one, left_two), depth, q = _chain(r, _SIDE["l"])
-        final, stable = q.relation(r)
-        del q  # one quotient alive at a time
-        (right_same, right_one, right_two), _, q = _chain(r, _SIDE["r"])
-        if q.classes() != final:
+        (same, left_one, left_two), depth, final = _chain(r, _SIDE["l"])
+        (right_same, right_one, right_two), _, right_final = _chain(r, _SIDE["r"])
+        if right_final != final:
             raise AssertionError("the left-first and right-first chains reach different fixpoints")
         common = min(len(same), len(right_same))
         if same[:common] != right_same[:common]:
             raise AssertionError("the left-first and right-first chains count different gamma(k, k)")
         if len(right_same) > len(same):
             same = right_same
+        stable = _quotient(r, final)
     diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
     return ContractionDiagram(diagonals, stable.vertex_count, stable, depth)

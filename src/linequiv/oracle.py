@@ -326,14 +326,18 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
     return blocks if left == 0 else None
 
 
-def _smith_finite_divisors(p: PairMatrices) -> tuple[tuple[Poly, int], ...]:
-    """The divisors of M + X*N from its Smith form, factored: the fallback
+def _smith_finite_divisors(p: PairMatrices) -> tuple[tuple[tuple[Poly, int], ...],
+                                                       tuple[tuple[int | None, int], ...]]:
+    """The divisors of M + X*N from its Smith form, factored, and one (d, n)
+    per regular divisor S(q^n), d as `factor_stored` names it: the fallback
     for a regular part that is not all cyclotomic."""
-    out: Counter[tuple[Poly, int]] = Counter()
+    out: Counter[tuple[Poly, int, int | None]] = Counter()
     for q in invariant_factors(pencil_matrix(p.m, p.n, p.edge_dim, p.vertex_dim)):
-        for irred, mult in factor_stored(q):
-            out[(irred, mult)] += 1
-    return tuple(sorted(out.elements()))
+        for factor in factor_stored(q):
+            out[factor] += 1
+    factors = sorted(out.elements())
+    return (tuple((poly, n) for poly, n, _ in factors),
+            tuple((d, n) for poly, n, d in factors if poly != rp.X))
 
 
 # -- the report -------------------------------------------------------------------
@@ -342,14 +346,15 @@ def _smith_finite_divisors(p: PairMatrices) -> tuple[tuple[Poly, int], ...]:
 @dataclass(frozen=True)
 class OracleReport:
     """Raw pencil data the record is assembled from.  cyclotomic_blocks
-    holds one (d, n) per divisor S(Phi_d^n) when the rank route found the
-    whole regular part, and None after the Smith fallback."""
+    holds one (d, n) per regular divisor S(q^n): d with q = Phi_d, as the
+    rank route's scan or the Smith fallback's factoring found it, and None
+    for a q that is not a cyclotomic polynomial."""
 
     left_minimal_indices: tuple[int, ...]
     right_minimal_indices: tuple[int, ...]
     finite_divisors: tuple[tuple[Poly, int], ...]
     infinite_divisors: tuple[int, ...]
-    cyclotomic_blocks: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
+    cyclotomic_blocks: tuple[tuple[int | None, int], ...] = field(compare=False)
 
 
 def analyze(p: PairMatrices) -> OracleReport:
@@ -366,16 +371,15 @@ def analyze(p: PairMatrices) -> OracleReport:
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise DimensionMismatch(f"singular and nilpotent parts take more than {v} vertices")
-    regular = _cyclotomic_blocks(basis, v, rank, degree)
-    if regular is None:
-        finite = _smith_finite_divisors(p)
+    blocks = _cyclotomic_blocks(basis, v, rank, degree)
+    if blocks is None:
+        finite, blocks = _smith_finite_divisors(p)
         if sorted(n for poly, n in finite if poly == rp.X) != sorted(zt):
             raise AssertionError("Smith form and local ranks disagree on zt")
     else:
         finite = tuple(sorted([(rp.X, n) for n in zt]
-                              + [(rp.cyclotomic(d), n) for d, n in regular]))
-        regular = tuple(regular)
-    return OracleReport(left, right, finite, tuple(sorted(tz)), regular)
+                              + [(rp.cyclotomic(d), n) for d, n in blocks]))
+    return OracleReport(left, right, finite, tuple(sorted(tz)), tuple(blocks))
 
 
 def _assemble_cycles(blocks: tuple[tuple[int | None, int], ...]) -> tuple[int, ...] | None:
@@ -424,10 +428,7 @@ def oracle_invariants(p: PairMatrices) -> InvariantRecord:
         else:
             regular.append((poly, e))
     tz = Counter(report.infinite_divisors)
-    blocks = report.cyclotomic_blocks
-    if blocks is None:  # the Smith fallback names each factor's d itself
-        blocks = tuple((rp.cyclotomic_index(poly), e) for poly, e in regular)
-    cycles = _assemble_cycles(blocks)
+    cycles = _assemble_cycles(report.cyclotomic_blocks)
     if cycles is not None:
         rec = InvariantRecord(dict(zt), dict(tz), dict(t), dict(ztz), cycles)
     else:

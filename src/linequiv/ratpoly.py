@@ -155,18 +155,6 @@ def cyclotomic(d: int) -> Poly:
     return p
 
 
-def cyclotomic_index(p: Poly) -> int | None:
-    """The d with p equal to the d-th cyclotomic polynomial, if any."""
-    d_deg = deg(p)
-    if d_deg < 1 or p != monic(p):
-        return None
-    bound = 2 * d_deg * d_deg + 6
-    for d in range(1, bound + 1):
-        if totient(d) == d_deg and cyclotomic(d) == p:
-            return d
-    return None
-
-
 def _frac_str(c: Fraction) -> str:
     return str(c)
 

@@ -12,6 +12,13 @@ constructors here, which check them.  Every later stage works on `ids`; the
 label pairs (`edges`, `pairs`) are built only when a caller reads them, and
 a relation the contraction engine builds makes even its vertex labels only
 then.
+
+The contraction engine works on vertex ids too: its result is an array of
+class ids, the classes numbered in the order of their first vertex, which
+is the canonical order of a :class:`Partition`.  Labels come back only at
+the boundary, here: a Partition is read off such an array in one scan, and
+a quotient relation makes its class labels when they are first read, so
+gamma_table and the record never build them.
 """
 
 from __future__ import annotations
@@ -108,6 +115,90 @@ class BinaryRelation(_Graph):
 
     def to_multidigraph(self) -> MultiDigraph:
         return MultiDigraph._of(self.vertex_count, tuple(sorted(self.ids)), self.vertices)
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Partition of a relation's vertex set, in canonical form: members of
+    each class ascend in the base vertex order, classes are listed by their
+    smallest member."""
+
+    over: tuple[str, ...]
+    classes: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "over", tuple(self.over))
+        ix = {v: i for i, v in enumerate(self.over)}
+        seen: set[str] = set()
+        canon = []
+        for cls in self.classes:
+            members = tuple(sorted(cls, key=ix.__getitem__))
+            if not members:
+                raise GraphError("empty partition class")
+            for v in members:
+                if v not in ix or v in seen:
+                    raise GraphError(f"partition misuses vertex {v!r}")
+                seen.add(v)
+            canon.append(members)
+        if len(seen) != len(self.over):
+            raise GraphError("partition does not cover the vertex set")
+        canon.sort(key=lambda c: ix[c[0]])
+        object.__setattr__(self, "classes", tuple(canon))
+
+    @classmethod
+    def _of(cls, over: tuple[str, ...], ids: list[int]) -> "Partition":
+        """The partition of a canonical class-id array (class c's smallest
+        vertex precedes class c + 1's), read in one scan, unchecked."""
+        classes: list[list[str]] = [[] for _ in range(max(ids, default=-1) + 1)]
+        for v, c in zip(over, ids):
+            classes[c].append(v)
+        p = cls.__new__(cls)
+        object.__setattr__(p, "over", over)
+        object.__setattr__(p, "classes", tuple(map(tuple, classes)))
+        return p
+
+    @staticmethod
+    def singletons(vertices: tuple[str, ...]) -> "Partition":
+        return Partition(vertices, tuple((v,) for v in vertices))
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+
+def class_label(members) -> str:
+    """Vertex label for a merged class: bare label for singletons, so that a
+    trivial quotient is the identity; set notation otherwise."""
+    if len(members) == 1:
+        return members[0]
+    return "{" + ",".join(members) + "}"
+
+
+def _quotient(r: BinaryRelation, cls: list[int], pairs: frozenset | None = None) -> BinaryRelation:
+    """The relation r induces on the classes of a canonical class-id array,
+    its class-id pairs read off r's edges unless given; its class labels
+    are made on first read."""
+    k = max(cls, default=-1) + 1
+    if k == r.vertex_count:  # every class a singleton, in vertex order
+        return r
+
+    def labels() -> tuple[str, ...]:
+        out = tuple(map(class_label, Partition._of(r.vertices, cls).classes))
+        if len(set(out)) < k:
+            raise GraphError("duplicate vertex label")
+        return out
+
+    if pairs is None:
+        pairs = frozenset([(cls[s], cls[t]) for s, t in r.ids])
+    return BinaryRelation._of(k, pairs, labels)
+
+
+def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
+    """Relation induced on the classes of p: a class pair is related iff some
+    member pair is."""
+    if p.over != r.vertices:
+        raise GraphError("partition is over a different vertex set")
+    number = {v: c for c, members in enumerate(p.classes) for v in members}
+    return _quotient(r, [number[v] for v in r.vertices])
 
 
 @dataclass(frozen=True)

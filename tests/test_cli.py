@@ -443,7 +443,7 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
     # constructor of a graph type
     calls = Counter()
 
-    class CountedPartition(contraction.Partition):
+    class CountedPartition(graphs.Partition):
         def __new__(cls, *args, **kwargs):
             calls["Partition"] += 1
             return super().__new__(cls)
@@ -454,8 +454,11 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(contraction, "Partition", CountedPartition)
-    monkeypatch.setattr(contraction, "quotient", counted("quotient", contraction.quotient))
+    # the label side lives in relation.py, and contraction.py imports
+    # Partition from there: patch every name it is reached by
+    for module in (graphs, contraction):
+        monkeypatch.setattr(module, "Partition", CountedPartition)
+    monkeypatch.setattr(graphs, "quotient", counted("quotient", graphs.quotient))
     monkeypatch.setattr(cli, "parse_graph", counted("parse_graph", cli.parse_graph))
     monkeypatch.setattr(graphs._Graph, "__init__",
                         counted("validating constructor", graphs._Graph.__init__))

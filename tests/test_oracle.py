@@ -469,18 +469,24 @@ def smith_reference(p: PairMatrices) -> OracleReport:
                      for _ in range(f[d + 1] - 2 * f[d] + (f[d - 1] if d else 0)))
 
     e, v = p.edge_dim, p.vertex_dim
-    finite = Counter()
+    finite, blocks = Counter(), Counter()
     for q in invariant_factors(pencil_matrix(p.m, p.n, e, v)):
-        for irred, mult in factor_stored(q):
+        for irred, mult, d in factor_stored(q):
             finite[(irred, mult)] += 1
+            if irred != rp.X:
+                blocks[(d, mult)] += 1
     infinite = [rp.x_order(q) for q in invariant_factors(pencil_matrix(p.n, p.m, e, v))]
     return OracleReport(left(p), left(p.transposed()), tuple(sorted(finite.elements())),
-                        tuple(sorted(k for k in infinite if k)))
+                        tuple(sorted(k for k in infinite if k)), tuple(blocks.elements()))
 
 
 def test_rank_only_analyze_matches_the_smith_reference():
     for p in differential_pairs():
-        assert analyze(p) == smith_reference(p), p
+        report, reference = analyze(p), smith_reference(p)
+        assert report == reference, p
+        # cyclotomic_blocks is not compared by ==: the scan's d for each
+        # divisor against the d the Smith factoring names
+        assert Counter(report.cyclotomic_blocks) == Counter(reference.cyclotomic_blocks), p
 
 
 def test_smith_fallback_never_runs_on_graph_pairs(monkeypatch, g1, g2, g3, g4):
@@ -498,19 +504,33 @@ def test_smith_fallback_never_runs_on_graph_pairs(monkeypatch, g1, g2, g3, g4):
     assert calls
 
 
-def test_rank_route_names_each_cycle_without_cyclotomic_index(monkeypatch, g1, g2, g3, g4):
-    # the cyclotomic scan knows each d it finds, so a graph pair never maps
-    # a Phi_d back to d; only the Smith fallback still does
-    calls = []
-    index = rp.cyclotomic_index
-    monkeypatch.setattr(rp, "cyclotomic_index", lambda poly: calls.append(poly) or index(poly))
-    graphs = [g1, g2, g3, g4, cycles_graph((6, 2)), cycles_graph((12, 5, 1), tail=3)]
-    records = [oracle_invariants(linearize(g)) for g in graphs]
-    assert records[4].cycles == (2, 6) and records[5].cycles == (1, 5, 12)
-    assert run_fuzz(6, 20, 6, Fraction(3, 10))[0] == 0
-    assert calls == []
+def test_factor_stored_names_each_cyclotomic_d():
+    # the Smith fallback reads each factor's d off its own factoring: d for
+    # Phi_d, None for X and for a linear factor at a rational root
+    for d in (1, 2, 3, 4, 5, 6, 8, 12, 15):
+        stored = rp.cyclotomic(d)
+        assert factor_stored(rp.substitute_neg_x(stored)) == [(stored, 1, d)]
+    x3_minus_1 = rp.poly(-1, 0, 0, 1)  # reducible: Phi_1 * Phi_3
+    assert factor_stored(rp.substitute_neg_x(x3_minus_1)) == [
+        (rp.cyclotomic(1), 1, 1), (rp.cyclotomic(3), 1, 3)]
+    two, half = rp.poly(-2, 1), rp.poly(Fraction(-1, 2), 1)
+    stored = rp.mul(rp.mul(rp.x_power(2), rp.mul(two, two)),
+                    rp.mul(half, rp.mul(rp.cyclotomic(6), rp.cyclotomic(6))))
+    assert Counter(map(tuple, factor_stored(rp.substitute_neg_x(stored)))) == Counter(
+        [(rp.X, 2, None), (two, 2, None), (half, 1, None), (rp.cyclotomic(6), 2, 6)])
+
+
+def test_cyclotomic_blocks_come_from_both_routes():
+    # the rank route's scan names each d; so does the Smith route, which a
+    # residue at X - 2 forces, for the cyclotomic part beside it
+    report = analyze(linearize(cycles_graph((6, 2))))
+    assert sorted(report.cyclotomic_blocks) == [(1, 1), (1, 1), (2, 1), (2, 1), (3, 1), (6, 1)]
+    six = rp.sub(rp.x_power(6), rp.ONE)
+    p = regular_pair(rp.mul(six, rp.poly(-2, 1)))
+    assert Counter(analyze(p).cyclotomic_blocks) == Counter(
+        [(1, 1), (2, 1), (3, 1), (6, 1), (None, 1)])
+    assert oracle_invariants(p).cycles == ()
     assert oracle_invariants(regular_pair(rp.poly(-2, 1))).cycles == ()
-    assert calls == [rp.poly(-2, 1)]
 
 
 def test_echelon_rank_after_every_row():

@@ -12,8 +12,9 @@ from collections import Counter
 from hypothesis import assume, given, settings, strategies as st
 
 from linequiv import (BinaryRelation, InvariantRecord, MultiDigraph, contraction, converse,
-                      full_invariants, gamma_table)
-from linequiv.contraction import ContractionDiagram, _chain
+                      full_invariants, gamma_table, iterated_contraction, stabilize)
+from linequiv.contraction import ContractionDiagram, _chain, contraction_sequence
+from linequiv.relation import _quotient
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -143,12 +144,12 @@ def test_rules_hold_at_bench_scale(monkeypatch):
 def chain_table(r: BinaryRelation) -> ContractionDiagram:
     """The table the engine's two chains give, the main diagonal from the
     longer one: a second algorithm for a one-sided relation's table."""
-    (same, left_one, left_two), depth, q = _chain(r, 0)
-    final, stable = q.relation(r)
-    (right_same, right_one, right_two), _, q = _chain(r, 1)
-    assert q.classes() == final
+    (same, left_one, left_two), depth, final = _chain(r, 0)
+    (right_same, right_one, right_two), _, right_final = _chain(r, 1)
+    assert right_final == final
     same = max(same, right_same, key=len)
     diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
+    stable = _quotient(r, final)
     return ContractionDiagram(diagonals, stable.vertex_count, stable, depth)
 
 
@@ -162,3 +163,127 @@ def test_partial_map_table_equals_the_chains_at_bench_scale():
     for s in (r, converse(r)):
         d, expected = gamma_table(s), chain_table(s)
         assert (d, d.band_end) == (expected, expected.band_end)
+
+
+# -- the chain against the definition, on two-sided relations at 10^4 ----------
+#
+# Random relations with one to three edges per vertex, each end drawn
+# uniformly, have a vertex of out-degree two and one of in-degree two, so
+# gamma_table runs both chains.  The reference shares no code with the
+# engine: each step rebuilds the partition from all edges with a fresh
+# union-find over the classes, O(n + e), and P(m + 1, n + 1) is a left then
+# a right step from P(m, n), the partition being independent of the
+# interleaving.  The inputs are shallow, so each diagonal is a few rounds.
+
+
+def sparse_relation(rng: random.Random, n: int, per_vertex: int) -> BinaryRelation:
+    labels = [f"s{v}" for v in range(n)]
+    pairs = {(labels[rng.randrange(n)], labels[rng.randrange(n)]) for _ in range(per_vertex * n)}
+    r = BinaryRelation(labels, pairs)
+    for side in (0, 1):
+        assert max(Counter(pair[side] for pair in r.ids).values()) > 1  # two-sided
+    return r
+
+
+def contract_once(r: BinaryRelation, cls: list[int], side: int) -> list[int]:
+    """The canonical class ids after one left (side 0) or right (side 1)
+    step from the partition cls: the classes that one class has edges to
+    (left), or from (right), become one."""
+    parent = list(range(max(cls, default=-1) + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    first = {}
+    for pair in {(cls[s], cls[t]) for s, t in r.ids}:
+        group, member = pair if side == 0 else pair[::-1]
+        a, b = find(first.setdefault(group, member)), find(member)
+        if a != b:
+            parent[b] = a
+    root = [find(c) for c in range(len(parent))]
+    number = {}
+    return [number.setdefault(root[c], len(number)) for c in cls]
+
+
+def definition_table(r: BinaryRelation) -> tuple[list[list[int]], list[int], int]:
+    """gamma on each diagonal m - n = -2 .. 2, from its first point until a
+    left-then-right round changes nothing; the fixpoint's class ids; and the
+    rounds from the singletons to it."""
+    left, right = (lambda cls: contract_once(r, cls, 0)), (lambda cls: contract_once(r, cls, 1))
+    start = list(range(r.vertex_count))
+    walks, fixpoints = [], []
+    for cls in (right(right(start)), right(start), start, left(start), left(left(start))):
+        walk = [len(set(cls))]
+        while (after := right(left(cls))) != cls:
+            cls = after
+            walk.append(len(set(cls)))
+        walks.append(walk)
+        fixpoints.append(cls)
+    assert all(cls == fixpoints[0] for cls in fixpoints)
+    return walks, fixpoints[0], len(walks[2]) - 1
+
+
+def check_against_the_definition(r: BinaryRelation) -> ContractionDiagram:
+    walks, final, depth = definition_table(r)
+    stable_value = max(final) + 1
+    d = gamma_table(r)
+    assert (d.stable_value, d.depth) == (stable_value, depth)
+    for diagonal, walk in zip(d.diagonals, walks):
+        assert walk[-1] == stable_value
+        end = max(len(diagonal), len(walk))
+        assert list(diagonal) + [stable_value] * (end - len(diagonal)) == \
+            walk + [stable_value] * (end - len(walk))
+    horizon = max(max((i + 1 for i, g in enumerate(walk) if g != stable_value), default=0)
+                  for walk in walks)
+    assert d.horizon == horizon
+    members = [[] for _ in range(stable_value)]
+    for v, c in zip(r.vertices, final):
+        members[c].append(v)
+    classes = tuple(map(tuple, members))
+    labels = tuple(m[0] if len(m) == 1 else "{" + ",".join(m) + "}" for m in classes)
+    stable = d.stable
+    assert (stable.vertex_count, stable.ids, stable.vertices) == \
+        (stable_value, frozenset((final[s], final[t]) for s, t in r.ids), labels)
+    assert stabilize(r)[1:] == (stable, depth)
+    for rel, part in (iterated_contraction(r, 10 ** 18, 10 ** 18),
+                      contraction_sequence(r, "lr" * (depth + 1))):
+        assert (rel, part.classes) == (stable, classes)
+    return d
+
+
+def test_two_sided_tables_match_the_definition_at_10_4():
+    rng = random.Random("definition")
+    for per_vertex in (1, 2, 3):
+        check_against_the_definition(sparse_relation(rng, 10 ** 4, per_vertex))
+
+
+# -- the metamorphic laws on a two-sided relation at 10^4 ----------------------
+
+
+def test_metamorphic_laws_hold_on_a_two_sided_relation_at_10_4():
+    rng = random.Random("two-sided laws")
+    n = 10 ** 4
+    g, h = (sparse_relation(rng, n, k).to_multidigraph() for k in (2, 1))
+    base = full_invariants(g)
+    b = renamed(h, lambda v: "b" + v)
+    union = MultiDigraph(g.vertices + b.vertices, g.edges + b.edges)
+    assert full_invariants(union) == record_sum(base, full_invariants(h))
+    converse_g = MultiDigraph(g.vertices, [(t, s) for s, t in g.edges])
+    assert full_invariants(converse_g) == base.swapped()
+    order = list(range(n))
+    rng.shuffle(order)
+    name = {v: f"w{order[i]}" for i, v in enumerate(g.vertices)}.__getitem__
+    moved = renamed(g, name)
+    edges = list(moved.edges)
+    rng.shuffle(edges)
+    assert full_invariants(MultiDigraph(sorted(moved.vertices), edges)) == base
+    isolated = MultiDigraph(g.vertices + ("lone",), g.edges)
+    t = Counter(base.t) + Counter({0: 1})
+    assert full_invariants(isolated) == InvariantRecord(base.zt, base.tz, t, base.ztz, base.cycles)
+    parallel = MultiDigraph(g.vertices, g.edges + (rng.choice(g.edges),))
+    ztz = Counter(base.ztz) + Counter({0: 1})
+    assert full_invariants(parallel) == InvariantRecord(base.zt, base.tz, base.t, ztz,
+                                                        base.cycles)

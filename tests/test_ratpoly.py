@@ -72,14 +72,6 @@ def test_totient():
         assert rp.totient(d) == sum(1 for k in range(1, d + 1) if gcd(k, d) == 1), d
 
 
-def test_cyclotomic_index():
-    for d in (1, 2, 3, 4, 5, 6, 8, 12, 15):
-        assert rp.cyclotomic_index(rp.cyclotomic(d)) == d
-    assert rp.cyclotomic_index(rp.poly(-2, 1)) is None      # X - 2
-    assert rp.cyclotomic_index(rp.poly(-1, 0, 0, 1)) is None  # reducible X^3 - 1
-    assert rp.cyclotomic_index(rp.poly(Fraction(1, 2))) is None
-
-
 def test_poly_str():
     assert rp.poly_str(rp.poly(-1, 1)) == "X - 1"
     assert rp.poly_str(rp.poly(1, 0, 1)) == "X^2 + 1"
