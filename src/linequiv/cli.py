@@ -6,7 +6,10 @@ or a failed cross-check, 2 usage or parse error, or a matrix pair the oracle
 cannot factor, 3 internal consistency error or out of memory, 141 the reader
 closed the output pipe early (128 + SIGPIPE, as a shell reports it).  With
 --json all output is a single JSON document with sorted keys, byte-stable for
-a given input and version, written by `json_text`.
+a given input and version, written by `json_text`.  A relation's pairs and
+gamma's nonstable points reach it as text already (`_Written`): each label
+quoted once, the pairs written in one pass over the canonical edge order,
+and the nonstable lines sorted as text.
 
 Graph commands load only the contraction route.  The oracle side
 (`linearize`, `oracle`, and through it `smith` and `echelon`) runs only for
@@ -53,7 +56,7 @@ class _Usage(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -66,14 +69,27 @@ def _emit_json(doc) -> None:
     print(json_text(doc))
 
 
+class _Written:
+    """A list (brackets "[]") or map ("{}") whose items are JSON text
+    already: items(inner) iterates over them, in order, for the line break
+    and indent `inner` that precede each.  Only the documents this module
+    writes hold one."""
+
+    __slots__ = ("brackets", "items")
+
+    def __init__(self, brackets: str, items):
+        self.brackets, self.items = brackets, items
+
+
 def json_text(doc, newline: str = "\n") -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte, for the
     values a document holds: str, int, bool, None, and lists, tuples and
     str-keyed dicts of them; anything else raises TypeError.  `newline` is
     the line break and indent that close the value.  With an indent,
     CPython's json runs its pure-Python encoder; this writer quotes strings
-    with the same C function and joins the long label, pair and int lists
-    of a large graph, and an int-valued map, in one step."""
+    with the same C function, joins a list of strings or ints and an
+    int-valued map in one step, and writes the items of a `_Written` value
+    as they are."""
     if isinstance(doc, str):
         return _quote(doc)
     if doc is None or doc is True or doc is False:
@@ -81,16 +97,15 @@ def json_text(doc, newline: str = "\n") -> str:
     if isinstance(doc, int):
         return int.__repr__(doc)
     inner = newline + "  "
-    if isinstance(doc, (list, tuple)):
+    if type(doc) is _Written:
+        brackets, items = doc.brackets, doc.items(inner)
+    elif isinstance(doc, (list, tuple)):
         brackets = "[]"
-        if all(type(x) is str for x in doc):
+        kinds = set(map(type, doc))
+        if kinds == {str}:
             items = map(_quote, doc)
-        elif all(type(x) is int for x in doc):  # bool is not int here
+        elif kinds == {int}:  # bool is not int here
             items = map(int.__repr__, doc)
-        elif all((type(x) is list or type(x) is tuple) and len(x) == 2
-                 and type(x[0]) is type(x[1]) is str for x in doc):
-            pair = "," + inner + "  "
-            items = (f"[{inner}  {_quote(a)}{pair}{_quote(b)}{inner}]" for a, b in doc)
         else:
             items = (json_text(x, inner) for x in doc)
     elif isinstance(doc, dict):
@@ -104,19 +119,35 @@ def json_text(doc, newline: str = "\n") -> str:
                      for key, value in zip(keys, values))
     else:
         raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
-    if not doc:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    body = ("," + inner).join(items)  # empty only when there are no items
+    return f"{brackets[0]}{inner}{body}{newline}{brackets[1]}" if body else brackets
+
+
+def _relation_json(r: BinaryRelation) -> dict:
+    """A relation's "vertices" and "pairs": each label quoted once, and one
+    pass over the canonical edge order writes every pair."""
+    quoted = list(map(_quote, r.vertices))
+
+    def pairs(inner: str):
+        pair = "," + inner + "  "
+        return (f"[{inner}  {quoted[s]}{pair}{quoted[t]}{inner}]" for s, t in r.sorted_ids())
+
+    return {"vertices": _Written("[]", lambda inner: quoted), "pairs": _Written("[]", pairs)}
 
 
 def _gamma_json(d: ContractionDiagram) -> dict:
     """The gamma table as stable value, horizon, and the "m,n" keyed values
-    that differ from the stable one, each diagonal keyed in C-level passes."""
-    stable, nonstable = d.stable_value, {}
+    that differ from the stable one.  Each diagonal's lines are written in
+    C-level passes and sorted as text, which sorts them by key: a key holds
+    only digits and ',', and its closing '"' sorts below both."""
+    stable, lines = d.stable_value, []
     for (m, n), diagonal in zip(FIRST_POINTS, d.diagonals):
-        keys = map("{},{}".format, range(m, m + len(diagonal)), range(n, n + len(diagonal)))
-        nonstable.update(compress(zip(keys, diagonal), map(stable.__ne__, diagonal)))
-    return {"stable_value": stable, "horizon": d.horizon, "nonstable": nonstable}
+        end = len(diagonal)
+        lines += compress(map('"{},{}": {}'.format, range(m, m + end), range(n, n + end),
+                              diagonal), map(stable.__ne__, diagonal))
+    lines.sort()
+    return {"stable_value": stable, "horizon": d.horizon,
+            "nonstable": _Written("{}", lambda inner: lines)}
 
 
 # -- commands -----------------------------------------------------------------
@@ -127,8 +158,7 @@ def _cmd_reduce(args) -> int:
     summary = reduce_graph(g)
     if args.json:
         _emit_json({
-            "vertices": summary.reduced.vertices,
-            "pairs": summary.reduced.sorted_pairs(),
+            **_relation_json(summary.reduced),
             "parallel_class_sizes": summary.parallel_class_sizes,
             "split_count": summary.split_count,
         })
@@ -153,8 +183,7 @@ def _cmd_contract(args) -> int:
             "left": args.left,
             "right": args.right,
             "partition": part.classes,
-            "vertices": contracted.vertices,
-            "pairs": contracted.sorted_pairs(),
+            **_relation_json(contracted),
         })
     elif args.dot:
         sys.stdout.write(_quotient_dot(contracted, part))
@@ -173,7 +202,7 @@ def _quotient_dot(contracted: BinaryRelation, part) -> str:
     lines = ["digraph {"]
     lines += [f"  c{i} [label={dot_id('{' + ','.join(cls) + '}')}];"
               for i, cls in enumerate(part.classes)]
-    lines += [f"  c{s} -> c{t};" for s, t in sorted(contracted.ids)]
+    lines += [f"  c{s} -> c{t};" for s, t in contracted.sorted_ids()]
     return "\n".join(lines) + "\n}\n"
 
 

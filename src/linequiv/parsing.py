@@ -62,8 +62,12 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
 _DOT_START = re.compile(r'(?:\s|#[^\n]*(?![^\n]))*digraph(?![^\s{};=\[\],"#])')
 
 
+_COMMENT = re.compile("#[^\n]*")
+
+
 def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    """The text without its comments, each line kept."""
+    return _COMMENT.sub("", text) if "#" in text else text
 
 
 def _column(line: str, fields: list[str], k: int) -> int:
@@ -77,41 +81,35 @@ def _parse_edge_list(text: str, strict: bool) -> MultiDigraph:
     index: dict[str, int] = {}
     ids = []
     declare = index.setdefault
-    lines = text.split("\n")
-    for ln, line in enumerate(lines, start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        fields = line.split()
+    lines = _strip_comments(text).split("\n")
+    for ln, fields in enumerate(map(str.split, lines), start=1):
         if len(fields) == 2 and fields[0] != "vertex":
             if strict:
                 for k, label in enumerate(fields):
                     if label not in index:
                         raise ParseError(f"undeclared vertex {label!r}", ln,
-                                         _column(line, fields, k))
+                                         _column(lines[ln - 1], fields, k))
             src, dst = fields
             ids.append((declare(src, len(index)), declare(dst, len(index))))
         elif len(fields) == 2:
             if fields[1] in index:
                 raise ParseError(f"duplicate vertex declaration {fields[1]!r}", ln,
-                                 _column(line, fields, 0))
+                                 _column(lines[ln - 1], fields, 0))
             index[fields[1]] = len(index)
         elif fields:
             message = ("expected: vertex <label>" if fields[0] == "vertex"
                        else "expected: <src> <dst> or vertex <label>")
-            raise ParseError(message, ln, _column(line, fields, 0))
+            raise ParseError(message, ln, _column(lines[ln - 1], fields, 0))
     if not index:
         raise ParseError("no vertices", max(len(lines), 1))
     return MultiDigraph._of(len(index), tuple(ids), tuple(index))
 
 
-_DOT_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<punct>->|--|[{};=\[\],])   |
-        (?P<quoted>"[^"\\]*")          |
-        (?P<bare>[^\s{};=\[\],"]+)
-    )""",
-    re.VERBOSE,
-)
+# one DOT token: punctuation, a double-quoted id without a backslash, or a
+# bare id; blanks between tokens are skipped
+_DOT_TOKEN = re.compile(r'->|--|[{};=\[\],]|"[^"\\]*"|[^\s{};=\[\],"]+')
+_DOT_PUNCT = frozenset(("->", "--", "{", "}", ";", "=", "[", "]", ","))
+_NOT_ID = _DOT_PUNCT | {""}  # "" is the end of input
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -119,19 +117,18 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _dot_tokens(text: str) -> list[tuple[str, int, str]]:
-    """(token, offset, kind) across the whole text."""
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _DOT_TOKEN.match(text, pos)
-        if m is None:
-            break
-        kind = m.lastgroup
-        tok = m.group(kind)
-        toks.append((tok[1:-1] if kind == "quoted" else tok, m.start(kind), kind))
-        pos = m.end()
-    if text[pos:].strip():
+def _dot_tokens(text: str) -> list[str]:
+    """The tokens of the whole text, a quoted id with its quotes, found in
+    one C-level pass.  A '"' that starts no quoted id makes the input
+    unreadable from there, and is the only non-blank character no token
+    takes, so the quote counts tell whether the tokens cover the text."""
+    toks = _DOT_TOKEN.findall(text)
+    if text.count('"') != "".join(toks).count('"'):
+        pos = 0  # the end of the last token before the first gap
+        for m in _DOT_TOKEN.finditer(text):
+            if text[pos:m.start()].strip():
+                break
+            pos = m.end()
         raise ParseError("unreadable input", _position(text, pos)[0])
     return toks
 
@@ -146,69 +143,67 @@ _DOT_HINTS = {
 
 def _parse_dot(text: str, strict: bool) -> MultiDigraph:
     text = _strip_comments(text)
-    toks = _dot_tokens(text)
-    if not toks:
+    raw = _dot_tokens(text)
+    if not raw:
         raise ParseError("no vertices", 1)
     n_lines = text.count("\n") + 1
-    toks.append(("", len(text), "end"))
+    # a token's value drops a quoted id's quotes, so a quoted id reads as
+    # punctuation where only the value is compared; raw "" is the end
+    vals = [tok[1:-1] if tok[0] == '"' else tok for tok in raw] + [""]
+    raw.append("")
     index: dict[str, int] = {}
+    declare = index.setdefault
     ids = []
 
+    def position(j: int) -> tuple[int, int]:
+        """(line, column) of token j; only an error finds the offsets."""
+        return _position(text, [m.start() for m in _DOT_TOKEN.finditer(text)][j])
+
     def fail(message: str, j: int):
-        raise ParseError(message, *_position(text, toks[j][1]))
+        raise ParseError(message, *position(j))
 
-    def is_id(j: int) -> bool:
-        return toks[j][2] in ("bare", "quoted")
-
-    def punct(j: int, what: str) -> bool:
-        return toks[j][::2] == (what, "punct")
-
-    def vertex(j: int) -> int:
-        tok = toks[j][0]
-        if tok not in index:
-            if strict:
-                fail(f"undeclared vertex {tok!r}", j)
-            index[tok] = len(index)
-        return index[tok]
-
-    if toks[0][0] != "digraph":
+    if vals[0] != "digraph":
         fail("expected 'digraph'", 0)
-    i = 2 if is_id(1) and toks[1][0] != "{" else 1  # an optional graph name
-    if toks[i][2] == "end":
-        raise ParseError("expected '{', got end of input", _position(text, toks[i - 1][1])[0])
-    if toks[i][0] != "{":
-        fail(f"expected '{{', got {toks[i][0]!r}", i)
+    i = 2 if raw[1] not in _NOT_ID and vals[1] != "{" else 1  # an optional graph name
+    if not raw[i]:
+        raise ParseError("expected '{', got end of input", position(i - 1)[0])
+    if vals[i] != "{":
+        fail(f"expected '{{', got {vals[i]!r}", i)
     i += 1
-    while toks[i][0] != "}":
-        tok, _, kind = toks[i]
-        if kind == "end":
+    while vals[i] != "}":
+        tok = vals[i]
+        if not raw[i]:
             raise ParseError("missing closing '}'", n_lines)
         if tok == ";":
             i += 1
             continue
-        if kind == "punct":
+        if raw[i] in _DOT_PUNCT:
             fail(_DOT_HINTS.get(tok, f"unexpected {tok!r}"), i)
         if tok == "subgraph":
             fail("subgraphs are not supported", i)
-        if toks[i + 1][0] == "->":  # an edge statement
-            if not is_id(i + 2):
+        if vals[i + 1] == "->":  # an edge statement
+            if raw[i + 2] in _NOT_ID:
                 fail("expected a vertex after '->'", i + 1)
-            if toks[i + 3][0] == "->":
+            if vals[i + 3] == "->":
                 fail("chained edges are not supported; one edge per statement", i + 3)
-            ids.append((vertex(i), vertex(i + 2)))
+            if strict:
+                for j in (i, i + 2):
+                    if vals[j] not in index:
+                        fail(f"undeclared vertex {vals[j]!r}", j)
+            ids.append((declare(tok, len(index)), declare(vals[i + 2], len(index))))
             i += 3
         else:  # a node statement; a lone [label=<id>], as `contract --dot` writes it, is skipped
             if tok in index:
                 fail(f"duplicate vertex declaration {tok!r}", i)
             index[tok] = len(index)
             i += 1
-            if (punct(i, "[") and is_id(i + 1) and toks[i + 1][0] == "label"
-                    and punct(i + 2, "=") and is_id(i + 3) and punct(i + 4, "]")):
+            if (raw[i] == "[" and raw[i + 1] not in _NOT_ID and vals[i + 1] == "label"
+                    and raw[i + 2] == "=" and raw[i + 3] not in _NOT_ID and raw[i + 4] == "]"):
                 i += 5
-        if toks[i][0] == ";":
+        if vals[i] == ";":
             i += 1
-    if toks[i + 1][2] != "end":
-        fail(f"trailing input {toks[i + 1][0]!r}", i + 1)
+    if raw[i + 1]:
+        fail(f"trailing input {vals[i + 1]!r}", i + 1)
     if not index:
         raise ParseError("no vertices", n_lines)
     return MultiDigraph._of(len(index), tuple(ids), tuple(index))

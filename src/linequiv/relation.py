@@ -108,13 +108,18 @@ class BinaryRelation(_Graph):
         v = self.vertices
         return frozenset((v[s], v[t]) for s, t in self.ids)
 
+    def sorted_ids(self) -> list[tuple[int, int]]:
+        """The id pairs in (source id, target id) order: the canonical edge
+        order, in which every writer lists a relation's edges."""
+        return sorted(self.ids)
+
     def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Pairs in (source index, target index) order; the canonical edge order."""
+        """Pairs in the canonical edge order."""
         v = self.vertices
-        return tuple((v[s], v[t]) for s, t in sorted(self.ids))
+        return tuple((v[s], v[t]) for s, t in self.sorted_ids())
 
     def to_multidigraph(self) -> MultiDigraph:
-        return MultiDigraph._of(self.vertex_count, tuple(sorted(self.ids)), self.vertices)
+        return MultiDigraph._of(self.vertex_count, tuple(self.sorted_ids()), self.vertices)
 
 
 @dataclass(frozen=True)

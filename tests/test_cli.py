@@ -13,7 +13,7 @@ from linequiv.cli import main, random_relation, run_fuzz, trial_seed
 from linequiv.linearize import PairMatrices
 from linequiv.parsing import serialize
 
-from conftest import braided, relation
+from conftest import braided, relation, spider
 
 import random
 from fractions import Fraction
@@ -568,6 +568,24 @@ def test_dot_format_flag(capsys, tmp_path):
     assert "t[2]=1" in out  # a 3-vertex path
 
 
+def test_inputs_with_a_byte_order_mark(capsys, tmp_path):
+    # a UTF-8 byte-order mark is not part of the first label or token
+    edges = tmp_path / "bom.edges"
+    edges.write_text("v1 v2\nv2 v1\n", encoding="utf-8-sig")
+    code, out, _ = run(capsys, "reduce", str(edges), "--json")
+    assert code == 0 and json.loads(out)["vertices"] == ["v1", "v2"]
+    code, out, _ = run(capsys, "invariants", str(edges))
+    assert code == 0 and "cycles=[2]" in out
+    dot = tmp_path / "bom.dot"
+    dot.write_text("digraph { a -> b; b -> c; }\n", encoding="utf-8-sig")
+    code, out, _ = run(capsys, "invariants", str(dot))
+    assert code == 0 and "t[2]=1" in out
+    pair = tmp_path / "bom.txt"
+    pair.write_text("2 1\n1\n0\n0\n1\n", encoding="utf-8-sig")
+    code, out, _ = run(capsys, "oracle", str(pair), "--matrix")
+    assert code == 0 and "ztz[1]=1" in out
+
+
 def test_fuzz_runs_clean(capsys):
     code, out, _ = run(capsys, "fuzz", "--seed", "1", "--count", "10",
                        "--vertices", "4")
@@ -626,14 +644,30 @@ def test_fuzz_json(capsys):
     assert doc["first_failing_seed"] is None
 
 
-def _json_documents(monkeypatch, capsys, argvs) -> list:
+def _plain_relation(r) -> dict:
+    return {"vertices": r.vertices, "pairs": r.sorted_pairs()}
+
+
+def _plain_gamma(d) -> dict:
+    return {"stable_value": d.stable_value, "horizon": d.horizon,
+            "nonstable": {f"{m},{n}": v for (m, n), v in d.nonstable_points().items()}}
+
+
+def _json_outputs(monkeypatch, capsys, argvs) -> list:
+    """(stdout, document) per argv run with --json: the stdout of the run as
+    it is, and the document a second run emits with the relation and gamma
+    parts built as plain tuples and dicts, in the shape json.dumps takes."""
+    outputs = [run(capsys, *argv, "--json")[1] for argv in argvs]
     docs = []
     emit = cli._emit_json
+    monkeypatch.setattr(cli, "_relation_json", _plain_relation)
+    monkeypatch.setattr(cli, "_gamma_json", _plain_gamma)
     monkeypatch.setattr(cli, "_emit_json", lambda doc: docs.append(doc) or emit(doc))
     for argv in argvs:
         run(capsys, *argv, "--json")
     monkeypatch.undo()
-    return docs
+    assert len(docs) == len(argvs)
+    return list(zip(outputs, docs))
 
 
 def test_json_text_matches_json_dumps(monkeypatch, capsys, tmp_path, g1_file, g2_file,
@@ -645,14 +679,29 @@ def test_json_text_matches_json_dumps(monkeypatch, capsys, tmp_path, g1_file, g2
     odd.write_text('caf\u00e9 "q"\nb\\s \u2603\n\u00e9\x01\x7f x\nvertex lone\n')
     multi = tmp_path / "multi.edges"
     multi.write_text("a b\na b\nb a\nb a\nb a\na a\nc a\n")
-    argvs = [[command, path] for path in (g1_file, g2_file, g4_file, str(odd))
-             for command in ("reduce", "contract", "diagram", "invariants", "oracle")]
+    isolated = tmp_path / "isolated.edges"
+    isolated.write_text("vertex b\nvertex a\n")
+    # horizon 14, so keys such as "9,9", "10,8" and "1,0" interleave
+    y14 = tmp_path / "y14.edges"
+    y14.write_text(serialize(spider((14, 14))))
+    rng = random.Random(2000)
+    labels = [f"u{i}" for i in rng.sample(range(2000), 2000)]
+    functional = tmp_path / "functional.edges"
+    functional.write_text("".join(f"{v} {rng.choice(labels)}\n" for v in labels))
+    graphs_in = [g1_file, g2_file, g4_file, str(odd), str(isolated), str(y14), str(functional)]
+    argvs = [[command, path] for path in graphs_in
+             for command in ("reduce", "contract", "diagram", "invariants", "oracle")
+             if command != "oracle" or path != str(functional)]
     argvs += [["contract", g4_file, "--left", "2", "--right", "1"],
+              ["contract", str(odd), "--left", "1"],
+              ["contract", str(functional), "--left", "2", "--right", "3"],
               ["oracle", str(pair), "--matrix"], ["equiv", g1_file, g2_file],
               ["equiv", g4_file, g4_file], ["fuzz", "--count", "2"],
               ["fuzz", "--count", "3", "--edge-prob", "1"], ["reduce", str(multi)]]
-    docs = _json_documents(monkeypatch, capsys, argvs)
-    assert len(docs) == len(argvs)
+    outputs = _json_outputs(monkeypatch, capsys, argvs)
+    for out, doc in outputs:
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
+    docs = [doc for _, doc in outputs]
     docs += [
         {}, [], {"a": [], "b": {}, "c": [[]], "d": [{}]},
         ["", "\x00\x1f\x7f", "\"\\/", "\u00e9\u2603\U0001f600", "\ud800"],
@@ -671,9 +720,16 @@ def test_json_text_matches_json_dumps(monkeypatch, capsys, tmp_path, g1_file, g2
     for doc in docs:
         assert cli.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
     # reduce hands its pairs and parallel class sizes over as tuples
-    reduced = docs[len(argvs) - 1]
+    reduced = outputs[-1][1]
     assert type(reduced["pairs"]) is tuple and type(reduced["parallel_class_sizes"]) is tuple
     assert json.loads(cli.json_text(reduced))["parallel_class_sizes"] == [1, 1, 2, 3]
+    # each of these inputs reaches the case it is there for
+    by_argv = {tuple(argv): json.loads(out) for argv, (out, _) in zip(argvs, outputs)}
+    assert by_argv[("reduce", str(isolated))]["pairs"] == []
+    assert by_argv[("contract", str(isolated))]["pairs"] == []
+    nonstable = by_argv[("diagram", str(y14))]["nonstable"]
+    assert {"9,9", "10,8", "1,0"} <= set(nonstable)
+    assert len(by_argv[("reduce", str(functional))]["vertices"]) == 2000
 
 
 @pytest.mark.parametrize("doc", [1.5, {1: 2}, {"a": {3}}, [Fraction(1, 2)], b"x"])

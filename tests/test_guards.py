@@ -1,6 +1,8 @@
-"""Structural guard: the oracle stays independent of the contraction route."""
+"""Structural guards: the oracle stays independent of the contraction route,
+and every module a graph command compiles stays below the parser's token step."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +39,14 @@ def test_oracle_shares_no_code_with_the_contraction_route():
     # the oracle's own helpers import no further linequiv code
     assert set(_imports(package / "echelon.py")) == set()
     assert set(_imports(package / "smith.py")) <= {"ratpoly"}
+
+
+def test_eager_modules_stay_under_the_parsers_token_step():
+    # Python's parser holds ~0.3 KiB per token of the module it compiles and
+    # steps its peak up by ~226 KiB at 4096 tokens; a graph command compiles
+    # these modules on every cold start, so each stays below that step.
+    package = ROOT / "src" / "linequiv"
+    for name in ("__init__", "cli", "parsing", "relation", "contraction", "invariants"):
+        with (package / f"{name}.py").open(encoding="utf-8") as source:
+            tokens = sum(1 for _ in tokenize.generate_tokens(source.readline))
+        assert tokens < 4096, (name, tokens)

@@ -1,6 +1,9 @@
+import random
+import re
+
 import pytest
 
-from linequiv import BinaryRelation, ParseError, parse_graph, serialize
+from linequiv import BinaryRelation, MultiDigraph, ParseError, parse_graph, serialize
 from linequiv.relation import reduce
 
 from conftest import relation
@@ -168,3 +171,224 @@ def test_round_trip_class_labels(format):
     r = BinaryRelation(("{a,b}", "c"), frozenset({("{a,b}", "c"), ("c", "c")}))
     back = reduce(parse_graph(serialize(r, format), format=format)).reduced
     assert back.pairs == r.pairs
+
+
+# -- the readers against line-by-line references -------------------------------
+#
+# _reference_edge_list strips each line's comment and splits it in the loop;
+# _reference_dot finds one token per regex match, with its offset and kind.
+# Both are the straightforward readers the parser's C-level passes replace,
+# kept here so that every graph and every error message can be compared.
+
+
+def _reference_column(line, fields, k):
+    start = line.index(fields[0])
+    return (line.index(fields[1], start + len(fields[0])) if k else start) + 1
+
+
+def _reference_edge_list(text, strict):
+    index, ids = {}, []
+    lines = text.split("\n")
+    for ln, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0]
+        fields = line.split()
+        if len(fields) == 2 and fields[0] != "vertex":
+            if strict:
+                for k, label in enumerate(fields):
+                    if label not in index:
+                        raise ParseError(f"undeclared vertex {label!r}", ln,
+                                         _reference_column(line, fields, k))
+            src, dst = fields
+            ids.append((index.setdefault(src, len(index)), index.setdefault(dst, len(index))))
+        elif len(fields) == 2:
+            if fields[1] in index:
+                raise ParseError(f"duplicate vertex declaration {fields[1]!r}", ln,
+                                 _reference_column(line, fields, 0))
+            index[fields[1]] = len(index)
+        elif fields:
+            message = ("expected: vertex <label>" if fields[0] == "vertex"
+                       else "expected: <src> <dst> or vertex <label>")
+            raise ParseError(message, ln, _reference_column(line, fields, 0))
+    if not index:
+        raise ParseError("no vertices", max(len(lines), 1))
+    return MultiDigraph._of(len(index), tuple(ids), tuple(index))
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<punct>->|--|[{};=\[\],])   |
+        (?P<quoted>"[^"\\]*")          |
+        (?P<bare>[^\s{};=\[\],"]+)
+    )""",
+    re.VERBOSE,
+)
+
+_REFERENCE_HINTS = {
+    "[": "attributes are not supported",
+    "=": "attributes are not supported",
+    "--": "undirected edges are not supported",
+    "{": "subgraphs are not supported",
+}
+
+
+def _reference_position(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _reference_dot(text, strict):
+    text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    toks, pos = [], 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            break
+        kind = m.lastgroup
+        tok = m.group(kind)
+        toks.append((tok[1:-1] if kind == "quoted" else tok, m.start(kind), kind))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ParseError("unreadable input", _reference_position(text, pos)[0])
+    if not toks:
+        raise ParseError("no vertices", 1)
+    n_lines = text.count("\n") + 1
+    toks.append(("", len(text), "end"))
+    index, ids = {}, []
+
+    def fail(message, j):
+        raise ParseError(message, *_reference_position(text, toks[j][1]))
+
+    def is_id(j):
+        return toks[j][2] in ("bare", "quoted")
+
+    def punct(j, what):
+        return toks[j][::2] == (what, "punct")
+
+    def vertex(j):
+        tok = toks[j][0]
+        if tok not in index:
+            if strict:
+                fail(f"undeclared vertex {tok!r}", j)
+            index[tok] = len(index)
+        return index[tok]
+
+    if toks[0][0] != "digraph":
+        fail("expected 'digraph'", 0)
+    i = 2 if is_id(1) and toks[1][0] != "{" else 1
+    if toks[i][2] == "end":
+        raise ParseError("expected '{', got end of input",
+                         _reference_position(text, toks[i - 1][1])[0])
+    if toks[i][0] != "{":
+        fail(f"expected '{{', got {toks[i][0]!r}", i)
+    i += 1
+    while toks[i][0] != "}":
+        tok, _, kind = toks[i]
+        if kind == "end":
+            raise ParseError("missing closing '}'", n_lines)
+        if tok == ";":
+            i += 1
+            continue
+        if kind == "punct":
+            fail(_REFERENCE_HINTS.get(tok, f"unexpected {tok!r}"), i)
+        if tok == "subgraph":
+            fail("subgraphs are not supported", i)
+        if toks[i + 1][0] == "->":
+            if not is_id(i + 2):
+                fail("expected a vertex after '->'", i + 1)
+            if toks[i + 3][0] == "->":
+                fail("chained edges are not supported; one edge per statement", i + 3)
+            ids.append((vertex(i), vertex(i + 2)))
+            i += 3
+        else:
+            if tok in index:
+                fail(f"duplicate vertex declaration {tok!r}", i)
+            index[tok] = len(index)
+            i += 1
+            if (punct(i, "[") and is_id(i + 1) and toks[i + 1][0] == "label"
+                    and punct(i + 2, "=") and is_id(i + 3) and punct(i + 4, "]")):
+                i += 5
+        if toks[i][0] == ";":
+            i += 1
+    if toks[i + 1][2] != "end":
+        fail(f"trailing input {toks[i + 1][0]!r}", i + 1)
+    if not index:
+        raise ParseError("no vertices", n_lines)
+    return MultiDigraph._of(len(index), tuple(ids), tuple(index))
+
+
+def _outcome(read, text, strict):
+    """(ids, vertices) of the graph read, or the error message."""
+    try:
+        g = read(text, strict)
+    except ParseError as exc:
+        return str(exc)
+    return g.ids, g.vertices
+
+
+# characters str.split() splits on that split("\n") does not break lines at
+_SPLITTING = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\t", "\r"]
+_LABELS = ["a", "b", "c", "vertex", "v1", "\u00e9", "x#y", "digraph"]
+
+
+def _random_edge_list(rng):
+    def blank():
+        return rng.choice(["", " ", "\t", *_SPLITTING])
+
+    def label():
+        return rng.choice(_LABELS)
+
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choices(range(7), weights=(3, 3, 1, 12, 1, 1, 2))[0]
+        fields = [[], ["vertex", label()], [label(), "vertex"], [label(), label()], [label()],
+                  [label(), label(), label()], ["#", label()]][kind]
+        line = blank() + (blank() or " ").join(fields) + blank()
+        if rng.random() < 0.25:
+            line += rng.choice(["#", " # x y", "#\u2028 z", "\t#vertex a"])
+        lines.append(line)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+_DOT_WORDS = ["digraph", "{", "}", ";", "->", "--", "[", "]", "=", ",", "label", "subgraph",
+              "a", "b", "c", "a->b", '"a b"', '"{"', '"}"', '";"', '"->"', '""', '"label"',
+              '"x', '"p\\q"', "# note\n"]
+
+
+def _random_dot(rng):
+    toks = ["digraph", *rng.choice([[], ["g"], ['"g h"']]), "{"]
+    for _ in range(rng.randint(0, 6)):
+        a, b = rng.choice(_LABELS[:5]), rng.choice(["a", "b", "c", '"a b"', "d"])
+        toks += rng.choice([[a, "->", b], [a], [a, "[", "label", "=", b, "]"]])
+        if rng.random() < 0.7:
+            toks.append(";")
+    toks.append("}")
+    if rng.random() < 0.1:  # cut the text short
+        toks = toks[:rng.randrange(1, len(toks))]
+    for _ in range(rng.choice([0, 0, 1, 2])):  # mutate: insert, drop or replace a token
+        k = rng.randrange(len(toks) + 1)
+        what = rng.randrange(3)
+        if what == 0 or k == len(toks):
+            toks.insert(k, rng.choice(_DOT_WORDS))
+        elif what == 1:
+            del toks[k]
+        else:
+            toks[k] = rng.choice(_DOT_WORDS)
+    seps = ["", " ", "\n", "\t", "\r\n", " \x0b", "\u2028", "\x85"]
+    return "".join(tok + rng.choice(seps if tok[-1:] in "{};[]=," else seps[1:])
+                   for tok in toks)
+
+
+@pytest.mark.parametrize("format, generate, reference", [
+    ("edge-list", _random_edge_list, _reference_edge_list),
+    ("dot", _random_dot, _reference_dot),
+], ids=["edge-list", "dot"])
+def test_readers_match_the_line_by_line_references(format, generate, reference):
+    rng = random.Random(f"linequiv-test:readers:{format}")
+    graphs = 0
+    for _ in range(2000):
+        text = generate(rng)
+        for strict in (False, True):
+            want = _outcome(reference, text, strict)
+            got = _outcome(lambda t, s: parse_graph(t, format=format, strict=s), text, strict)
+            assert got == want, (text, strict)
+            graphs += not isinstance(want, str)
+    assert 500 < graphs < 3500  # both graphs and errors are compared
