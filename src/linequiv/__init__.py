@@ -23,13 +23,13 @@ _EXPORTS = {
                     "classify_stable", "gamma_table", "iterated_contraction", "left_partition",
                     "right_partition", "stabilize"),
     "invariants": ("ConsistencyError", "DualFormMismatch", "EquivVerdict",
-                   "InvariantRecord", "NegativeMultiplicity", "RationalRegularPart",
+                   "InvariantRecord", "NegativeMultiplicity",
                    "analyze_graph", "cyclotomic_refine", "decide_equiv", "full_invariants",
                    "gamma_content", "part_one", "part_three_zt00", "part_two",
                    "vertex_check"),
-    "linearize": ("PairMatrices", "linearize", "parse_pair_file", "serialize_pair"),
+    "linearize": ("PairMatrices", "linearize", "parse_pair_file"),
     "oracle": ("DimensionMismatch", "OracleReport", "analyze", "canonical_pair", "compare",
-               "kernel_meet_dim", "minimal_indices_left", "minimal_indices_right",
+               "minimal_indices_left", "minimal_indices_right",
                "oracle_invariants", "regular_pair"),
     "parsing": ("ParseError", "parse_graph", "serialize"),
     "relation": ("BinaryRelation", "GraphError", "MultiDigraph", "Partition",

@@ -85,6 +85,8 @@ turns such an array back into labels.
 Every contracted relation eventually stabilizes at a disjoint union of
 directed cycles and simple directed paths; anything else raises
 StabilizationShapeError, which would signal a bug, not bad input.
+stabilize reads that shape, the stable relation and the rounds that reach
+it off gamma_table, so there is one dispatch between the two readers.
 """
 
 from __future__ import annotations
@@ -410,10 +412,6 @@ class StableShape:
         object.__setattr__(self, "cycles", tuple(sorted(self.cycles)))
         object.__setattr__(self, "paths", tuple(sorted(self.paths)))
 
-    @property
-    def total_vertices(self) -> int:
-        return sum(self.cycles) + sum(self.paths)
-
 
 def classify_stable(r: BinaryRelation) -> StableShape:
     """Decompose a bi-stable relation into directed cycles C_k and simple
@@ -440,17 +438,10 @@ def classify_stable(r: BinaryRelation) -> StableShape:
 
 
 def stabilize(r: BinaryRelation) -> tuple[StableShape, BinaryRelation, int]:
-    """Contract in full left-then-right rounds until a round changes nothing;
-    returns the cycle/path shape, the stable relation, and the round count.
-    A one-sided relation is read without contracting."""
-    one_sided = _one_sided(r)
-    if one_sided is None:
-        _, rounds, final = _chain(r, _SIDE["l"])
-        stable = _quotient(r, final)
-    else:
-        _, counts, stable = one_sided
-        rounds = len(counts) - 2
-    return classify_stable(stable), stable, rounds
+    """The cycle/path shape, the stable relation, and the number of
+    left-then-right rounds that reach it, read off gamma_table."""
+    d = gamma_table(r)
+    return classify_stable(d.stable), d.stable, d.depth
 
 
 # the point (m, n) at index 0 of each diagonal m - n = -2 .. 2
@@ -482,7 +473,7 @@ class ContractionDiagram:
     min(m, n) >= D, and band_end the largest m + n of a stored point; gamma
     maps each stored point (m, n) to its count.  stable and depth are the
     fully contracted relation and the number of left-then-right rounds that
-    reach it, as `stabilize` returns them.
+    reach it; `stabilize` reads them from here.
     """
 
     diagonals: tuple[tuple[int, ...], ...]

@@ -33,7 +33,7 @@ from operator import ne
 
 from .contraction import (FIRST_POINTS, ContractionDiagram, StableShape, classify_stable,
                           gamma_table)
-from .ratpoly import Poly, poly_str, totient
+from .ratpoly import Poly, poly_str
 from .relation import BinaryRelation, MultiDigraph, reduce as reduce_graph
 
 
@@ -109,17 +109,6 @@ class InvariantRecord:
                 + sum(n * c for n, c in self.ztz.items())
                 + self._regular_edge_total())
 
-    def swapped(self) -> "InvariantRecord":
-        """zt and tz exchanged; what taking the converse graph does."""
-        return InvariantRecord(dict(self.tz), dict(self.zt), dict(self.t),
-                               dict(self.ztz), self.cycles, self.regular_divisors)
-
-    def summand_count(self) -> int:
-        maps = (self.zt, self.tz, self.t, self.ztz)
-        regular = (len(self.cycles) if self.regular_divisors is None
-                   else len(self.regular_divisors))
-        return sum(sum(m.values()) for m in maps) + regular
-
     def describe(self) -> str:
         """One-line rendering, e.g. ``ztz[1]=1 tz[1]=1 cycles=[1]``."""
         parts = []
@@ -132,21 +121,12 @@ class InvariantRecord:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class RationalRegularPart:
-    """Regular summands split over the rationals: multiplicity of each
-    cyclotomic index d is the number of cycle lengths it divides."""
-
-    divisors: tuple[tuple[int, int], ...]
-
-    def degree(self) -> int:
-        return sum(totient(d) * mult for d, mult in self.divisors)
-
-
-def cyclotomic_refine(cycles) -> RationalRegularPart:
-    """Each cycle length n contributes one Phi_d for every divisor d of n;
-    each distinct length is factored once, its divisors paired up to
-    sqrt(n)."""
+def cyclotomic_refine(cycles) -> tuple[tuple[int, int], ...]:
+    """The regular summands split over the rationals, as (d, multiplicity)
+    pairs in increasing d: each cycle length n contributes one Phi_d for
+    every divisor d of n, so d's multiplicity is the number of cycle lengths
+    it divides.  Each distinct length is factored once, its divisors paired
+    up to sqrt(n)."""
     counts: Counter[int] = Counter()
     for n, mult in Counter(cycles).items():
         for d in range(1, isqrt(n) + 1):
@@ -154,7 +134,7 @@ def cyclotomic_refine(cycles) -> RationalRegularPart:
                 counts[d] += mult
                 if d * d != n:
                     counts[n // d] += mult
-    return RationalRegularPart(tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 # -- the diagram cells ---------------------------------------------------------
@@ -378,5 +358,5 @@ def record_to_json(rec: InvariantRecord, edge_count: int, vertex_count: int) -> 
     else:
         out["cyclotomic"] = [
             {"d": d, "multiplicity": m}
-            for d, m in cyclotomic_refine(rec.cycles).divisors]
+            for d, m in cyclotomic_refine(rec.cycles)]
     return out

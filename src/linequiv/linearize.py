@@ -57,12 +57,6 @@ class PairMatrices:
         if self.rows is None:
             object.__setattr__(self, "rows", _integer_rows(self.m, self.n))
 
-    def transposed(self) -> "PairMatrices":
-        e, v = self.edge_dim, self.vertex_dim
-        m_t = tuple(tuple(self.m[i][j] for i in range(e)) for j in range(v))
-        n_t = tuple(tuple(self.n[i][j] for i in range(e)) for j in range(v))
-        return PairMatrices(v, e, m_t, n_t)
-
 
 def linearize(g: MultiDigraph | BinaryRelation) -> PairMatrices:
     """Build (M, N) for a graph, and its integer rows straight from the edge
@@ -118,11 +112,3 @@ def parse_pair_file(text: str) -> PairMatrices:
             raise ParseError("unreadable rational entry", ln) from None
     return PairMatrices(e, v, tuple(parsed[:e]), tuple(parsed[e:]))
 
-
-def serialize_pair(p: PairMatrices) -> str:
-    """Inverse of parse_pair_file."""
-    lines = [f"{p.edge_dim} {p.vertex_dim}"]
-    if p.vertex_dim > 0:
-        for mat in (p.m, p.n):
-            lines += [" ".join(str(x) for x in row) for row in mat]
-    return "\n".join(lines) + "\n"

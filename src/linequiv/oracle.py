@@ -108,12 +108,6 @@ def _row_basis(rows, v: int) -> list[tuple[SparseRow, SparseRow]]:
             for row in next(_eliminations(rows, v, 1)).pivots.values()]
 
 
-def kernel_meet_dim(p: PairMatrices) -> int:
-    """Dimension of the joint row kernel {x : xM = 0 and xN = 0}; equals
-    ztz[0] of the pair."""
-    return p.edge_dim - len(_row_basis(p.rows, p.vertex_dim))
-
-
 def _solution_space_dims(basis, e: int, v: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
     = 0, for a pair of e rows and v columns whose [M N] has the row basis
@@ -445,7 +439,7 @@ def _regular_multiset(rec: InvariantRecord) -> Counter:
     if rec.regular_divisors is not None:
         return Counter(rec.regular_divisors)
     out: Counter = Counter()
-    for d, mult in cyclotomic_refine(rec.cycles).divisors:
+    for d, mult in cyclotomic_refine(rec.cycles):
         out[(rp.cyclotomic(d), 1)] += mult
     return out
 

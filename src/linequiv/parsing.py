@@ -10,11 +10,12 @@ DOT subset:
 
     digraph [name] { <id>; <id> -> <id>; ... }
 
-Only node and edge statements are accepted; attributes, subgraphs and
-undirected edges are rejected, except that a node statement may carry one
-``[label=<id>]``, which is ignored (so ``contract --dot`` output reads
-back).  Identifiers may be double-quoted, which is how class labels like
-``{a,b}`` survive a round trip.
+Only node and edge statements are accepted; strict graphs, attributes,
+subgraphs, undirected edges and ``+`` concatenation are rejected, except
+that a node statement may carry one ``[label=<id>]``, which is ignored (so
+``contract --dot`` output reads back).  Identifiers may be double-quoted,
+which is how class labels like ``{a,b}`` or ``subgraph`` survive a round
+trip: a quoted id is always an id, never punctuation or a keyword.
 
 Parsing is lenient by default: a label first seen in an edge is declared on
 the spot.  With ``strict=True`` an edge may only use previously declared
@@ -46,7 +47,7 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
     """Parse text into a MultiDigraph.
 
     format is "edge-list", "dot", or "auto" (sniff: DOT iff the first token
-    is ``digraph``).
+    is ``digraph``, or ``strict`` in any case and then ``digraph``).
     """
     if format == "auto":
         format = "dot" if _DOT_START.match(text) else "edge-list"
@@ -57,9 +58,10 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
     raise ValueError(f"unknown format {format!r}")
 
 
-# `digraph` as a whole first DOT token, after blanks and whole comment lines:
-# not followed by a bare-id character or a comment
-_DOT_START = re.compile(r'(?:\s|#[^\n]*(?![^\n]))*digraph(?![^\s{};=\[\],"#])')
+# `digraph` as a whole first DOT token, after blanks and whole comment lines
+# and an optional `strict`: not followed by a bare-id character or a comment
+_DOT_START = re.compile(
+    r'(?:\s|#[^\n]*(?![^\n]))*(?:(?i:strict)(?:\s|#[^\n]*)+)?digraph(?![^\s{};=\[\],"#])')
 
 
 _COMMENT = re.compile("#[^\n]*")
@@ -147,8 +149,9 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
     if not raw:
         raise ParseError("no vertices", 1)
     n_lines = text.count("\n") + 1
-    # a token's value drops a quoted id's quotes, so a quoted id reads as
-    # punctuation where only the value is compared; raw "" is the end
+    # syntax is compared on the raw token, so a quoted id is never read as
+    # punctuation or a keyword; an id's value drops its quotes; raw "" is
+    # the end
     vals = [tok[1:-1] if tok[0] == '"' else tok for tok in raw] + [""]
     raw.append("")
     index: dict[str, int] = {}
@@ -162,45 +165,52 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
     def fail(message: str, j: int):
         raise ParseError(message, *position(j))
 
-    if vals[0] != "digraph":
+    if raw[0].lower() == "strict":
+        fail("strict graphs are not supported", 0)
+    if raw[0] != "digraph":
         fail("expected 'digraph'", 0)
-    i = 2 if raw[1] not in _NOT_ID and vals[1] != "{" else 1  # an optional graph name
+    if "+" in text and '"' in text:  # a '+' next to a quoted id joins strings in DOT
+        for j, tok in enumerate(raw[1:-1], start=1):
+            if ((tok[0] == "+" and raw[j - 1][-1] == '"')
+                    or (tok[-1] == "+" and raw[j + 1][:1] == '"')):
+                fail("string concatenation is not supported", j)
+    i = 2 if raw[1] not in _NOT_ID else 1  # an optional graph name
     if not raw[i]:
         raise ParseError("expected '{', got end of input", position(i - 1)[0])
-    if vals[i] != "{":
+    if raw[i] != "{":
         fail(f"expected '{{', got {vals[i]!r}", i)
     i += 1
-    while vals[i] != "}":
-        tok = vals[i]
-        if not raw[i]:
+    while raw[i] != "}":
+        tok = raw[i]
+        if not tok:
             raise ParseError("missing closing '}'", n_lines)
         if tok == ";":
             i += 1
             continue
-        if raw[i] in _DOT_PUNCT:
+        if tok in _DOT_PUNCT:
             fail(_DOT_HINTS.get(tok, f"unexpected {tok!r}"), i)
-        if tok == "subgraph":
+        if tok.lower() == "subgraph":
             fail("subgraphs are not supported", i)
-        if vals[i + 1] == "->":  # an edge statement
+        if raw[i + 1] == "->":  # an edge statement
             if raw[i + 2] in _NOT_ID:
                 fail("expected a vertex after '->'", i + 1)
-            if vals[i + 3] == "->":
+            if raw[i + 3] == "->":
                 fail("chained edges are not supported; one edge per statement", i + 3)
             if strict:
                 for j in (i, i + 2):
                     if vals[j] not in index:
                         fail(f"undeclared vertex {vals[j]!r}", j)
-            ids.append((declare(tok, len(index)), declare(vals[i + 2], len(index))))
+            ids.append((declare(vals[i], len(index)), declare(vals[i + 2], len(index))))
             i += 3
         else:  # a node statement; a lone [label=<id>], as `contract --dot` writes it, is skipped
-            if tok in index:
-                fail(f"duplicate vertex declaration {tok!r}", i)
-            index[tok] = len(index)
+            if vals[i] in index:
+                fail(f"duplicate vertex declaration {vals[i]!r}", i)
+            index[vals[i]] = len(index)
             i += 1
             if (raw[i] == "[" and raw[i + 1] not in _NOT_ID and vals[i + 1] == "label"
                     and raw[i + 2] == "=" and raw[i + 3] not in _NOT_ID and raw[i + 4] == "]"):
                 i += 5
-        if vals[i] == ";":
+        if raw[i] == ";":
             i += 1
     if raw[i + 1]:
         fail(f"trailing input {vals[i + 1]!r}", i + 1)
@@ -210,12 +220,13 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
 
 
 _BARE_ID = re.compile(r"[A-Za-z0-9_.]+\Z")
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
 
 
 def dot_id(label: str) -> str:
-    """The label as a DOT identifier, quoted unless bare; a label with a
-    double quote or backslash raises ValueError."""
-    if _BARE_ID.match(label):
+    """The label as a DOT identifier, quoted unless bare and no keyword in
+    any case; a label with a double quote or backslash raises ValueError."""
+    if _BARE_ID.match(label) and label.lower() not in _DOT_KEYWORDS:
         return label
     if '"' in label or "\\" in label:
         raise ValueError(f"label {label!r} cannot be written in DOT output")
@@ -224,10 +235,8 @@ def dot_id(label: str) -> str:
 
 def _edge_list_id(label: str, source: bool = False) -> str:
     """The label as an edge-list field: one whitespace-free token without
-    '#'; an edge's first field is neither the keyword nor a label that would
-    make a first line read as DOT."""
-    if (label.split() != [label] or "#" in label
-            or (source and (label == "vertex" or _DOT_START.match(label)))):
+    '#'; an edge's first field is not the keyword."""
+    if label.split() != [label] or "#" in label or (source and label == "vertex"):
         raise ValueError(f"label {label!r} cannot be written in edge-list output")
     return label
 
@@ -246,6 +255,8 @@ def serialize(r: BinaryRelation | MultiDigraph, format: str = "edge-list") -> st
     if format == "edge-list":
         lines = [f"vertex {_edge_list_id(v)}" for v in vertices if v not in touched]
         lines += [f"{_edge_list_id(s, source=True)} {_edge_list_id(t)}" for s, t in edges]
+        if lines and _DOT_START.match(lines[0]):  # only an edge line can read as DOT
+            raise ValueError(f"label {edges[0][0]!r} cannot be written first in edge-list output")
         return "\n".join(lines) + ("\n" if lines else "")
     if format == "dot":
         stmts = [f"  {dot_id(v)};" for v in vertices if v not in touched]

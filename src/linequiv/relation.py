@@ -118,9 +118,6 @@ class BinaryRelation(_Graph):
         v = self.vertices
         return tuple((v[s], v[t]) for s, t in self.sorted_ids())
 
-    def to_multidigraph(self) -> MultiDigraph:
-        return MultiDigraph._of(self.vertex_count, tuple(self.sorted_ids()), self.vertices)
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import linequiv
-from linequiv import BinaryRelation, MultiDigraph
+from linequiv import BinaryRelation, InvariantRecord, MultiDigraph
 from linequiv.cli import random_relation
+from linequiv.linearize import PairMatrices
 
 
 def checkout_env() -> dict:
@@ -72,6 +73,24 @@ def g4() -> MultiDigraph:
 
 def relation(g: MultiDigraph) -> BinaryRelation:
     return BinaryRelation(g.vertices, frozenset(g.edges))
+
+
+def as_multidigraph(r: BinaryRelation) -> MultiDigraph:
+    """The relation as a multidigraph, its edges in the canonical order."""
+    return MultiDigraph(r.vertices, r.sorted_pairs())
+
+
+def transposed(p: PairMatrices) -> PairMatrices:
+    """The pair (M^T, N^T)."""
+    e, v = p.edge_dim, p.vertex_dim
+    return PairMatrices(v, e, *(tuple(tuple(mat[i][j] for i in range(e)) for j in range(v))
+                                for mat in (p.m, p.n)))
+
+
+def swapped(rec: InvariantRecord) -> InvariantRecord:
+    """zt and tz exchanged: the record of the converse graph."""
+    return InvariantRecord(dict(rec.tz), dict(rec.zt), dict(rec.t), dict(rec.ztz),
+                           rec.cycles, rec.regular_divisors)
 
 
 def spider(arms) -> BinaryRelation:

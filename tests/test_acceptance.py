@@ -31,7 +31,7 @@ from linequiv.oracle import canonical_pair, regular_pair
 from linequiv import ratpoly as rp
 from linequiv.relation import MultiDigraph
 
-from conftest import braided, class_sets, multidigraph, relation, sets
+from conftest import as_multidigraph, braided, class_sets, multidigraph, relation, sets, swapped
 
 
 def _report(name: str, failures: list[str]) -> None:
@@ -195,12 +195,12 @@ def test_criterion_4_invariant_suite():
         dc = gamma_table(converse(r))
         if any(dc.value(nn, mm) != d.value(mm, nn) for (mm, nn) in d.gamma):
             failures.append(f"{tag}: gamma transpose failed")
-        if full_invariants(converse(r)) != rec.swapped():
+        if full_invariants(converse(r)) != swapped(rec):
             failures.append(f"{tag}: converse record swap failed")
 
         # parallel-edge additivity
         if r.pairs:
-            g = r.to_multidigraph()
+            g = as_multidigraph(r)
             k = rng.randint(1, 3)
             dup = MultiDigraph(g.vertices, g.edges + (rng.choice(sorted(r.pairs)),) * k)
             more = full_invariants(dup)
@@ -222,6 +222,11 @@ def test_criterion_4_invariant_suite():
     _report("criterion 4 (invariant suite on 120 random instances)", failures)
 
 
+def summand_count(rec: InvariantRecord) -> int:
+    regular = len(rec.cycles) if rec.regular_divisors is None else len(rec.regular_divisors)
+    return sum(sum(m.values()) for m in (rec.zt, rec.tz, rec.t, rec.ztz)) + regular
+
+
 def test_criterion_5_calibration():
     failures = []
     cases = []
@@ -238,6 +243,6 @@ def test_criterion_5_calibration():
                   InvariantRecord(regular_divisors=((rp.poly(1, 0, 1), 1),))))
     for name, pair, expected in cases:
         got = oracle_invariants(pair)
-        if got != expected or got.summand_count() != 1:
+        if got != expected or summand_count(got) != 1:
             failures.append(f"{name}: {got.describe()}")
     _report("criterion 5 (canonical-form calibration)", failures)

@@ -10,7 +10,6 @@ import pytest
 from linequiv import cli, contraction, echelon, invariants, oracle, stabilize
 from linequiv import relation as graphs
 from linequiv.cli import main, random_relation, run_fuzz, trial_seed
-from linequiv.linearize import PairMatrices
 from linequiv.parsing import serialize
 
 from conftest import braided, relation, spider
@@ -85,6 +84,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "invariants", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('digraph { "a" + "b" -> c; }', "string concatenation is not supported"),
+    ("strict digraph { a -> b; }", "strict graphs are not supported"),
+])
+def test_unsupported_dot_is_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path / "g.dot"
+    path.write_text(text)
+    code, out, err = run(capsys, "reduce", "--json", str(path))
+    assert (code, out) == (2, "") and message in err
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):
@@ -479,10 +489,8 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
 def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, count):
     # the rows of [M N] are eliminated once per pair, into a row basis; the
     # normal rank's one sample of M + c*N and every block of the left
-    # nullity sequence that certifies it read that basis, not the e rows,
-    # with no rank [M; N] bound; a graph pair's integer rows come from its
-    # edge ids, and the column side transposes those rows, not the Fraction
-    # pair
+    # nullity sequence that certifies it read that basis, not the e rows;
+    # a graph pair's integer rows come from its edge ids
     pairs = []  # (pair, rows per sample, eliminations)
 
     class Recorded(echelon.Echelon):
@@ -496,28 +504,24 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, cou
                 self.added.append(dict(row))
             super().add(row)
 
-    analyze, pencil, meet = oracle.analyze, oracle._pencil_rows, oracle.kernel_meet_dim
-    transpose = PairMatrices.transposed
-    scans, meets, transposed = [], [], []
+    analyze, pencil = oracle.analyze, oracle._pencil_rows
+    scans = []
     monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [])) or analyze(p))
     monkeypatch.setattr(oracle, "_pencil_rows",
                         lambda rows, c: (c > 0 and pairs[-1][1].append(len(rows)))
                         or pencil(rows, c))
     monkeypatch.setattr(oracle, "Echelon", Recorded)
     monkeypatch.setattr(echelon, "Echelon", Recorded)
-    monkeypatch.setattr(oracle, "kernel_meet_dim", lambda p: meets.append(p) or meet(p))
     # the package's `linearize` name is the function, so find the module
     linearize_module = sys.modules["linequiv.linearize"]
     integer_rows = linearize_module._integer_rows
     monkeypatch.setattr(linearize_module, "_integer_rows",
                         lambda m, n: scans.append(m) or integer_rows(m, n))
-    monkeypatch.setattr(PairMatrices, "transposed",
-                        lambda p: transposed.append(p) or transpose(p))
     argv = [g4_file if arg == "g4" else arg for arg in argv]
     assert run(capsys, *argv)[0] == 0
     monkeypatch.undo()
     assert len(pairs) == count
-    assert scans == [] and meets == [] and transposed == []
+    assert scans == []
     for p, samples, eliminations in pairs:
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]

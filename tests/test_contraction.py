@@ -7,8 +7,8 @@ from linequiv import (BinaryRelation, StabilizationShapeError, classify_stable,
                       converse, gamma_table, iterated_contraction, left_partition,
                       quotient, right_partition, stabilize)
 from linequiv.cli import random_relation
-from linequiv.contraction import (ContractionDiagram, StableShape, _chain, _Quotient, _find,
-                                  contraction_sequence)
+from linequiv.contraction import (ContractionDiagram, StableShape, _chain, _one_sided, _Quotient,
+                                  _find, contraction_sequence)
 from linequiv.invariants import diagram_cells, gamma_content, part_one
 from linequiv.parsing import parse_graph
 from linequiv.relation import GraphError, Partition, _quotient, class_label, reduce
@@ -275,7 +275,7 @@ def test_stabilize_depth_bound():
 def test_stabilize_shape_never_fails_on_graphs():
     for i in range(150):
         shape, _, _ = stabilize(seeded_relation(f"shape:{i}"))
-        assert shape.total_vertices >= 0
+        assert sum(shape.cycles) + sum(shape.paths) >= 0
 
 
 def test_classify_isolated_vertex_is_a_one_path():
@@ -296,7 +296,7 @@ def test_stable_value_matches_shape():
         r = seeded_relation(f"stable-count:{i}")
         shape, stable, depth = stabilize(r)
         d = gamma_table(r)
-        assert shape.total_vertices == stable.vertex_count == d.stable_value
+        assert sum(shape.cycles) + sum(shape.paths) == stable.vertex_count == d.stable_value
         assert (d.stable, d.depth) == (stable, depth)
 
 
@@ -441,7 +441,6 @@ def test_gamma_table_matches_definition(reference_inputs):
                     assert d.value(m, s - m) == naive_count(r, m, s - m), (sorted(r.pairs), m)
         got = (d.stable_value, d.horizon, d.stable, d.depth)
         assert got == naive_diagram(r), sorted(r.pairs)
-        assert stabilize(r) == (classify_stable(d.stable), d.stable, d.depth)
 
 
 def test_contractions_match_definition(reference_inputs):
@@ -622,6 +621,20 @@ def test_two_sided_table_runs_both_chains(monkeypatch, g4):
     monkeypatch.setattr("linequiv.contraction._chain", logged)
     gamma_table(relation(g4))
     assert sides == [0, 1]
+
+
+def test_stabilize_reads_the_gamma_table(monkeypatch, reference_inputs):
+    inputs = reference_inputs + chain_inputs()
+    inputs += [converse(r) for r in inputs]
+    assert {_one_sided(r) is None for r in inputs} == {False, True}  # both readers run
+    for r in inputs:
+        d = gamma_table(r)
+        assert stabilize(r) == (classify_stable(d.stable), d.stable, d.depth), sorted(r.pairs)
+    # it has no reader of its own: with only the table, it still answers
+    monkeypatch.setattr("linequiv.contraction.gamma_table", lambda r: d)
+    monkeypatch.setattr("linequiv.contraction._chain", None)
+    monkeypatch.setattr("linequiv.contraction._one_sided", None)
+    assert stabilize(inputs[-1]) == (classify_stable(d.stable), d.stable, d.depth)
 
 
 def two_chain_table(r: BinaryRelation) -> ContractionDiagram:

@@ -29,7 +29,7 @@ from linequiv.invariants import NegativeMultiplicity, _first_gamma_difference, e
 from linequiv.ratpoly import totient
 from linequiv.relation import MultiDigraph
 
-from conftest import multidigraph, relation, seeded_relation, spider
+from conftest import as_multidigraph, multidigraph, relation, seeded_relation, spider, swapped
 
 
 def rec(**kw) -> InvariantRecord:
@@ -107,18 +107,18 @@ def test_record_normalization_and_totals():
     assert r.zt == {2: 1}
     assert r.edge_total() == 2 + 0 + 4
     assert r.vertex_total() == 2 + 2 + 4
-    assert r.swapped().tz == {2: 1}
+    assert swapped(r).tz == {2: 1}
     with pytest.raises(NegativeMultiplicity):
         rec(tz={1: -1})
 
 
 def test_cyclotomic_refine_cases():
-    assert cyclotomic_refine((2,)).divisors == ((1, 1), (2, 1))
-    assert cyclotomic_refine((1,)).divisors == ((1, 1),)
+    assert cyclotomic_refine((2,)) == ((1, 1), (2, 1))
+    assert cyclotomic_refine((1,)) == ((1, 1),)
     part = cyclotomic_refine((6, 2))
-    assert part.divisors == ((1, 2), (2, 2), (3, 1), (6, 1))
+    assert part == ((1, 2), (2, 2), (3, 1), (6, 1))
     # independent degree bookkeeping: sum of phi(d) * mult = sum of lengths
-    assert sum(totient(d) * m for d, m in part.divisors) == 8 == part.degree()
+    assert sum(totient(d) * m for d, m in part) == 8
 
 
 def refine_by_definition(cycles) -> tuple:
@@ -138,7 +138,7 @@ def test_cyclotomic_refine_matches_the_definition():
     # the identity map on 10^5 vertices, and one 10^5-cycle
     cases += [[1] * 10 ** 5, [10 ** 5]]
     for cycles in cases:
-        assert cyclotomic_refine(cycles).divisors == refine_by_definition(cycles), cycles[:12]
+        assert cyclotomic_refine(cycles) == refine_by_definition(cycles), cycles[:12]
 
 
 def test_full_invariants_golden_small(g1, g2, g3):
@@ -172,7 +172,7 @@ def test_identities_hold_on_random_graphs():
 def test_converse_swaps_record():
     for i in range(100):
         r = seeded_relation(f"record-conv:{i}")
-        assert full_invariants(converse(r)) == full_invariants(r).swapped()
+        assert full_invariants(converse(r)) == swapped(full_invariants(r))
 
 
 def test_parallel_edge_additivity():
@@ -181,7 +181,7 @@ def test_parallel_edge_additivity():
         r = seeded_relation(f"dup:{i}")
         if not r.pairs:
             continue
-        g = r.to_multidigraph()
+        g = as_multidigraph(r)
         edge = rng.choice(sorted(r.pairs))
         k = rng.randint(1, 3)
         dup = MultiDigraph(g.vertices, g.edges + (edge,) * k)

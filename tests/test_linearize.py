@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from linequiv import converse
-from linequiv.linearize import linearize, parse_pair_file, serialize_pair
+from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.parsing import ParseError
 
-from conftest import multidigraph, relation
+from conftest import multidigraph, relation, transposed
 
 
 def rows(mat):
@@ -54,6 +54,14 @@ def test_parallel_edges_repeat_rows():
     assert rows(p.n) == [[0, 1], [0, 1]]
 
 
+def serialize_pair(p: PairMatrices) -> str:
+    """The pair file parse_pair_file reads back as p."""
+    lines = [f"{p.edge_dim} {p.vertex_dim}"]
+    if p.vertex_dim > 0:
+        lines += [" ".join(map(str, row)) for mat in (p.m, p.n) for row in mat]
+    return "\n".join(lines) + "\n"
+
+
 def test_pair_file_round_trip():
     text = "2 3\n1 0 0\n0 1/2 0\n0 1 0\n-1 0 3/7\n"
     p = parse_pair_file(text)
@@ -84,7 +92,7 @@ def test_pair_file_errors(text, message):
 
 def test_transposed():
     p = linearize(multidigraph("ab", [("a", "b")]))
-    t = p.transposed()
+    t = transposed(p)
     assert (t.edge_dim, t.vertex_dim) == (2, 1)
     assert rows(t.m) == [[1], [0]]
     assert rows(t.n) == [[0], [1]]

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from linequiv import (InvariantRecord, canonical_pair, compare, full_invariants,
-                      kernel_meet_dim, minimal_indices_left, minimal_indices_right,
-                      oracle_invariants, regular_pair)
+                      minimal_indices_left, minimal_indices_right, oracle_invariants,
+                      regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import run_fuzz
 from linequiv.echelon import Echelon
@@ -24,7 +24,7 @@ from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
                              normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored, pencil_matrix
 
-from conftest import multidigraph, seeded_relation
+from conftest import multidigraph, seeded_relation, transposed
 
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -184,6 +184,11 @@ def test_no_stage_changes_the_integer_rows(g1, g2, g3, g4):
         before = copy.deepcopy(p.rows)
         oracle_invariants(p)
         assert p.rows == before, p
+
+
+def kernel_meet_dim(p: PairMatrices) -> int:
+    """Dimension of the joint row kernel {x : xM = 0 and xN = 0}."""
+    return p.edge_dim - len(_row_basis(p.rows, p.vertex_dim))
 
 
 def test_kernel_meet_dim_examples(g1, g2):
@@ -476,7 +481,7 @@ def smith_reference(p: PairMatrices) -> OracleReport:
             if irred != rp.X:
                 blocks[(d, mult)] += 1
     infinite = [rp.x_order(q) for q in invariant_factors(pencil_matrix(p.n, p.m, e, v))]
-    return OracleReport(left(p), left(p.transposed()), tuple(sorted(finite.elements())),
+    return OracleReport(left(p), left(transposed(p)), tuple(sorted(finite.elements())),
                         tuple(sorted(k for k in infinite if k)), tuple(blocks.elements()))
 
 

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from linequiv import BinaryRelation, MultiDigraph, ParseError, parse_graph, serialize
+from linequiv.parsing import dot_id
 from linequiv.relation import reduce
 
 from conftest import relation
@@ -108,6 +109,8 @@ def test_dot_rejects_unsupported(text, message):
     ("digraph {\n  vertex a;\n b -> c;\n}", True, "line 3, column 2: undeclared vertex 'b'"),
     ("digraph { ] }", False, "line 1, column 11: unexpected ']'"),
     ("digraph { }", False, "line 1, column 1: no vertices"),
+    ('digraph {\n "a" + "b";\n}', False, "line 2, column 6: string concatenation is not supported"),
+    ("\n strict digraph { }", False, "line 2, column 2: strict graphs are not supported"),
 ])
 def test_error_positions(text, strict, message):
     with pytest.raises(ParseError) as err:
@@ -129,11 +132,56 @@ def test_dot_sniffing_takes_the_whole_first_token():
         assert parse_graph(text).edge_count == 1
 
 
+@pytest.mark.parametrize("text", ['digraph { "a" + "b" -> c; }', 'digraph { "a"+"b"; }',
+                                  'digraph { a -> "b" +c; }', 'digraph { a+ "b"; }',
+                                  'digraph "g" + "h" { a; }'])
+def test_dot_rejects_string_concatenation(text):
+    with pytest.raises(ParseError, match="string concatenation is not supported"):
+        parse_graph(text)
+
+
+def test_dot_plus_in_a_bare_id_is_part_of_the_label():
+    g = parse_graph('digraph { a+b -> "c"; + -> d; }')
+    assert g.edges == (("a+b", "c"), ("+", "d"))
+
+
+def test_strict_digraph_is_sniffed_and_rejected():
+    for text in ("strict digraph { a -> b; }", "STRICT\n digraph{}", "# c\nStrict digraph g {}"):
+        with pytest.raises(ParseError, match="strict graphs are not supported"):
+            parse_graph(text)
+    assert parse_graph("strict x\n").edges == (("strict", "x"),)
+
+
+@pytest.mark.parametrize("label", [";", "}", "{", "->", "=", "[", "subgraph", "Subgraph", "NODE",
+                                   "digraph"])
+def test_dot_round_trips_labels_that_read_as_syntax(label):
+    for r in (BinaryRelation((label, "x"), frozenset({(label, "x"), ("x", label)})),
+              BinaryRelation(("x", label), frozenset())):
+        back = reduce(parse_graph(serialize(r, "dot"))).reduced
+        assert back.vertices == r.vertices and back.pairs == r.pairs
+
+
+def test_dot_keywords_are_quoted_in_any_case():
+    for word in ("node", "Edge", "GRAPH", "digraph", "SubGraph", "strict"):
+        assert dot_id(word) == f'"{word}"'
+    assert dot_id("nodes") == "nodes"
+
+
 @pytest.mark.parametrize("source", ["digraph", "digraph{", "digraph;x"])
 def test_edge_list_rejects_a_source_that_reads_as_dot(source):
     r = BinaryRelation((source, "x"), frozenset({(source, "x")}))
     with pytest.raises(ValueError, match="edge-list"):
         serialize(r, "edge-list")
+
+
+def test_edge_list_refuses_only_a_first_line_that_reads_as_dot():
+    r = BinaryRelation(("Strict", "digraph"), frozenset({("Strict", "digraph")}))
+    with pytest.raises(ValueError, match="edge-list"):
+        serialize(r, "edge-list")
+    r = BinaryRelation(("a", "strict", "digraph", "x"),
+                       frozenset({("a", "strict"), ("strict", "digraph"), ("digraph", "x")}))
+    back = reduce(parse_graph(serialize(r, "edge-list"))).reduced
+    assert back.vertices == r.vertices and back.pairs == r.pairs
 
 
 def test_edge_list_with_digraph_like_labels_reads_back_sniffed():
@@ -271,30 +319,40 @@ def _reference_dot(text, strict):
             index[tok] = len(index)
         return index[tok]
 
-    if toks[0][0] != "digraph":
+    def bare(j, word):
+        return toks[j][2] == "bare" and toks[j][0].lower() == word
+
+    if bare(0, "strict"):
+        fail("strict graphs are not supported", 0)
+    if toks[0][::2] != ("digraph", "bare"):
         fail("expected 'digraph'", 0)
-    i = 2 if is_id(1) and toks[1][0] != "{" else 1
+    for j in range(1, len(toks) - 1):
+        tok, _, kind = toks[j]
+        if kind == "bare" and (tok.startswith("+") and toks[j - 1][2] == "quoted"
+                               or tok.endswith("+") and toks[j + 1][2] == "quoted"):
+            fail("string concatenation is not supported", j)
+    i = 2 if is_id(1) else 1
     if toks[i][2] == "end":
         raise ParseError("expected '{', got end of input",
                          _reference_position(text, toks[i - 1][1])[0])
-    if toks[i][0] != "{":
+    if not punct(i, "{"):
         fail(f"expected '{{', got {toks[i][0]!r}", i)
     i += 1
-    while toks[i][0] != "}":
+    while not punct(i, "}"):
         tok, _, kind = toks[i]
         if kind == "end":
             raise ParseError("missing closing '}'", n_lines)
-        if tok == ";":
+        if punct(i, ";"):
             i += 1
             continue
         if kind == "punct":
             fail(_REFERENCE_HINTS.get(tok, f"unexpected {tok!r}"), i)
-        if tok == "subgraph":
+        if bare(i, "subgraph"):
             fail("subgraphs are not supported", i)
-        if toks[i + 1][0] == "->":
+        if punct(i + 1, "->"):
             if not is_id(i + 2):
                 fail("expected a vertex after '->'", i + 1)
-            if toks[i + 3][0] == "->":
+            if punct(i + 3, "->"):
                 fail("chained edges are not supported; one edge per statement", i + 3)
             ids.append((vertex(i), vertex(i + 2)))
             i += 3
@@ -306,7 +364,7 @@ def _reference_dot(text, strict):
             if (punct(i, "[") and is_id(i + 1) and toks[i + 1][0] == "label"
                     and punct(i + 2, "=") and is_id(i + 3) and punct(i + 4, "]")):
                 i += 5
-        if toks[i][0] == ";":
+        if punct(i, ";"):
             i += 1
     if toks[i + 1][2] != "end":
         fail(f"trailing input {toks[i + 1][0]!r}", i + 1)
@@ -350,7 +408,7 @@ def _random_edge_list(rng):
 
 _DOT_WORDS = ["digraph", "{", "}", ";", "->", "--", "[", "]", "=", ",", "label", "subgraph",
               "a", "b", "c", "a->b", '"a b"', '"{"', '"}"', '";"', '"->"', '""', '"label"',
-              '"x', '"p\\q"', "# note\n"]
+              '"x', '"p\\q"', "# note\n", "+", '"subgraph"', "SubGraph", '"digraph"', "STRICT"]
 
 
 def _random_dot(rng):

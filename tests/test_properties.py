@@ -16,6 +16,8 @@ from linequiv import (BinaryRelation, InvariantRecord, MultiDigraph, contraction
 from linequiv.contraction import ContractionDiagram, _chain, contraction_sequence
 from linequiv.relation import _quotient
 
+from conftest import as_multidigraph, swapped
+
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
@@ -63,7 +65,7 @@ def test_relabelling_and_edge_order_leave_the_record(g, data):
 @given(multigraphs())
 def test_converse_swaps_zt_and_tz(g):
     converse = MultiDigraph(g.vertices, tuple((t, s) for s, t in g.edges))
-    assert full_invariants(converse) == full_invariants(g).swapped()
+    assert full_invariants(converse) == swapped(full_invariants(g))
 
 
 @SETTINGS
@@ -135,7 +137,7 @@ def test_rules_hold_at_bench_scale(monkeypatch):
         shuffled = MultiDigraph(sorted(moved.vertices, key=lambda v: int(v[1:])), edges)
         assert full_invariants(shuffled) == record
         converse = MultiDigraph(g.vertices, [(t, s) for s, t in g.edges])
-        assert full_invariants(converse) == record.swapped()
+        assert full_invariants(converse) == swapped(record)
     union = MultiDigraph(functional.vertices + y_graph.vertices, functional.edges + y_graph.edges)
     assert full_invariants(union) == record_sum(*expected)
     assert chains == []
@@ -266,13 +268,13 @@ def test_two_sided_tables_match_the_definition_at_10_4():
 def test_metamorphic_laws_hold_on_a_two_sided_relation_at_10_4():
     rng = random.Random("two-sided laws")
     n = 10 ** 4
-    g, h = (sparse_relation(rng, n, k).to_multidigraph() for k in (2, 1))
+    g, h = (as_multidigraph(sparse_relation(rng, n, k)) for k in (2, 1))
     base = full_invariants(g)
     b = renamed(h, lambda v: "b" + v)
     union = MultiDigraph(g.vertices + b.vertices, g.edges + b.edges)
     assert full_invariants(union) == record_sum(base, full_invariants(h))
     converse_g = MultiDigraph(g.vertices, [(t, s) for s, t in g.edges])
-    assert full_invariants(converse_g) == base.swapped()
+    assert full_invariants(converse_g) == swapped(base)
     order = list(range(n))
     rng.shuffle(order)
     name = {v: f"w{order[i]}" for i, v in enumerate(g.vertices)}.__getitem__

@@ -5,7 +5,7 @@ from linequiv import (BinaryRelation, GraphError, MultiDigraph, converse,
 from linequiv.linearize import linearize
 from linequiv.oracle import compare, oracle_invariants
 
-from conftest import multidigraph, relation
+from conftest import as_multidigraph, multidigraph, relation
 
 
 def test_multidigraph_validation():
@@ -36,7 +36,7 @@ def test_reduce_is_idempotent():
     g = multidigraph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
     summary = reduce(g)
     assert summary.split_count == 0
-    again = reduce(summary.reduced.to_multidigraph())
+    again = reduce(as_multidigraph(summary.reduced))
     assert again.split_count == 0
     assert again.reduced == summary.reduced
 
