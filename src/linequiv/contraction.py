@@ -95,7 +95,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, count, filterfalse, repeat
 from operator import itemgetter
-from types import MappingProxyType
 
 from .relation import BinaryRelation, Partition, _quotient
 
@@ -365,24 +364,12 @@ def _one_sided(r: BinaryRelation) -> tuple[int, list[int], BinaryRelation] | Non
 
 def left_partition(r: BinaryRelation) -> Partition:
     """Smallest equivalence merging y, y' whenever some x has edges to both."""
-    return contraction_sequence(r, "l")[1]
+    return iterated_contraction(r, 1, 0)[1]
 
 
 def right_partition(r: BinaryRelation) -> Partition:
     """Smallest equivalence merging x, x' whenever both have edges to some y."""
-    return contraction_sequence(r, "r")[1]
-
-
-def contraction_sequence(r: BinaryRelation, steps: str) -> tuple[BinaryRelation, Partition]:
-    """Apply a mixed word of contractions, e.g. "rlr" (left to right); returns
-    the final quotient and the induced partition of r's vertices."""
-    q = _Quotient(r)
-    for step in steps:
-        if step not in _SIDE:
-            raise ValueError(f"unknown contraction step {step!r}")
-        q.step(_SIDE[step])
-    cls = q.classes()
-    return _quotient(r, cls), Partition._of(r.vertices, cls)
+    return iterated_contraction(r, 0, 1)[1]
 
 
 def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelation, Partition]:
@@ -470,10 +457,9 @@ class ContractionDiagram:
     chain would list it.  Every other suitable
     point lies beyond a chain's fixpoint and takes stable_value.  horizon
     is the least D with gamma constant on suitable points having
-    min(m, n) >= D, and band_end the largest m + n of a stored point; gamma
-    maps each stored point (m, n) to its count.  stable and depth are the
-    fully contracted relation and the number of left-then-right rounds that
-    reach it; `stabilize` reads them from here.
+    min(m, n) >= D, and band_end the largest m + n of a stored point.
+    stable and depth are the fully contracted relation and the number of
+    left-then-right rounds that reach it; `stabilize` reads them from here.
     """
 
     diagonals: tuple[tuple[int, ...], ...]
@@ -506,11 +492,6 @@ class ContractionDiagram:
         """((m, n), gamma) for every stored point, diagonal by diagonal."""
         return (((m + i, n + i), g) for (m, n), diagonal in zip(FIRST_POINTS, self.diagonals)
                 for i, g in enumerate(diagonal))
-
-    @property
-    def gamma(self) -> MappingProxyType[tuple[int, int], int]:
-        """gamma at every stored point, keyed by (m, n); read-only."""
-        return MappingProxyType(dict(self._stored()))
 
     @property
     def band_end(self) -> int:

@@ -21,7 +21,7 @@ degree (from d = 2 on, a rank modulo a prime rules most d out first), and
 the lifted local type gives their sizes when needed.
 
 Each rank comes from fraction-free elimination on the pair's integer rows,
-`PairMatrices.rows`, built once per pair.  T_1 = [M N] gives a row basis
+`PairMatrices.rows`, the pair's only form.  T_1 = [M N] gives a row basis
 of at most 2v rows (`_row_basis`), which the sample, the ztz nullities and
 the roots of unity read instead of the e rows: each of their matrices has
 a row space that is a sum of linear images of rowspace([M N]), so the
@@ -44,12 +44,11 @@ import itertools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import ratpoly as rp
 from .echelon import Echelon, SparseRow, prime_and_root, rank_mod, rank_of_rows
 from .invariants import InvariantRecord, cyclotomic_refine
-from .linearize import PairMatrices
+from .linearize import PairMatrices, integer_row
 from .ratpoly import Poly
 # OracleFactorError stays importable from here: callers catch it as part of the oracle
 from .smith import OracleFactorError, factor_stored, invariant_factors, pencil_matrix
@@ -326,7 +325,7 @@ def _smith_finite_divisors(p: PairMatrices) -> tuple[tuple[tuple[Poly, int], ...
     per regular divisor S(q^n), d as `factor_stored` names it: the fallback
     for a regular part that is not all cyclotomic."""
     out: Counter[tuple[Poly, int, int | None]] = Counter()
-    for q in invariant_factors(pencil_matrix(p.m, p.n, p.edge_dim, p.vertex_dim)):
+    for q in invariant_factors(pencil_matrix(p.rows, p.vertex_dim)):
         for factor in factor_stored(q):
             out[factor] += 1
     factors = sorted(out.elements())
@@ -464,10 +463,12 @@ def compare(combinatorial: InvariantRecord, oracle: InvariantRecord) -> list[str
 # -- canonical single-summand pairs (used for calibration) --------------------
 
 
-def _unit_rows(n: int, cols: int, shift: int) -> tuple[tuple[Fraction, ...], ...]:
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(tuple(one if j == i + shift else zero for j in range(cols))
-                 for i in range(n))
+def _unit_pair(e: int, v: int, m_shift: int, n_shift: int) -> PairMatrices:
+    """The e-by-v 0/1 pair whose row i has a 1 in M at column i + m_shift
+    and in N at column i + n_shift, where that column lies in 0..v-1."""
+    return PairMatrices(e, v, tuple(({i + m_shift: 1} if 0 <= i + m_shift < v else {},
+                                     {i + n_shift: 1} if 0 <= i + n_shift < v else {})
+                                    for i in range(e)))
 
 
 def canonical_pair(family: str, n: int) -> PairMatrices:
@@ -477,19 +478,19 @@ def canonical_pair(family: str, n: int) -> PairMatrices:
     if family == "zt":
         if n < 1:
             raise ValueError("zt needs n >= 1")
-        return PairMatrices(n, n, _unit_rows(n, n, 1), _unit_rows(n, n, 0))
+        return _unit_pair(n, n, 1, 0)
     if family == "tz":
         if n < 1:
             raise ValueError("tz needs n >= 1")
-        return PairMatrices(n, n, _unit_rows(n, n, 0), _unit_rows(n, n, 1))
+        return _unit_pair(n, n, 0, 1)
     if family == "t":
         if n < 0:
             raise ValueError("t needs n >= 0")
-        return PairMatrices(n, n + 1, _unit_rows(n, n + 1, 0), _unit_rows(n, n + 1, 1))
+        return _unit_pair(n, n + 1, 0, 1)
     if family == "ztz":
         if n < 0:
             raise ValueError("ztz needs n >= 0")
-        return PairMatrices(n + 1, n, _unit_rows(n + 1, n, 0), _unit_rows(n + 1, n, -1))
+        return _unit_pair(n + 1, n, 0, -1)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -500,11 +501,6 @@ def regular_pair(poly: Poly, exponent: int = 1) -> PairMatrices:
     for _ in range(exponent):
         f = rp.mul(f, rp.monic(poly))
     k = rp.deg(f)
-    zero, one = Fraction(0), Fraction(1)
-    rows = []
-    for i in range(k):
-        if i + 1 < k:
-            rows.append(tuple(one if j == i + 1 else zero for j in range(k)))
-        else:
-            rows.append(tuple(-f[j] for j in range(k)))
-    return PairMatrices(k, k, tuple(rows), _unit_rows(k, k, 0))
+    return PairMatrices(k, k, tuple(
+        integer_row({i + 1: 1} if i + 1 < k else {j: -c for j, c in enumerate(f[:k]) if c}, {i: 1})
+        for i in range(k)))

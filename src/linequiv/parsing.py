@@ -13,9 +13,14 @@ DOT subset:
 Only node and edge statements are accepted; strict graphs, attributes,
 subgraphs, undirected edges and ``+`` concatenation are rejected, except
 that a node statement may carry one ``[label=<id>]``, which is ignored (so
-``contract --dot`` output reads back).  Identifiers may be double-quoted,
+``contract --dot`` output reads back).  A ``#`` outside quotes starts a
+comment that runs to the end of its line.  Keywords are matched in any
+case, and a bare keyword is never an id.  Identifiers may be double-quoted,
 which is how class labels like ``{a,b}`` or ``subgraph`` survive a round
-trip: a quoted id is always an id, never punctuation or a keyword.
+trip: a quoted id is always an id, never punctuation, a keyword or a
+comment.  Inside quotes ``\"`` stands for ``"`` and every other character,
+a backslash too, for itself (the Graphviz rule), so the writer can carry
+every label except one that ends in a backslash.
 
 Parsing is lenient by default: a label first seen in an edge is declared on
 the spot.  With ``strict=True`` an edge may only use previously declared
@@ -58,10 +63,11 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
     raise ValueError(f"unknown format {format!r}")
 
 
-# `digraph` as a whole first DOT token, after blanks and whole comment lines
-# and an optional `strict`: not followed by a bare-id character or a comment
-_DOT_START = re.compile(
-    r'(?:\s|#[^\n]*(?![^\n]))*(?:(?i:strict)(?:\s|#[^\n]*)+)?digraph(?![^\s{};=\[\],"#])')
+# `digraph`, in any case, as a whole first DOT token, after blanks, whole
+# comment lines and an optional `strict`: not followed by a bare-id
+# character or a comment
+_DOT_START = re.compile(r'(?:\s|#[^\n]*(?![^\n]))*(?:(?i:strict)(?:\s|#[^\n]*)+)?'
+                        r'(?i:digraph)(?![^\s{};=\[\],"#])')
 
 
 _COMMENT = re.compile("#[^\n]*")
@@ -107,9 +113,11 @@ def _parse_edge_list(text: str, strict: bool) -> MultiDigraph:
     return MultiDigraph._of(len(index), tuple(ids), tuple(index))
 
 
-# one DOT token: punctuation, a double-quoted id without a backslash, or a
-# bare id; blanks between tokens are skipped
-_DOT_TOKEN = re.compile(r'->|--|[{};=\[\],]|"[^"\\]*"|[^\s{};=\[\],"]+')
+# one DOT token: punctuation, a double-quoted id, a comment or a bare id;
+# blanks between tokens are skipped.  Inside quotes \" is an escaped quote
+# and any other backslash is itself.
+_DOT_TOKEN = re.compile(
+    r'->|--|[{};=\[\],]|"[^"\\]*(?:\\(?:"|(?!"))[^"\\]*)*"|#[^\n]*|[^\s{};=\[\],"#]+')
 _DOT_PUNCT = frozenset(("->", "--", "{", "}", ";", "=", "[", "]", ","))
 _NOT_ID = _DOT_PUNCT | {""}  # "" is the end of input
 
@@ -120,10 +128,11 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def _dot_tokens(text: str) -> list[str]:
-    """The tokens of the whole text, a quoted id with its quotes, found in
-    one C-level pass.  A '"' that starts no quoted id makes the input
-    unreadable from there, and is the only non-blank character no token
-    takes, so the quote counts tell whether the tokens cover the text."""
+    """The tokens of the whole text but its comments, a quoted id with its
+    quotes, found in one C-level pass.  A '"' that starts no quoted id makes
+    the input unreadable from there, and is the only non-blank character no
+    token takes, so the quote counts tell whether the tokens cover the
+    text."""
     toks = _DOT_TOKEN.findall(text)
     if text.count('"') != "".join(toks).count('"'):
         pos = 0  # the end of the last token before the first gap
@@ -132,7 +141,7 @@ def _dot_tokens(text: str) -> list[str]:
                 break
             pos = m.end()
         raise ParseError("unreadable input", _position(text, pos)[0])
-    return toks
+    return [tok for tok in toks if tok[0] != "#"] if "#" in text else toks
 
 
 _DOT_HINTS = {
@@ -140,19 +149,19 @@ _DOT_HINTS = {
     "=": "attributes are not supported",
     "--": "undirected edges are not supported",
     "{": "subgraphs are not supported",
+    "subgraph": "subgraphs are not supported",
 }
 
 
 def _parse_dot(text: str, strict: bool) -> MultiDigraph:
-    text = _strip_comments(text)
     raw = _dot_tokens(text)
     if not raw:
         raise ParseError("no vertices", 1)
     n_lines = text.count("\n") + 1
     # syntax is compared on the raw token, so a quoted id is never read as
-    # punctuation or a keyword; an id's value drops its quotes; raw "" is
-    # the end
-    vals = [tok[1:-1] if tok[0] == '"' else tok for tok in raw] + [""]
+    # punctuation or a keyword; an id's value drops its quotes and escapes;
+    # raw "" is the end
+    vals = [tok[1:-1].replace('\\"', '"') if tok[0] == '"' else tok for tok in raw] + [""]
     raw.append("")
     index: dict[str, int] = {}
     declare = index.setdefault
@@ -160,15 +169,22 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
 
     def position(j: int) -> tuple[int, int]:
         """(line, column) of token j; only an error finds the offsets."""
-        return _position(text, [m.start() for m in _DOT_TOKEN.finditer(text)][j])
+        starts = [m.start() for m in _DOT_TOKEN.finditer(text) if m[0][0] != "#"]
+        return _position(text, starts[j])
 
     def fail(message: str, j: int):
         raise ParseError(message, *position(j))
 
     if raw[0].lower() == "strict":
         fail("strict graphs are not supported", 0)
-    if raw[0] != "digraph":
+    if raw[0].lower() != "digraph":
         fail("expected 'digraph'", 0)
+    # past the first token this subset has no place for a keyword: every
+    # other token is punctuation or an id
+    if not _DOT_KEYWORDS.isdisjoint(map(str.lower, raw[1:])):
+        j = next(j for j, tok in enumerate(raw) if j and tok.lower() in _DOT_KEYWORDS)
+        hint = f"{raw[j]!r} is a keyword; quote it to use it as an id"
+        fail(_DOT_HINTS.get(raw[j].lower(), hint), j)
     if "+" in text and '"' in text:  # a '+' next to a quoted id joins strings in DOT
         for j, tok in enumerate(raw[1:-1], start=1):
             if ((tok[0] == "+" and raw[j - 1][-1] == '"')
@@ -189,8 +205,6 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
             continue
         if tok in _DOT_PUNCT:
             fail(_DOT_HINTS.get(tok, f"unexpected {tok!r}"), i)
-        if tok.lower() == "subgraph":
-            fail("subgraphs are not supported", i)
         if raw[i + 1] == "->":  # an edge statement
             if raw[i + 2] in _NOT_ID:
                 fail("expected a vertex after '->'", i + 1)
@@ -225,12 +239,13 @@ _DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "stri
 
 def dot_id(label: str) -> str:
     """The label as a DOT identifier, quoted unless bare and no keyword in
-    any case; a label with a double quote or backslash raises ValueError."""
+    any case, each '"' escaped; a label that ends in a backslash, which
+    would escape the closing quote, raises ValueError."""
     if _BARE_ID.match(label) and label.lower() not in _DOT_KEYWORDS:
         return label
-    if '"' in label or "\\" in label:
+    if label.endswith("\\"):
         raise ValueError(f"label {label!r} cannot be written in DOT output")
-    return f'"{label}"'
+    return '"' + label.replace('"', '\\"') + '"'
 
 
 def _edge_list_id(label: str, source: bool = False) -> str:
@@ -245,8 +260,11 @@ def serialize(r: BinaryRelation | MultiDigraph, format: str = "edge-list") -> st
     """Render a graph in one of the two input formats.
 
     Round-trips with parse_graph up to vertex/edge ordering normalization;
-    a label the format cannot carry raises ValueError.
+    a label the format cannot carry, or a graph with no vertices, which
+    both readers reject, raises ValueError.
     """
+    if not r.vertex_count:
+        raise ValueError("a graph with no vertices cannot be written")
     if isinstance(r, BinaryRelation):
         vertices, edges = r.vertices, r.sorted_pairs()
     else:

@@ -159,10 +159,6 @@ class Partition:
         object.__setattr__(p, "classes", tuple(map(tuple, classes)))
         return p
 
-    @staticmethod
-    def singletons(vertices: tuple[str, ...]) -> "Partition":
-        return Partition(vertices, tuple((v,) for v in vertices))
-
     def __len__(self) -> int:
         return len(self.classes)
 

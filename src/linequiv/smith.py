@@ -21,9 +21,10 @@ class OracleFactorError(RuntimeError, ValueError):
     rejects the input, and the CLI says so with exit 2."""
 
 
-def pencil_matrix(first, second, e: int, v: int) -> list[list[Poly]]:
-    """The e-by-v polynomial matrix first + X*second."""
-    return [[rp.poly(first[i][j], second[i][j]) for j in range(v)] for i in range(e)]
+def pencil_matrix(rows, v: int) -> list[list[Poly]]:
+    """The polynomial matrix M + X*N, v columns wide, from a pair's integer
+    rows (m, n); their scaling leaves the monic invariant factors alone."""
+    return [[rp.poly(m.get(j, 0), n.get(j, 0)) for j in range(v)] for m, n in rows]
 
 
 def invariant_factors(mat: list[list[Poly]]) -> list[Poly]:

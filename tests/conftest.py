@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import linequiv
-from linequiv import BinaryRelation, InvariantRecord, MultiDigraph
+from linequiv import BinaryRelation, InvariantRecord, MultiDigraph, Partition
 from linequiv.cli import random_relation
-from linequiv.linearize import PairMatrices
+from linequiv.contraction import FIRST_POINTS, ContractionDiagram, _Quotient
+from linequiv.linearize import PairMatrices, integer_row
+from linequiv.relation import _quotient
 
 
 def checkout_env() -> dict:
@@ -80,11 +82,47 @@ def as_multidigraph(r: BinaryRelation) -> MultiDigraph:
     return MultiDigraph(r.vertices, r.sorted_pairs())
 
 
+def dense(p: PairMatrices) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """(M, N) as dense rows of Fractions, read off the pair's integer rows."""
+    v = p.vertex_dim
+    return tuple(tuple(tuple(Fraction(row.get(j, 0)) for j in range(v)) for row in side)
+                 for side in ([m for m, _ in p.rows], [n for _, n in p.rows]))
+
+
+def pair_of(e: int, v: int, m, n) -> PairMatrices:
+    """The e-by-v pair with the dense rational rows m of M and n of N."""
+    def nonzeros(row) -> dict:
+        return {j: x for j, x in enumerate(row) if x}
+
+    return PairMatrices(e, v, tuple(integer_row(nonzeros(a), nonzeros(b)) for a, b in zip(m, n)))
+
+
 def transposed(p: PairMatrices) -> PairMatrices:
     """The pair (M^T, N^T)."""
     e, v = p.edge_dim, p.vertex_dim
-    return PairMatrices(v, e, *(tuple(tuple(mat[i][j] for i in range(e)) for j in range(v))
-                                for mat in (p.m, p.n)))
+    return pair_of(v, e, *(tuple(tuple(mat[i][j] for i in range(e)) for j in range(v))
+                           for mat in dense(p)))
+
+
+def contract_word(r: BinaryRelation, word: str) -> tuple[BinaryRelation, Partition]:
+    """Apply a mixed word of contractions, e.g. "rlr" (left to right), with
+    the contraction engine; returns the final quotient and the induced
+    partition of r's vertices."""
+    q = _Quotient(r)
+    for step in word:
+        q.step("lr".index(step))
+    cls = q.classes()
+    return _quotient(r, cls), Partition._of(r.vertices, cls)
+
+
+def singletons(vertices: tuple[str, ...]) -> Partition:
+    return Partition(vertices, tuple((v,) for v in vertices))
+
+
+def stored_gamma(d: ContractionDiagram) -> dict[tuple[int, int], int]:
+    """gamma at every point the diagram stores, keyed by (m, n)."""
+    return {(m + i, n + i): g for (m, n), diagonal in zip(FIRST_POINTS, d.diagonals)
+            for i, g in enumerate(diagonal)}
 
 
 def swapped(rec: InvariantRecord) -> InvariantRecord:

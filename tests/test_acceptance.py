@@ -24,14 +24,15 @@ from linequiv import (InvariantRecord, compare, converse, full_invariants,
                       gamma_table, iterated_contraction, oracle_invariants,
                       part_one, stabilize, vertex_check)
 from linequiv.cli import random_relation
-from linequiv.contraction import StableShape, contraction_sequence
+from linequiv.contraction import StableShape
 from linequiv.invariants import edge_check
 from linequiv.linearize import linearize
 from linequiv.oracle import canonical_pair, regular_pair
 from linequiv import ratpoly as rp
 from linequiv.relation import MultiDigraph
 
-from conftest import as_multidigraph, braided, class_sets, multidigraph, relation, sets, swapped
+from conftest import (as_multidigraph, braided, class_sets, contract_word, multidigraph, relation,
+                      sets, stored_gamma, swapped)
 
 
 def _report(name: str, failures: list[str]) -> None:
@@ -188,12 +189,12 @@ def test_criterion_4_invariant_suite():
         word = list("l" * m + "r" * n)
         rng.shuffle(word)
         if (iterated_contraction(r, m, n)[1]
-                != contraction_sequence(r, "".join(word))[1]):
+                != contract_word(r, "".join(word))[1]):
             failures.append(f"{tag}: commutation broken for {''.join(word)}")
 
         # converse duality: gamma transposes, the record swaps zt and tz
         dc = gamma_table(converse(r))
-        if any(dc.value(nn, mm) != d.value(mm, nn) for (mm, nn) in d.gamma):
+        if any(dc.value(nn, mm) != d.value(mm, nn) for (mm, nn) in stored_gamma(d)):
             failures.append(f"{tag}: gamma transpose failed")
         if full_invariants(converse(r)) != swapped(rec):
             failures.append(f"{tag}: converse record swap failed")
@@ -209,7 +210,7 @@ def test_criterion_4_invariant_suite():
                 failures.append(f"{tag}: parallel-edge additivity failed")
 
         # gamma monotonicity
-        for (mm, nn) in d.gamma:
+        for (mm, nn) in stored_gamma(d):
             for step in ((mm + 1, nn), (mm, nn + 1)):
                 if d.is_suitable(*step) and d.value(mm, nn) < d.value(*step):
                     failures.append(f"{tag}: gamma increased at {step}")

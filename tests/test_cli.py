@@ -89,6 +89,9 @@ def test_parse_error_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("text, message", [
     ('digraph { "a" + "b" -> c; }', "string concatenation is not supported"),
     ("strict digraph { a -> b; }", "strict graphs are not supported"),
+    ("digraph { node; }", "'node' is a keyword; quote it to use it as an id"),
+    ("digraph { a -> b; edge; }", "'edge' is a keyword; quote it to use it as an id"),
+    ("digraph { a -> subgraph; }", "subgraphs are not supported"),
 ])
 def test_unsupported_dot_is_usage_error(capsys, tmp_path, text, message):
     path = tmp_path / "g.dot"
@@ -272,12 +275,18 @@ def test_unwritable_edge_list_label_is_usage_error(capsys, tmp_path, dot):
         assert err.startswith("error:") and "edge-list" in err
 
 
-def test_unwritable_dot_class_label_is_usage_error(capsys, tmp_path):
+def test_dot_class_labels_with_quotes_read_back(capsys, tmp_path):
+    # a class label ends in '}', never in a backslash, so every one is written
     path = tmp_path / "quote.edges"
-    path.write_text('a"b c\n')
-    code, out, err = run(capsys, "contract", "--dot", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "DOT" in err
+    path.write_text('a"b c\nd\\e c\n')
+    code, out, err = run(capsys, "contract", "--dot", "--right", "1", str(path))
+    assert (code, err) == (0, "")
+    assert '  c0 [label="{a\\"b,d\\e}"];' in out
+    quotient = tmp_path / "quotient.dot"
+    quotient.write_text(out)
+    code, out, err = run(capsys, "reduce", str(quotient), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pairs"] == [["c0", "c1"]]
 
 
 def test_main_calls_share_one_parser(capsys, g1_file):
@@ -514,9 +523,9 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, cou
     monkeypatch.setattr(echelon, "Echelon", Recorded)
     # the package's `linearize` name is the function, so find the module
     linearize_module = sys.modules["linequiv.linearize"]
-    integer_rows = linearize_module._integer_rows
-    monkeypatch.setattr(linearize_module, "_integer_rows",
-                        lambda m, n: scans.append(m) or integer_rows(m, n))
+    integer_row = linearize_module.integer_row
+    monkeypatch.setattr(linearize_module, "integer_row",
+                        lambda m, n: scans.append(m) or integer_row(m, n))
     argv = [g4_file if arg == "g4" else arg for arg in argv]
     assert run(capsys, *argv)[0] == 0
     monkeypatch.undo()

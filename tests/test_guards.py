@@ -1,6 +1,7 @@
-"""Structural guards: the oracle stays independent of the contraction route,
-every module a graph command compiles stays below the parser's token step,
-and every public name has a reader besides the tests."""
+"""Structural guards: the oracle stays independent of the contraction route
+and its rank route reads integer rows only, every module a graph command
+compiles stays below the parser's token step, and every public name has a
+reader besides the tests."""
 
 import ast
 import re
@@ -43,6 +44,19 @@ def test_oracle_shares_no_code_with_the_contraction_route():
     # the oracle's own helpers import no further linequiv code
     assert set(_imports(package / "echelon.py")) == set()
     assert set(_imports(package / "smith.py")) <= {"ratpoly"}
+
+
+def test_the_rank_route_reads_integer_rows_only():
+    # a pair is held as integer rows, so the rank route needs no rationals:
+    # only the Smith fallback (smith.py, ratpoly.py) and the pair-file
+    # reader import them
+    package = ROOT / "src" / "linequiv"
+    for name in ("oracle", "echelon"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in modules, name
 
 
 def test_eager_modules_stay_under_the_parsers_token_step():

@@ -1,12 +1,10 @@
-from fractions import Fraction
-
 import pytest
 
 from linequiv import converse
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.parsing import ParseError
 
-from conftest import multidigraph, relation, transposed
+from conftest import dense, multidigraph, relation, transposed
 
 
 def rows(mat):
@@ -19,24 +17,26 @@ def test_reference_graph_matrices(g1):
     # enter v3.
     p = linearize(g1)
     assert (p.edge_dim, p.vertex_dim) == (4, 3)
-    assert rows(p.m) == [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rows(p.n) == [[0, 1, 0], [0, 0, 1], [0, 0, 1], [0, 1, 0]]
+    m, n = dense(p)
+    assert rows(m) == [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert rows(n) == [[0, 1, 0], [0, 0, 1], [0, 0, 1], [0, 1, 0]]
+    assert p.rows == (({0: 1}, {1: 1}), ({0: 1}, {2: 1}), ({1: 1}, {2: 1}), ({2: 1}, {1: 1}))
 
 
 def test_single_loop():
     p = linearize(multidigraph("v", [("v", "v")]))
-    assert rows(p.m) == [[1]] and rows(p.n) == [[1]]
+    assert p.rows == (({0: 1}, {0: 1}),)
 
 
 def test_edgeless_graph():
     p = linearize(multidigraph("abc", []))
     assert (p.edge_dim, p.vertex_dim) == (0, 3)
-    assert p.m == () and p.n == ()
+    assert p.rows == ()
 
 
 def test_row_sums_are_one(g4):
     p = linearize(g4)
-    for mat in (p.m, p.n):
+    for mat in dense(p):
         assert all(sum(row) == 1 for row in mat)
 
 
@@ -45,34 +45,36 @@ def test_converse_swaps_matrices(g3):
     p = linearize(r)
     q = linearize(converse(r))
     # up to edge reordering: compare the (M row, N row) multisets swapped
-    assert sorted(zip(p.m, p.n)) == sorted(zip(q.n, q.m))
+    assert sorted(zip(*dense(p))) == sorted(zip(*reversed(dense(q))))
 
 
 def test_parallel_edges_repeat_rows():
     p = linearize(multidigraph("ab", [("a", "b"), ("a", "b")]))
-    assert rows(p.m) == [[1, 0], [1, 0]]
-    assert rows(p.n) == [[0, 1], [0, 1]]
+    m, n = dense(p)
+    assert rows(m) == [[1, 0], [1, 0]]
+    assert rows(n) == [[0, 1], [0, 1]]
 
 
 def serialize_pair(p: PairMatrices) -> str:
     """The pair file parse_pair_file reads back as p."""
     lines = [f"{p.edge_dim} {p.vertex_dim}"]
     if p.vertex_dim > 0:
-        lines += [" ".join(map(str, row)) for mat in (p.m, p.n) for row in mat]
+        lines += [" ".join(map(str, row)) for mat in dense(p) for row in mat]
     return "\n".join(lines) + "\n"
 
 
 def test_pair_file_round_trip():
     text = "2 3\n1 0 0\n0 1/2 0\n0 1 0\n-1 0 3/7\n"
     p = parse_pair_file(text)
-    assert p.m[1][1] == Fraction(1, 2)
-    assert p.n[1][2] == Fraction(3, 7)
+    # row 2 of M and of N times 14, which clears both denominators
+    assert p.rows == (({0: 1}, {1: 1}), ({1: 7}, {0: -14, 2: 6}))
     assert parse_pair_file(serialize_pair(p)) == p
 
 
 def test_pair_file_zero_dimensions():
     p = parse_pair_file("2 0\n")
     assert (p.edge_dim, p.vertex_dim) == (2, 0)
+    assert p.rows == (({}, {}), ({}, {}))
     q = parse_pair_file("0 3\n")
     assert (q.edge_dim, q.vertex_dim) == (0, 3)
 
@@ -94,5 +96,19 @@ def test_transposed():
     p = linearize(multidigraph("ab", [("a", "b")]))
     t = transposed(p)
     assert (t.edge_dim, t.vertex_dim) == (2, 1)
-    assert rows(t.m) == [[1], [0]]
-    assert rows(t.n) == [[0], [1]]
+    m, n = dense(t)
+    assert rows(m) == [[1], [0]]
+    assert rows(n) == [[0], [1]]
+
+
+@pytest.mark.parametrize("e, v, rows, message", [
+    (2, 1, (({0: 1}, {}),), "row count"),
+    (0, 1, (({}, {}),), "row count"),
+    (1, 2, (({2: 1}, {}),), "column index"),
+    (1, 2, (({0: 1}, {-1: 1}),), "column index"),
+    (1, 0, (({0: 1}, {}),), "column index"),
+])
+def test_pair_rejects_rows_that_do_not_fit(e, v, rows, message):
+    with pytest.raises(ValueError, match=message):
+        PairMatrices(e, v, rows)
+    assert PairMatrices(1, 2, (({0: 1}, {1: -3}),)).rows == (({0: 1}, {1: -3}),)

@@ -22,9 +22,9 @@ from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
                              _cyclotomic_blocks, _lift, _row_basis, _screen_clears,
                              _solution_space_dims, _transpose, analyze, invariant_factors,
                              normal_rank, rank_of_rows)
-from linequiv.smith import factor_stored, pencil_matrix
+from linequiv.smith import factor_stored
 
-from conftest import multidigraph, seeded_relation, transposed
+from conftest import dense, multidigraph, pair_of, seeded_relation, transposed
 
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -72,7 +72,7 @@ def fraction_rank(rows) -> int:
 def reference_normal_rank(p: PairMatrices) -> int:
     """Largest Fraction rank of M + t*N over t = 0..min(e, v)."""
     return max(fraction_rank([[a + t * b for a, b in zip(m_row, n_row)]
-                              for m_row, n_row in zip(p.m, p.n)])
+                              for m_row, n_row in zip(*dense(p))])
                for t in range(min(p.edge_dim, p.vertex_dim) + 1))
 
 
@@ -84,8 +84,9 @@ def direct_sum(p: PairMatrices, q: PairMatrices) -> PairMatrices:
         return (tuple(tuple(row) + (zero,) * q.vertex_dim for row in a)
                 + tuple((zero,) * p.vertex_dim + tuple(row) for row in b))
 
-    return PairMatrices(p.edge_dim + q.edge_dim, p.vertex_dim + q.vertex_dim,
-                        stack(p.m, q.m), stack(p.n, q.n))
+    (pm, pn), (qm, qn) = dense(p), dense(q)
+    return pair_of(p.edge_dim + q.edge_dim, p.vertex_dim + q.vertex_dim,
+                   stack(pm, qm), stack(pn, qn))
 
 
 def test_rank_of_rows():
@@ -140,8 +141,8 @@ def test_normal_rank_matches_fraction_reference():
     split = direct_sum(canonical_pair("t", 1), canonical_pair("ztz", 1))
     # normal rank 2 under a bound min(rank [M N], rank [M; N]) of 3, which
     # therefore cannot certify it
-    assert min(fraction_rank([m + n for m, n in zip(split.m, split.n)]),
-               fraction_rank(split.m + split.n)) == 3
+    m, n = dense(split)
+    assert min(fraction_rank([a + b for a, b in zip(m, n)]), fraction_rank(m + n)) == 3
     pairs.append(split)
     for p in pairs:
         assert normal_rank(p) == reference_normal_rank(p), p
@@ -196,7 +197,7 @@ def test_kernel_meet_dim_examples(g1, g2):
     assert kernel_meet_dim(p2) == 1
     # the joint kernel witness: e11 - e12 - e21 + e22 annihilates both maps
     w = (1, -1, -1, 1)
-    for mat in (p2.m, p2.n):
+    for mat in dense(p2):
         assert all(sum(w[i] * mat[i][j] for i in range(4)) == 0 for j in range(2))
     assert kernel_meet_dim(linearize(g1)) == 0
     assert kernel_meet_dim(canonical_pair("ztz", 0)) == 1  # e=1, v=0: everything
@@ -307,7 +308,7 @@ def test_smith_form_orientation_witness(g1, g4):
 
 
 def test_oracle_zero_pair():
-    zero = PairMatrices(0, 0, (), ())
+    zero = PairMatrices(0, 0, ())
     assert oracle_invariants(zero) == rec()
     assert analyze(zero) == analyze(zero)
 
@@ -369,10 +370,9 @@ def test_integer_entries_give_the_fraction_result(g4):
     pairs = [linearize(g4), regular_pair(rp.poly(-2, 1)),
              parse_pair_file("3 2\n2 0\n1 1\n0 -3\n0 2\n3 0\n1 1\n")]
     for p in pairs:
-        assert all(x.denominator == 1 for mat in (p.m, p.n) for row in mat for x in row)
-        as_int = PairMatrices(p.edge_dim, p.vertex_dim,
-                              *(tuple(tuple(int(x) for x in row) for row in mat)
-                                for mat in (p.m, p.n)))
+        assert all(x.denominator == 1 for mat in dense(p) for row in mat for x in row)
+        as_int = pair_of(p.edge_dim, p.vertex_dim,
+                         *(tuple(tuple(int(x) for x in row) for row in mat) for mat in dense(p)))
         assert oracle_invariants(as_int) == oracle_invariants(p)
         report = analyze(as_int)
         assert report == analyze(p)
@@ -473,14 +473,17 @@ def smith_reference(p: PairMatrices) -> OracleReport:
         return tuple(d for d in range(len(f) - 1)
                      for _ in range(f[d + 1] - 2 * f[d] + (f[d - 1] if d else 0)))
 
-    e, v = p.edge_dim, p.vertex_dim
+    def pencil(first, second):
+        return [[rp.poly(a, b) for a, b in zip(*rows)] for rows in zip(first, second)]
+
+    m, n = dense(p)
     finite, blocks = Counter(), Counter()
-    for q in invariant_factors(pencil_matrix(p.m, p.n, e, v)):
+    for q in invariant_factors(pencil(m, n)):
         for irred, mult, d in factor_stored(q):
             finite[(irred, mult)] += 1
             if irred != rp.X:
                 blocks[(d, mult)] += 1
-    infinite = [rp.x_order(q) for q in invariant_factors(pencil_matrix(p.n, p.m, e, v))]
+    infinite = [rp.x_order(q) for q in invariant_factors(pencil(n, m))]
     return OracleReport(left(p), left(transposed(p)), tuple(sorted(finite.elements())),
                         tuple(sorted(k for k in infinite if k)), tuple(blocks.elements()))
 
@@ -659,6 +662,5 @@ def test_analyze_is_invariant_under_simultaneous_equivalence(g1, g2, g3, g4):
     for p in pairs:
         e, v = p.edge_dim, p.vertex_dim
         s, t = unit_triangular(e, rng, lower=True), unit_triangular(v, rng, lower=False)
-        moved = PairMatrices(e, v, *(matmul(matmul(s, mat, e, v), t, v, v)
-                                     for mat in (p.m, p.n)))
+        moved = pair_of(e, v, *(matmul(matmul(s, mat, e, v), t, v, v) for mat in dense(p)))
         assert analyze(moved) == analyze(p), p

@@ -2,8 +2,11 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from linequiv import BinaryRelation, MultiDigraph, ParseError, parse_graph, serialize
+from linequiv import (BinaryRelation, MultiDigraph, ParseError, iterated_contraction,
+                      parse_graph, serialize)
+from linequiv.cli import _quotient_dot
 from linequiv.parsing import dot_id
 from linequiv.relation import reduce
 
@@ -82,6 +85,13 @@ def test_dot_node_label_attribute_is_ignored():
     ("digraph { a -> b -> c; }", "chained"),
     ("graph { a -> b; }", "expected 'digraph'"),
     ("digraph { a -> b; ", "missing closing"),
+    ("digraph { a -> subgraph; }", "subgraphs"),
+    ("digraph { SUBGRAPH; }", "subgraphs"),
+    ("digraph { node; }", "'node' is a keyword"),
+    ("digraph { a -> GRAPH; }", "'GRAPH' is a keyword"),
+    ("digraph Strict { a; }", "'Strict' is a keyword"),
+    ("digraph { Digraph -> a; }", "'Digraph' is a keyword"),
+    ("digraph { a [label=NODE]; }", "'NODE' is a keyword"),
 ])
 def test_dot_rejects_unsupported(text, message):
     with pytest.raises(ParseError, match=message):
@@ -111,6 +121,9 @@ def test_dot_rejects_unsupported(text, message):
     ("digraph { }", False, "line 1, column 1: no vertices"),
     ('digraph {\n "a" + "b";\n}', False, "line 2, column 6: string concatenation is not supported"),
     ("\n strict digraph { }", False, "line 2, column 2: strict graphs are not supported"),
+    ("digraph {\n a -> Node;\n}", False,
+     "line 2, column 7: 'Node' is a keyword; quote it to use it as an id"),
+    ('digraph {\n "a\\"b";\n "c\\" -> d;\n}', False, "line 2, column 1: unreadable input"),
 ])
 def test_error_positions(text, strict, message):
     with pytest.raises(ParseError) as err:
@@ -167,7 +180,28 @@ def test_dot_keywords_are_quoted_in_any_case():
     assert dot_id("nodes") == "nodes"
 
 
-@pytest.mark.parametrize("source", ["digraph", "digraph{", "digraph;x"])
+def test_dot_keywords_are_matched_in_any_case():
+    assert parse_graph("DIGRAPH { a -> b; }").edges == (("a", "b"),)
+    assert parse_graph("DiGraph g {\n  a;\n}\n").vertices == ("a",)
+    g = parse_graph('digraph { "node" -> "Edge"; "strict"; }')
+    assert g.vertices == ("node", "Edge", "strict") and g.edges == (("node", "Edge"),)
+
+
+def test_dot_reads_and_writes_the_quote_escape():
+    g = parse_graph('digraph { "a\\"b" -> c; "p\\q"; "r\\\\s"; "x#y"; } # "z')
+    assert g.vertices == ('a"b', "c", "p\\q", "r\\\\s", "x#y")
+    assert g.edges == (('a"b', "c"),)
+    # a backslash before the closing quote escapes it, so the id runs on
+    with pytest.raises(ParseError, match="unreadable input"):
+        parse_graph('digraph { "a\\" -> c; }')
+    assert dot_id('a"b') == '"a\\"b"'
+    assert dot_id('a\\"') == '"a\\\\""'
+    assert dot_id("p\\q") == '"p\\q"'
+    with pytest.raises(ValueError, match="DOT"):
+        dot_id("a\\")
+
+
+@pytest.mark.parametrize("source", ["digraph", "digraph{", "digraph;x", "DiGraph"])
 def test_edge_list_rejects_a_source_that_reads_as_dot(source):
     r = BinaryRelation((source, "x"), frozenset({(source, "x")}))
     with pytest.raises(ValueError, match="edge-list"):
@@ -200,6 +234,73 @@ def test_round_trips(format, g1, g2, g3, g4):
         assert back.pairs == r.pairs
 
 
+# -- the writers round-trip any label they accept -------------------------------
+
+_LABEL_PARTS = ["node", "NoDe", "EDGE", "graph", "DiGraph", "subgraph", "STRICT", "strict digraph",
+                "vertex", "label", "->", "--", ";", "{", "}", "[", "]", "=", ",", "+", '"', "\\",
+                '\\"', "#", " ", "\t", "\n", "\r\n", "\u2028", "\ufeff", "\u00e9", "\u4e2d", "a",
+                "1", "."]
+_TEXT_LABELS = st.lists(st.sampled_from(_LABEL_PARTS), max_size=3).map("".join) | st.text(max_size=4)
+
+
+@st.composite
+def text_relations(draw, min_vertices: int = 0) -> BinaryRelation:
+    vertices = draw(st.lists(_TEXT_LABELS, unique=True, min_size=min_vertices, max_size=6))
+    ends = st.sampled_from(vertices) if vertices else st.nothing()
+    pairs = draw(st.sets(st.tuples(ends, ends), max_size=8)) if vertices else set()
+    return BinaryRelation(tuple(vertices), frozenset(pairs))
+
+
+def writable(label: str, format: str, source: bool = False) -> bool:
+    """The documented limits: an edge-list label is one whitespace-free
+    field without '#', and an edge's first field is not the keyword
+    `vertex`; a DOT label does not end in a backslash."""
+    if format == "dot":
+        return not label.endswith("\\")
+    return label.split() == [label] and "#" not in label and not (source and label == "vertex")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(text_relations(), st.sampled_from(["edge-list", "dot"]))
+# a first edge-list line that would read as DOT, which random labels seldom give
+@example(BinaryRelation(("DiGraph", "x"), frozenset({("DiGraph", "x")})), "edge-list")
+@example(BinaryRelation(("STRICT", "digraph{"), frozenset({("STRICT", "digraph{")})), "edge-list")
+def test_serialize_round_trips_or_refuses_for_a_documented_reason(r, format):
+    accepted = (r.vertices and all(writable(v, format) for v in r.vertices)
+                and all(writable(s, format, source=True) for s, _ in r.pairs))
+    try:
+        text = serialize(r, format)
+    except ValueError as exc:
+        if accepted:
+            # the one rule left: an edge-list whose first line reads as DOT
+            first = "{} {}".format(*r.sorted_pairs()[0])
+            assert format == "edge-list" and "written first" in str(exc)
+            assert r.pairs and len(r.vertices) == len({v for e in r.pairs for v in e})
+            assert re.match(r"(?i)(strict\s+)?digraph", first), first
+        else:
+            assert "cannot be written" in str(exc)
+            assert r.vertices or "no vertices" in str(exc)
+        return
+    assert accepted
+    back = reduce(parse_graph(text)).reduced
+    assert set(back.vertices) == set(r.vertices) and back.pairs == r.pairs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(text_relations(min_vertices=1), st.integers(0, 2), st.integers(0, 2))
+def test_contract_dot_output_reads_back(r, left, right):
+    # `contract` reads its input with parse_graph, so it has a vertex
+    contracted, part = iterated_contraction(r, left, right)
+    text = _quotient_dot(contracted, part)
+    back = reduce(parse_graph(text)).reduced
+    names = tuple(f"c{i}" for i in range(len(part.classes)))
+    assert back.vertices == names
+    assert back.pairs == {(names[s], names[t]) for s, t in contracted.ids}
+    # each class label reads back from its quoted [label=...] value
+    labels = [_reference_quoted(text, m.end())[0] for m in re.finditer(r"\[label=(?=\")", text)]
+    assert labels == ["{" + ",".join(cls) + "}" for cls in part.classes]
+
+
 @pytest.mark.parametrize("edges", [(("vertex", "x"),), (("a b", "c"),), (("", "x"),),
                                    (("a#b", "c"),), (("a", "b\tc"),)])
 def test_edge_list_rejects_labels_it_cannot_write(edges):
@@ -224,7 +325,8 @@ def test_round_trip_class_labels(format):
 # -- the readers against line-by-line references -------------------------------
 #
 # _reference_edge_list strips each line's comment and splits it in the loop;
-# _reference_dot finds one token per regex match, with its offset and kind.
+# _reference_dot finds one token per regex match, with its offset and kind,
+# and reads a quoted id a character at a time.
 # Both are the straightforward readers the parser's C-level passes replace,
 # kept here so that every graph and every error message can be compared.
 
@@ -264,12 +366,33 @@ def _reference_edge_list(text, strict):
 
 _REFERENCE_TOKEN = re.compile(
     r"""\s*(?:
-        (?P<punct>->|--|[{};=\[\],])   |
-        (?P<quoted>"[^"\\]*")          |
-        (?P<bare>[^\s{};=\[\],"]+)
+        (?P<punct>->|--|[{};=\[\],])     |
+        (?P<comment>\#[^\n]*)           |
+        (?P<quote>")                    |
+        (?P<bare>[^\s{};=\[\],"\#]+)
     )""",
     re.VERBOSE,
 )
+
+_REFERENCE_KEYWORDS = ("node", "edge", "graph", "digraph", "subgraph", "strict")
+
+
+def _reference_quoted(text, start):
+    """(value, end) of the quoted id whose opening quote is at start, read a
+    character at a time: \\" is a quote, anything else is itself.  None when
+    no closing quote follows."""
+    value, pos = [], start + 1
+    while pos < len(text):
+        if text.startswith('\\"', pos):
+            value.append('"')
+            pos += 2
+        elif text[pos] == '"':
+            return "".join(value), pos + 1
+        else:
+            value.append(text[pos])
+            pos += 1
+    return None
+
 
 _REFERENCE_HINTS = {
     "[": "attributes are not supported",
@@ -284,15 +407,21 @@ def _reference_position(text, offset):
 
 
 def _reference_dot(text, strict):
-    text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
     toks, pos = [], 0
     while pos < len(text):
         m = _REFERENCE_TOKEN.match(text, pos)
         if m is None:
             break
         kind = m.lastgroup
-        tok = m.group(kind)
-        toks.append((tok[1:-1] if kind == "quoted" else tok, m.start(kind), kind))
+        if kind == "quote":
+            quoted = _reference_quoted(text, m.start(kind))
+            if quoted is None:
+                break
+            toks.append((quoted[0], m.start(kind), "quoted"))
+            pos = quoted[1]
+            continue
+        if kind != "comment":
+            toks.append((m.group(kind), m.start(kind), kind))
         pos = m.end()
     if text[pos:].strip():
         raise ParseError("unreadable input", _reference_position(text, pos)[0])
@@ -324,8 +453,12 @@ def _reference_dot(text, strict):
 
     if bare(0, "strict"):
         fail("strict graphs are not supported", 0)
-    if toks[0][::2] != ("digraph", "bare"):
+    if not bare(0, "digraph"):
         fail("expected 'digraph'", 0)
+    for j in range(1, len(toks)):
+        if toks[j][2] == "bare" and toks[j][0].lower() in _REFERENCE_KEYWORDS:
+            fail("subgraphs are not supported" if bare(j, "subgraph")
+                 else f"{toks[j][0]!r} is a keyword; quote it to use it as an id", j)
     for j in range(1, len(toks) - 1):
         tok, _, kind = toks[j]
         if kind == "bare" and (tok.startswith("+") and toks[j - 1][2] == "quoted"
@@ -347,8 +480,6 @@ def _reference_dot(text, strict):
             continue
         if kind == "punct":
             fail(_REFERENCE_HINTS.get(tok, f"unexpected {tok!r}"), i)
-        if bare(i, "subgraph"):
-            fail("subgraphs are not supported", i)
         if punct(i + 1, "->"):
             if not is_id(i + 2):
                 fail("expected a vertex after '->'", i + 1)
@@ -408,11 +539,12 @@ def _random_edge_list(rng):
 
 _DOT_WORDS = ["digraph", "{", "}", ";", "->", "--", "[", "]", "=", ",", "label", "subgraph",
               "a", "b", "c", "a->b", '"a b"', '"{"', '"}"', '";"', '"->"', '""', '"label"',
-              '"x', '"p\\q"', "# note\n", "+", '"subgraph"', "SubGraph", '"digraph"', "STRICT"]
+              '"x', '"p\\q"', "# note\n", "+", '"subgraph"', "SubGraph", '"digraph"', "STRICT",
+              "node", "Edge", "GRAPH", '"node"', '"a\\"b"', '"q\\\\"', '"x#y"', '# "\n', "#"]
 
 
 def _random_dot(rng):
-    toks = ["digraph", *rng.choice([[], ["g"], ['"g h"']]), "{"]
+    toks = [rng.choice(["digraph", "DiGraph"]), *rng.choice([[], ["g"], ['"g h"']]), "{"]
     for _ in range(rng.randint(0, 6)):
         a, b = rng.choice(_LABELS[:5]), rng.choice(["a", "b", "c", '"a b"', "d"])
         toks += rng.choice([[a, "->", b], [a], [a, "[", "label", "=", b, "]"]])

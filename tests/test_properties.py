@@ -13,10 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from linequiv import (BinaryRelation, InvariantRecord, MultiDigraph, contraction, converse,
                       full_invariants, gamma_table, iterated_contraction, stabilize)
-from linequiv.contraction import ContractionDiagram, _chain, contraction_sequence
+from linequiv.contraction import ContractionDiagram, _chain
 from linequiv.relation import _quotient
 
-from conftest import as_multidigraph, swapped
+from conftest import as_multidigraph, contract_word, swapped
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -251,7 +251,7 @@ def check_against_the_definition(r: BinaryRelation) -> ContractionDiagram:
         (stable_value, frozenset((final[s], final[t]) for s, t in r.ids), labels)
     assert stabilize(r)[1:] == (stable, depth)
     for rel, part in (iterated_contraction(r, 10 ** 18, 10 ** 18),
-                      contraction_sequence(r, "lr" * (depth + 1))):
+                      contract_word(r, "lr" * (depth + 1))):
         assert (rel, part.classes) == (stable, classes)
     return d
 
