@@ -25,7 +25,7 @@ _EXPORTS = {
     "invariants": ("ConsistencyError", "DualFormMismatch", "EquivVerdict",
                    "InvariantRecord", "NegativeMultiplicity",
                    "analyze_graph", "cyclotomic_refine", "decide_equiv", "full_invariants",
-                   "gamma_content", "part_one", "part_three_zt00", "part_two",
+                   "part_one", "part_three_zt00", "part_two",
                    "vertex_check"),
     "linearize": ("PairMatrices", "linearize", "parse_pair_file"),
     "oracle": ("DimensionMismatch", "OracleReport", "analyze", "canonical_pair", "compare",

@@ -33,9 +33,9 @@ from pathlib import Path
 from . import __version__, _lazy_submodule
 from .contraction import (FIRST_POINTS, ContractionDiagram, StabilizationShapeError,
                           gamma_table, iterated_contraction)
-from .invariants import (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
-                         analyze_graph, decide_equiv, diagram_cells, full_invariants,
-                         gamma_content, record_to_json)
+from .invariants import (_CELLS, ConsistencyError, DualFormMismatch, NegativeMultiplicity,
+                         analyze_graph, cell_contents, decide_equiv, full_invariants,
+                         record_to_json)
 from .parsing import ParseError, dot_id, parse_graph, serialize
 from .relation import BinaryRelation, GraphError, MultiDigraph, reduce as reduce_graph
 
@@ -213,11 +213,9 @@ def _diagram_lines(d: ContractionDiagram, extra_band: int) -> list[str]:
         lines.append("  ".join(f"({m},{n}): {d.value(m, n)}"
                                for m, n in ContractionDiagram.antidiagonal(s)))
     lines.append(f"stable value {d.stable_value} from min(m,n) >= {d.horizon}")
-    for k in range(1, d.horizon + 2):
-        cells = []
-        for name, family, index, corners in diagram_cells(k):
-            cells.append(f"|{name}| = {gamma_content(d, corners)} ({family}[{index}])")
-        lines.append("  ".join(cells))
+    for k, contents in enumerate(cell_contents(d), 1):
+        lines.append("  ".join(f"|{name.format(k)}| = {content} ({family}[{i * k + j}])"
+                               for (name, family, (i, j), _), content in zip(_CELLS, contents)))
     return lines
 
 

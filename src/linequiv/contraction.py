@@ -137,7 +137,6 @@ def _canonical(labels: list[int]) -> tuple[dict[int, int], list[int]]:
 
 
 # -- the contraction engine ---------------------------------------------------
-_SIDE = {"l": 0, "r": 1}
 
 
 class _Quotient:
@@ -380,7 +379,7 @@ def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelat
     if m < 0 or n < 0:
         raise ValueError("contraction counts must be nonnegative")
     q = _Quotient(r)
-    for side, count in ((_SIDE["r"], n), (_SIDE["l"], m)):
+    for side, count in ((1, n), (0, m)):
         while count and q.step(side):
             count -= 1
     cls = q.classes()
@@ -469,7 +468,8 @@ class ContractionDiagram:
     horizon: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", max(map(len, self.signature()[1])))
+        object.__setattr__(self, "horizon", max(len(_trim(diagonal, self.stable_value))
+                                                for diagonal in self.diagonals))
 
     @staticmethod
     def is_suitable(m: int, n: int) -> bool:
@@ -502,12 +502,6 @@ class ContractionDiagram:
         stable_value = self.stable_value
         return dict(sorted(point for point in self._stored() if point[1] != stable_value))
 
-    def signature(self) -> tuple:
-        """Equal signatures iff the gamma functions agree on every suitable
-        point: the stable value and each diagonal without its stable tail."""
-        return (self.stable_value,
-                tuple(_trim(diagonal, self.stable_value) for diagonal in self.diagonals))
-
 
 def gamma_table(r: BinaryRelation) -> ContractionDiagram:
     """Tabulate gamma over the suitable band: the diagonals m - n = 0, 1, 2
@@ -523,10 +517,10 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
         # the right side never steps, and the mirror for gamma(j + k, j)
         idle, stepping = (same[:-1], same[:-1]), (same[1:], same[2:] + same[-1:])
         (left_one, left_two), (right_one, right_two) = \
-            (idle, stepping) if idle_side == _SIDE["l"] else (stepping, idle)
+            (idle, stepping) if idle_side == 0 else (stepping, idle)
     else:
-        (same, left_one, left_two), depth, final = _chain(r, _SIDE["l"])
-        (right_same, right_one, right_two), _, right_final = _chain(r, _SIDE["r"])
+        (same, left_one, left_two), depth, final = _chain(r, 0)
+        (right_same, right_one, right_two), _, right_final = _chain(r, 1)
         if right_final != final:
             raise AssertionError("the left-first and right-first chains reach different fixpoints")
         common = min(len(same), len(right_same))

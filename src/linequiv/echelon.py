@@ -1,8 +1,12 @@
-"""Exact ranks of sparse integer rows, over the rationals and modulo a prime.
+"""Exact ranks of sparse integer rows, over the rationals or modulo a prime.
 
-A row is a dict column -> nonzero entry.  Over Q, elimination is
-fraction-free: row = a*row - b*pivot, then division by the gcd of the
-entries, so every entry stays an integer.  Modulo p, pivots are monic.
+A row is a dict column -> nonzero entry.  One elimination serves both
+fields.  Over Q it is fraction-free: row = a*row - b*pivot, then division
+by the gcd of the entries, so every entry stays an integer.  Modulo p the
+pivots are monic and reduced, so a = 1 and a step is row = row - b*pivot
+with b reduced; the other entries of a row are reduced only when it
+becomes a pivot, and stay small meanwhile, since each step adds less than
+p^2 to them.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ SparseRow = dict[int, int]
 
 class Echelon:
     """Integer rows in echelon form, one pivot row per leading column, grown
-    a row at a time; `rank` is the rank of every row added so far."""
+    a row at a time; `rank` is the rank of every row added so far, over Q
+    for modulus 0 and over F_p for a prime modulus p."""
 
-    __slots__ = ("pivots",)
+    __slots__ = ("pivots", "modulus")
 
-    def __init__(self):
+    def __init__(self, modulus: int = 0):
         self.pivots: dict[int, SparseRow] = {}
+        self.modulus = modulus
 
     @property
     def rank(self) -> int:
@@ -28,20 +34,33 @@ class Echelon:
 
     def add(self, row: SparseRow) -> None:
         """Reduce a row of nonzero integers, which this takes over, against
-        the pivots by row = a*row - b*pivot, dividing by the gcd of its
-        entries after each step; a row that stays nonzero becomes a pivot."""
-        pivots = self.pivots
+        the pivots by row = a*row - b*pivot; a row that stays nonzero
+        becomes a pivot.  Over Q each step divides the row by the gcd of
+        its entries.  Modulo p a pivot is made monic and reduced, so a = 1,
+        b is reduced, and a leading entry that vanishes mod p is dropped."""
+        pivots, p = self.pivots, self.modulus
         while row:
             col = min(row)
             pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                return
-            a, b = pivot[col], row.pop(col)
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {j: a * x for j, x in row.items()}
+            if p:
+                b = row.pop(col) % p
+                if not b:
+                    continue
+                if pivot is None:
+                    inv = pow(b, -1, p)
+                    row = {j: x * inv % p for j, x in row.items() if x % p}
+                    row[col] = 1
+                    pivots[col] = row
+                    return
+            else:
+                if pivot is None:
+                    pivots[col] = row
+                    return
+                a, b = pivot[col], row.pop(col)
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    row = {j: a * x for j, x in row.items()}
             for j, x in pivot.items():
                 if j != col:
                     new = row.get(j, 0) - b * x
@@ -49,42 +68,20 @@ class Echelon:
                         row[j] = new
                     else:
                         del row[j]
-            content = gcd(*row.values())
-            if content > 1:
-                row = {j: x // content for j, x in row.items()}
+            if not p:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {j: x // content for j, x in row.items()}
 
 
-def rank_of_rows(rows) -> int:
-    """Exact rank of sparse integer rows (dicts column -> int): a copy of
-    each row without its zeros goes to one `Echelon`, so the rows passed in
-    stay as they are."""
-    echelon = Echelon()
+def rank_of_rows(rows, modulus: int = 0) -> int:
+    """Exact rank of sparse integer rows (dicts column -> int), over Q or,
+    for a prime modulus, over F_p: a copy of each row without its zeros
+    goes to one `Echelon`, so the rows passed in stay as they are."""
+    echelon = Echelon(modulus)
     for row in rows:
         echelon.add({j: x for j, x in row.items() if x})
     return echelon.rank
-
-
-def rank_mod(rows, p: int) -> int:
-    """Rank over F_p of integer rows, by elimination with monic pivots."""
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        row = {j: x % p for j, x in row.items() if x % p}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {j: x * inv % p for j, x in row.items()}
-                break
-            b = row.pop(col)
-            for j, x in pivot.items():
-                if j != col:
-                    new = (row.get(j, 0) - b * x) % p
-                    if new:
-                        row[j] = new
-                    else:
-                        row.pop(j, None)
-    return len(pivots)
 
 
 def _is_prime(n: int) -> bool:

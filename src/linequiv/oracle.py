@@ -46,7 +46,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import ratpoly as rp
-from .echelon import Echelon, SparseRow, prime_and_root, rank_mod, rank_of_rows
+from .echelon import Echelon, SparseRow, prime_and_root, rank_of_rows
 from .invariants import InvariantRecord, cyclotomic_refine
 from .linearize import PairMatrices, integer_row
 from .ratpoly import Poly
@@ -232,7 +232,7 @@ def _screen_clears(rows, rank: int, d: int) -> bool:
     has full rank `rank` and -zeta_d is no eigenvalue.  A lower rank proves
     nothing."""
     p, zeta = prime_and_root(d)
-    return rank_mod(_pencil_rows(rows, -zeta), p) == rank
+    return rank_of_rows(_pencil_rows(rows, -zeta), p) == rank
 
 
 def _lift(rows, d: int) -> list[SparseRow]:

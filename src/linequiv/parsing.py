@@ -13,14 +13,16 @@ DOT subset:
 Only node and edge statements are accepted; strict graphs, attributes,
 subgraphs, undirected edges and ``+`` concatenation are rejected, except
 that a node statement may carry one ``[label=<id>]``, which is ignored (so
-``contract --dot`` output reads back).  A ``#`` outside quotes starts a
-comment that runs to the end of its line.  Keywords are matched in any
-case, and a bare keyword is never an id.  Identifiers may be double-quoted,
-which is how class labels like ``{a,b}`` or ``subgraph`` survive a round
-trip: a quoted id is always an id, never punctuation, a keyword or a
-comment.  Inside quotes ``\"`` stands for ``"`` and every other character,
-a backslash too, for itself (the Graphviz rule), so the writer can carry
-every label except one that ends in a backslash.
+``contract --dot`` output reads back).  Outside quotes, ``#`` and ``//``
+start a comment that runs to the end of its line, and ``/*`` one that runs
+to the next ``*/``, as in Graphviz; an unterminated ``/*`` is an error.
+Keywords are matched in any case, and a bare keyword is never an id.
+Identifiers may be double-quoted, which is how class labels like ``{a,b}``
+or ``subgraph`` survive a round trip: a quoted id is always an id, never
+punctuation, a keyword or a comment.  Inside quotes ``\"`` stands for
+``"`` and every other character, a backslash too, for itself (the Graphviz
+rule), so the writer can carry every label except one that ends in a
+backslash.
 
 Parsing is lenient by default: a label first seen in an edge is declared on
 the spot.  With ``strict=True`` an edge may only use previously declared
@@ -35,6 +37,7 @@ are worked out only when it is raised.
 from __future__ import annotations
 
 import re
+from itertools import filterfalse
 
 from .relation import BinaryRelation, MultiDigraph
 
@@ -51,8 +54,8 @@ class ParseError(ValueError):
 def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiDigraph:
     """Parse text into a MultiDigraph.
 
-    format is "edge-list", "dot", or "auto" (sniff: DOT iff the first token
-    is ``digraph``, or ``strict`` in any case and then ``digraph``).
+    format is "edge-list", "dot", or "auto" (sniff: DOT iff the first DOT
+    token is ``digraph``, or ``strict`` in any case and then ``digraph``).
     """
     if format == "auto":
         format = "dot" if _DOT_START.match(text) else "edge-list"
@@ -64,10 +67,10 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
 
 
 # `digraph`, in any case, as a whole first DOT token, after blanks, whole
-# comment lines and an optional `strict`: not followed by a bare-id
-# character or a comment
-_DOT_START = re.compile(r'(?:\s|#[^\n]*(?![^\n]))*(?:(?i:strict)(?:\s|#[^\n]*)+)?'
-                        r'(?i:digraph)(?![^\s{};=\[\],"#])')
+# DOT comments and an optional `strict`: not followed by a bare-id character
+_DOT_GAP = r'(?:\s|(?:#|//)[^\n]*(?![^\n])|/\*(?:[^*]|\*(?!/))*\*/)'
+_DOT_START = re.compile(rf'{_DOT_GAP}*(?:(?i:strict){_DOT_GAP}+)?'
+                        r'(?i:digraph)(?![^\s{};=\[\],"#/]|/(?![/*]))')
 
 
 _COMMENT = re.compile("#[^\n]*")
@@ -115,9 +118,12 @@ def _parse_edge_list(text: str, strict: bool) -> MultiDigraph:
 
 # one DOT token: punctuation, a double-quoted id, a comment or a bare id;
 # blanks between tokens are skipped.  Inside quotes \" is an escaped quote
-# and any other backslash is itself.
+# and any other backslash is itself.  A /* comment runs to the first */, or
+# to the end of the text when there is none.  A bare id stops where a
+# comment starts.
 _DOT_TOKEN = re.compile(
-    r'->|--|[{};=\[\],]|"[^"\\]*(?:\\(?:"|(?!"))[^"\\]*)*"|#[^\n]*|[^\s{};=\[\],"#]+')
+    r'->|--|[{};=\[\],]|"[^"\\]*(?:\\(?:"|(?!"))[^"\\]*)*"|#[^\n]*|//[^\n]*'
+    r'|(?s:/\*.*?(?:\*/|\Z))|(?:[^\s{};=\[\],"#/]+|/(?![/*]))+')
 _DOT_PUNCT = frozenset(("->", "--", "{", "}", ";", "=", "[", "]", ","))
 _NOT_ID = _DOT_PUNCT | {""}  # "" is the end of input
 
@@ -127,12 +133,17 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _is_comment(tok: str) -> bool:
+    return tok[0] == "#" or tok[:2] in ("//", "/*")
+
+
 def _dot_tokens(text: str) -> list[str]:
     """The tokens of the whole text but its comments, a quoted id with its
     quotes, found in one C-level pass.  A '"' that starts no quoted id makes
     the input unreadable from there, and is the only non-blank character no
     token takes, so the quote counts tell whether the tokens cover the
-    text."""
+    text.  An unterminated /* comment runs to the end, so it is the last
+    token."""
     toks = _DOT_TOKEN.findall(text)
     if text.count('"') != "".join(toks).count('"'):
         pos = 0  # the end of the last token before the first gap
@@ -141,7 +152,12 @@ def _dot_tokens(text: str) -> list[str]:
                 break
             pos = m.end()
         raise ParseError("unreadable input", _position(text, pos)[0])
-    return [tok for tok in toks if tok[0] != "#"] if "#" in text else toks
+    if "#" not in text and "/" not in text:
+        return toks
+    last = toks[-1]
+    if last[:2] == "/*" and (len(last) < 4 or last[-2:] != "*/"):
+        raise ParseError("unterminated comment", *_position(text, len(text) - len(last)))
+    return list(filterfalse(_is_comment, toks))
 
 
 _DOT_HINTS = {
@@ -169,7 +185,7 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
 
     def position(j: int) -> tuple[int, int]:
         """(line, column) of token j; only an error finds the offsets."""
-        starts = [m.start() for m in _DOT_TOKEN.finditer(text) if m[0][0] != "#"]
+        starts = [m.start() for m in _DOT_TOKEN.finditer(text) if not _is_comment(m[0])]
         return _position(text, starts[j])
 
     def fail(message: str, j: int):
@@ -273,9 +289,12 @@ def serialize(r: BinaryRelation | MultiDigraph, format: str = "edge-list") -> st
     if format == "edge-list":
         lines = [f"vertex {_edge_list_id(v)}" for v in vertices if v not in touched]
         lines += [f"{_edge_list_id(s, source=True)} {_edge_list_id(t)}" for s, t in edges]
-        if lines and _DOT_START.match(lines[0]):  # only an edge line can read as DOT
+        text = "\n".join(lines) + "\n"
+        # only a first edge line can start text that sniffs as DOT: its
+        # source reads as `digraph`, `strict` or the start of a DOT comment
+        if _DOT_START.match(text):
             raise ValueError(f"label {edges[0][0]!r} cannot be written first in edge-list output")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return text
     if format == "dot":
         stmts = [f"  {dot_id(v)};" for v in vertices if v not in touched]
         stmts += [f"  {dot_id(s)} -> {dot_id(t)};" for s, t in edges]

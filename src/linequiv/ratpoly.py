@@ -155,10 +155,6 @@ def cyclotomic(d: int) -> Poly:
     return p
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_str(p: Poly, var: str = "X") -> str:
     if not p:
         return "0"
@@ -168,9 +164,9 @@ def poly_str(p: Poly, var: str = "X") -> str:
         if c == 0:
             continue
         if i == 0:
-            term = _frac_str(abs(c))
+            term = str(abs(c))
         else:
-            mag = "" if abs(c) == 1 else f"{_frac_str(abs(c))}*"
+            mag = "" if abs(c) == 1 else str(abs(c)) + "*"
             term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(term if c > 0 else f"-{term}")

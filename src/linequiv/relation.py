@@ -24,7 +24,7 @@ gamma_table and the record never build them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -201,7 +201,8 @@ def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
 
 @dataclass(frozen=True)
 class ReductionSummary:
-    """Outcome of merging parallel edges.
+    """Outcome of merging parallel edges: the reduced relation and the size
+    of each class of parallel edges, in increasing order.
 
     split_count is the number of deleted edges; downstream, the full graph's
     invariants are those of `reduced` plus split_count extra summands of the
@@ -209,22 +210,18 @@ class ReductionSummary:
     """
 
     reduced: BinaryRelation
-    parallel_class_sizes: tuple[int, ...] = field(default=())
-    split_count: int = 0
+    parallel_class_sizes: tuple[int, ...]
 
-    def __post_init__(self):
-        sizes = tuple(sorted(self.parallel_class_sizes))
-        object.__setattr__(self, "parallel_class_sizes", sizes)
-        if self.split_count != sum(sizes) - len(sizes):
-            raise GraphError("split_count does not match parallel class sizes")
+    @property
+    def split_count(self) -> int:
+        return sum(self.parallel_class_sizes) - len(self.parallel_class_sizes)
 
 
 def reduce(g: MultiDigraph) -> ReductionSummary:
     """Merge parallel edges, keeping one representative per (source, target)."""
     classes = Counter(g.ids)
     reduced = BinaryRelation._of(g.vertex_count, frozenset(classes), g.vertices)
-    sizes = tuple(sorted(classes.values()))
-    return ReductionSummary(reduced, sizes, sum(sizes) - len(sizes))
+    return ReductionSummary(reduced, tuple(sorted(classes.values())))
 
 
 def converse(r: BinaryRelation) -> BinaryRelation:

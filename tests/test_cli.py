@@ -92,6 +92,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
     ("digraph { node; }", "'node' is a keyword; quote it to use it as an id"),
     ("digraph { a -> b; edge; }", "'edge' is a keyword; quote it to use it as an id"),
     ("digraph { a -> subgraph; }", "subgraphs are not supported"),
+    ("digraph {\n a -> b; /* note\n}\n", "line 2, column 10: unterminated comment"),
 ])
 def test_unsupported_dot_is_usage_error(capsys, tmp_path, text, message):
     path = tmp_path / "g.dot"
@@ -247,7 +248,7 @@ def test_chains_must_agree_on_the_main_diagonal(monkeypatch, capsys, g4_file):
 
     def perturbed(r, side):
         (same, one, two), depth, q = chain(r, side)
-        if side == contraction._SIDE["r"]:
+        if side == 1:  # the right-first chain
             same[1] += 1
         return (same, one, two), depth, q
 
@@ -440,7 +441,7 @@ def test_each_stage_runs_once_per_graph(monkeypatch, capsys, g1_file, g4_file):
     chain = contraction._chain
 
     def counted_chain(r, side):
-        if side == contraction._SIDE["l"]:
+        if side == 0:
             calls["stabilizing chain"] += 1
         return chain(r, side)
 
@@ -503,8 +504,8 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, cou
     pairs = []  # (pair, rows per sample, eliminations)
 
     class Recorded(echelon.Echelon):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, modulus=0):
+            super().__init__(modulus)
             self.added = []
             pairs[-1][2].append(self)
 

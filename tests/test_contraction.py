@@ -6,10 +6,10 @@ import pytest
 from linequiv import (BinaryRelation, StabilizationShapeError, classify_stable,
                       converse, gamma_table, iterated_contraction, left_partition,
                       quotient, right_partition, stabilize)
-from linequiv.cli import random_relation
+from linequiv.cli import _diagram_lines, random_relation
 from linequiv.contraction import (ContractionDiagram, StableShape, _chain, _one_sided, _Quotient,
                                   _find)
-from linequiv.invariants import diagram_cells, gamma_content, part_one
+from linequiv.invariants import cell_contents, part_one
 from linequiv.parsing import parse_graph
 from linequiv.relation import GraphError, Partition, _quotient, class_label, reduce
 
@@ -458,16 +458,56 @@ def test_contractions_match_definition(reference_inputs):
         assert right_partition(r) == naive_partition(r, "r")
 
 
+# The diagram cells with index k as the paper draws them, by role-labelled
+# corners: a square a, b, c, d has content gamma_a - gamma_b - gamma_d +
+# gamma_c, a parallelogram a, a2, b, b2 has gamma_a + gamma_a2 - gamma_b -
+# gamma_b2.
+ROLE_SIGN = {"a": 1, "a2": 1, "c": 1, "b": -1, "b2": -1, "d": -1}
+
+
+def role_cells(k: int) -> list[tuple[str, str, int, dict[str, tuple[int, int]]]]:
+    """Name, multiplicity family, family index and corners by role of the
+    seven cells with index k."""
+    j, l = k - 1, k + 1
+    return [
+        (f"A{k}", "ztz", 2 * k - 1, {"a": (j, j), "b": (j, k), "c": (k, k), "d": (k, j)}),
+        (f"B{k}", "ztz", 2 * k, {"a": (k, j), "b": (k, k), "c": (l, k), "d": (l, j)}),
+        (f"B{k}'", "ztz", 2 * k, {"a": (j, k), "b": (j, l), "c": (k, l), "d": (k, k)}),
+        (f"C{k}", "tz", k, {"a": (j, l), "a2": (k, j), "b": (j, k), "b2": (k, k)}),
+        (f"C{k}'", "tz", k, {"a": (k, l), "a2": (l, j), "b": (k, k), "b2": (l, k)}),
+        (f"D{k}", "zt", k, {"a": (j, l), "a2": (l, k), "b": (k, k), "b2": (k, l)}),
+        (f"D{k}'", "zt", k, {"a": (l, j), "a2": (j, k), "b": (k, k), "b2": (k, j)}),
+    ]
+
+
+def role_content(d: ContractionDiagram, corners: dict[str, tuple[int, int]]) -> int:
+    """A cell's content, each corner read through value, point by point."""
+    return sum(ROLE_SIGN[role] * d.value(m, n) for role, (m, n) in corners.items())
+
+
 def test_part_one_matches_the_cell_reader(reference_inputs):
-    # part_one reads the cells as slices of the padded diagonals;
-    # gamma_content reads each corner through value, point by point
+    # cell_contents, which part_one and the diagram command read, takes the
+    # cells as slices of the padded diagonals, for k = 1 .. horizon + 1;
+    # role_content reads each corner through value, point by point, and
+    # past horizon + 1 every content vanishes
     for r in reference_inputs:
         d = gamma_table(r)
+        contents = cell_contents(d)
         mult = dict(zip(("zt", "tz", "ztz"), part_one(d)))
-        for k in range(1, d.horizon + 2):
-            for name, family, index, corners in diagram_cells(k):
-                assert mult[family].get(index, 0) == gamma_content(d, corners), \
+        assert len(contents) == d.horizon + 1
+        for k, row in enumerate(contents, 1):
+            cells = role_cells(k)
+            assert list(row) == [role_content(d, corners) for *_, corners in cells], \
+                (sorted(r.pairs), k)
+            for name, family, index, corners in cells:
+                assert mult[family].get(index, 0) == role_content(d, corners), \
                     (sorted(r.pairs), name)
+        assert [role_content(d, corners) for *_, corners in role_cells(d.horizon + 2)] == [0] * 7
+        # the diagram command names each cell, its family and index
+        assert _diagram_lines(d, 0)[-len(contents):] == [
+            "  ".join(f"|{name}| = {role_content(d, corners)} ({family}[{index}])"
+                      for name, family, index, corners in role_cells(k))
+            for k in range(1, d.horizon + 2)]
 
 
 def test_diagonals_hold_the_stored_points(reference_inputs):
@@ -590,7 +630,7 @@ def test_chain_equals_the_loop_that_skips_nothing(reference_inputs):
 
 
 @pytest.mark.parametrize("L", [32, 256])
-def test_y_graph_table_runs_only_the_merging_steps(monkeypatch, L):
+def test_y_graph_table_runs_no_chain(monkeypatch, L):
     # Y(L, L) has out-degree <= 1 and its converse in-degree <= 1: both are
     # read off their in-heights, with no quotient, step or probe
     calls = {"step": 0, "probe": 0, "build": 0}
@@ -610,6 +650,32 @@ def test_y_graph_table_runs_only_the_merging_steps(monkeypatch, L):
         d = gamma_table(r)
         assert calls == {"step": 0, "probe": 0, "build": 0}
         assert d.stable_value == L + 1 and d.depth == L
+
+
+def test_rule_2_skips_the_probes_at_scale(monkeypatch):
+    # Y(5000, 5000) with an out-fork beside it is two-sided, so both chains
+    # run, 5000 rounds each: the fork merges once on one side and the Y
+    # graph 5000 times on the other.  A chain that starts on the Y graph's
+    # side finds the other front empty at nearly every probe point, where
+    # rule 2 stands in for the probe; one that starts on the fork's side
+    # skips its probes by rule 1.
+    y = spider((5000, 5000))
+    r = BinaryRelation(y.vertices + ("x", "y", "z"), y.pairs | {("x", "y"), ("x", "z")})
+    probes = []
+    probe = _Quotient.probe
+
+    def counted(self, side):
+        probes.append(side)
+        return probe(self, side)
+
+    for s in (r, converse(r)):
+        for side in (0, 1):
+            probes.clear()
+            monkeypatch.setattr(_Quotient, "probe", counted)
+            got = _chain(s, side)
+            monkeypatch.undo()
+            assert got[1] == 5000 and len(probes) <= 3, (side, len(probes))
+            assert got == reference_chain(s, side), side
 
 
 def test_two_sided_table_runs_both_chains(monkeypatch, g4):

@@ -559,6 +559,45 @@ def test_echelon_rank_after_every_row():
                 [[row.get(j, 0) for j in range(width)] for row in prefix])
 
 
+def modular_rank(rows, p: int, width: int) -> int:
+    """Reference rank over F_p: plain Gaussian elimination on dense rows."""
+    rows = [[row.get(j, 0) % p for j in range(width)] for row in rows]
+    rank = 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inv
+            rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_echelon_rank_modulo_a_prime():
+    # small primes make entries, leading ones too, vanish mod p, before and
+    # during elimination; the large one is the screen's kind of prime
+    rng = random.Random("echelon-mod-p")
+    for trial in range(300):
+        p = rng.choice((2, 3, 5, 7, 1048583))
+        width = rng.randint(1, 7)
+        rows = [{j: rng.choice((-2 * p, -p - 1, -3, -1, 1, 2, p, p + 2, 3 * p * p + 1))
+                 for j in range(width) if rng.random() < 0.5}
+                for _ in range(rng.randint(1, 9))]
+        if trial % 3 == 0:  # repeat combinations so the rank stalls
+            rows += [{j: (p + 2) * x for j, x in row.items()} for row in rows[:2]]
+        echelon = Echelon(p)
+        for i, row in enumerate(rows):
+            echelon.add({j: x for j, x in row.items() if x})
+            assert echelon.rank == modular_rank(rows[:i + 1], p, width), (p, rows[:i + 1])
+        assert all(min(pivot) == col and pivot[col] == 1 and all(0 < x < p for x in pivot.values())
+                   for col, pivot in echelon.pivots.items())
+        # a rank cannot rise under reduction mod p
+        assert rank_of_rows(rows) >= rank_of_rows(rows, p) == echelon.rank
+
+
 def test_screen_keeps_every_root_the_lift_finds():
     # the row basis is integer rows with the rows' span over Q, so the
     # screen stays sound on it

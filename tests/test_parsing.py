@@ -124,6 +124,8 @@ def test_dot_rejects_unsupported(text, message):
     ("digraph {\n a -> Node;\n}", False,
      "line 2, column 7: 'Node' is a keyword; quote it to use it as an id"),
     ('digraph {\n "a\\"b";\n "c\\" -> d;\n}', False, "line 2, column 1: unreadable input"),
+    ("digraph {\n a;\n b; /* c */ /* d\n}", False, "line 3, column 13: unterminated comment"),
+    ("digraph {\n a; /*/ b; */\n c; /*/\n}", False, "line 3, column 5: unterminated comment"),
 ])
 def test_error_positions(text, strict, message):
     with pytest.raises(ParseError) as err:
@@ -151,6 +153,39 @@ def test_dot_sniffing_takes_the_whole_first_token():
 def test_dot_rejects_string_concatenation(text):
     with pytest.raises(ParseError, match="string concatenation is not supported"):
         parse_graph(text)
+
+
+def test_dot_reads_cxx_comments():
+    g = parse_graph("digraph {\n  a -> b; // note\n  /* c */\n}")
+    assert g.vertices == ("a", "b") and g.edges == (("a", "b"),)
+    # a bare id stops where a comment starts; a lone '/' is part of it; in
+    # quotes both openers are text, and in a comment a quote is
+    g = parse_graph('digraph {\n a/b -> c// d;\n;/* "e\n */ f/*g*/; "//h" -> "/*i*/";\n /**/}')
+    assert g.vertices == ("a/b", "c", "f", "//h", "/*i*/")
+    assert g.edges == (("a/b", "c"), ("//h", "/*i*/"))
+
+
+def test_dot_sniffing_skips_leading_comments():
+    for text in ("// header\ndigraph { a -> b; }", "/* a\n b */digraph{ a -> b; }",
+                 "# x\n/**/ // y\n  DiGraph { a -> b; }"):
+        assert parse_graph(text).edges == (("a", "b"),)
+    with pytest.raises(ParseError, match="strict graphs are not supported"):
+        parse_graph("strict/* */digraph { a -> b; }")
+    # no comment leads to `digraph` here: these are edge lists
+    for text in ("//x y\n", "/*x */y\n", "/*x y\ndigraph z\n", "// digraph\n/x y\n"):
+        assert parse_graph(text) == parse_graph(text, format="edge-list")
+
+
+def test_edge_list_refuses_a_first_label_that_opens_a_dot_comment_before_digraph():
+    # the text would sniff as DOT: a comment, then `digraph`
+    for pairs in ((("//x", "y"), ("digraph", "z")), (("/*x", "y"), ("z", "*/digraph"))):
+        r = BinaryRelation(tuple(v for e in pairs for v in e), frozenset(pairs))
+        with pytest.raises(ValueError, match=re.escape(f"{pairs[0][0]!r} cannot be written first")):
+            serialize(r, "edge-list")
+    for pairs in ((("//x", "y"),), (("/*x", "y"), ("z", "*/w"))):
+        r = BinaryRelation(tuple(v for e in pairs for v in e), frozenset(pairs))
+        back = reduce(parse_graph(serialize(r, "edge-list"))).reduced
+        assert back.vertices == r.vertices and back.pairs == r.pairs
 
 
 def test_dot_plus_in_a_bare_id_is_part_of_the_label():
@@ -238,8 +273,8 @@ def test_round_trips(format, g1, g2, g3, g4):
 
 _LABEL_PARTS = ["node", "NoDe", "EDGE", "graph", "DiGraph", "subgraph", "STRICT", "strict digraph",
                 "vertex", "label", "->", "--", ";", "{", "}", "[", "]", "=", ",", "+", '"', "\\",
-                '\\"', "#", " ", "\t", "\n", "\r\n", "\u2028", "\ufeff", "\u00e9", "\u4e2d", "a",
-                "1", "."]
+                '\\"', "#", "/", "*", " ", "\t", "\n", "\r\n", "\u2028", "\ufeff", "\u00e9",
+                "\u4e2d", "a", "1", "."]
 _TEXT_LABELS = st.lists(st.sampled_from(_LABEL_PARTS), max_size=3).map("".join) | st.text(max_size=4)
 
 
@@ -265,6 +300,7 @@ def writable(label: str, format: str, source: bool = False) -> bool:
 # a first edge-list line that would read as DOT, which random labels seldom give
 @example(BinaryRelation(("DiGraph", "x"), frozenset({("DiGraph", "x")})), "edge-list")
 @example(BinaryRelation(("STRICT", "digraph{"), frozenset({("STRICT", "digraph{")})), "edge-list")
+@example(BinaryRelation(("/*", "*/DIGRAPH"), frozenset({("/*", "*/DIGRAPH")})), "edge-list")
 def test_serialize_round_trips_or_refuses_for_a_documented_reason(r, format):
     accepted = (r.vertices and all(writable(v, format) for v in r.vertices)
                 and all(writable(s, format, source=True) for s, _ in r.pairs))
@@ -272,11 +308,12 @@ def test_serialize_round_trips_or_refuses_for_a_documented_reason(r, format):
         text = serialize(r, format)
     except ValueError as exc:
         if accepted:
-            # the one rule left: an edge-list whose first line reads as DOT
+            # the one rule left: an edge list that sniffs as DOT, so its
+            # first line reads as the start of DOT or of a DOT comment
             first = "{} {}".format(*r.sorted_pairs()[0])
             assert format == "edge-list" and "written first" in str(exc)
             assert r.pairs and len(r.vertices) == len({v for e in r.pairs for v in e})
-            assert re.match(r"(?i)(strict\s+)?digraph", first), first
+            assert re.match(r"(?i)(strict\s+)?digraph|//|/\*", first), first
         else:
             assert "cannot be written" in str(exc)
             assert r.vertices or "no vertices" in str(exc)
@@ -367,9 +404,10 @@ def _reference_edge_list(text, strict):
 _REFERENCE_TOKEN = re.compile(
     r"""\s*(?:
         (?P<punct>->|--|[{};=\[\],])     |
-        (?P<comment>\#[^\n]*)           |
+        (?P<comment>\#[^\n]*|//[^\n]*)  |
+        (?P<open>/\*)                   |
         (?P<quote>")                    |
-        (?P<bare>[^\s{};=\[\],"\#]+)
+        (?P<bare>(?:[^\s{};=\[\],"\#/]|/(?![/*]))+)
     )""",
     re.VERBOSE,
 )
@@ -413,6 +451,12 @@ def _reference_dot(text, strict):
         if m is None:
             break
         kind = m.lastgroup
+        if kind == "open":  # a comment to the next */
+            close = text.find("*/", m.end())
+            if close < 0:
+                raise ParseError("unterminated comment", *_reference_position(text, m.start(kind)))
+            pos = close + 2
+            continue
         if kind == "quote":
             quoted = _reference_quoted(text, m.start(kind))
             if quoted is None:
@@ -540,7 +584,9 @@ def _random_edge_list(rng):
 _DOT_WORDS = ["digraph", "{", "}", ";", "->", "--", "[", "]", "=", ",", "label", "subgraph",
               "a", "b", "c", "a->b", '"a b"', '"{"', '"}"', '";"', '"->"', '""', '"label"',
               '"x', '"p\\q"', "# note\n", "+", '"subgraph"', "SubGraph", '"digraph"', "STRICT",
-              "node", "Edge", "GRAPH", '"node"', '"a\\"b"', '"q\\\\"', '"x#y"', '# "\n', "#"]
+              "node", "Edge", "GRAPH", '"node"', '"a\\"b"', '"q\\\\"', '"x#y"', '# "\n', "#",
+              "// c\n", "/* c */", "/*", "*/", "/*/", "/**/", "a//b", "a/*b*/", "/x", '"//"',
+              '"/*"', '/* "\n */']
 
 
 def _random_dot(rng):
