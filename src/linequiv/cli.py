@@ -36,7 +36,7 @@ from .contraction import (FIRST_POINTS, ContractionDiagram, StabilizationShapeEr
 from .invariants import (_CELLS, ConsistencyError, DualFormMismatch, NegativeMultiplicity,
                          analyze_graph, cell_contents, decide_equiv, full_invariants,
                          record_to_json)
-from .parsing import ParseError, dot_id, parse_graph, serialize
+from .parsing import ParseError, parse_graph, serialize
 from .relation import BinaryRelation, GraphError, MultiDigraph, reduce as reduce_graph
 
 _linearize = _lazy_submodule("linearize")
@@ -186,7 +186,7 @@ def _cmd_contract(args) -> int:
             **_relation_json(contracted),
         })
     elif args.dot:
-        sys.stdout.write(_quotient_dot(contracted, part))
+        sys.stdout.write(serialize(contracted, "dot"))
     else:
         text = serialize(contracted, "edge-list")
         print(f"# contraction left={args.left} right={args.right} "
@@ -194,16 +194,6 @@ def _cmd_contract(args) -> int:
         print(f"# partition: {_partition_str(part)}")
         sys.stdout.write(text)
     return 0
-
-
-def _quotient_dot(contracted: BinaryRelation, part) -> str:
-    """DOT with one node c<i> per class, labelled by its members; the
-    quotient's vertex ids are the class indices."""
-    lines = ["digraph {"]
-    lines += [f"  c{i} [label={dot_id('{' + ','.join(cls) + '}')}];"
-              for i, cls in enumerate(part.classes)]
-    lines += [f"  c{s} -> c{t};" for s, t in contracted.sorted_ids()]
-    return "\n".join(lines) + "\n}\n"
 
 
 def _diagram_lines(d: ContractionDiagram, extra_band: int) -> list[str]:

@@ -319,35 +319,21 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
     return blocks if left == 0 else None
 
 
-def _smith_finite_divisors(p: PairMatrices) -> tuple[tuple[tuple[Poly, int], ...],
-                                                       tuple[tuple[int | None, int], ...]]:
-    """The divisors of M + X*N from its Smith form, factored, and one (d, n)
-    per regular divisor S(q^n), d as `factor_stored` names it: the fallback
-    for a regular part that is not all cyclotomic."""
-    out: Counter[tuple[Poly, int, int | None]] = Counter()
-    for q in invariant_factors(pencil_matrix(p.rows, p.vertex_dim)):
-        for factor in factor_stored(q):
-            out[factor] += 1
-    factors = sorted(out.elements())
-    return (tuple((poly, n) for poly, n, _ in factors),
-            tuple((d, n) for poly, n, d in factors if poly != rp.X))
-
-
 # -- the report -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class OracleReport:
     """Raw pencil data the record is assembled from.  cyclotomic_blocks
-    holds one (d, n) per regular divisor S(q^n): d with q = Phi_d, as the
-    rank route's scan or the Smith fallback's factoring found it, and None
-    for a q that is not a cyclotomic polynomial."""
+    holds one (d, n) per regular divisor S(Phi_d^n), as the rank route's
+    scan found it; it is None after the Smith fallback, whose regular part
+    is not all cyclotomic."""
 
     left_minimal_indices: tuple[int, ...]
     right_minimal_indices: tuple[int, ...]
     finite_divisors: tuple[tuple[Poly, int], ...]
     infinite_divisors: tuple[int, ...]
-    cyclotomic_blocks: tuple[tuple[int | None, int], ...] = field(compare=False)
+    cyclotomic_blocks: tuple[tuple[int, int], ...] | None = field(compare=False)
 
 
 def analyze(p: PairMatrices) -> OracleReport:
@@ -365,21 +351,21 @@ def analyze(p: PairMatrices) -> OracleReport:
     if degree < 0:
         raise DimensionMismatch(f"singular and nilpotent parts take more than {v} vertices")
     blocks = _cyclotomic_blocks(basis, v, rank, degree)
-    if blocks is None:
-        finite, blocks = _smith_finite_divisors(p)
+    if blocks is None:  # the fallback: the divisors of M + X*N from its Smith form, factored
+        finite = tuple(sorted(factor for q in invariant_factors(pencil_matrix(p.rows, v))
+                              for factor in factor_stored(q)))
         if sorted(n for poly, n in finite if poly == rp.X) != sorted(zt):
             raise AssertionError("Smith form and local ranks disagree on zt")
-    else:
-        finite = tuple(sorted([(rp.X, n) for n in zt]
-                              + [(rp.cyclotomic(d), n) for d, n in blocks]))
+        return OracleReport(left, right, finite, tuple(sorted(tz)), None)
+    finite = tuple(sorted([(rp.X, n) for n in zt] + [(rp.cyclotomic(d), n) for d, n in blocks]))
     return OracleReport(left, right, finite, tuple(sorted(tz)), tuple(blocks))
 
 
-def _assemble_cycles(blocks: tuple[tuple[int | None, int], ...]) -> tuple[int, ...] | None:
-    """Match a multiset of (d, exponent), one per divisor S(Phi_d^n) and d
-    None for a non-cyclotomic factor, against full divisor sets of X^n - 1,
-    largest n first; None when they do not assemble."""
-    if any(d is None or e != 1 for d, e in blocks):
+def _assemble_cycles(blocks: tuple[tuple[int, int], ...] | None) -> tuple[int, ...] | None:
+    """Match a multiset of (d, exponent), one per divisor S(Phi_d^n),
+    against full divisor sets of X^n - 1, largest n first; None when they
+    do not assemble, or for None, which the Smith fallback reports."""
+    if blocks is None or any(e != 1 for _, e in blocks):
         return None
     indices = Counter(d for d, _ in blocks)
     cycles = []

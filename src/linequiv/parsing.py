@@ -11,12 +11,12 @@ DOT subset:
     digraph [name] { <id>; <id> -> <id>; ... }
 
 Only node and edge statements are accepted; strict graphs, attributes,
-subgraphs, undirected edges and ``+`` concatenation are rejected, except
-that a node statement may carry one ``[label=<id>]``, which is ignored (so
-``contract --dot`` output reads back).  Outside quotes, ``#`` and ``//``
-start a comment that runs to the end of its line, and ``/*`` one that runs
-to the next ``*/``, as in Graphviz; an unterminated ``/*`` is an error.
-Keywords are matched in any case, and a bare keyword is never an id.
+subgraphs, undirected edges, chained edges and ``+`` concatenation are
+rejected.  Outside quotes, ``#`` and ``//`` start a comment that runs to
+the end of its line, and ``/*`` one that runs to the next ``*/``, as in
+Graphviz; an unterminated ``/*`` is an error.  A bare id stops where a
+comment, ``->`` or ``--`` starts, so ``a->b`` is an edge and ``a-b`` one
+id.  Keywords are matched in any case, and a bare keyword is never an id.
 Identifiers may be double-quoted, which is how class labels like ``{a,b}``
 or ``subgraph`` survive a round trip: a quoted id is always an id, never
 punctuation, a keyword or a comment.  Inside quotes ``\"`` stands for
@@ -67,10 +67,10 @@ def parse_graph(text: str, format: str = "auto", strict: bool = False) -> MultiD
 
 
 # `digraph`, in any case, as a whole first DOT token, after blanks, whole
-# DOT comments and an optional `strict`: not followed by a bare-id character
+# DOT comments and an optional `strict`: not followed by what a bare id takes
 _DOT_GAP = r'(?:\s|(?:#|//)[^\n]*(?![^\n])|/\*(?:[^*]|\*(?!/))*\*/)'
-_DOT_START = re.compile(rf'{_DOT_GAP}*(?:(?i:strict){_DOT_GAP}+)?'
-                        r'(?i:digraph)(?![^\s{};=\[\],"#/]|/(?![/*]))')
+_BARE_PART = r'[^\s{};=\[\],"#/-]+|/(?![/*])|-(?![->])'
+_DOT_START = re.compile(rf'{_DOT_GAP}*(?:(?i:strict){_DOT_GAP}+)?(?i:digraph)(?!{_BARE_PART})')
 
 
 _COMMENT = re.compile("#[^\n]*")
@@ -120,10 +120,10 @@ def _parse_edge_list(text: str, strict: bool) -> MultiDigraph:
 # blanks between tokens are skipped.  Inside quotes \" is an escaped quote
 # and any other backslash is itself.  A /* comment runs to the first */, or
 # to the end of the text when there is none.  A bare id stops where a
-# comment starts.
+# comment, -> or -- starts.
 _DOT_TOKEN = re.compile(
     r'->|--|[{};=\[\],]|"[^"\\]*(?:\\(?:"|(?!"))[^"\\]*)*"|#[^\n]*|//[^\n]*'
-    r'|(?s:/\*.*?(?:\*/|\Z))|(?:[^\s{};=\[\],"#/]+|/(?![/*]))+')
+    rf'|(?s:/\*.*?(?:\*/|\Z))|(?:{_BARE_PART})+')
 _DOT_PUNCT = frozenset(("->", "--", "{", "}", ";", "=", "[", "]", ","))
 _NOT_ID = _DOT_PUNCT | {""}  # "" is the end of input
 
@@ -232,14 +232,11 @@ def _parse_dot(text: str, strict: bool) -> MultiDigraph:
                         fail(f"undeclared vertex {vals[j]!r}", j)
             ids.append((declare(vals[i], len(index)), declare(vals[i + 2], len(index))))
             i += 3
-        else:  # a node statement; a lone [label=<id>], as `contract --dot` writes it, is skipped
+        else:  # a node statement
             if vals[i] in index:
                 fail(f"duplicate vertex declaration {vals[i]!r}", i)
             index[vals[i]] = len(index)
             i += 1
-            if (raw[i] == "[" and raw[i + 1] not in _NOT_ID and vals[i + 1] == "label"
-                    and raw[i + 2] == "=" and raw[i + 3] not in _NOT_ID and raw[i + 4] == "]"):
-                i += 5
         if raw[i] == ";":
             i += 1
     if raw[i + 1]:

@@ -117,17 +117,15 @@ def _root_candidates(g: Poly) -> set[Fraction]:
             for sign in (1, -1)}
 
 
-def factor_stored(q: Poly) -> list[tuple[Poly, int, int | None]]:
-    """Split monic(q(-X)) into irreducibles: an X-power, cyclotomic factors,
-    linear factors at its rational roots; anything else is unsupported.
-    Each comes as (p, exponent, d): d for p = Phi_d, None for X and for a
-    linear factor at a rational root (X - 1 and X + 1 are Phi_1 and Phi_2,
-    divided out first)."""
+def factor_stored(q: Poly) -> list[tuple[Poly, int]]:
+    """Split monic(q(-X)) into (p, exponent) per irreducible p: an X-power,
+    cyclotomic factors, linear factors at its rational roots; anything else
+    is unsupported."""
     g = rp.monic(rp.substitute_neg_x(q))
-    out: Counter[tuple[Poly, int | None]] = Counter()
+    out: Counter[Poly] = Counter()
     k = rp.x_order(g)
     if k:
-        out[rp.X, None] += k
+        out[rp.X] += k
         g = rp.norm(g[k:])
     d = 1
     while rp.deg(g) >= 1:
@@ -137,20 +135,19 @@ def factor_stored(q: Poly) -> list[tuple[Poly, int, int | None]]:
             phi = rp.cyclotomic(d)
             quo, rem = rp.divmod_poly(g, phi)
             if rp.is_zero(rem):
-                out[phi, d] += 1
+                out[phi] += 1
                 g = quo
                 continue  # repeat the same d; exponents can exceed one
         d += 1
     for root in _root_candidates(g) if rp.deg(g) > 1 else ():
         linear = rp.poly(-root, 1)
         while rp.deg(g) > 1 and rp.divides(linear, g):
-            out[linear, None] += 1
+            out[linear] += 1
             g = rp.divmod_poly(g, linear)[0]
     if rp.deg(g) == 1:  # a linear residue is its own root
-        out[g, None] += 1
+        out[g] += 1
     elif rp.deg(g) > 1:
         raise OracleFactorError(
             f"cannot factor invariant-factor part {rp.poly_str(g)} over the rationals "
             f"(rational roots are sought by trial division up to {DIVISOR_LIMIT})")
-    # group equal irreducibles into (p, exponent, d) with exponent = multiplicity
-    return sorted((p, e, d) for (p, d), e in out.items())
+    return sorted(out.items())

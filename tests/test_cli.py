@@ -93,6 +93,8 @@ def test_parse_error_exit_code(capsys, tmp_path):
     ("digraph { a -> b; edge; }", "'edge' is a keyword; quote it to use it as an id"),
     ("digraph { a -> subgraph; }", "subgraphs are not supported"),
     ("digraph {\n a -> b; /* note\n}\n", "line 2, column 10: unterminated comment"),
+    ('digraph {\n  c0 [label="{a,b}"];\n}\n', "line 2, column 6: attributes are not supported"),
+    ("digraph { a->b->c; }", "line 1, column 15: chained edges are not supported"),
 ])
 def test_unsupported_dot_is_usage_error(capsys, tmp_path, text, message):
     path = tmp_path / "g.dot"
@@ -128,21 +130,31 @@ def test_contract_command(capsys, g4_file):
     code, out, _ = run(capsys, "contract", g4_file, "--left", "1", "--dot")
     assert code == 0
     assert out.startswith("digraph {")
-    assert '[label="{1,11}"]' in out
+    assert '"{1,11}"' in out and "[" not in out
 
 
 def test_contract_dot_reads_back(capsys, tmp_path):
     source = tmp_path / "acd.edges"
     source.write_text("a c\nb c\nc d\n")
     code, out, _ = run(capsys, "contract", str(source), "--right", "1", "--dot")
-    assert code == 0 and '  c0 [label="{a,b}"];' in out
+    assert (code, out) == (0, 'digraph {\n  "{a,b}" -> c;\n  c -> d;\n}\n')
     quotient = tmp_path / "quotient.dot"
     quotient.write_text(out)
     code, out, err = run(capsys, "reduce", str(quotient), "--json")
     assert (code, err) == (0, "")
-    assert json.loads(out) == {"vertices": ["c0", "c1", "c2"],
-                               "pairs": [["c0", "c1"], ["c1", "c2"]],
+    assert json.loads(out) == {"vertices": ["{a,b}", "c", "d"],
+                               "pairs": [["{a,b}", "c"], ["c", "d"]],
                                "parallel_class_sizes": [1, 1], "split_count": 0}
+
+
+def test_contract_dot_refuses_a_singleton_label_ending_in_a_backslash(capsys, tmp_path):
+    # a singleton class keeps its label, and DOT cannot quote a final '\'
+    source = tmp_path / "g.edges"
+    source.write_text("a\\ b\n")
+    code, out, _ = run(capsys, "contract", str(source))
+    assert (code, out.splitlines()[-1]) == (0, "a\\ b")
+    code, out, err = run(capsys, "contract", "--dot", str(source))
+    assert (code, out, err) == (2, "", "error: label 'a\\\\' cannot be written in DOT output\n")
 
 
 def test_output_follows_declaration_order(capsys, tmp_path):
@@ -170,8 +182,9 @@ def test_class_labels_matter_only_where_they_are_written(capsys, tmp_path):
     path.write_text("a c\nb c\nc d\nvertex {a,b}\n")
     code, out, _ = run(capsys, "invariants", str(path))
     assert code == 0 and "vertex identity: ok" in out
-    code, out, err = run(capsys, "contract", str(path), "--right", "1")
-    assert (code, out, err) == (2, "", "error: duplicate vertex label\n")
+    for extra in ([], ["--json"], ["--dot"]):
+        code, out, err = run(capsys, "contract", str(path), "--right", "1", *extra)
+        assert (code, out, err) == (2, "", "error: duplicate vertex label\n"), extra
 
 
 def test_contract_huge_counts_stop_at_the_fixpoint(capsys, g4_file):
@@ -281,13 +294,12 @@ def test_dot_class_labels_with_quotes_read_back(capsys, tmp_path):
     path = tmp_path / "quote.edges"
     path.write_text('a"b c\nd\\e c\n')
     code, out, err = run(capsys, "contract", "--dot", "--right", "1", str(path))
-    assert (code, err) == (0, "")
-    assert '  c0 [label="{a\\"b,d\\e}"];' in out
+    assert (code, out, err) == (0, 'digraph {\n  "{a\\"b,d\\e}" -> c;\n}\n', "")
     quotient = tmp_path / "quotient.dot"
     quotient.write_text(out)
     code, out, err = run(capsys, "reduce", str(quotient), "--json")
     assert (code, err) == (0, "")
-    assert json.loads(out)["pairs"] == [["c0", "c1"]]
+    assert json.loads(out)["pairs"] == [['{a"b,d\\e}', "c"]]
 
 
 def test_main_calls_share_one_parser(capsys, g1_file):

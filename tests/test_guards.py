@@ -1,7 +1,7 @@
 """Structural guards: the oracle stays independent of the contraction route
 and its rank route reads integer rows only, every module a graph command
-compiles stays below the parser's token step, and every public name has a
-reader besides the tests."""
+compiles stays below the parser's token step, only the oracle reaches the
+Smith fallback, and every public name has a reader besides the tests."""
 
 import ast
 import re
@@ -44,6 +44,19 @@ def test_oracle_shares_no_code_with_the_contraction_route():
     # the oracle's own helpers import no further linequiv code
     assert set(_imports(package / "echelon.py")) == set()
     assert set(_imports(package / "smith.py")) <= {"ratpoly"}
+
+
+def test_only_the_oracle_reaches_the_smith_fallback():
+    # so retiring the fallback deletes smith.py and one import in oracle.py;
+    # a module name in a string counts too (`_lazy_submodule("smith")`)
+    package = ROOT / "src" / "linequiv"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        names = {node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        if "smith" in _imports(path) or names & {"smith", "linequiv.smith"}:
+            importers.append(path.name)
+    assert importers == ["oracle.py"]
 
 
 def test_the_rank_route_reads_integer_rows_only():

@@ -15,7 +15,7 @@ from linequiv import (InvariantRecord, canonical_pair, compare, full_invariants,
                       minimal_indices_left, minimal_indices_right, oracle_invariants,
                       regular_pair)
 from linequiv import oracle, ratpoly as rp
-from linequiv.cli import run_fuzz
+from linequiv.cli import random_relation, run_fuzz
 from linequiv.echelon import Echelon
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
@@ -477,24 +477,36 @@ def smith_reference(p: PairMatrices) -> OracleReport:
         return [[rp.poly(a, b) for a, b in zip(*rows)] for rows in zip(first, second)]
 
     m, n = dense(p)
-    finite, blocks = Counter(), Counter()
-    for q in invariant_factors(pencil(m, n)):
-        for irred, mult, d in factor_stored(q):
-            finite[(irred, mult)] += 1
-            if irred != rp.X:
-                blocks[(d, mult)] += 1
+    finite = sorted(factor for q in invariant_factors(pencil(m, n)) for factor in factor_stored(q))
+    blocks = [(cyclotomic_index(irred), mult) for irred, mult in finite if irred != rp.X]
     infinite = [rp.x_order(q) for q in invariant_factors(pencil(n, m))]
-    return OracleReport(left(p), left(transposed(p)), tuple(sorted(finite.elements())),
-                        tuple(sorted(k for k in infinite if k)), tuple(blocks.elements()))
+    return OracleReport(left(p), left(transposed(p)), tuple(finite),
+                        tuple(sorted(k for k in infinite if k)),
+                        None if any(d is None for d, _ in blocks) else tuple(blocks))
+
+
+def cyclotomic_index(poly) -> int | None:
+    """The d with poly = Phi_d, or None; phi(d) >= sqrt(d/2), so a d past
+    2*deg^2 has phi(d) > deg."""
+    deg = rp.deg(poly)
+    return next((d for d in range(1, 2 * deg * deg + 1)
+                 if rp.totient(d) == deg and rp.cyclotomic(d) == poly), None)
 
 
 def test_rank_only_analyze_matches_the_smith_reference():
+    smith_route = 0
     for p in differential_pairs():
         report, reference = analyze(p), smith_reference(p)
         assert report == reference, p
         # cyclotomic_blocks is not compared by ==: the scan's d for each
-        # divisor against the d the Smith factoring names
-        assert Counter(report.cyclotomic_blocks) == Counter(reference.cyclotomic_blocks), p
+        # divisor against the d of the Smith factor it equals, and None
+        # where a factor is not cyclotomic, which the fallback reports
+        if reference.cyclotomic_blocks is None:
+            assert report.cyclotomic_blocks is None, p
+            smith_route += 1
+        else:
+            assert Counter(report.cyclotomic_blocks) == Counter(reference.cyclotomic_blocks), p
+    assert smith_route >= 5
 
 
 def test_smith_fallback_never_runs_on_graph_pairs(monkeypatch, g1, g2, g3, g4):
@@ -512,32 +524,33 @@ def test_smith_fallback_never_runs_on_graph_pairs(monkeypatch, g1, g2, g3, g4):
     assert calls
 
 
-def test_factor_stored_names_each_cyclotomic_d():
-    # the Smith fallback reads each factor's d off its own factoring: d for
-    # Phi_d, None for X and for a linear factor at a rational root
+def test_factor_stored_splits_into_irreducibles():
+    # each irreducible factor with its exponent, cyclotomic or not
     for d in (1, 2, 3, 4, 5, 6, 8, 12, 15):
         stored = rp.cyclotomic(d)
-        assert factor_stored(rp.substitute_neg_x(stored)) == [(stored, 1, d)]
+        assert factor_stored(rp.substitute_neg_x(stored)) == [(stored, 1)]
     x3_minus_1 = rp.poly(-1, 0, 0, 1)  # reducible: Phi_1 * Phi_3
     assert factor_stored(rp.substitute_neg_x(x3_minus_1)) == [
-        (rp.cyclotomic(1), 1, 1), (rp.cyclotomic(3), 1, 3)]
+        (rp.cyclotomic(1), 1), (rp.cyclotomic(3), 1)]
     two, half = rp.poly(-2, 1), rp.poly(Fraction(-1, 2), 1)
     stored = rp.mul(rp.mul(rp.x_power(2), rp.mul(two, two)),
                     rp.mul(half, rp.mul(rp.cyclotomic(6), rp.cyclotomic(6))))
-    assert Counter(map(tuple, factor_stored(rp.substitute_neg_x(stored)))) == Counter(
-        [(rp.X, 2, None), (two, 2, None), (half, 1, None), (rp.cyclotomic(6), 2, 6)])
+    assert Counter(factor_stored(rp.substitute_neg_x(stored))) == Counter(
+        [(rp.X, 2), (two, 2), (half, 1), (rp.cyclotomic(6), 2)])
 
 
-def test_cyclotomic_blocks_come_from_both_routes():
-    # the rank route's scan names each d; so does the Smith route, which a
-    # residue at X - 2 forces, for the cyclotomic part beside it
+def test_cyclotomic_blocks_come_from_the_rank_route():
+    # the rank route's scan names each d; the Smith route, which a residue
+    # at X - 2 forces, names none, even for the cyclotomic part beside it,
+    # and its record has no cycles
     report = analyze(linearize(cycles_graph((6, 2))))
     assert sorted(report.cyclotomic_blocks) == [(1, 1), (1, 1), (2, 1), (2, 1), (3, 1), (6, 1)]
     six = rp.sub(rp.x_power(6), rp.ONE)
     p = regular_pair(rp.mul(six, rp.poly(-2, 1)))
-    assert Counter(analyze(p).cyclotomic_blocks) == Counter(
-        [(1, 1), (2, 1), (3, 1), (6, 1), (None, 1)])
+    assert analyze(p).cyclotomic_blocks is None
     assert oracle_invariants(p).cycles == ()
+    assert oracle_invariants(p).regular_divisors == tuple(sorted(
+        [(rp.cyclotomic(d), 1) for d in (1, 2, 3, 6)] + [(rp.poly(-2, 1), 1)]))
     assert oracle_invariants(regular_pair(rp.poly(-2, 1))).cycles == ()
 
 
@@ -596,6 +609,45 @@ def test_echelon_rank_modulo_a_prime():
                    for col, pivot in echelon.pivots.items())
         # a rank cannot rise under reduction mod p
         assert rank_of_rows(rows) >= rank_of_rows(rows, p) == echelon.rank
+
+
+def block_toeplitz(pairs, width: int, k: int, truncated: bool) -> list[dict]:
+    """Row block j < k holds each pair's x at column block j and its y at
+    column block j + 1, in blocks `width` wide; a truncated matrix leaves y
+    out of its last row block.  Untruncated, from a pair's rows (m, n), this
+    is the minimal-index T_k; truncated, from (m, n) or (n, m), the local
+    type's T_k."""
+    rows = []
+    for j in range(k):
+        for x, y in pairs:
+            row = {j * width + c: a for c, a in x.items()}
+            if not (truncated and j == k - 1):
+                row.update({(j + 1) * width + c: b for c, b in y.items()})
+            rows.append(row)
+    return rows
+
+
+def test_singular_part_ranks_are_the_same_over_every_field():
+    # a graph pair's 0/1 rows put one 1 in M and one in N, so each row of
+    # these matrices, or each column on the column side, holds at most two
+    # 1s, in adjacent column blocks: they are totally unimodular (README,
+    # "Field independence"), and their rank is the same over Q, F_2 and F_3
+    rng = random.Random("linequiv-test:field-independence")
+    compared = dependent = 0
+    for _ in range(300):
+        rel = random_relation(rng, rng.randint(1, 7), Fraction(rng.randint(1, 6), 10))
+        p = linearize(rel)
+        columns = list(zip(*_transpose(p)))
+        for k in range(1, 5):
+            for rows in (block_toeplitz(p.rows, p.vertex_dim, k, False),
+                         block_toeplitz(columns, p.edge_dim, k, False),
+                         block_toeplitz(p.rows, p.vertex_dim, k, True),
+                         block_toeplitz([(n, m) for m, n in p.rows], p.vertex_dim, k, True)):
+                rank = rank_of_rows(rows)
+                assert rank_of_rows(rows, 2) == rank == rank_of_rows(rows, 3), (rel, k)
+                compared += 1
+                dependent += rank < len(rows)
+    assert compared == 300 * 4 * 4 and dependent > compared // 3
 
 
 def test_screen_keeps_every_root_the_lift_finds():

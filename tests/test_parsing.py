@@ -6,9 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from linequiv import (BinaryRelation, MultiDigraph, ParseError, iterated_contraction,
                       parse_graph, serialize)
-from linequiv.cli import _quotient_dot
 from linequiv.parsing import dot_id
-from linequiv.relation import reduce
+from linequiv.relation import class_label, reduce
 
 from conftest import relation
 
@@ -68,10 +67,26 @@ def test_dot_named_graph_isolated_nodes_quoted_ids():
     assert g.edges == (("y z w", "x"),)
 
 
-def test_dot_node_label_attribute_is_ignored():
-    g = parse_graph('digraph {\n  c0 [label="{a,b}"];\n  c1 [ label = c ]\n  c0 -> c1;\n}\n')
-    assert g.vertices == ("c0", "c1")
-    assert g.edges == (("c0", "c1"),)
+def test_dot_node_label_attribute_is_rejected():
+    # like every attribute; `contract --dot` names each node by its label
+    for text, column in (('digraph {\n  c0 [label="{a,b}"];\n  c0 -> c1;\n}\n', 6),
+                         ("digraph {\n  c1 [ label = c ]\n}\n", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == f"line 2, column {column}: attributes are not supported"
+
+
+def test_dot_bare_id_stops_at_an_edge_operator():
+    # `-` joins a bare id unless it starts `->` or `--`
+    assert parse_graph("digraph { a->b; }").edges == (("a", "b"),)
+    assert parse_graph('digraph{a->"b"}').edges == (("a", "b"),)
+    g = parse_graph("digraph { a-b -> -b; 1.5 -> -2; x- ->-; }")
+    assert g.vertices == ("a-b", "-b", "1.5", "-2", "x-", "-")
+    assert g.edges == (("a-b", "-b"), ("1.5", "-2"), ("x-", "-"))
+    # `digraph` is the whole first token before `->`, so this is DOT
+    with pytest.raises(ParseError, match="expected '{', got '->'"):
+        parse_graph("digraph->x y\n")
+    assert parse_graph("digraph-x y\n").vertices == ("digraph-x", "y")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -92,6 +107,8 @@ def test_dot_node_label_attribute_is_ignored():
     ("digraph Strict { a; }", "'Strict' is a keyword"),
     ("digraph { Digraph -> a; }", "'Digraph' is a keyword"),
     ("digraph { a [label=NODE]; }", "'NODE' is a keyword"),
+    ("digraph { a->b->c; }", "chained"),
+    ("digraph { a--b; }", "undirected"),
 ])
 def test_dot_rejects_unsupported(text, message):
     with pytest.raises(ParseError, match=message):
@@ -126,6 +143,11 @@ def test_dot_rejects_unsupported(text, message):
     ('digraph {\n "a\\"b";\n "c\\" -> d;\n}', False, "line 2, column 1: unreadable input"),
     ("digraph {\n a;\n b; /* c */ /* d\n}", False, "line 3, column 13: unterminated comment"),
     ("digraph {\n a; /*/ b; */\n c; /*/\n}", False, "line 3, column 5: unterminated comment"),
+    ("digraph {\n a->b->c;\n}", False,
+     "line 2, column 6: chained edges are not supported; one edge per statement"),
+    ("digraph {\n a;\n b--c;\n}", False, "line 3, column 3: undirected edges are not supported"),
+    ("digraph {\n a-->b;\n}", False, "line 2, column 3: undirected edges are not supported"),
+    ("digraph{a->\n}", False, "line 1, column 10: expected a vertex after '->'"),
 ])
 def test_error_positions(text, strict, message):
     with pytest.raises(ParseError) as err:
@@ -325,17 +347,28 @@ def test_serialize_round_trips_or_refuses_for_a_documented_reason(r, format):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(text_relations(min_vertices=1), st.integers(0, 2), st.integers(0, 2))
+# the class {a,b} beside a vertex named {a,b}, which random labels seldom give
+@example(BinaryRelation(("a", "b", "c", "d", "{a,b}"), frozenset({("a", "c"), ("b", "c"),
+                                                                  ("c", "d")})), 0, 1)
 def test_contract_dot_output_reads_back(r, left, right):
-    # `contract` reads its input with parse_graph, so it has a vertex
+    # `contract` reads its input with parse_graph, so it has a vertex;
+    # `contract --dot` writes serialize(contracted, "dot")
     contracted, part = iterated_contraction(r, left, right)
-    text = _quotient_dot(contracted, part)
+    try:
+        text = serialize(contracted, "dot")
+    except ValueError as exc:
+        # the two documented reasons: a singleton class keeps its label,
+        # which may end in a backslash, and class labels may collide
+        labels = [class_label(cls) for cls in part.classes]
+        if "duplicate vertex label" in str(exc):
+            assert len(set(labels)) < len(labels)
+        else:
+            assert "cannot be written in DOT output" in str(exc)
+            assert any(label.endswith("\\") for label in labels)
+        return
     back = reduce(parse_graph(text)).reduced
-    names = tuple(f"c{i}" for i in range(len(part.classes)))
-    assert back.vertices == names
-    assert back.pairs == {(names[s], names[t]) for s, t in contracted.ids}
-    # each class label reads back from its quoted [label=...] value
-    labels = [_reference_quoted(text, m.end())[0] for m in re.finditer(r"\[label=(?=\")", text)]
-    assert labels == ["{" + ",".join(cls) + "}" for cls in part.classes]
+    assert set(back.vertices) == set(contracted.vertices)
+    assert back.pairs == contracted.pairs
 
 
 @pytest.mark.parametrize("edges", [(("vertex", "x"),), (("a b", "c"),), (("", "x"),),
@@ -407,7 +440,7 @@ _REFERENCE_TOKEN = re.compile(
         (?P<comment>\#[^\n]*|//[^\n]*)  |
         (?P<open>/\*)                   |
         (?P<quote>")                    |
-        (?P<bare>(?:[^\s{};=\[\],"\#/]|/(?![/*]))+)
+        (?P<bare>(?:[^\s{};=\[\],"\#/-]|/(?![/*])|-(?![->]))+)
     )""",
     re.VERBOSE,
 )
@@ -536,9 +569,6 @@ def _reference_dot(text, strict):
                 fail(f"duplicate vertex declaration {tok!r}", i)
             index[tok] = len(index)
             i += 1
-            if (punct(i, "[") and is_id(i + 1) and toks[i + 1][0] == "label"
-                    and punct(i + 2, "=") and is_id(i + 3) and punct(i + 4, "]")):
-                i += 5
         if punct(i, ";"):
             i += 1
     if toks[i + 1][2] != "end":
@@ -586,14 +616,15 @@ _DOT_WORDS = ["digraph", "{", "}", ";", "->", "--", "[", "]", "=", ",", "label",
               '"x', '"p\\q"', "# note\n", "+", '"subgraph"', "SubGraph", '"digraph"', "STRICT",
               "node", "Edge", "GRAPH", '"node"', '"a\\"b"', '"q\\\\"', '"x#y"', '# "\n', "#",
               "// c\n", "/* c */", "/*", "*/", "/*/", "/**/", "a//b", "a/*b*/", "/x", '"//"',
-              '"/*"', '/* "\n */']
+              '"/*"', '/* "\n */', "a-b", "-b", "a--b", "x-", "-", "-2", "a-->b", "->b", "a->\"b\""]
 
 
 def _random_dot(rng):
     toks = [rng.choice(["digraph", "DiGraph"]), *rng.choice([[], ["g"], ['"g h"']]), "{"]
     for _ in range(rng.randint(0, 6)):
         a, b = rng.choice(_LABELS[:5]), rng.choice(["a", "b", "c", '"a b"', "d"])
-        toks += rng.choice([[a, "->", b], [a], [a, "[", "label", "=", b, "]"]])
+        toks += rng.choices([[a, "->", b], [a], [f"{a}->{b}"], [a, "[", "label", "=", b, "]"]],
+                            weights=(6, 3, 3, 1))[0]
         if rng.random() < 0.7:
             toks.append(";")
     toks.append("}")
