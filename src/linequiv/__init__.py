@@ -19,18 +19,14 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "contraction": ("ContractionDiagram", "StabilizationShapeError", "StableShape",
-                    "classify_stable", "gamma_table", "iterated_contraction", "left_partition",
-                    "right_partition", "stabilize"),
-    "invariants": ("ConsistencyError", "DualFormMismatch", "EquivVerdict",
-                   "InvariantRecord", "NegativeMultiplicity",
-                   "analyze_graph", "cyclotomic_refine", "decide_equiv", "full_invariants",
-                   "part_one", "part_three_zt00", "part_two",
-                   "vertex_check"),
+    "contraction": ("ContractionDiagram", "StableShape", "classify_stable", "gamma_table",
+                    "iterated_contraction", "left_partition", "right_partition", "stabilize"),
+    "invariants": ("EquivVerdict", "InvariantRecord", "analyze_graph", "cyclotomic_refine",
+                   "decide_equiv", "full_invariants", "part_one", "part_three_zt00",
+                   "part_two"),
     "linearize": ("PairMatrices", "linearize", "parse_pair_file"),
-    "oracle": ("DimensionMismatch", "OracleReport", "analyze", "canonical_pair", "compare",
-               "minimal_indices_left", "minimal_indices_right",
-               "oracle_invariants", "regular_pair"),
+    "oracle": ("OracleReport", "analyze", "canonical_pair", "compare", "minimal_indices_left",
+               "minimal_indices_right", "oracle_invariants", "regular_pair"),
     "parsing": ("ParseError", "parse_graph", "serialize"),
     "relation": ("BinaryRelation", "GraphError", "MultiDigraph", "Partition",
                  "ReductionSummary", "converse", "quotient", "reduce"),

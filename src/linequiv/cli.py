@@ -2,14 +2,16 @@
 
 Commands: reduce, contract, diagram, invariants, equiv, oracle, fuzz.
 Exit codes: 0 success (or equivalent / all trials passed), 1 not equivalent
-or a failed cross-check, 2 usage or parse error, or a matrix pair the oracle
-cannot factor, 3 internal consistency error or out of memory, 141 the reader
-closed the output pipe early (128 + SIGPIPE, as a shell reports it).  With
---json all output is a single JSON document with sorted keys, byte-stable for
-a given input and version, written by `json_text`.  A relation's pairs and
-gamma's nonstable points reach it as text already (`_Written`): each label
-quoted once, the pairs written in one pass over the canonical edge order,
-and the nonstable lines sorted as text.
+or a failed cross-check, 2 rejected input, 3 a failed self-check or out of
+memory, 141 the reader closed the output pipe early (128 + SIGPIPE, as a
+shell reports it).  Rejected input (a usage or parse error, or a matrix
+pair the oracle cannot factor) raises a ValueError, and a failed self-check
+an AssertionError, so `main` catches both by their base class without
+loading the oracle.  With --json all output is a single JSON document with
+sorted keys, byte-stable for a given input and version, written by
+`json_text`.  A relation's pairs and gamma's nonstable points reach it as
+text already (`_Written`): each label quoted once, the pairs written in one
+pass over the canonical edge order, and the nonstable lines sorted as text.
 
 Graph commands load only the contraction route.  The oracle side
 (`linearize`, `oracle`, and through it `smith` and `echelon`) runs only for
@@ -31,26 +33,19 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__, _lazy_submodule
-from .contraction import (FIRST_POINTS, ContractionDiagram, StabilizationShapeError,
-                          gamma_table, iterated_contraction)
-from .invariants import (_CELLS, ConsistencyError, DualFormMismatch, NegativeMultiplicity,
-                         analyze_graph, cell_contents, decide_equiv, full_invariants,
+from .contraction import FIRST_POINTS, ContractionDiagram, gamma_table, iterated_contraction
+from .invariants import (_CELLS, analyze_graph, cell_contents, decide_equiv, full_invariants,
                          record_to_json)
-from .parsing import ParseError, parse_graph, serialize
-from .relation import BinaryRelation, GraphError, MultiDigraph, reduce as reduce_graph
+from .parsing import parse_graph, serialize
+from .relation import BinaryRelation, MultiDigraph, reduce as reduce_graph
 
 _linearize = _lazy_submodule("linearize")
 _oracle = _lazy_submodule("oracle")
 
-# the oracle's DimensionMismatch is an AssertionError, and its
-# OracleFactorError a ValueError, so main catches both without loading it
-_INTERNAL_ERRORS = (ConsistencyError, DualFormMismatch, NegativeMultiplicity,
-                    StabilizationShapeError, AssertionError)
-
 _GOLDEN_RATIO_STEP = 0x9E3779B97F4A7C15  # odd, so trial seeds cover Z/2^64
 
 
-class _Usage(Exception):
+class _Usage(ValueError):
     pass
 
 
@@ -453,10 +448,10 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (_Usage, ParseError, GraphError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _INTERNAL_ERRORS as exc:
+    except AssertionError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

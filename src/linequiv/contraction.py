@@ -45,9 +45,12 @@ whose merges all fall on one side, such as a Y graph, a chain runs only the
 steps that merge, and no probe.
 
 The diagonals -1 and -2 come from a second, right-first chain, which counts
-the main diagonal a second time: the two counts must agree, as must the two
-fixpoints.  The chains run one after the other and each returns only the
-class ids of its fixpoint, so one quotient is alive at a time.
+the main diagonal a second time: the two lists must be equal, as must the
+two fixpoints.  Each chain runs K + 1 rounds, K the least k with P(k, k) a
+fixpoint, since a round from any earlier P(j, j) merges in one of its
+steps; so both lists have K + 2 entries.  The chains run one after the
+other and each returns only the class ids of its fixpoint, so one quotient
+is alive at a time.
 
 A one-sided relation runs no chain.  If every vertex has at most one
 out-edge, the relation is a partial map f.  A right merge joins classes that
@@ -83,8 +86,8 @@ Partition; two chains agree when their arrays are equal.  relation.py
 turns such an array back into labels.
 
 Every contracted relation eventually stabilizes at a disjoint union of
-directed cycles and simple directed paths; anything else raises
-StabilizationShapeError, which would signal a bug, not bad input.
+directed cycles and simple directed paths; anything else is a failed
+self-check, an AssertionError, which would signal a bug, not bad input.
 stabilize reads that shape, the stable relation and the rounds that reach
 it off gamma_table, so there is one dispatch between the two readers.
 """
@@ -97,10 +100,6 @@ from itertools import compress, count, filterfalse, repeat
 from operator import itemgetter
 
 from .relation import BinaryRelation, Partition, _quotient
-
-
-class StabilizationShapeError(RuntimeError):
-    """The fully contracted relation is not a union of cycles and paths."""
 
 
 def _find(parent, a: int) -> int:
@@ -401,11 +400,11 @@ class StableShape:
 
 def classify_stable(r: BinaryRelation) -> StableShape:
     """Decompose a bi-stable relation into directed cycles C_k and simple
-    directed paths on k vertices; anything else is a shape error."""
+    directed paths on k vertices; anything else fails a self-check."""
     succ = dict(r.ids)
     targets = set(succ.values())
     if len(targets) < r.edge_count or len(succ) < r.edge_count:
-        raise StabilizationShapeError("branching component in stable relation")
+        raise AssertionError("stable shape: a branching component in the stable relation")
     # every degree is at most one: walk each path from its start; what is
     # left lies on cycles
     seen: set[int] = set()
@@ -450,13 +449,13 @@ class ContractionDiagram:
     diagonals[o + 2][i] is gamma at m - n = o and min(m, n) = i, for every
     point the chains of gamma_table passed: o = 0, 1, 2 from the left-first
     chain, o = -1, -2 from the right-first one, and the main diagonal from
-    whichever went further, once the two agreed on it.  A relation with
-    out- or in-degree at most one runs no chain: every diagonal is read off
-    the counts of its one-sided reader, the main diagonal as the left-first
-    chain would list it.  Every other suitable
-    point lies beyond a chain's fixpoint and takes stable_value.  horizon
-    is the least D with gamma constant on suitable points having
-    min(m, n) >= D, and band_end the largest m + n of a stored point.
+    both, which must list the same counts.  A relation with out- or
+    in-degree at most one runs no chain: every diagonal is read off the
+    counts of its one-sided reader, the main diagonal as the left-first
+    chain would list it.  Every other suitable point lies beyond a chain's
+    fixpoint and takes stable_value.  horizon is the least D with gamma
+    constant on suitable points having min(m, n) >= D, and band_end the
+    largest m + n of a stored point.
     stable and depth are the fully contracted relation and the number of
     left-then-right rounds that reach it; `stabilize` reads them from here.
     """
@@ -523,11 +522,8 @@ def gamma_table(r: BinaryRelation) -> ContractionDiagram:
         (right_same, right_one, right_two), _, right_final = _chain(r, 1)
         if right_final != final:
             raise AssertionError("the left-first and right-first chains reach different fixpoints")
-        common = min(len(same), len(right_same))
-        if same[:common] != right_same[:common]:
+        if same != right_same:
             raise AssertionError("the left-first and right-first chains count different gamma(k, k)")
-        if len(right_same) > len(same):
-            same = right_same
         stable = _quotient(r, final)
     diagonals = tuple(map(tuple, (right_two, right_one, same, left_one, left_two)))
     return ContractionDiagram(diagonals, stable.vertex_count, stable, depth)

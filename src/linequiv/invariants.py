@@ -38,18 +38,6 @@ from .ratpoly import Poly, poly_str
 from .relation import BinaryRelation, MultiDigraph, reduce as reduce_graph
 
 
-class DualFormMismatch(RuntimeError):
-    """The two redundant difference forms disagreed; an upstream bug."""
-
-
-class NegativeMultiplicity(RuntimeError):
-    """A computed multiplicity went negative; an upstream bug."""
-
-
-class ConsistencyError(RuntimeError):
-    """Edge/vertex bookkeeping failed to close; an upstream bug."""
-
-
 MultMap = dict[int, int]
 
 # regular part of a non-graph pair: ((poly coefficients, exponent), ...)
@@ -62,7 +50,7 @@ def _clean(mult: MultMap, low: int) -> MultMap:
         if n < low:
             raise ValueError(f"multiplicity index {n} below {low}")
         if c < 0:
-            raise NegativeMultiplicity(f"multiplicity {c} at index {n}")
+            raise AssertionError(f"negative multiplicity: {c} at index {n}")
         if c:
             out[n] = c
     return out
@@ -109,6 +97,15 @@ class InvariantRecord:
                 + sum((n + 1) * c for n, c in self.t.items())
                 + sum(n * c for n, c in self.ztz.items())
                 + self._regular_edge_total())
+
+    def check_dimensions(self, edges: int, vertices: int) -> None:
+        """The edge and vertex identities: the summands must account for
+        exactly `edges` edges and `vertices` vertices, or a step upstream
+        is wrong."""
+        if (self.edge_total(), self.vertex_total()) != (edges, vertices):
+            raise AssertionError(
+                f"edge and vertex identities fail: record accounts for "
+                f"{self.edge_total()}x{self.vertex_total()}, pair is {edges}x{vertices}")
 
     def describe(self) -> str:
         """One-line rendering, e.g. ``ztz[1]=1 tz[1]=1 cycles=[1]``."""
@@ -181,9 +178,9 @@ def cell_contents(d: ContractionDiagram) -> list[tuple[int, ...]]:
 
 def _dual(label: str, n: int, form_a: int, form_b: int) -> int:
     if form_a != form_b:
-        raise DualFormMismatch(f"{label}[{n}]: {form_a} != {form_b}")
+        raise AssertionError(f"dual forms disagree: {label}[{n}]: {form_a} != {form_b}")
     if form_a < 0:
-        raise NegativeMultiplicity(f"{label}[{n}] = {form_a}")
+        raise AssertionError(f"negative multiplicity: {label}[{n}] = {form_a}")
     return form_a
 
 
@@ -193,7 +190,7 @@ def part_one(d: ContractionDiagram) -> tuple[MultMap, MultMap, MultMap]:
     zt, tz, ztz = {}, {}, {}
     for k, (a, b, b2, c, c2, dk, dk2) in enumerate(cell_contents(d), 1):
         if a < 0:
-            raise NegativeMultiplicity(f"ztz[{2 * k - 1}] = {a}")
+            raise AssertionError(f"negative multiplicity: ztz[{2 * k - 1}] = {a}")
         ztz[2 * k - 1], ztz[2 * k] = a, _dual("ztz", 2 * k, b, b2)
         tz[k], zt[k] = _dual("tz", k, c2, c), _dual("zt", k, dk, dk2)
     return tuple({n: v for n, v in mult.items() if v} for mult in (zt, tz, ztz))
@@ -214,16 +211,8 @@ def part_three_zt00(edge_count: int, partial: InvariantRecord) -> int:
     rest = partial.edge_total()
     value = edge_count - rest
     if value < 0:
-        raise NegativeMultiplicity(f"ztz[0] = {value}")
+        raise AssertionError(f"negative multiplicity: ztz[0] = {value}")
     return value
-
-
-def edge_check(edge_count: int, rec: InvariantRecord) -> bool:
-    return rec.edge_total() == edge_count
-
-
-def vertex_check(vertex_count: int, rec: InvariantRecord) -> bool:
-    return rec.vertex_total() == vertex_count
 
 
 @dataclass(frozen=True)
@@ -255,11 +244,7 @@ def analyze_graph(g: MultiDigraph | BinaryRelation) -> GraphAnalysis:
     if ztz0 + split:
         ztz[0] = ztz0 + split
     rec = InvariantRecord(zt, tz, t, ztz, cycles)
-    if not edge_check(g.edge_count, rec):
-        raise ConsistencyError(f"edge identity failed: {rec.edge_total()} != {g.edge_count}")
-    if not vertex_check(relation.vertex_count, rec):
-        raise ConsistencyError(
-            f"vertex identity failed: {rec.vertex_total()} != {relation.vertex_count}")
+    rec.check_dimensions(g.edge_count, g.vertex_count)
     return GraphAnalysis(g.edge_count, diagram, shape, rec)
 
 
@@ -320,7 +305,7 @@ def decide_equiv(a: MultiDigraph | BinaryRelation,
     else:
         verdict = EquivVerdict(True)
     if (xa.record == xb.record) != verdict.equivalent:
-        raise ConsistencyError("primitive invariants and records disagree")
+        raise AssertionError("primitive invariants and records disagree")
     return verdict
 
 
@@ -334,8 +319,8 @@ def record_to_json(rec: InvariantRecord, edge_count: int, vertex_count: int) -> 
         "t": {str(n): c for n, c in rec.t.items()},
         "ztz": {str(n): c for n, c in rec.ztz.items()},
         "cycles": list(rec.cycles),
-        "edge_check": edge_check(edge_count, rec),
-        "vertex_check": vertex_check(vertex_count, rec),
+        "edge_check": rec.edge_total() == edge_count,
+        "vertex_check": rec.vertex_total() == vertex_count,
     }
     if rec.regular_divisors is not None:
         out["regular_divisors"] = [

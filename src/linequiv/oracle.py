@@ -54,12 +54,6 @@ from .ratpoly import Poly
 from .smith import OracleFactorError, factor_stored, invariant_factors, pencil_matrix
 
 
-class DimensionMismatch(RuntimeError, AssertionError):
-    """The record, or the cyclotomic scan behind its regular part, does not
-    account for the matrix dimensions exactly.  An AssertionError too: a
-    failed internal check, which the CLI reports with exit 3."""
-
-
 def _columns(rows: list[SparseRow], cols: int) -> list[SparseRow]:
     out: list[SparseRow] = [{} for _ in range(cols)]
     for i, row in enumerate(rows):
@@ -315,7 +309,7 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
             blocks += [(d, n) for n, mult in sizes.items() for _ in range(mult // phi)]
     left = degree - sum(rp.totient(d) * n for d, n in blocks)
     if left < 0:
-        raise DimensionMismatch(f"roots of unity carry more than the regular degree {degree}")
+        raise AssertionError(f"regular degree: roots of unity carry more than {degree}")
     return blocks if left == 0 else None
 
 
@@ -349,7 +343,7 @@ def analyze(p: PairMatrices) -> OracleReport:
     tz = _local_type(n_cols, m_cols, e, rank)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
-        raise DimensionMismatch(f"singular and nilpotent parts take more than {v} vertices")
+        raise AssertionError(f"regular degree: singular and nilpotent parts exceed {v} vertices")
     blocks = _cyclotomic_blocks(basis, v, rank, degree)
     if blocks is None:  # the fallback: the divisors of M + X*N from its Smith form, factored
         finite = tuple(sorted(factor for q in invariant_factors(pencil_matrix(p.rows, v))
@@ -391,7 +385,7 @@ def oracle_invariants(p: PairMatrices) -> InvariantRecord:
     and ztz summands, which pins the edge count.  So the check below
     compares two independent computations only after the Smith fallback.
     On the rank route the checks are the cyclotomic scan's: a degree found
-    beyond the regular degree raises DimensionMismatch, and a shortfall
+    beyond the regular degree raises AssertionError, and a shortfall
     takes the Smith route, where the check below then applies.  A regular
     degree that is too small (zt, tz or a minimal index overcounted) goes
     unseen when the blocks found first fill it: scanned with degree 4, the
@@ -413,10 +407,7 @@ def oracle_invariants(p: PairMatrices) -> InvariantRecord:
     else:
         rec = InvariantRecord(dict(zt), dict(tz), dict(t), dict(ztz), (),
                               tuple(regular))
-    if rec.edge_total() != p.edge_dim or rec.vertex_total() != p.vertex_dim:
-        raise DimensionMismatch(
-            f"record accounts for {rec.edge_total()}x{rec.vertex_total()}, "
-            f"pair is {p.edge_dim}x{p.vertex_dim}")
+    rec.check_dimensions(p.edge_dim, p.vertex_dim)
     return rec
 
 

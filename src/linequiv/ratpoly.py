@@ -151,7 +151,8 @@ def cyclotomic(d: int) -> Poly:
     for e in range(1, d):
         if d % e == 0:
             p, rem = divmod_poly(p, cyclotomic(e))
-            assert not rem
+            if rem:
+                raise AssertionError(f"cyclotomic: Phi_{e} does not divide X^{d} - 1")
     return p
 
 

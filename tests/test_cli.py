@@ -257,20 +257,29 @@ def test_diagram_max_band_reads_only_suitable_points(monkeypatch, capsys, tmp_pa
 
 
 def test_chains_must_agree_on_the_main_diagonal(monkeypatch, capsys, g4_file):
+    # a changed count, and a main diagonal cut short, which agrees with the
+    # left-first chain's on every entry it has
     chain = contraction._chain
 
-    def perturbed(r, side):
-        (same, one, two), depth, q = chain(r, side)
-        if side == 1:  # the right-first chain
-            same[1] += 1
-        return (same, one, two), depth, q
+    def bump(same):
+        same[1] += 1
 
-    monkeypatch.setattr(contraction, "_chain", perturbed)
-    with pytest.raises(AssertionError, match=r"gamma\(k, k\)"):
-        contraction.gamma_table(relation(braided()))
-    code, out, err = run(capsys, "invariants", g4_file)
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: AssertionError: ") and "gamma(k, k)" in err
+    def truncate(same):
+        del same[-1]
+
+    for perturb in (bump, truncate):
+        def perturbed(r, side):
+            (same, one, two), depth, q = chain(r, side)
+            if side == 1:  # the right-first chain
+                perturb(same)
+            return (same, one, two), depth, q
+
+        monkeypatch.setattr(contraction, "_chain", perturbed)
+        with pytest.raises(AssertionError, match=r"gamma\(k, k\)"):
+            contraction.gamma_table(relation(braided()))
+        code, out, err = run(capsys, "invariants", g4_file)
+        assert (code, out) == (3, ""), perturb
+        assert err.startswith("internal error: AssertionError: ") and "gamma(k, k)" in err
 
 
 def test_diagram_negative_max_band_is_usage_error(capsys, g1_file):
@@ -363,6 +372,18 @@ def test_oracle_matrix_with_rational_eigenvalues(capsys, tmp_path):
     assert "S((X - 3)^1) S((X - 2)^1)" in out
 
 
+def test_oracle_matrix_json_lists_regular_divisors(capsys, tmp_path):
+    # S(X - 2) is not cyclotomic: the record carries its divisors, not d
+    path = tmp_path / "pair.txt"
+    path.write_text("1 1\n2\n1\n")
+    code, out, _ = run(capsys, "oracle", str(path), "--matrix", "--json")
+    record = json.loads(out)["record"]
+    assert code == 0
+    assert record["regular_divisors"] == [{"exponent": 1, "poly": "X - 2"}]
+    assert "cyclotomic" not in record and record["cycles"] == []
+    assert record["edge_check"] and record["vertex_check"]
+
+
 def test_oracle_matrix_with_the_rank_sample_on_an_eigenvalue(capsys, tmp_path):
     # M = -2, N = 1: M + 2N = 0, so the normal rank comes from the end of
     # the left nullity sequence, not from the sample
@@ -411,13 +432,13 @@ def test_oracle_matrix_unfactorable_is_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("error, code, prefix", [
-    (oracle.DimensionMismatch, 3, "internal error: DimensionMismatch: "),
+    (AssertionError, 3, "internal error: AssertionError: "),
     (oracle.OracleFactorError, 2, "error: "),
-], ids=["DimensionMismatch", "OracleFactorError"])
+], ids=["AssertionError", "OracleFactorError"])
 def test_oracle_errors_exit_by_their_base_class(monkeypatch, capsys, g4_file, error, code,
                                                 prefix):
-    # main names neither class: DimensionMismatch is caught as an
-    # AssertionError and OracleFactorError as a ValueError
+    # a failed self-check in the oracle is an AssertionError, and main never
+    # names OracleFactorError: it is caught as a ValueError
     def fail(p):
         raise error("seen in the test")
 
@@ -635,6 +656,44 @@ def test_fuzz_bad_probability(capsys):
     code, _, err = run(capsys, "fuzz", "--edge-prob", "7/5")
     assert code == 2
     assert "probability" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--edge-prob", "abc"], "cannot parse probability 'abc'"),
+    (["--vertices", "-1"], "--vertices must be nonnegative"),
+], ids=["edge-prob", "vertices"])
+def test_fuzz_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, "fuzz", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_fuzz_seed_beyond_64_bits_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", "--seed", str(2**64)])
+    assert exit_info.value.code == 2
+    assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+
+
+def test_fuzz_reports_the_first_failing_trial(monkeypatch, capsys):
+    # trial 2 of 4 disagrees; the report names its child seed and diff
+    compare, trials = oracle.compare, []
+
+    def disagree_on_trial_two(combinatorial, from_oracle):
+        trials.append(None)
+        diffs = compare(combinatorial, from_oracle)
+        return diffs + ["zt[9]: 1 != 0"] if len(trials) == 3 else diffs
+
+    monkeypatch.setattr(oracle, "compare", disagree_on_trial_two)
+    code, out, _ = run(capsys, "fuzz", "--seed", "5", "--count", "4", "--json")
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["failures"], doc["first_failing_seed"]) == (1, trial_seed(5, 2))
+    assert doc["first_failure_diff"] == ["zt[9]: 1 != 0"]
+    trials.clear()
+    code, out, _ = run(capsys, "fuzz", "--seed", "5", "--count", "4")
+    assert code == 1
+    assert out == (f"trials=4 failures=1\nfirst failing seed: {trial_seed(5, 2)}\n"
+                   "diff: zt[9]: 1 != 0\n")
 
 
 def test_fuzz_determinism_and_seed_reproduction():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linequiv import (BinaryRelation, StabilizationShapeError, classify_stable,
+from linequiv import (BinaryRelation, classify_stable,
                       converse, gamma_table, iterated_contraction, left_partition,
                       quotient, right_partition, stabilize)
 from linequiv.cli import _diagram_lines, random_relation
@@ -286,9 +286,9 @@ def test_classify_isolated_vertex_is_a_one_path():
 
 def test_classify_rejects_branching():
     r = BinaryRelation(("a", "b", "c"), frozenset({("a", "b"), ("a", "c")}))
-    with pytest.raises(StabilizationShapeError):
+    with pytest.raises(AssertionError, match="stable shape"):
         classify_stable(r)
-    with pytest.raises(StabilizationShapeError):
+    with pytest.raises(AssertionError, match="stable shape"):
         classify_stable(BinaryRelation(("a", "b"), frozenset({("a", "b"), ("b", "a"), ("a", "a")})))
 
 

@@ -1,9 +1,11 @@
 """Structural guards: the oracle stays independent of the contraction route
 and its rank route reads integer rows only, every module a graph command
 compiles stays below the parser's token step, only the oracle reaches the
-Smith fallback, and every public name has a reader besides the tests."""
+Smith fallback, every public name has a reader besides the tests, and a
+failed self-check is an explicit AssertionError."""
 
 import ast
+import builtins
 import re
 import tokenize
 from pathlib import Path
@@ -106,3 +108,25 @@ def test_every_public_name_has_a_reader_besides_the_tests():
     readme = set(re.findall(r"`([A-Za-z_]\w*)", (ROOT / "README.md").read_text(encoding="utf-8")))
     unread = [name for name in linequiv.__all__ if name not in in_src | in_demos | readme]
     assert unread == []
+
+
+def test_a_failed_self_check_is_an_assertion_error():
+    # a self-check raises AssertionError where an assert statement would be
+    # stripped by `python -O`, and rejected input raises a ValueError; the
+    # only exception classes name kinds of rejected input
+    package = ROOT / "src" / "linequiv"
+    builtin_errors = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+    asserts, bases = [], {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases}
+    errors: set[str] = set()
+    while grown := {name for name, of in bases.items() if of & (builtin_errors | errors)} - errors:
+        errors |= grown
+    assert asserts == []
+    assert errors == {"GraphError", "OracleFactorError", "ParseError", "_Usage"}

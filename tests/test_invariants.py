@@ -22,11 +22,10 @@ import pytest
 
 from linequiv import (BinaryRelation, InvariantRecord, converse,
                       cyclotomic_refine, decide_equiv, full_invariants,
-                      gamma_table, part_one, part_three_zt00,
-                      part_two, vertex_check)
+                      gamma_table, invariants, part_one, part_three_zt00,
+                      part_two)
 from linequiv.contraction import ContractionDiagram, StableShape
-from linequiv.invariants import (NegativeMultiplicity, _first_gamma_difference, cell_contents,
-                                 edge_check)
+from linequiv.invariants import _first_gamma_difference, cell_contents
 from linequiv.ratpoly import totient
 from linequiv.relation import MultiDigraph
 
@@ -92,15 +91,18 @@ def test_part_three_single_loop():
 
 
 def test_part_three_rejects_overdraft():
-    with pytest.raises(NegativeMultiplicity):
+    with pytest.raises(AssertionError, match=r"negative multiplicity: ztz\[0\] = -1"):
         part_three_zt00(0, rec(cycles=(1,)))
 
 
 def test_vertex_check(g4):
     good = rec(zt={3: 1}, tz={2: 1}, ztz={2: 3, 3: 2}, cycles=(1,))
-    assert vertex_check(18, good)           # 18 = 2*3 + 3*2 + 3 + 2 + 1
+    good.check_dimensions(23, 18)           # 18 = 2*3 + 3*2 + 3 + 2 + 1
     corrupted = rec(zt={3: 1}, tz={2: 1}, ztz={2: 3, 3: 1}, cycles=(1,))
-    assert not vertex_check(18, corrupted)
+    with pytest.raises(AssertionError, match="accounts for 19x15, pair is 19x18"):
+        corrupted.check_dimensions(19, 18)
+    with pytest.raises(AssertionError, match="accounts for 23x18, pair is 22x18"):
+        good.check_dimensions(22, 18)
 
 
 def test_record_normalization_and_totals():
@@ -109,7 +111,7 @@ def test_record_normalization_and_totals():
     assert r.edge_total() == 2 + 0 + 4
     assert r.vertex_total() == 2 + 2 + 4
     assert swapped(r).tz == {2: 1}
-    with pytest.raises(NegativeMultiplicity):
+    with pytest.raises(AssertionError, match="negative multiplicity: -1 at index 1"):
         rec(tz={1: -1})
 
 
@@ -164,10 +166,19 @@ def test_identities_hold_on_random_graphs():
     for i in range(120):
         r = seeded_relation(f"identities:{i}")
         record = full_invariants(r)  # raises on any internal mismatch
-        assert edge_check(r.edge_count, record)
-        assert vertex_check(r.vertex_count, record)
+        record.check_dimensions(r.edge_count, r.vertex_count)
         assert all(c > 0 for m in (record.zt, record.tz, record.t, record.ztz)
                    for c in m.values())
+
+
+def test_a_dropped_summand_fails_the_vertex_identity(monkeypatch):
+    # a cycle lost in part_two moves its edges to ztz[0], so the edge
+    # identity still closes and only the vertex identity sees the loss
+    two = invariants.part_two
+    monkeypatch.setattr(invariants, "part_two", lambda shape: (two(shape)[0], ()))
+    cycle = BinaryRelation(("a", "b"), frozenset({("a", "b"), ("b", "a")}))
+    with pytest.raises(AssertionError, match="accounts for 2x0, pair is 2x2"):
+        full_invariants(cycle)
 
 
 def test_converse_swaps_record():

@@ -3,6 +3,7 @@ route.  All expected values here are forced by hand-checkable elimination on
 the small pairs, or by the canonical single-summand matrices."""
 
 import copy
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,10 +19,9 @@ from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
 from linequiv.echelon import Echelon
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
-from linequiv.oracle import (DimensionMismatch, OracleFactorError, OracleReport,
-                             _cyclotomic_blocks, _lift, _row_basis, _screen_clears,
-                             _solution_space_dims, _transpose, analyze, invariant_factors,
-                             normal_rank, rank_of_rows)
+from linequiv.oracle import (OracleFactorError, OracleReport, _cyclotomic_blocks, _lift,
+                             _row_basis, _screen_clears, _solution_space_dims, _transpose,
+                             analyze, invariant_factors, normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored
 
 from conftest import dense, multidigraph, pair_of, seeded_relation, transposed
@@ -381,11 +381,25 @@ def test_integer_entries_give_the_fraction_result(g4):
 
 def test_every_rational_pair_closes_dimensions():
     # the record must account for e and v exactly on arbitrary rational
-    # pairs, not just 0/1 graph pairs (DimensionMismatch stays a pure
+    # pairs, not just 0/1 graph pairs (the dimension check stays a pure
     # internal guard)
     text = "3 2\n1/2 0\n1 1\n0 -3\n0 2\n1/3 0\n1 1\n"
     out = oracle_invariants(parse_pair_file(text))
     assert out.edge_total() == 3 and out.vertex_total() == 2
+
+
+def test_a_miscounted_report_fails_the_dimension_check(monkeypatch, g1):
+    # the rank route closes both counts by construction, so the report is
+    # corrupted: one more left minimal index takes 2 edges and 1 vertex
+    analyze_pair = oracle.analyze
+
+    def miscounted(p):
+        report = analyze_pair(p)
+        return dataclasses.replace(report, left_minimal_indices=(1, *report.left_minimal_indices))
+
+    monkeypatch.setattr(oracle, "analyze", miscounted)
+    with pytest.raises(AssertionError, match="accounts for 6x4, pair is 4x3"):
+        oracle_invariants(linearize(g1))
 
 
 def test_kernel_meet_dim_equals_ztz0():
@@ -722,7 +736,7 @@ def test_cyclotomic_scan_accounts_for_the_degree_exactly():
     # scan stops there and never sees Phi_6
     assert _cyclotomic_blocks(rows, 6, 6, 4) == [(1, 1), (2, 1), (3, 1)]
     # two loops found where the degree leaves room for one
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(AssertionError, match="regular degree: roots of unity carry more than 1"):
         _cyclotomic_blocks(linearize(cycles_graph((1, 1))).rows, 2, 2, 1)
     # (X - 1)^2: one block at d = 1 of size 2, found by the lifted local type
     p = regular_pair(rp.poly(-1, 1), 2)
