@@ -79,33 +79,27 @@ class InvariantRecord:
             canon = tuple(sorted((tuple(p), int(e)) for p, e in self.regular_divisors))
             object.__setattr__(self, "regular_divisors", canon)
 
-    def _regular_edge_total(self) -> int:
+    def dimensions(self) -> tuple[int, int]:
+        """(edges, vertices) that the summands account for, the one statement
+        of their sizes: zt[n], tz[n] and a regular summand of degree n are
+        n x n, t[n] is n x (n + 1), and ztz[n] is (n + 1) x n."""
         if self.regular_divisors is not None:
-            return sum((len(p) - 1) * e for p, e in self.regular_divisors)
-        return sum(self.cycles)
-
-    def edge_total(self) -> int:
-        return (sum(n * c for n, c in self.zt.items())
-                + sum(n * c for n, c in self.tz.items())
-                + sum(n * c for n, c in self.t.items())
-                + sum((n + 1) * c for n, c in self.ztz.items())
-                + self._regular_edge_total())
-
-    def vertex_total(self) -> int:
-        return (sum(n * c for n, c in self.zt.items())
-                + sum(n * c for n, c in self.tz.items())
-                + sum((n + 1) * c for n, c in self.t.items())
-                + sum(n * c for n, c in self.ztz.items())
-                + self._regular_edge_total())
+            size = sum((len(p) - 1) * e for p, e in self.regular_divisors)
+        else:
+            size = sum(self.cycles)
+        size += sum(n * c for mult in (self.zt, self.tz, self.t, self.ztz)
+                    for n, c in mult.items())
+        return size + sum(self.ztz.values()), size + sum(self.t.values())
 
     def check_dimensions(self, edges: int, vertices: int) -> None:
         """The edge and vertex identities: the summands must account for
         exactly `edges` edges and `vertices` vertices, or a step upstream
         is wrong."""
-        if (self.edge_total(), self.vertex_total()) != (edges, vertices):
+        e, v = self.dimensions()
+        if (e, v) != (edges, vertices):
             raise AssertionError(
                 f"edge and vertex identities fail: record accounts for "
-                f"{self.edge_total()}x{self.vertex_total()}, pair is {edges}x{vertices}")
+                f"{e}x{v}, pair is {edges}x{vertices}")
 
     def describe(self) -> str:
         """One-line rendering, e.g. ``ztz[1]=1 tz[1]=1 cycles=[1]``."""
@@ -208,8 +202,7 @@ def part_three_zt00(edge_count: int, partial: InvariantRecord) -> int:
     formulas cannot see (the one-edge, zero-vertex summand)."""
     if 0 in partial.ztz:
         raise ValueError("partial record already has a ztz[0] entry")
-    rest = partial.edge_total()
-    value = edge_count - rest
+    value = edge_count - partial.dimensions()[0]
     if value < 0:
         raise AssertionError(f"negative multiplicity: ztz[0] = {value}")
     return value
@@ -313,14 +306,15 @@ def decide_equiv(a: MultiDigraph | BinaryRelation,
 
 
 def record_to_json(rec: InvariantRecord, edge_count: int, vertex_count: int) -> dict:
+    edges, vertices = rec.dimensions()
     out = {
         "zt": {str(n): c for n, c in rec.zt.items()},
         "tz": {str(n): c for n, c in rec.tz.items()},
         "t": {str(n): c for n, c in rec.t.items()},
         "ztz": {str(n): c for n, c in rec.ztz.items()},
         "cycles": list(rec.cycles),
-        "edge_check": rec.edge_total() == edge_count,
-        "vertex_check": rec.vertex_total() == vertex_count,
+        "edge_check": edges == edge_count,
+        "vertex_check": vertices == vertex_count,
     }
     if rec.regular_divisors is not None:
         out["regular_divisors"] = [

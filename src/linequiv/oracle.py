@@ -440,35 +440,22 @@ def compare(combinatorial: InvariantRecord, oracle: InvariantRecord) -> list[str
 # -- canonical single-summand pairs (used for calibration) --------------------
 
 
-def _unit_pair(e: int, v: int, m_shift: int, n_shift: int) -> PairMatrices:
-    """The e-by-v 0/1 pair whose row i has a 1 in M at column i + m_shift
-    and in N at column i + n_shift, where that column lies in 0..v-1."""
-    return PairMatrices(e, v, tuple(({i + m_shift: 1} if 0 <= i + m_shift < v else {},
-                                     {i + n_shift: 1} if 0 <= i + n_shift < v else {})
-                                    for i in range(e)))
+# each family's 1s in row i of its canonical pair: M's at column i + the
+# first shift and N's at column i + the second, where that column exists
+_SHIFTS = {"zt": (1, 0), "tz": (0, 1), "t": (0, 1), "ztz": (0, -1)}
 
 
 def canonical_pair(family: str, n: int) -> PairMatrices:
-    """The canonical matrices of one indecomposable summand: families "zt",
-    "tz" (nilpotent-plus-identity on K^n, n >= 1), "t" (K^n -> K^(n+1)),
-    and "ztz" (K^(n+1) -> K^n)."""
-    if family == "zt":
-        if n < 1:
-            raise ValueError("zt needs n >= 1")
-        return _unit_pair(n, n, 1, 0)
-    if family == "tz":
-        if n < 1:
-            raise ValueError("tz needs n >= 1")
-        return _unit_pair(n, n, 0, 1)
-    if family == "t":
-        if n < 0:
-            raise ValueError("t needs n >= 0")
-        return _unit_pair(n, n + 1, 0, 1)
-    if family == "ztz":
-        if n < 0:
-            raise ValueError("ztz needs n >= 0")
-        return _unit_pair(n + 1, n, 0, -1)
-    raise ValueError(f"unknown family {family!r}")
+    """The canonical matrices of the summand `family`[n], for family "zt",
+    "tz", "t" or "ztz", sized by `InvariantRecord.dimensions`; building
+    that record rejects an index below the family's least one."""
+    if family not in _SHIFTS:
+        raise ValueError(f"unknown family {family!r}")
+    e, v = InvariantRecord(**{family: {n: 1}}).dimensions()
+    m_shift, n_shift = _SHIFTS[family]
+    return PairMatrices(e, v, tuple(({i + m_shift: 1} if 0 <= i + m_shift < v else {},
+                                     {i + n_shift: 1} if 0 <= i + n_shift < v else {})
+                                    for i in range(e)))
 
 
 def regular_pair(poly: Poly, exponent: int = 1) -> PairMatrices:

@@ -156,7 +156,7 @@ def cyclotomic(d: int) -> Poly:
     return p
 
 
-def poly_str(p: Poly, var: str = "X") -> str:
+def poly_str(p: Poly) -> str:
     if not p:
         return "0"
     parts = []
@@ -168,7 +168,7 @@ def poly_str(p: Poly, var: str = "X") -> str:
             term = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+            term = f"{mag}X" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

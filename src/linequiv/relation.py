@@ -133,15 +133,14 @@ class Partition:
         ix = {v: i for i, v in enumerate(self.over)}
         seen: set[str] = set()
         canon = []
-        for cls in self.classes:
-            members = tuple(sorted(cls, key=ix.__getitem__))
-            if not members:
+        for cls in map(tuple, self.classes):
+            if not cls:
                 raise GraphError("empty partition class")
-            for v in members:
+            for v in cls:
                 if v not in ix or v in seen:
                     raise GraphError(f"partition misuses vertex {v!r}")
                 seen.add(v)
-            canon.append(members)
+            canon.append(tuple(sorted(cls, key=ix.__getitem__)))
         if len(seen) != len(self.over):
             raise GraphError("partition does not cover the vertex set")
         canon.sort(key=lambda c: ix[c[0]])

@@ -10,12 +10,13 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import linequiv
-from linequiv import BinaryRelation, InvariantRecord, MultiDigraph, Partition
+from linequiv import BinaryRelation, InvariantRecord, MultiDigraph, Partition, full_invariants
 from linequiv.cli import random_relation
 from linequiv.contraction import FIRST_POINTS, ContractionDiagram, _Quotient
 from linequiv.linearize import PairMatrices, integer_row
@@ -154,3 +155,45 @@ def class_sets(partition) -> set[frozenset[str]]:
 
 def sets(*groups) -> set[frozenset[str]]:
     return {frozenset(str(x) for x in grp) for grp in groups}
+
+
+def winding_census(g: MultiDigraph | BinaryRelation) -> tuple[tuple[int, ...], int]:
+    """The winding numbers of a graph's weakly connected components.  Each
+    component gets integer potentials p, +1 along an edge and -1 against it,
+    and its winding number is the gcd, over its edges (s, t), of
+    p(s) + 1 - p(t).  Returns the nonzero winding numbers, sorted, and the
+    number of components whose winding number is 0."""
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for s, t in g.ids:
+        steps[s].append((t, 1))
+        steps[t].append((s, -1))
+    potential, component = [0] * len(steps), [-1] * len(steps)
+    components = 0
+    for root in range(len(steps)):
+        if component[root] < 0:
+            component[root], stack = components, [root]
+            while stack:
+                a = stack.pop()
+                for b, step in steps[a]:
+                    if component[b] < 0:
+                        component[b], potential[b] = components, potential[a] + step
+                        stack.append(b)
+            components += 1
+    winding = [0] * components
+    for s, t in g.ids:
+        winding[component[s]] = gcd(winding[component[s]], potential[s] + 1 - potential[t])
+    return tuple(sorted(w for w in winding if w)), winding.count(0)
+
+
+def check_winding_census(g: MultiDigraph | BinaryRelation, d: int = 1) -> None:
+    """The record's regular part and its numbers of t and ztz summands, from
+    the winding census alone: one cycle of length w per component of winding
+    number w != 0, one t summand per component of winding number 0, and
+    e - v + (that number) ztz summands.  Each winding number must be a
+    multiple of d."""
+    cycles, balanced = winding_census(g)
+    rec = full_invariants(g)
+    assert all(w % d == 0 for w in cycles)
+    assert rec.cycles == cycles
+    assert sum(rec.t.values()) == balanced
+    assert sum(rec.ztz.values()) == g.edge_count - g.vertex_count + balanced

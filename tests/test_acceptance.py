@@ -134,7 +134,7 @@ def test_criterion_2_braided_intermediates():
     check("edge count", g4.edge_count, 23)
 
     rec = full_invariants(g4)
-    check("vertex check", rec.vertex_total(), 18)
+    check("vertex check", rec.dimensions()[1], 18)
     singles = sorted(n for n, c in list(rec.zt.items()) + list(rec.tz.items())
                      if c == 1)
     check("vertex identity arithmetic",
@@ -180,7 +180,7 @@ def test_criterion_4_invariant_suite():
         except Exception as exc:  # noqa: BLE001 - any raise is a failure here
             failures.append(f"{tag}: {type(exc).__name__}: {exc}")
             continue
-        if (rec.edge_total(), rec.vertex_total()) != (r.edge_count, r.vertex_count):
+        if rec.dimensions() != (r.edge_count, r.vertex_count):
             failures.append(f"{tag}: counting identity failed")
 
         # strengthened commutation: a random interleaving equals the fixed order

@@ -187,6 +187,12 @@ def test_class_labels_matter_only_where_they_are_written(capsys, tmp_path):
         assert (code, out, err) == (2, "", "error: duplicate vertex label\n"), extra
 
 
+@pytest.mark.parametrize("flag", ["--left", "--right"])
+def test_contract_negative_count_is_usage_error(capsys, g1_file, flag):
+    code, out, err = run(capsys, "contract", g1_file, flag, "-1")
+    assert (code, out, err) == (2, "", "error: contraction counts must be nonnegative\n")
+
+
 def test_contract_huge_counts_stop_at_the_fixpoint(capsys, g4_file):
     # a side stops at its first step that merges nothing, so 10**12 steps a
     # side give, at once, what the stable depth gives
@@ -353,6 +359,21 @@ def test_oracle_command(capsys, g4_file):
     assert out.strip().endswith("PASS")
     code, out, _ = run(capsys, "oracle", g4_file, "--json")
     assert json.loads(out)["pass"] is True
+
+
+def test_oracle_command_reports_a_disagreement(monkeypatch, capsys, g1_file):
+    # a disagreement injected through oracle.compare: its diff lines, FAIL,
+    # exit 1
+    compare = oracle.compare
+    monkeypatch.setattr(oracle, "compare", lambda a, b: compare(a, b) + ["zt[9]: 1 != 0"])
+    code, out, err = run(capsys, "oracle", g1_file)
+    assert (code, err) == (1, "")
+    assert out == ("combinatorial: ztz[1]=1 tz[1]=1 cycles=[1]\n"
+                   "oracle:        ztz[1]=1 tz[1]=1 cycles=[1]\n"
+                   "diff: zt[9]: 1 != 0\nFAIL\n")
+    code, out, _ = run(capsys, "oracle", g1_file, "--json")
+    doc = json.loads(out)
+    assert (code, doc["diff"], doc["pass"]) == (1, ["zt[9]: 1 != 0"], False)
 
 
 def test_oracle_matrix_file(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linequiv import (BinaryRelation, classify_stable,
+from linequiv import (BinaryRelation, classify_stable, contraction,
                       converse, gamma_table, iterated_contraction, left_partition,
                       quotient, right_partition, stabilize)
 from linequiv.cli import _diagram_lines, random_relation
@@ -13,8 +13,8 @@ from linequiv.invariants import cell_contents, part_one
 from linequiv.parsing import parse_graph
 from linequiv.relation import GraphError, Partition, _quotient, class_label, reduce
 
-from conftest import (class_sets, contract_word, relation, seeded_relation, sets, singletons,
-                      spider, stored_gamma)
+from conftest import (check_winding_census, class_sets, contract_word, relation,
+                      seeded_relation, sets, singletons, spider, stored_gamma)
 
 # frozen intermediate data for g4; every partition below is also forced by
 # the gamma table and the final record, both of which the oracle confirms
@@ -292,6 +292,18 @@ def test_classify_rejects_branching():
         classify_stable(BinaryRelation(("a", "b"), frozenset({("a", "b"), ("b", "a"), ("a", "a")})))
 
 
+def test_chains_must_reach_one_fixpoint(monkeypatch, g4):
+    # the right-first chain reports the singletons as its fixpoint; g4's
+    # fixpoint is one class
+    def perturbed(r, side):
+        counts, depth, final = _chain(r, side)
+        return counts, depth, list(range(len(final))) if side == 1 else final
+
+    monkeypatch.setattr(contraction, "_chain", perturbed)
+    with pytest.raises(AssertionError, match="chains reach different fixpoints"):
+        gamma_table(relation(g4))
+
+
 def test_stable_value_matches_shape():
     for i in range(60):
         r = seeded_relation(f"stable-count:{i}")
@@ -429,6 +441,11 @@ def reference_inputs(g1, g2, g3, g4):
     inputs += [declared_out_of_order(r, f"odd-labels:{i}")
                for i, r in enumerate(odd) if r.vertices]
     return inputs + loop_heavy_maps() + partial_maps()
+
+
+def test_the_winding_census_sizes_the_reference_records(reference_inputs):
+    for r in reference_inputs:
+        check_winding_census(r)
 
 
 def test_gamma_table_matches_definition(reference_inputs):

@@ -2,7 +2,8 @@
 and its rank route reads integer rows only, every module a graph command
 compiles stays below the parser's token step, only the oracle reaches the
 Smith fallback, every public name has a reader besides the tests, and a
-failed self-check is an explicit AssertionError."""
+failed self-check is an explicit AssertionError that, in the contraction
+route, some test trips."""
 
 import ast
 import builtins
@@ -130,3 +131,58 @@ def test_a_failed_self_check_is_an_assertion_error():
         errors |= grown
     assert asserts == []
     assert errors == {"GraphError", "OracleFactorError", "ParseError", "_Usage"}
+
+
+# the constant text of every `raise AssertionError(...)` message in the
+# contraction route, up to its first formatted value
+SELF_CHECKS = {
+    "contraction.py": [
+        "stable shape: a branching component in the stable relation",
+        "the left-first and right-first chains reach different fixpoints",
+        "the left-first and right-first chains count different gamma(k, k)",
+    ],
+    "invariants.py": [
+        "negative multiplicity: ",
+        "edge and vertex identities fail: record accounts for ",
+        "dual forms disagree: ",
+        "negative multiplicity: ",
+        "negative multiplicity: ztz[",
+        "negative multiplicity: ztz[0] = ",
+        "primitive invariants and records disagree",
+    ],
+}
+
+
+def _message_head(node: ast.expr) -> str:
+    if isinstance(node, ast.Constant):
+        return node.value
+    head = ""
+    for part in node.values:  # an f-string
+        if not isinstance(part, ast.Constant):
+            break
+        head += part.value
+    return head
+
+
+def test_every_self_check_of_the_contraction_route_has_a_test_that_trips_it():
+    # a pattern trips a check when it matches within the check's constant
+    # text, or when its literal text starts with all of it
+    package = ROOT / "src" / "linequiv"
+    found = {}
+    for name in SELF_CHECKS:
+        raises = sorted((node.lineno, node.exc.args[0]) for node in
+                        ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+                        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "AssertionError")
+        found[name] = [_message_head(message) for _, message in raises]
+    assert found == SELF_CHECKS
+    patterns = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "raises"
+                    and node.args and getattr(node.args[0], "id", None) == "AssertionError"):
+                patterns += [k.value.value for k in node.keywords if k.arg == "match"]
+    untripped = [head for heads in SELF_CHECKS.values() for head in heads
+                 if not any(re.search(p, head) or re.sub(r"\\(.)", r"\1", p).startswith(head)
+                            for p in patterns)]
+    assert untripped == []

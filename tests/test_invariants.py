@@ -99,20 +99,48 @@ def test_vertex_check(g4):
     good = rec(zt={3: 1}, tz={2: 1}, ztz={2: 3, 3: 2}, cycles=(1,))
     good.check_dimensions(23, 18)           # 18 = 2*3 + 3*2 + 3 + 2 + 1
     corrupted = rec(zt={3: 1}, tz={2: 1}, ztz={2: 3, 3: 1}, cycles=(1,))
-    with pytest.raises(AssertionError, match="accounts for 19x15, pair is 19x18"):
+    with pytest.raises(AssertionError, match="edge and vertex identities fail: "
+                       "record accounts for 19x15, pair is 19x18"):
         corrupted.check_dimensions(19, 18)
-    with pytest.raises(AssertionError, match="accounts for 23x18, pair is 22x18"):
+    with pytest.raises(AssertionError, match="edge and vertex identities fail: "
+                       "record accounts for 23x18, pair is 22x18"):
         good.check_dimensions(22, 18)
 
 
 def test_record_normalization_and_totals():
     r = rec(zt={2: 1, 5: 0}, t={0: 2}, cycles=(3, 1))
     assert r.zt == {2: 1}
-    assert r.edge_total() == 2 + 0 + 4
-    assert r.vertex_total() == 2 + 2 + 4
+    assert r.dimensions() == (2 + 0 + 4, 2 + 2 + 4)
     assert swapped(r).tz == {2: 1}
     with pytest.raises(AssertionError, match="negative multiplicity: -1 at index 1"):
         rec(tz={1: -1})
+
+
+def raised(d: ContractionDiagram, offset: int, i: int, by: int) -> ContractionDiagram:
+    """d with entry i of the diagonal m - n = offset raised by `by`."""
+    diagonals = list(d.diagonals)
+    diagonal = list(diagonals[offset + 2])
+    diagonal[i] += by
+    diagonals[offset + 2] = tuple(diagonal)
+    return ContractionDiagram(tuple(diagonals), d.stable_value, d.stable, d.depth)
+
+
+def test_raising_gamma_2_0_fails_the_dual_forms(g4):
+    # gamma(2, 0), read by B1, C1' and D1' but by none of their duals
+    d = raised(gamma_table(relation(g4)), 2, 0, 1)
+    with pytest.raises(AssertionError, match=r"dual forms disagree: ztz\[2\]: 2 != 3"):
+        part_one(d)
+
+
+def test_a_changed_main_diagonal_entry_makes_both_forms_negative(g4):
+    # gamma(1, 1) is subtracted by all six dual cells of index 1 and added
+    # by A1 and A2: raised, tz[1] = 0 drops to -1 in both of its forms;
+    # lowered, A1 = ztz[1] = 0 drops to -1
+    d = gamma_table(relation(g4))
+    with pytest.raises(AssertionError, match=r"negative multiplicity: tz\[1\] = -1"):
+        part_one(raised(d, 0, 1, 1))
+    with pytest.raises(AssertionError, match=r"negative multiplicity: ztz\[1\] = -1"):
+        part_one(raised(d, 0, 1, -1))
 
 
 def test_cyclotomic_refine_cases():
@@ -177,7 +205,8 @@ def test_a_dropped_summand_fails_the_vertex_identity(monkeypatch):
     two = invariants.part_two
     monkeypatch.setattr(invariants, "part_two", lambda shape: (two(shape)[0], ()))
     cycle = BinaryRelation(("a", "b"), frozenset({("a", "b"), ("b", "a")}))
-    with pytest.raises(AssertionError, match="accounts for 2x0, pair is 2x2"):
+    with pytest.raises(AssertionError, match="edge and vertex identities fail: "
+                       "record accounts for 2x0, pair is 2x2"):
         full_invariants(cycle)
 
 
@@ -328,6 +357,16 @@ def test_decide_equiv_edge_count_tiebreak(g4):
     verdict = decide_equiv(g4, dup)
     assert not verdict.equivalent
     assert verdict.reason == "edge count: 23 != 24"
+
+
+def test_a_missed_gamma_difference_fails_the_record_check(monkeypatch):
+    # a loop with an out-edge and a loop with an in-edge share their stable
+    # shape and edge count; only gamma tells their zt[1] and tz[1] apart
+    out_edge = BinaryRelation(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
+    assert decide_equiv(out_edge, converse(out_edge)).reason.startswith("gamma[")
+    monkeypatch.setattr(invariants, "_first_gamma_difference", lambda da, db: None)
+    with pytest.raises(AssertionError, match="primitive invariants and records disagree"):
+        decide_equiv(out_edge, converse(out_edge))
 
 
 def test_decide_equiv_is_an_equivalence():

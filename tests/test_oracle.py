@@ -250,6 +250,32 @@ def test_finite_divisors_canonical_zt():
     assert analyze(canonical_pair("zt", 2)).finite_divisors == ((rp.X, 2),)
 
 
+def test_canonical_pairs_are_the_kronecker_blocks():
+    # written out from the definitions: zt[n] is (J, I) and tz[n] is (I, J)
+    # on K^n, J the nilpotent shift; t[n] is ([I 0], [0 I]), n x (n + 1),
+    # and ztz[n] is ([I; 0], [0; I]), (n + 1) x n
+    def block(e, v, m_at, n_at):
+        return pair_of(e, v, *([[int(j == at(i)) for j in range(v)] for i in range(e)]
+                               for at in (m_at, n_at)))
+
+    blocks = {
+        "zt": lambda n: block(n, n, lambda i: i + 1, lambda i: i),
+        "tz": lambda n: block(n, n, lambda i: i, lambda i: i + 1),
+        "t": lambda n: block(n, n + 1, lambda i: i, lambda i: i + 1),
+        "ztz": lambda n: block(n + 1, n, lambda i: i, lambda i: i - 1),
+    }
+    for family, build in blocks.items():
+        for n in range(family in ("zt", "tz"), 13):
+            assert canonical_pair(family, n) == build(n), (family, n)
+    for family in ("zt", "tz"):
+        with pytest.raises(ValueError, match="multiplicity index 0 below 1"):
+            canonical_pair(family, 0)
+    with pytest.raises(ValueError, match="multiplicity index -1 below 0"):
+        canonical_pair("ztz", -1)
+    with pytest.raises(ValueError, match="unknown family 'zz'"):
+        canonical_pair("zz", 0)
+
+
 def test_infinite_divisors_examples(g1, g4):
     assert analyze(canonical_pair("tz", 3)).infinite_divisors == (3,)
     assert analyze(linearize(g1)).infinite_divisors == (1,)
@@ -385,7 +411,7 @@ def test_every_rational_pair_closes_dimensions():
     # internal guard)
     text = "3 2\n1/2 0\n1 1\n0 -3\n0 2\n1/3 0\n1 1\n"
     out = oracle_invariants(parse_pair_file(text))
-    assert out.edge_total() == 3 and out.vertex_total() == 2
+    assert out.dimensions() == (3, 2)
 
 
 def test_a_miscounted_report_fails_the_dimension_check(monkeypatch, g1):
@@ -398,7 +424,8 @@ def test_a_miscounted_report_fails_the_dimension_check(monkeypatch, g1):
         return dataclasses.replace(report, left_minimal_indices=(1, *report.left_minimal_indices))
 
     monkeypatch.setattr(oracle, "analyze", miscounted)
-    with pytest.raises(AssertionError, match="accounts for 6x4, pair is 4x3"):
+    with pytest.raises(AssertionError, match="edge and vertex identities fail: "
+                       "record accounts for 6x4, pair is 4x3"):
         oracle_invariants(linearize(g1))
 
 

@@ -16,7 +16,7 @@ from linequiv import (BinaryRelation, InvariantRecord, MultiDigraph, contraction
 from linequiv.contraction import ContractionDiagram, _chain
 from linequiv.relation import _quotient
 
-from conftest import as_multidigraph, contract_word, swapped
+from conftest import as_multidigraph, check_winding_census, contract_word, swapped
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -289,3 +289,38 @@ def test_metamorphic_laws_hold_on_a_two_sided_relation_at_10_4():
     ztz = Counter(base.ztz) + Counter({0: 1})
     assert full_invariants(parallel) == InvariantRecord(base.zt, base.tz, base.t, ztz,
                                                         base.cycles)
+
+
+# -- the winding census ---------------------------------------------------------
+#
+# The census reads the number of t and ztz summands and every cycle length
+# off the winding numbers of the weakly connected components (see README),
+# sharing no code with the engine.  A mismatch is a finding about the
+# engine or the argument; no golden moves to match it.
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(multigraphs(max_vertices=9, max_edges=18))
+def test_the_winding_census_sizes_random_multigraphs(g):
+    check_winding_census(g)
+
+
+def test_the_winding_census_sizes_every_relation_on_three_vertices():
+    labels = ("a", "b", "c")
+    pairs = [(s, t) for s in labels for t in labels]
+    for mask in range(2 ** len(pairs)):
+        check_winding_census(BinaryRelation(labels, frozenset(
+            pair for i, pair in enumerate(pairs) if mask >> i & 1)))
+
+
+def test_the_winding_census_sizes_records_at_10_4():
+    rng = random.Random("definition")
+    for per_vertex in (1, 2, 3):
+        check_winding_census(sparse_relation(rng, 10 ** 4, per_vertex))
+    # edges only from level l to level l + 1 mod d: every winding number is
+    # a multiple of d
+    d, n = 7, 10 ** 4
+    labels = [f"l{v}" for v in range(n)]
+    pairs = {(labels[v], labels[rng.randrange(n // d) * d + (v + 1) % d])
+             for v in range(n) for _ in range(2)}
+    check_winding_census(BinaryRelation(labels, pairs), d)

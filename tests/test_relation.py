@@ -1,6 +1,6 @@
 import pytest
 
-from linequiv import (BinaryRelation, GraphError, MultiDigraph, converse,
+from linequiv import (BinaryRelation, GraphError, MultiDigraph, Partition, converse,
                       full_invariants, reduce)
 from linequiv.linearize import linearize
 from linequiv.oracle import compare, oracle_invariants
@@ -22,6 +22,19 @@ def test_binary_relation_is_a_set():
     assert r.edge_count == 1
     with pytest.raises(GraphError):
         BinaryRelation(("a",), frozenset({("a", "c")}))
+
+
+def test_partition_validation():
+    p = Partition(("a", "b", "c"), (("c",), ("b", "a")))
+    assert p.classes == (("a", "b"), ("c",))
+    for classes, message in (
+            ((("a", "b"), (), ("c",)), "empty partition class"),
+            ((("a", "b"), ("b", "c")), "partition misuses vertex 'b'"),
+            ((("a", "a"), ("b", "c")), "partition misuses vertex 'a'"),
+            ((("a", "b"), ("c", "d")), "partition misuses vertex 'd'"),
+            ((("a", "b"),), "partition does not cover the vertex set")):
+        with pytest.raises(GraphError, match=message):
+            Partition(("a", "b", "c"), classes)
 
 
 def test_reduce_merges_parallel_edges():
