@@ -1,4 +1,5 @@
-"""Exact ranks of sparse integer rows, over the rationals or modulo a prime.
+"""Exact ranks of sparse integer rows, over the rationals or modulo a prime,
+and of 0/1 block matrices over F_2.
 
 A row is a dict column -> nonzero entry.  One elimination serves both
 fields.  Over Q it is fraction-free: row = a*row - b*pivot, then division
@@ -7,10 +8,15 @@ pivots are monic and reduced, so a = 1 and a step is row = row - b*pivot
 with b reduced; the other entries of a row are reduced only when it
 becomes a pivot, and stay small meanwhile, since each step adds less than
 p^2 to them.
+
+Over F_2 a row is an int bitmask, bit c for column c, and `BitEchelon`
+keeps only a window of two column blocks of a block matrix whose row block
+j touches column blocks j and j + 1 alone (see `bit_eliminations`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -32,12 +38,13 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, row: SparseRow) -> None:
+    def add(self, row: SparseRow) -> bool:
         """Reduce a row of nonzero integers, which this takes over, against
         the pivots by row = a*row - b*pivot; a row that stays nonzero
-        becomes a pivot.  Over Q each step divides the row by the gcd of
-        its entries.  Modulo p a pivot is made monic and reduced, so a = 1,
-        b is reduced, and a leading entry that vanishes mod p is dropped."""
+        becomes a pivot, and then this returns True.  Over Q each step
+        divides the row by the gcd of its entries.  Modulo p a pivot is made
+        monic and reduced, so a = 1, b is reduced, and a leading entry that
+        vanishes mod p is dropped."""
         pivots, p = self.pivots, self.modulus
         while row:
             col = min(row)
@@ -51,11 +58,11 @@ class Echelon:
                     row = {j: x * inv % p for j, x in row.items() if x % p}
                     row[col] = 1
                     pivots[col] = row
-                    return
+                    return True
             else:
                 if pivot is None:
                     pivots[col] = row
-                    return
+                    return True
                 a, b = pivot[col], row.pop(col)
                 g = gcd(a, b)
                 a, b = a // g, b // g
@@ -72,6 +79,73 @@ class Echelon:
                 content = gcd(*row.values())
                 if content > 1:
                     row = {j: x // content for j, x in row.items()}
+        return False
+
+
+class BitEchelon:
+    """Rows over F_2, int bitmasks, in echelon form: one pivot per lead, the
+    lowest set bit, and `rank` counts the rows added so far that became
+    pivots.  A step row ^= pivot clears the row's lead and sets higher bits
+    only, so a lead never falls.  Once every row still to come has its
+    lowest possible bit at `width` or above, a pivot whose lead lies below
+    can never be used again: `slide(width)` counts those pivots as
+    finished and shifts the others down by `width` bits."""
+
+    __slots__ = ("pivots", "finished")
+
+    def __init__(self):
+        self.pivots: dict[int, int] = {}
+        self.finished = 0
+
+    @property
+    def rank(self) -> int:
+        return self.finished + len(self.pivots)
+
+    def add(self, row: int) -> bool:
+        """Reduce the row against the pivots; True when it becomes one."""
+        pivots = self.pivots
+        while row:
+            lead = row & -row
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                return True
+            row ^= pivot
+        return False
+
+    def slide(self, width: int) -> None:
+        kept = {lead >> width: row >> width for lead, row in self.pivots.items() if lead >> width}
+        self.finished += len(self.pivots) - len(kept)
+        self.pivots = kept
+
+
+def bit_mask(row: SparseRow) -> int:
+    """The F_2 bitmask of a 0/1 row."""
+    mask = 0
+    for j in row:
+        mask |= 1 << j
+    return mask
+
+
+def bit_eliminations(pairs, width: int, shift: int) -> Iterator[BitEchelon]:
+    """One elimination over F_2 of the block matrices T_1, T_2, ... built
+    from 0/1 rows (x, y), yielded after each block: row block j of T_k
+    (j < k) holds one row per pair, x at column block j and y at column
+    block j + shift (left out below block 0), for shift +1 or -1, in column
+    blocks `width` wide.  Block j touches only column blocks
+    j + min(0, shift) and the one above, so its rows are written relative
+    to the first of the two, and the echelon slides up a block after each
+    block: every int stays within 2*width bits, however far k runs."""
+    x_at, y_at = (0, width) if shift > 0 else (width, 0)
+    rows = [bit_mask(x) << x_at | bit_mask(y) << y_at for x, y in pairs]
+    echelon = BitEchelon()
+    block = rows if shift > 0 else [bit_mask(x) << x_at for x, _ in pairs]
+    while True:
+        for row in block:
+            echelon.add(row)
+        yield echelon
+        echelon.slide(width)
+        block = rows
 
 
 def rank_of_rows(rows, modulus: int = 0) -> int:

@@ -20,16 +20,26 @@ Phi_d, count those blocks for d = 1, 2, ... until they fill the regular
 degree (from d = 2 on, a rank modulo a prime rules most d out first), and
 the lifted local type gives their sizes when needed.
 
-Each rank comes from fraction-free elimination on the pair's integer rows,
+Each rank comes from exact elimination on the pair's integer rows,
 `PairMatrices.rows`, the pair's only form.  T_1 = [M N] gives a row basis
-of at most 2v rows (`_row_basis`), which the sample, the ztz nullities and
-the roots of unity read instead of the e rows: each of their matrices has
-a row space that is a sum of linear images of rowspace([M N]), so the
-basis spans it too, and only the counts k*e of the nullities read e.  The
-column side feeds the v rows of the sparse transpose to its nullities
-directly: on a graph pair they are nearly always independent, so a basis
-would cost one more elimination and save none.  The local types read the
-columns too.  Nothing touches floating point.
+of at most 2v of those rows (`_row_basis`), which the sample, the ztz
+nullities and the roots of unity read instead of the e rows: each of
+their matrices has a row space that is a sum of linear images of
+rowspace([M N]), so the basis spans it too, and only the counts k*e of
+the nullities read e.  The column side feeds the v rows of the sparse
+transpose to its nullities directly: on a graph pair they are nearly
+always independent, so a basis would cost one more elimination and save
+none.  The local types read the columns too.
+
+On a unit-row pair, where each row of M and of N holds at most one
+nonzero entry, a 1 (graph pairs and `canonical_pair`), every T_k above is
+totally unimodular, so its rank is the same over every field (README,
+"Field independence"): T_1 and the nullity sequences of ztz, t, zt and tz
+are then eliminated over F_2, as bitmasks in a window of two column blocks
+(`echelon.bit_eliminations`), and the rows that become F_2 pivots of T_1
+are independent over Q too.  Any other pair, and the sample and the roots
+of unity on every pair, are eliminated over Q, fraction-free, or modulo a
+prime for a screen.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -46,7 +56,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import ratpoly as rp
-from .echelon import Echelon, SparseRow, prime_and_root, rank_of_rows
+from .echelon import (BitEchelon, Echelon, SparseRow, bit_eliminations, bit_mask, prime_and_root,
+                      rank_of_rows)
 from .invariants import InvariantRecord, cyclotomic_refine
 from .linearize import PairMatrices, integer_row
 from .ratpoly import Poly
@@ -74,12 +85,24 @@ def _pencil_rows(rows, c: int) -> list[SparseRow]:
     return [{j: m.get(j, 0) + c * n.get(j, 0) for j in m.keys() | n.keys()} for m, n in rows]
 
 
-def _eliminations(pairs, width: int, shift: int) -> Iterator[Echelon]:
+def _unit_rows(rows) -> bool:
+    """True when every row of M and of N holds at most one nonzero entry,
+    a 1: then every T_k below is totally unimodular, so its rank over F_2
+    is its rank over Q."""
+    return all(not row or list(row.values()) == [1] for pair in rows for row in pair)
+
+
+def _eliminations(pairs, width: int, shift: int,
+                  bits: bool) -> Iterator[Echelon | BitEchelon]:
     """One elimination of the block matrices T_1, T_2, ..., yielded after
     each block: row block j of T_k (j < k) holds one row per pair (x, y),
     x at column block j and y at column block j + shift (left out below
     block 0), in column blocks `width` wide.  T_k is T_(k-1) plus block
-    k - 1, so every k reads the same elimination."""
+    k - 1, so every k reads the same elimination.  With `bits`, for the
+    0/1 pairs of a unit-row pair and shift +1 or -1, it runs over F_2."""
+    if bits:
+        yield from bit_eliminations(pairs, width, shift)
+        return
     echelon = Echelon()
     for j in itertools.count():
         x_at, y_at, with_y = j * width, (j + shift) * width, j + shift >= 0
@@ -93,15 +116,19 @@ def _eliminations(pairs, width: int, shift: int) -> Iterator[Echelon]:
         yield echelon
 
 
-def _row_basis(rows, v: int) -> list[tuple[SparseRow, SparseRow]]:
+def _row_basis(rows, v: int, bits: bool) -> list[tuple[SparseRow, SparseRow]]:
     """A basis of R = rowspace([M N]) for the rows (m, n) of a pair with v
-    columns: the pivot rows of T_1 = [M N], split back into pairs (m, n).
-    At most 2v rows, however many rows come in."""
-    return [({j: x for j, x in row.items() if j < v}, {j - v: x for j, x in row.items() if j >= v})
-            for row in next(_eliminations(rows, v, 1)).pivots.values()]
+    columns: the rows that become pivots as T_1 = [M N] is eliminated, over
+    F_2 with `bits` (they are independent over Q too, and as many as the
+    rank over Q, since [M N] is totally unimodular), else over Q.  At most
+    2v rows, however many rows come in."""
+    echelon = BitEchelon() if bits else Echelon()
+    return [(m, n) for m, n in rows
+            if echelon.add(bit_mask(m) | bit_mask(n) << v if bits
+                           else {**m, **{v + j: x for j, x in n.items()}})]
 
 
-def _solution_space_dims(basis, e: int, v: int, total: int) -> list[int]:
+def _solution_space_dims(basis, e: int, v: int, total: int, bits: bool) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
     = 0, for a pair of e rows and v columns whose [M N] has the row basis
     `basis`, and k = 0..; stops once an increment reaches `total`, or at
@@ -112,7 +139,7 @@ def _solution_space_dims(basis, e: int, v: int, total: int) -> list[int]:
     [M N] shifted by j*v, and the basis shifted block by block spans it as
     the e rows do; only k*e counts the rows themselves."""
     f = [0]
-    for k, echelon in zip(range(1, min(e, v) + 3), _eliminations(basis, v, 1)):
+    for k, echelon in zip(range(1, min(e, v) + 3), _eliminations(basis, v, 1, bits)):
         f.append(k * e - echelon.rank)
         if f[-1] - f[-2] == total:
             break
@@ -143,13 +170,13 @@ def minimal_indices_left(p: PairMatrices,
     the rows of M + 2N are their images under (x, y) -> x + 2y, so the
     basis's images span them, and `_solution_space_dims` says why the basis
     stands in for the rows there."""
-    e, v = p.edge_dim, p.vertex_dim
+    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
     if basis is None:
-        basis = _row_basis(p.rows, v)
+        basis = _row_basis(p.rows, v, bits)
     sample = rank_of_rows(_pencil_rows(basis, 2))
     if sample == e:
         return ()
-    f = _solution_space_dims(basis, e, v, e - sample)
+    f = _solution_space_dims(basis, e, v, e - sample, bits)
     last = f[-1] - f[-2]
     if last > e - sample or (last < e - sample and last != f[-2] - f[-3]):
         raise AssertionError("row solution dimensions failed to saturate")
@@ -179,7 +206,7 @@ def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int
     total = v - (normal_rank(p) if rank is None else rank)
     if total == 0:
         return ()
-    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total)
+    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total, _unit_rows(p.rows))
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _multiset(f)
@@ -189,7 +216,7 @@ def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int
 
 
 def _local_type(a_cols: list[SparseRow], b_cols: list[SparseRow], e: int,
-                rank: int) -> tuple[int, ...]:
+                rank: int, bits: bool = False) -> tuple[int, ...]:
     """Sizes of the Jordan blocks of the e-row pencil A + s*B at s = 0, i.e.
     the exponents of its elementary divisors s^n, from the columns of A and
     B; `rank` is its normal rank.
@@ -201,10 +228,10 @@ def _local_type(a_cols: list[SparseRow], b_cols: list[SparseRow], e: int,
     of min(n, k) over the blocks, and k*h(1) - h(k), the sum of
     max(0, k - n), is the shape `_multiset` reads.  Column block j of T_k
     touches only row blocks j - 1 and j, so T_k's columns are fed as rows
-    to `_eliminations`, shift -1."""
+    to `_eliminations`, shift -1, over F_2 with `bits`."""
     h = [0]
     for k, echelon in zip(range(1, len(a_cols) + 2),
-                          _eliminations(list(zip(a_cols, b_cols)), e, -1)):
+                          _eliminations(list(zip(a_cols, b_cols)), e, -1, bits)):
         h.append(k * rank - echelon.rank)
         if h[-1] == h[-2]:
             break
@@ -333,14 +360,14 @@ class OracleReport:
 def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
-    e, v = p.edge_dim, p.vertex_dim
-    basis = _row_basis(p.rows, v)
+    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
+    basis = _row_basis(p.rows, v, bits)
     left = minimal_indices_left(p, basis)
     rank = normal_rank(p, left)
     right = minimal_indices_right(p, rank)
     m_cols, n_cols = _transpose(p)
-    zt = _local_type(m_cols, n_cols, e, rank)
-    tz = _local_type(n_cols, m_cols, e, rank)
+    zt = _local_type(m_cols, n_cols, e, rank, bits)
+    tz = _local_type(n_cols, m_cols, e, rank, bits)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise AssertionError(f"regular degree: singular and nilpotent parts exceed {v} vertices")

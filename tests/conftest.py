@@ -143,6 +143,22 @@ def spider(arms) -> BinaryRelation:
     return BinaryRelation(tuple(vertices), frozenset(edges))
 
 
+def in_tree(height: int) -> BinaryRelation:
+    """A random in-tree of the given height: a path of `height` edges into
+    the root, and 2*height more vertices, each with an edge to a random
+    earlier vertex less than `height` deep.  Its record is tz and one
+    t[height]."""
+    rng = random.Random(f"linequiv-test:in-tree:{height}")
+    depth = list(range(height + 1))
+    edges = [(i, i - 1) for i in range(1, height + 1)]
+    for i in range(height + 1, 3 * height + 1):
+        parent = rng.choice([u for u in range(i) if depth[u] < height])
+        depth.append(depth[parent] + 1)
+        edges.append((i, parent))
+    labels = tuple(f"n{i}" for i in range(len(depth)))
+    return BinaryRelation(labels, frozenset((labels[a], labels[b]) for a, b in edges))
+
+
 def seeded_relation(tag: str, max_vertices: int = 6,
                     prob: Fraction = Fraction(3, 10)) -> BinaryRelation:
     rng = random.Random(f"linequiv-test:{tag}")

@@ -548,63 +548,107 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
     assert calls["validating constructor"] == 1
 
 
-@pytest.mark.parametrize("argv, count", [(["oracle", "g4"], 1), (["fuzz", "--count", "3"], 3)],
-                         ids=["oracle-g4", "fuzz-3"])
-def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, g4_file, argv, count):
-    # the rows of [M N] are eliminated once per pair, into a row basis; the
-    # normal rank's one sample of M + c*N and every block of the left
-    # nullity sequence that certifies it read that basis, not the e rows;
-    # a graph pair's integer rows come from its edge ids
-    pairs = []  # (pair, rows per sample, eliminations)
+@pytest.mark.parametrize("argv, count", [(["oracle", "g4"], 1), (["fuzz", "--count", "3"], 3),
+                                         (["oracle", "pair", "--matrix"], 1)],
+                         ids=["oracle-g4", "fuzz-3", "oracle-matrix"])
+def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file, argv, count):
+    # the rows of [M N] are eliminated once per pair, and the input rows
+    # that become pivots are the row basis; the normal rank's one sample of
+    # M + c*N and every block of the left nullity sequence that certifies it
+    # read that basis, not the e rows.  A graph pair is a unit-row pair, so
+    # these eliminations run over F_2, on bitmasks whose window slides up a
+    # block at a time, and its only eliminations over Q are the sample and
+    # one per lifted root of unity; a graph pair's integer rows come from its
+    # edge ids.  A --matrix pair with other entries runs them all over Q.
+    pair_file = tmp_path / "pair.txt"
+    # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: row 3 is
+    # the sum of rows 1 and 2
+    pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
+    pairs = []  # (pair, sample rows, Q eliminations, F_2 eliminations, lifts)
 
     class Recorded(echelon.Echelon):
         def __init__(self, modulus=0):
             super().__init__(modulus)
-            self.added = []
+            self.added, self.grew = [], []
             pairs[-1][2].append(self)
 
         def add(self, row):
             if row:
                 self.added.append(dict(row))
-            super().add(row)
+            grew = super().add(row)
+            self.grew.append(grew)
+            return grew
 
-    analyze, pencil = oracle.analyze, oracle._pencil_rows
+    class RecordedBits(echelon.BitEchelon):
+        # rows as added, shifted back to absolute columns
+        def __init__(self):
+            super().__init__()
+            self.added, self.grew, self.at = [], [], 0
+            pairs[-1][3].append(self)
+
+        def add(self, row):
+            self.added.append(row << self.at)
+            grew = super().add(row)
+            self.grew.append(grew)
+            return grew
+
+        def slide(self, width):
+            self.at += width
+            super().slide(width)
+
+    analyze, pencil, lift = oracle.analyze, oracle._pencil_rows, oracle._lift
     scans = []
-    monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [])) or analyze(p))
+    monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [], [], [])) or analyze(p))
     monkeypatch.setattr(oracle, "_pencil_rows",
-                        lambda rows, c: (c > 0 and pairs[-1][1].append(len(rows)))
+                        lambda rows, c: (c > 0 and pairs[-1][1].append(list(rows)))
                         or pencil(rows, c))
-    monkeypatch.setattr(oracle, "Echelon", Recorded)
-    monkeypatch.setattr(echelon, "Echelon", Recorded)
+    monkeypatch.setattr(oracle, "_lift", lambda rows, d: pairs[-1][4].append(d) or lift(rows, d))
+    for module in (oracle, echelon):
+        monkeypatch.setattr(module, "Echelon", Recorded)
+        monkeypatch.setattr(module, "BitEchelon", RecordedBits)
     # the package's `linearize` name is the function, so find the module
     linearize_module = sys.modules["linequiv.linearize"]
     integer_row = linearize_module.integer_row
     monkeypatch.setattr(linearize_module, "integer_row",
                         lambda m, n: scans.append(m) or integer_row(m, n))
-    argv = [g4_file if arg == "g4" else arg for arg in argv]
-    assert run(capsys, *argv)[0] == 0
+    files = {"g4": g4_file, "pair": str(pair_file)}
+    assert run(capsys, *[files.get(arg, arg) for arg in argv])[0] == 0
     monkeypatch.undo()
     assert len(pairs) == count
-    assert scans == []
-    for p, samples, eliminations in pairs:
+    graph = "--matrix" not in argv
+    assert (scans == []) == graph
+    for p, samples, eliminations, bit_eliminations, lifts in pairs:
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]
         block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
         assert block and stacked not in [el.added for el in eliminations], p
-        raw = [el for el in eliminations if el.added == block]
+        unit = all(list(row.values()) in ([], [1]) for pair in p.rows for row in pair)
+        assert unit == graph, p
+        if unit:
+            assert block not in [el.added for el in eliminations], p
+            rows = [sum(1 << c for c in m) | sum(1 << v + c for c in n) for m, n in p.rows]
+            raw = [el for el in bit_eliminations if el.added == rows]
+            # over Q only the sample and the lifts
+            assert len([el for el in eliminations if not el.modulus]) == 1 + len(lifts), p
+        else:
+            assert bit_eliminations == [], p
+            rows = block
+            raw = [el for el in eliminations if el.added == [row for row in block if row]]
         assert len(raw) == 1, p
-        basis = list(raw[0].pivots.values())
+        basis = [pair for pair, grew in zip(p.rows, raw[0].grew) if grew]
         rank = len(basis)
         assert rank == oracle.rank_of_rows(block)
-        assert samples == [rank], p
+        assert samples == [basis], p
         # block k of the left nullity sequence is the basis shifted by (k - 1)*v
-        left = [el.added for el in eliminations if el is not raw[0]
-                and el.added[:rank] == basis]
+        basis_rows = [row for row, grew in zip(rows, raw[0].grew) if grew]
+        left = [el.added for el in (bit_eliminations if unit else eliminations)
+                if el is not raw[0] and el.added[:rank] == basis_rows]
         assert len(left) == (1 if oracle.normal_rank(p) < p.edge_dim else 0), p
         for added in left:
             blocks = len(added) // rank
-            assert added == [{c + k * v: x for c, x in row.items()}
-                             for k in range(blocks) for row in basis], p
+            shifted = [row << k * v for k in range(blocks) for row in basis_rows] if unit else [
+                {c + k * v: x for c, x in row.items()} for k in range(blocks) for row in basis_rows]
+            assert added == shifted, p
 
 
 @pytest.mark.parametrize("argv", [["oracle", "g4"], ["fuzz", "--count", "3"],

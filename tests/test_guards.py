@@ -2,8 +2,7 @@
 and its rank route reads integer rows only, every module a graph command
 compiles stays below the parser's token step, only the oracle reaches the
 Smith fallback, every public name has a reader besides the tests, and a
-failed self-check is an explicit AssertionError that, in the contraction
-route, some test trips."""
+failed self-check is an explicit AssertionError that some test trips."""
 
 import ast
 import builtins
@@ -80,7 +79,9 @@ def test_eager_modules_stay_under_the_parsers_token_step():
     # steps its peak up by ~226 KiB at 4096 tokens; a graph command compiles
     # these modules on every cold start, so each stays below that step.
     package = ROOT / "src" / "linequiv"
-    for name in ("__init__", "cli", "parsing", "relation", "contraction", "invariants"):
+    # The `oracle` and `fuzz` commands compile the oracle and its kernels too.
+    for name in ("__init__", "cli", "parsing", "relation", "contraction", "invariants",
+                 "oracle", "echelon"):
         with (package / f"{name}.py").open(encoding="utf-8") as source:
             tokens = sum(1 for _ in tokenize.generate_tokens(source.readline))
         assert tokens < 4096, (name, tokens)
@@ -134,7 +135,7 @@ def test_a_failed_self_check_is_an_assertion_error():
 
 
 # the constant text of every `raise AssertionError(...)` message in the
-# contraction route, up to its first formatted value
+# contraction route and the oracle, up to its first formatted value
 SELF_CHECKS = {
     "contraction.py": [
         "stable shape: a branching component in the stable relation",
@@ -150,6 +151,18 @@ SELF_CHECKS = {
         "negative multiplicity: ztz[0] = ",
         "primitive invariants and records disagree",
     ],
+    "oracle.py": [
+        "nullity sequence is not concave",
+        "multiset count mismatch",
+        "row solution dimensions failed to saturate",
+        "row solution dimensions failed to saturate",
+        "local Jordan chains failed to saturate",
+        "lifted rank at d=",
+        "lifted Jordan type at d=",
+        "regular degree: roots of unity carry more than ",
+        "regular degree: singular and nilpotent parts exceed ",
+        "Smith form and local ranks disagree on zt",
+    ],
 }
 
 
@@ -164,7 +177,7 @@ def _message_head(node: ast.expr) -> str:
     return head
 
 
-def test_every_self_check_of_the_contraction_route_has_a_test_that_trips_it():
+def test_every_self_check_has_a_test_that_trips_it():
     # a pattern trips a check when it matches within the check's constant
     # text, or when its literal text starts with all of it
     package = ROOT / "src" / "linequiv"

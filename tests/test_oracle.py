@@ -9,22 +9,24 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from linequiv import (InvariantRecord, canonical_pair, compare, full_invariants,
+from linequiv import (BinaryRelation, InvariantRecord, canonical_pair, compare, full_invariants,
                       minimal_indices_left, minimal_indices_right, oracle_invariants,
                       regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
-from linequiv.echelon import Echelon
+from linequiv.echelon import Echelon, bit_eliminations
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
-from linequiv.oracle import (OracleFactorError, OracleReport, _cyclotomic_blocks, _lift,
-                             _row_basis, _screen_clears, _solution_space_dims, _transpose,
-                             analyze, invariant_factors, normal_rank, rank_of_rows)
+from linequiv.oracle import (OracleFactorError, OracleReport, _cyclotomic_blocks,
+                             _eliminations, _lift, _multiset, _row_basis, _screen_clears,
+                             _solution_space_dims, _transpose, _unit_rows, analyze, invariant_factors, normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored
 
-from conftest import dense, multidigraph, pair_of, seeded_relation, transposed
+from conftest import (dense, in_tree, multidigraph, pair_of, seeded_relation, spider,
+                      transposed)
 
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -189,7 +191,7 @@ def test_no_stage_changes_the_integer_rows(g1, g2, g3, g4):
 
 def kernel_meet_dim(p: PairMatrices) -> int:
     """Dimension of the joint row kernel {x : xM = 0 and xN = 0}."""
-    return p.edge_dim - len(_row_basis(p.rows, p.vertex_dim))
+    return p.edge_dim - len(_row_basis(p.rows, p.vertex_dim, _unit_rows(p.rows)))
 
 
 def test_kernel_meet_dim_examples(g1, g2):
@@ -449,6 +451,15 @@ def test_oracle_matches_contractions_across_probabilities():
         r = seeded_relation(f"cross:{i}", max_vertices=6,
                             prob=Fraction(1 + (i % 5), 10))
         assert not compare(full_invariants(r), oracle_invariants(linearize(r)))
+    # and at the reach of the oracle's F_2 kernel: Y(L, L), in-trees, and a
+    # relation on 1000 vertices with 1.5 edges per vertex
+    rng = random.Random("linequiv-test:cross-1000")
+    labels = tuple(f"v{i}" for i in range(1000))
+    big = BinaryRelation(labels, frozenset((labels[i // 1000], labels[i % 1000])
+                                           for i in rng.sample(range(10**6), 1500)))
+    for r in [spider((L, L)) for L in (24, 32, 48, 64, 96, 128)] + [
+            in_tree(h) for h in (32, 64, 128)] + [big]:
+        assert not compare(full_invariants(r), oracle_invariants(linearize(r))), r.vertex_count
 
 
 # -- the rank-only route against the Smith-form reference ----------------------
@@ -672,23 +683,138 @@ def test_singular_part_ranks_are_the_same_over_every_field():
     # a graph pair's 0/1 rows put one 1 in M and one in N, so each row of
     # these matrices, or each column on the column side, holds at most two
     # 1s, in adjacent column blocks: they are totally unimodular (README,
-    # "Field independence"), and their rank is the same over Q, F_2 and F_3
+    # "Field independence"), and their rank is the same over Q, F_2 and F_3.
+    # k runs to the k each sequence reaches, one past the largest index of
+    # its family, where the oracle's sequence saturates, and at least to 4
     rng = random.Random("linequiv-test:field-independence")
-    compared = dependent = 0
-    for _ in range(300):
-        rel = random_relation(rng, rng.randint(1, 7), Fraction(rng.randint(1, 6), 10))
-        p = linearize(rel)
-        columns = list(zip(*_transpose(p)))
-        for k in range(1, 5):
-            for rows in (block_toeplitz(p.rows, p.vertex_dim, k, False),
-                         block_toeplitz(columns, p.edge_dim, k, False),
-                         block_toeplitz(p.rows, p.vertex_dim, k, True),
-                         block_toeplitz([(n, m) for m, n in p.rows], p.vertex_dim, k, True)):
+    graphs = [random_relation(rng, rng.randint(1, 7), Fraction(rng.randint(1, 6), 10))
+              for _ in range(300)]
+    graphs += [spider((8, 8)), spider((7, 3, 2)), cycles_graph((3, 4), 6)]
+    compared = dependent = deepest = 0
+    for g in graphs:
+        p, rec = linearize(g), full_invariants(g)
+        v, columns = p.vertex_dim, list(zip(*_transpose(p)))
+        for family, pairs, width, truncated in (("ztz", p.rows, v, False),
+                                                ("t", columns, p.edge_dim, False),
+                                                ("zt", p.rows, v, True),
+                                                ("tz", [(n, m) for m, n in p.rows], v, True)):
+            reach = max(getattr(rec, family), default=0) + 1
+            deepest = max(deepest, reach)
+            for k in range(1, max(4, reach) + 1):
+                rows = block_toeplitz(pairs, width, k, truncated)
                 rank = rank_of_rows(rows)
-                assert rank_of_rows(rows, 2) == rank == rank_of_rows(rows, 3), (rel, k)
+                assert rank_of_rows(rows, 2) == rank == rank_of_rows(rows, 3), (g, family, k)
                 compared += 1
                 dependent += rank < len(rows)
-    assert compared == 300 * 4 * 4 and dependent > compared // 3
+    assert compared > 303 * 4 * 4 and dependent > compared // 3 and deepest == 9
+
+
+def kernel_inputs() -> list[tuple[PairMatrices, InvariantRecord]]:
+    """Unit-row pairs with their records: random relations, cycles with
+    in-paths, the four canonical families up to n = 12, Y(64, 64) and an
+    in-tree of height 64."""
+    graphs = [seeded_relation(f"kernel:{i}", max_vertices=9, prob=Fraction(1 + i % 5, 10))
+              for i in range(40)]
+    graphs += [cycles_graph(lengths, tail) for lengths, tail in
+               (((5,), 0), ((3, 4), 2), ((1, 6), 5), ((2, 2, 9), 7))]
+    graphs += [spider((64, 64)), in_tree(64)]
+    out = [(linearize(g), full_invariants(g)) for g in graphs]
+    return out + [(canonical_pair(family, n), rec(**{family: {n: 1}}))
+                  for family in ("zt", "tz", "t", "ztz")
+                  for n in range(1 if family in ("zt", "tz") else 0, 13)]
+
+
+def test_windowed_bit_ranks_equal_the_ranks_over_q():
+    # on a unit-row pair the F_2 kernel gives rank T_k over Q at every k up
+    # to saturation and one past it, on each of the oracle's four block
+    # sequences, and its pivots stay within the two blocks of its window
+    # however often the window slides
+    slides = []
+    for p, record in kernel_inputs():
+        assert _unit_rows(p.rows), p
+        e, v = p.edge_dim, p.vertex_dim
+        m_cols, n_cols = _transpose(p)
+        reach = max([0, *record.zt, *record.tz, *record.t, *record.ztz]) + 2
+        for pairs, width, shift in ((p.rows, v, 1), (list(zip(m_cols, n_cols)), e, 1),
+                                    (list(zip(m_cols, n_cols)), e, -1),
+                                    (list(zip(n_cols, m_cols)), e, -1)):
+            bits = _eliminations(pairs, width, shift, True)
+            rational = _eliminations(pairs, width, shift, False)
+            for k, window, echelon in zip(range(1, reach + 1), bits, rational):
+                assert window.rank == echelon.rank, (p, width, shift, k)
+                assert all(row >> 2 * width == 0 for row in window.pivots.values()), (p, k)
+            slides.append(k - 1)
+    assert max(slides) == 65 and sum(slides) > 2000
+
+
+def skew_kernel(monkeypatch, width: int, shift: int, rank) -> None:
+    """Make the F_2 kernel report rank(k, rank T_k) on its block sequences
+    of this width and shift, in place of any earlier skew."""
+    def skewed(pairs, w, s):
+        for k, echelon in enumerate(bit_eliminations(pairs, w, s), 1):
+            yield SimpleNamespace(rank=rank(k, echelon.rank) if (w, s) == (width, shift)
+                                  else echelon.rank)
+
+    monkeypatch.setattr(oracle, "bit_eliminations", skewed)
+
+
+def test_a_kernel_that_misreports_a_rank_trips_a_saturation_check(monkeypatch, g1):
+    # ranks that never grow leave every nullity sequence unsaturated; g1
+    # has one left minimal index and no right one, and the path a -> b -> c
+    # one right minimal index and no left one
+    path = linearize(multidigraph("abc", [("a", "b"), ("b", "c")]))
+    skew_kernel(monkeypatch, 3, 1, lambda k, rank: 0)
+    with pytest.raises(AssertionError, match="row solution dimensions failed to saturate"):
+        minimal_indices_left(linearize(g1))
+    skew_kernel(monkeypatch, 2, 1, lambda k, rank: 0)
+    with pytest.raises(AssertionError, match="row solution dimensions failed to saturate"):
+        minimal_indices_right(path)
+    skew_kernel(monkeypatch, 2, -1, lambda k, rank: 0)
+    with pytest.raises(AssertionError, match="local Jordan chains failed to saturate"):
+        oracle_invariants(path)
+
+
+def test_a_kernel_that_misreports_a_rank_trips_a_count_check(monkeypatch, g3):
+    # one rank T_2 too low at the local types makes h(k) rise and fall back
+    skew_kernel(monkeypatch, 4, -1, lambda k, rank: rank - (k == 2))
+    with pytest.raises(AssertionError, match="nullity sequence is not concave"):
+        oracle_invariants(linearize(g3))
+    # every local rank one too low adds a zt and a tz block of size 1 that
+    # the path's vertices leave no room for
+    skew_kernel(monkeypatch, 2, -1, lambda k, rank: rank - 1)
+    with pytest.raises(AssertionError,
+                       match="regular degree: singular and nilpotent parts exceed 3 vertices"):
+        oracle_invariants(linearize(multidigraph("abc", [("a", "b"), ("b", "c")])))
+    # a sequence that does not start at 0 is the only one whose last
+    # increment disagrees with the multiset's size
+    with pytest.raises(AssertionError, match="multiset count mismatch"):
+        _multiset([1, 2])
+
+
+def test_a_wrong_lift_trips_the_root_of_unity_checks(monkeypatch):
+    # one lifted row too many at d = 3 on the 3-cycle: the rank falls by
+    # one, not by a multiple of phi(3) = 2
+    lift = oracle._lift
+    monkeypatch.setattr(oracle, "_lift", lambda rows, d: lift(rows, d) + [{10**6: 1}] * (d > 1))
+    with pytest.raises(AssertionError, match="lifted rank at d=3 is not a multiple of phi"):
+        oracle_invariants(linearize(cycles_graph((3,))))
+    monkeypatch.undo()
+    # Phi_3^2 has one Jordan block of size 2 at each primitive cube root; a
+    # lifted local type with one extra block is not two equal copies
+    local = oracle._local_type
+    monkeypatch.setattr(oracle, "_local_type", lambda a, b, e, rank, bits=False:
+                        local(a, b, e, rank, bits) + (1,) * (len(a) > 4))
+    with pytest.raises(AssertionError, match="lifted Jordan type at d=3 is not 2 equal copies"):
+        oracle_invariants(regular_pair(rp.cyclotomic(3), 2))
+
+
+def test_a_smith_form_without_the_zero_divisors_trips_the_zt_check(monkeypatch):
+    # X - 2 beside zt[1] takes the Smith route, which must find S(X^1) too
+    factor = oracle.factor_stored
+    monkeypatch.setattr(oracle, "factor_stored",
+                        lambda q: [f for f in factor(q) if f[0] != rp.X])
+    with pytest.raises(AssertionError, match="Smith form and local ranks disagree on zt"):
+        oracle_invariants(direct_sum(regular_pair(rp.poly(-2, 1)), canonical_pair("zt", 1)))
 
 
 def test_screen_keeps_every_root_the_lift_finds():
@@ -696,7 +822,7 @@ def test_screen_keeps_every_root_the_lift_finds():
     # screen stays sound on it
     for p in differential_pairs():
         rank = normal_rank(p)
-        for rows in (p.rows, _row_basis(p.rows, p.vertex_dim)):
+        for rows in (p.rows, _row_basis(p.rows, p.vertex_dim, _unit_rows(p.rows))):
             for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
                 if rp.totient(d) * p.vertex_dim > 160:
                     continue
@@ -728,6 +854,8 @@ def explicit_block_rank(rows, v: int, k: int) -> int:
 
 
 def test_row_basis_stands_in_for_the_rows():
+    # the basis is input rows, from an elimination over Q, or over F_2 on a
+    # unit-row pair, where [M N] and [M^T N^T] are totally unimodular
     pairs = differential_pairs()
     pairs += [linearize(seeded_relation(f"dense:{i}", max_vertices=10, prob=Fraction(1, 2)))
               for i in range(12)]
@@ -735,19 +863,22 @@ def test_row_basis_stands_in_for_the_rows():
     rng = random.Random("basis")
     pairs += [random_rational_pair(rng) for _ in range(40)]
     assert any(p.edge_dim > 2 * p.vertex_dim > 0 for p in pairs)
+    assert 0 < sum(map(_unit_rows, (p.rows for p in pairs))) < len(pairs)
     for p in pairs:
         e, v = p.edge_dim, p.vertex_dim
         columns = list(zip(*_transpose(p)))
         rank = normal_rank(p)
         for rows, count, width in ((p.rows, e, v), (columns, v, e)):
-            basis = _row_basis(rows, width)
-            stacked = [{**m, **{width + j: x for j, x in n.items()}} for m, n in basis]
-            everything = [{**m, **{width + j: x for j, x in n.items()}} for m, n in rows]
-            assert rank_of_rows(stacked) == len(basis) == rank_of_rows(stacked + everything), p
-            f = _solution_space_dims(basis, count, width, count - rank)
-            assert f == [k * count - explicit_block_rank(rows, width, k)
-                         for k in range(len(f))], p
-        basis = _row_basis(p.rows, v)
+            for bits in {False, _unit_rows(p.rows)}:
+                basis = _row_basis(rows, width, bits)
+                assert all(pair in rows for pair in basis), p
+                stacked = [{**m, **{width + j: x for j, x in n.items()}} for m, n in basis]
+                everything = [{**m, **{width + j: x for j, x in n.items()}} for m, n in rows]
+                assert rank_of_rows(stacked) == len(basis) == rank_of_rows(stacked + everything), p
+                f = _solution_space_dims(basis, count, width, count - rank, bits)
+                assert f == [k * count - explicit_block_rank(rows, width, k)
+                             for k in range(len(f))], p
+        basis = _row_basis(p.rows, v, _unit_rows(p.rows))
         for d in range(1, 13):
             if rp.totient(d) * v <= 160:
                 assert rank_of_rows(_lift(basis, d)) == rank_of_rows(_lift(p.rows, d)), (p, d)
