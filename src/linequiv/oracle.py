@@ -37,9 +37,13 @@ totally unimodular, so its rank is the same over every field (README,
 "Field independence"): T_1 and the nullity sequences of ztz, t, zt and tz
 are then eliminated over F_2, as bitmasks in a window of two column blocks
 (`echelon.bit_eliminations`), and the rows that become F_2 pivots of T_1
-are independent over Q too.  Any other pair, and the sample and the roots
-of unity on every pair, are eliminated over Q, fraction-free, or modulo a
-prime for a screen.  Nothing touches floating point.
+are independent over Q too.  The lift at d = 1 is M - N itself, whose
+rows hold at most a 1 and a -1: a signed incidence matrix, totally
+unimodular as well (Schrijver, ch. 19), so on a unit-row pair it is ranked
+over F_2 too, each row the xor of its two bitmasks.  Any other pair, and
+the sample and the roots of unity from d = 2 on for every pair, are
+eliminated over Q, fraction-free, or modulo a prime for a screen.  Nothing
+touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -87,8 +91,8 @@ def _pencil_rows(rows, c: int) -> list[SparseRow]:
 
 def _unit_rows(rows) -> bool:
     """True when every row of M and of N holds at most one nonzero entry,
-    a 1: then every T_k below is totally unimodular, so its rank over F_2
-    is its rank over Q."""
+    a 1: then every T_k below, and M - N, are totally unimodular, so their
+    ranks over F_2 are their ranks over Q."""
     return all(not row or list(row.values()) == [1] for pair in rows for row in pair)
 
 
@@ -149,28 +153,34 @@ def _solution_space_dims(basis, e: int, v: int, total: int, bits: bool) -> list[
 def _multiset(f: list[int]) -> tuple[int, ...]:
     """The multiset of a saturated sequence f(k) = sum of max(0, k - n)
     over its members n: n occurs as often as the second difference of f
-    at n, and the last increment counts them all."""
+    at n, and the last increment counts them all.  The second differences
+    telescope to the last increment minus f(0), so once each is
+    nonnegative, that count holds exactly when f(0) = 0."""
+    if f[0]:
+        raise AssertionError(f"nullity sequence starts at {f[0]}, not 0")
     out = []
     for d in range(len(f) - 1):
         mult = f[d + 1] - 2 * f[d] + (f[d - 1] if d else 0)
         if mult < 0:
             raise AssertionError("nullity sequence is not concave")
         out.extend([d] * mult)
-    if len(out) != f[-1] - f[-2]:
-        raise AssertionError("multiset count mismatch")
     return tuple(out)
 
 
 def minimal_indices_left(p: PairMatrices,
-                         basis: list[tuple[SparseRow, SparseRow]] | None = None) -> tuple[int, ...]:
+                         basis: list[tuple[SparseRow, SparseRow]] | None = None, *,
+                         bits: bool | None = None) -> tuple[int, ...]:
     """Degrees of a minimal basis of polynomial row solutions of
     x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
     also certifies the normal rank; see `normal_rank`.  Both read `basis`,
     the row basis of [M N] (computed when not handed in), not the e rows:
     the rows of M + 2N are their images under (x, y) -> x + 2y, so the
     basis's images span them, and `_solution_space_dims` says why the basis
-    stands in for the rows there."""
-    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
+    stands in for the rows there.  `bits` is `_unit_rows(p.rows)`, read
+    here unless `analyze` hands it in."""
+    e, v = p.edge_dim, p.vertex_dim
+    if bits is None:
+        bits = _unit_rows(p.rows)
     if basis is None:
         basis = _row_basis(p.rows, v, bits)
     sample = rank_of_rows(_pencil_rows(basis, 2))
@@ -197,16 +207,24 @@ def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
     return p.edge_dim - len(minimal_indices_left(p) if left is None else left)
 
 
-def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
-    """Column-side analogue, on the v rows of the sparse transpose; one t
-    summand per index.  Those rows span their own row space, so they stand
-    in for a basis in `_solution_space_dims`.  The transposed pair has the
-    same normal rank, so `rank` carries over."""
+def minimal_indices_right(p: PairMatrices, rank: int | None = None, *,
+                          columns: tuple[list[SparseRow], list[SparseRow]] | None = None,
+                          bits: bool | None = None) -> tuple[int, ...]:
+    """Column-side analogue, on the v rows of the sparse transpose,
+    `columns` = `_transpose(p)`; one t summand per index.  Those rows span
+    their own row space, so they stand in for a basis in
+    `_solution_space_dims`.  The transposed pair has the same normal rank,
+    so `rank` carries over.  `columns` and `bits` are read here unless
+    `analyze` hands them in."""
     e, v = p.edge_dim, p.vertex_dim
     total = v - (normal_rank(p) if rank is None else rank)
     if total == 0:
         return ()
-    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total, _unit_rows(p.rows))
+    if columns is None:
+        columns = _transpose(p)
+    if bits is None:
+        bits = _unit_rows(p.rows)
+    f = _solution_space_dims(list(zip(*columns)), v, e, total, bits)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _multiset(f)
@@ -280,8 +298,8 @@ def _lift(rows, d: int) -> list[SparseRow]:
     return out
 
 
-def _cyclotomic_blocks(rows, v: int, rank: int,
-                       degree: int) -> list[tuple[int, int]] | None:
+def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
+                       bits: bool = False) -> list[tuple[int, int]] | None:
     """One (d, n) per Jordan block of size n at the pencil eigenvalues -zeta,
     zeta a primitive d-th root of unity; None when blocks at roots of unity
     leave part of the regular `degree` unaccounted for.
@@ -298,10 +316,16 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
     d >= 2 a rank modulo a prime screens d first.  At d = 1 the lift is
     M - N itself, so the screen would cost as much as the rank, and on a
     graph pair with a cycle X - 1 always divides, so it would never clear.
-    The scan runs while phi(d) fits in the degree not yet counted, up to the
-    bound 2*deg^2 + 6 past which phi(d) > deg.  If phi(d) times the counts
-    fills the degree, every block has size 1, as it always does for graphs
-    (X^k - 1 is squarefree).  Otherwise the lifted local type gives the
+    With `bits`, for the rows of a unit-row pair, that rank is taken over
+    F_2: each row of M - N holds at most a 1 and a -1, which cancel on a
+    loop, so M - N is a signed incidence matrix, totally unimodular, and
+    its rank is the same over every field.  M + N at d = 2 is not (an odd
+    cycle gives determinant 2), and the lifts for d >= 3 are not incidence
+    matrices, so they stay over Q.  The scan runs while phi(d) fits in the
+    degree not yet counted, up to the bound 2*deg^2 + 6 past which
+    phi(d) > deg.  If phi(d) times the counts fills the degree, every
+    block has size 1, as it always does for graphs (X^k - 1 is
+    squarefree).  Otherwise the lifted local type gives the
     sizes at each d found whose phi(d) fits in the degree still left, since
     a block of size n adds (n - 1)*phi(d) beyond its count.  The local type
     is this second pass, and not the scan itself, because its T_2 costs far
@@ -315,7 +339,14 @@ def _cyclotomic_blocks(rows, v: int, rank: int,
     while left > 0 and d <= 2 * left * left + 6:
         phi = rp.totient(d)
         if phi <= left and (d == 1 or not _screen_clears(rows, rank, d)):
-            count, rest = divmod(phi * rank - rank_of_rows(_lift(rows, d)), phi)
+            if d == 1 and bits:
+                echelon = BitEchelon()
+                for m, n in rows:
+                    echelon.add(bit_mask(m) ^ bit_mask(n))
+                lifted = echelon.rank
+            else:
+                lifted = rank_of_rows(_lift(rows, d))
+            count, rest = divmod(phi * rank - lifted, phi)
             if rest or count < 0:
                 raise AssertionError(f"lifted rank at d={d} is not a multiple of phi(d)")
             if count:
@@ -360,18 +391,18 @@ class OracleReport:
 def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
-    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
+    e, v, bits, columns = p.edge_dim, p.vertex_dim, _unit_rows(p.rows), _transpose(p)
     basis = _row_basis(p.rows, v, bits)
-    left = minimal_indices_left(p, basis)
+    left = minimal_indices_left(p, basis, bits=bits)
     rank = normal_rank(p, left)
-    right = minimal_indices_right(p, rank)
-    m_cols, n_cols = _transpose(p)
+    right = minimal_indices_right(p, rank, columns=columns, bits=bits)
+    m_cols, n_cols = columns
     zt = _local_type(m_cols, n_cols, e, rank, bits)
     tz = _local_type(n_cols, m_cols, e, rank, bits)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise AssertionError(f"regular degree: singular and nilpotent parts exceed {v} vertices")
-    blocks = _cyclotomic_blocks(basis, v, rank, degree)
+    blocks = _cyclotomic_blocks(basis, v, rank, degree, bits)
     if blocks is None:  # the fallback: the divisors of M + X*N from its Smith form, factored
         finite = tuple(sorted(factor for q in invariant_factors(pencil_matrix(p.rows, v))
                               for factor in factor_stored(q)))

@@ -558,7 +558,8 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     # read that basis, not the e rows.  A graph pair is a unit-row pair, so
     # these eliminations run over F_2, on bitmasks whose window slides up a
     # block at a time, and its only eliminations over Q are the sample and
-    # one per lifted root of unity; a graph pair's integer rows come from its
+    # one per lifted root of unity from d = 2 on: M - N, the lift at d = 1,
+    # is ranked over F_2 as well.  A graph pair's integer rows come from its
     # edge ids.  A --matrix pair with other entries runs them all over Q.
     pair_file = tmp_path / "pair.txt"
     # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: row 3 is
@@ -652,24 +653,63 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
 
 
 @pytest.mark.parametrize("argv", [["oracle", "g4"], ["fuzz", "--count", "3"],
-                                  ["oracle", "two-cycle"]],
-                         ids=["oracle-g4", "fuzz-3", "oracle-two-cycle"])
+                                  ["oracle", "two-cycle"], ["oracle", "pair", "--matrix"]],
+                         ids=["oracle-g4", "fuzz-3", "oracle-two-cycle", "oracle-matrix"])
 def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file, argv):
     # at d = 1 the lift is M - N itself, as large as the screen's
-    # elimination, so the lifted rank runs unscreened
+    # elimination, so its rank runs unscreened.  On a unit-row pair M - N
+    # is a signed incidence matrix, totally unimodular, so one BitEchelon
+    # ranks it over F_2, a row per basis row (m, n), the xor of their
+    # bitmasks, and d = 1 is never lifted; any other pair lifts it over Q
     two_cycle = tmp_path / "two-cycle.edges"
     two_cycle.write_text("a b\nb a\n")
-    screened, lifted = [], []
-    screen, lift = oracle._screen_clears, oracle._lift
+    pair_file = tmp_path / "pair.txt"
+    # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: eigenvalues
+    # of M + X*N at -1 (d = 1) and at -2
+    pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
+    pairs = []  # (pair, screened d, lifted d, F_2 eliminations in the oracle)
+
+    class RecordedBits(echelon.BitEchelon):
+        def __init__(self):
+            super().__init__()
+            self.added = []
+            pairs[-1][3].append(self)
+
+        def add(self, row):
+            self.added.append(row)
+            return super().add(row)
+
+    analyze, screen, lift = oracle.analyze, oracle._screen_clears, oracle._lift
+    monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [], [])) or analyze(p))
     monkeypatch.setattr(oracle, "_screen_clears",
-                        lambda rows, rank, d: screened.append(d) or screen(rows, rank, d))
-    monkeypatch.setattr(oracle, "_lift", lambda rows, d: lifted.append(d) or lift(rows, d))
-    files = {"g4": g4_file, "two-cycle": str(two_cycle)}
+                        lambda rows, rank, d: pairs[-1][1].append(d) or screen(rows, rank, d))
+    monkeypatch.setattr(oracle, "_lift", lambda rows, d: pairs[-1][2].append(d) or lift(rows, d))
+    monkeypatch.setattr(oracle, "BitEchelon", RecordedBits)
+    files = {"g4": g4_file, "two-cycle": str(two_cycle), "pair": str(pair_file)}
     assert run(capsys, *[files.get(arg, arg) for arg in argv])[0] == 0
-    assert 1 not in screened
-    assert 1 in lifted
+    monkeypatch.undo()
+    graph = "--matrix" not in argv
+    scanned = 0
+    for p, screened, lifted, bit_eliminations in pairs:
+        assert 1 not in screened, p
+        assert oracle._unit_rows(p.rows) == graph, p
+        if not graph:
+            assert bit_eliminations == [] and 1 in lifted, p
+            scanned += 1
+            continue
+        # the first BitEchelon finds the row basis; d = 1 is scanned when
+        # the pair has a cycle, and then a second one ranks M - N
+        assert 1 not in lifted, p
+        cycle = bool(analyze(p).cyclotomic_blocks)
+        basis = oracle._row_basis(p.rows, p.vertex_dim, True)
+        d1 = [echelon.bit_mask(m) ^ echelon.bit_mask(n) for m, n in basis]
+        assert [el.added for el in bit_eliminations[1:]] == [d1] * cycle, p
+        if cycle:
+            assert bit_eliminations[1].rank == oracle.rank_of_rows(oracle._lift(basis, 1)), p
+            scanned += 1
+    assert scanned > 0
     if "two-cycle" in argv:  # X^2 - 1 puts d = 2 in the scan, behind the screen
-        assert screened == [2] and lifted == [1, 2]
+        assert [(screened, lifted) for _, screened, lifted, _ in pairs] == [([2], [2])]
 
 
 def test_dot_format_flag(capsys, tmp_path):

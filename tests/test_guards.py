@@ -152,8 +152,8 @@ SELF_CHECKS = {
         "primitive invariants and records disagree",
     ],
     "oracle.py": [
+        "nullity sequence starts at ",
         "nullity sequence is not concave",
-        "multiset count mismatch",
         "row solution dimensions failed to saturate",
         "row solution dimensions failed to saturate",
         "local Jordan chains failed to saturate",

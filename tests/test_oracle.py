@@ -18,7 +18,7 @@ from linequiv import (BinaryRelation, InvariantRecord, canonical_pair, compare, 
                       regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
-from linequiv.echelon import Echelon, bit_eliminations
+from linequiv.echelon import BitEchelon, Echelon, bit_eliminations, bit_mask
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (OracleFactorError, OracleReport, _cyclotomic_blocks,
                              _eliminations, _lift, _multiset, _row_basis, _screen_clears,
@@ -457,8 +457,8 @@ def test_oracle_matches_contractions_across_probabilities():
     labels = tuple(f"v{i}" for i in range(1000))
     big = BinaryRelation(labels, frozenset((labels[i // 1000], labels[i % 1000])
                                            for i in rng.sample(range(10**6), 1500)))
-    for r in [spider((L, L)) for L in (24, 32, 48, 64, 96, 128)] + [
-            in_tree(h) for h in (32, 64, 128)] + [big]:
+    for r in [spider((L, L)) for L in (24, 32, 48, 64, 96, 128, 192, 256)] + [
+            in_tree(h) for h in (32, 64, 128, 256)] + [big]:
         assert not compare(full_invariants(r), oracle_invariants(linearize(r))), r.vertex_count
 
 
@@ -707,6 +707,29 @@ def test_singular_part_ranks_are_the_same_over_every_field():
                 compared += 1
                 dependent += rank < len(rows)
     assert compared > 303 * 4 * 4 and dependent > compared // 3 and deepest == 9
+    # the lift at d = 1, M - N, holds at most a 1 and a -1 per row, which
+    # cancel on a loop: a signed incidence matrix, totally unimodular too.
+    # Its rank over F_2, as the oracle takes it, one BitEchelon fed the xor
+    # of each row's two bitmasks, is its rank over Q and over F_3, here and
+    # on the kernel's unit-row pairs, whose canonical families have rows
+    # with an empty M or N side, and on multigraphs with parallel edges
+    multigraphs = [multidigraph("abcd", [("a", "b"), ("a", "b"), ("b", "a"), ("c", "c"),
+                                         ("c", "c"), ("b", "c"), ("c", "d"), ("d", "b")]),
+                   multidigraph("ab", [("a", "a"), ("a", "b"), ("a", "b"), ("a", "b")])]
+    pairs = [linearize(g) for g in graphs + multigraphs] + [p for p, _ in kernel_inputs()]
+    seen, dependent = Counter(), 0
+    for p in pairs:
+        difference = _lift(p.rows, 1)
+        bits = BitEchelon()
+        for m, n in p.rows:
+            bits.add(bit_mask(m) ^ bit_mask(n))
+        rank = rank_of_rows(difference)
+        assert bits.rank == rank == rank_of_rows(difference, 2) == rank_of_rows(difference, 3), p
+        dependent += rank < p.edge_dim
+        seen["loop"] += any(m == n for m, n in p.rows)
+        seen["parallel"] += len(set(map(repr, p.rows))) < p.edge_dim
+        seen["empty side"] += any(not m or not n for m, n in p.rows)
+    assert min(seen.values()) > 0 and len(seen) == 3 and dependent > len(pairs) // 3
 
 
 def kernel_inputs() -> list[tuple[PairMatrices, InvariantRecord]]:
@@ -785,9 +808,9 @@ def test_a_kernel_that_misreports_a_rank_trips_a_count_check(monkeypatch, g3):
     with pytest.raises(AssertionError,
                        match="regular degree: singular and nilpotent parts exceed 3 vertices"):
         oracle_invariants(linearize(multidigraph("abc", [("a", "b"), ("b", "c")])))
-    # a sequence that does not start at 0 is the only one whose last
-    # increment disagrees with the multiset's size
-    with pytest.raises(AssertionError, match="multiset count mismatch"):
+    # only a sequence that does not start at 0 can have a last increment
+    # that disagrees with the multiset's size, so that is the precondition
+    with pytest.raises(AssertionError, match="nullity sequence starts at 1, not 0"):
         _multiset([1, 2])
 
 
