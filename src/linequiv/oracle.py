@@ -168,19 +168,15 @@ def _multiset(f: list[int]) -> tuple[int, ...]:
 
 
 def minimal_indices_left(p: PairMatrices,
-                         basis: list[tuple[SparseRow, SparseRow]] | None = None, *,
-                         bits: bool | None = None) -> tuple[int, ...]:
+                         basis: list[tuple[SparseRow, SparseRow]] | None = None) -> tuple[int, ...]:
     """Degrees of a minimal basis of polynomial row solutions of
     x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
     also certifies the normal rank; see `normal_rank`.  Both read `basis`,
     the row basis of [M N] (computed when not handed in), not the e rows:
     the rows of M + 2N are their images under (x, y) -> x + 2y, so the
     basis's images span them, and `_solution_space_dims` says why the basis
-    stands in for the rows there.  `bits` is `_unit_rows(p.rows)`, read
-    here unless `analyze` hands it in."""
-    e, v = p.edge_dim, p.vertex_dim
-    if bits is None:
-        bits = _unit_rows(p.rows)
+    stands in for the rows there."""
+    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
     if basis is None:
         basis = _row_basis(p.rows, v, bits)
     sample = rank_of_rows(_pencil_rows(basis, 2))
@@ -207,24 +203,16 @@ def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
     return p.edge_dim - len(minimal_indices_left(p) if left is None else left)
 
 
-def minimal_indices_right(p: PairMatrices, rank: int | None = None, *,
-                          columns: tuple[list[SparseRow], list[SparseRow]] | None = None,
-                          bits: bool | None = None) -> tuple[int, ...]:
-    """Column-side analogue, on the v rows of the sparse transpose,
-    `columns` = `_transpose(p)`; one t summand per index.  Those rows span
-    their own row space, so they stand in for a basis in
-    `_solution_space_dims`.  The transposed pair has the same normal rank,
-    so `rank` carries over.  `columns` and `bits` are read here unless
-    `analyze` hands them in."""
+def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
+    """Column-side analogue, on the v rows of the sparse transpose; one t
+    summand per index.  Those rows span their own row space, so they stand
+    in for a basis in `_solution_space_dims`.  The transposed pair has the
+    same normal rank, so `rank` carries over."""
     e, v = p.edge_dim, p.vertex_dim
     total = v - (normal_rank(p) if rank is None else rank)
     if total == 0:
         return ()
-    if columns is None:
-        columns = _transpose(p)
-    if bits is None:
-        bits = _unit_rows(p.rows)
-    f = _solution_space_dims(list(zip(*columns)), v, e, total, bits)
+    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total, _unit_rows(p.rows))
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _multiset(f)
@@ -391,12 +379,12 @@ class OracleReport:
 def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
-    e, v, bits, columns = p.edge_dim, p.vertex_dim, _unit_rows(p.rows), _transpose(p)
+    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
     basis = _row_basis(p.rows, v, bits)
-    left = minimal_indices_left(p, basis, bits=bits)
+    left = minimal_indices_left(p, basis)
     rank = normal_rank(p, left)
-    right = minimal_indices_right(p, rank, columns=columns, bits=bits)
-    m_cols, n_cols = columns
+    right = minimal_indices_right(p, rank)
+    m_cols, n_cols = _transpose(p)
     zt = _local_type(m_cols, n_cols, e, rank, bits)
     tz = _local_type(n_cols, m_cols, e, rank, bits)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
