@@ -119,27 +119,21 @@ class BitEchelon:
         self.pivots = kept
 
 
-def bit_mask(row: SparseRow) -> int:
-    """The F_2 bitmask of a 0/1 row."""
-    mask = 0
-    for j in row:
-        mask |= 1 << j
-    return mask
-
-
 def bit_eliminations(pairs, width: int, shift: int) -> Iterator[BitEchelon]:
     """One elimination over F_2 of the block matrices T_1, T_2, ... built
-    from 0/1 rows (x, y), yielded after each block: row block j of T_k
-    (j < k) holds one row per pair, x at column block j and y at column
-    block j + shift (left out below block 0), for shift +1 or -1, in column
-    blocks `width` wide.  Block j touches only column blocks
+    from pairs (x, y) of 0/1 rows, each an int bitmask (bit c for column
+    c), yielded after each block: row block j of T_k (j < k) holds one row
+    per pair, x at column block j and y at column block j + shift (left out
+    below block 0), for shift +1 or -1, in column blocks `width` wide.  The
+    caller writes the masks once per pair (the oracle's `_shape`) and every
+    sequence reads them.  Block j touches only column blocks
     j + min(0, shift) and the one above, so its rows are written relative
     to the first of the two, and the echelon slides up a block after each
     block: every int stays within 2*width bits, however far k runs."""
     x_at, y_at = (0, width) if shift > 0 else (width, 0)
-    rows = [bit_mask(x) << x_at | bit_mask(y) << y_at for x, y in pairs]
+    rows = [x << x_at | y << y_at for x, y in pairs]
     echelon = BitEchelon()
-    block = rows if shift > 0 else [bit_mask(x) << x_at for x, _ in pairs]
+    block = rows if shift > 0 else [x << x_at for x, _ in pairs]
     while True:
         for row in block:
             echelon.add(row)

@@ -21,29 +21,34 @@ degree (from d = 2 on, a rank modulo a prime rules most d out first), and
 the lifted local type gives their sizes when needed.
 
 Each rank comes from exact elimination on the pair's integer rows,
-`PairMatrices.rows`, the pair's only form.  T_1 = [M N] gives a row basis
-of at most 2v of those rows (`_row_basis`), which the sample, the ztz
-nullities and the roots of unity read instead of the e rows: each of
-their matrices has a row space that is a sum of linear images of
-rowspace([M N]), so the basis spans it too, and only the counts k*e of
-the nullities read e.  The column side feeds the v rows of the sparse
-transpose to its nullities directly: on a graph pair they are nearly
-always independent, so a basis would cost one more elimination and save
-none.  The local types read the columns too.
+`PairMatrices.rows`, the pair's only stored form.  `analyze` reads them
+once, in `_shape`: it decides whether the pair is unit-row (below) and
+writes its rows, and its columns of M and of N, in the form the
+eliminations read, and every stage takes them from there.  T_1 = [M N]
+gives a row basis of at most 2v of the rows (`_row_basis`, as indices),
+which the sample, the ztz nullities and the roots of unity read instead
+of the e rows: each of their matrices has a row space that is a sum of
+linear images of rowspace([M N]), so the basis spans it too, and only the
+counts k*e of the nullities read e.  The column side feeds the v columns
+to its nullities directly: on a graph pair they are nearly always
+independent, so a basis would cost one more elimination and save none.
+The local types read the columns too.
 
 On a unit-row pair, where each row of M and of N holds at most one
 nonzero entry, a 1 (graph pairs and `canonical_pair`), every T_k above is
 totally unimodular, so its rank is the same over every field (README,
-"Field independence"): T_1 and the nullity sequences of ztz, t, zt and tz
-are then eliminated over F_2, as bitmasks in a window of two column blocks
-(`echelon.bit_eliminations`), and the rows that become F_2 pivots of T_1
-are independent over Q too.  The lift at d = 1 is M - N itself, whose
-rows hold at most a 1 and a -1: a signed incidence matrix, totally
-unimodular as well (Schrijver, ch. 19), so on a unit-row pair it is ranked
-over F_2 too, each row the xor of its two bitmasks.  Any other pair, and
-the sample and the roots of unity from d = 2 on for every pair, are
-eliminated over Q, fraction-free, or modulo a prime for a screen.  Nothing
-touches floating point.
+"Field independence").  `_shape` then writes each row and each column as
+a pair of int bitmasks, in one pass over the rows, and T_1 and the
+nullity sequences of ztz, t, zt and tz are eliminated over F_2 from those
+ints, in a window of two column blocks (`echelon.bit_eliminations`); the
+rows that become F_2 pivots of T_1 are independent over Q too.  The lift
+at d = 1 is M - N itself, whose rows hold at most a 1 and a -1: a signed
+incidence matrix, totally unimodular as well (Schrijver, ch. 19), so on a
+unit-row pair it is ranked over F_2 too, each row the xor of a basis
+row's two masks.  Any other pair keeps its dict rows and their sparse
+transpose, and it, and the sample and the roots of unity from d = 2 on
+for every pair, are eliminated over Q, fraction-free, or modulo a prime
+for a screen.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -60,7 +65,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import ratpoly as rp
-from .echelon import (BitEchelon, Echelon, SparseRow, bit_eliminations, bit_mask, prime_and_root,
+from .echelon import (BitEchelon, Echelon, SparseRow, bit_eliminations, prime_and_root,
                       rank_of_rows)
 from .invariants import InvariantRecord, cyclotomic_refine
 from .linearize import PairMatrices, integer_row
@@ -96,15 +101,41 @@ def _unit_rows(rows) -> bool:
     return all(not row or list(row.values()) == [1] for pair in rows for row in pair)
 
 
-def _eliminations(pairs, width: int, shift: int,
-                  bits: bool) -> Iterator[Echelon | BitEchelon]:
+def _shape(p: PairMatrices) -> tuple[list, list]:
+    """The pair's rows (m, n) and its columns, (column of M, column of N)
+    per vertex, as the eliminations below read them.  On a unit-row pair
+    each is an int bitmask, bit j of a row for column j and bit i of a
+    column for row i, all written in one pass over `p.rows`, and they are
+    ranked over F_2; else they are the dict rows and the sparse transpose,
+    ranked over Q."""
+    if not _unit_rows(p.rows):
+        return p.rows, list(zip(*_transpose(p)))
+    rows, m_cols, n_cols = [], [0] * p.vertex_dim, [0] * p.vertex_dim
+    for i, (m, n) in enumerate(p.rows):
+        x = y = 0
+        for j in m:
+            x = 1 << j
+            m_cols[j] |= 1 << i
+        for j in n:
+            y = 1 << j
+            n_cols[j] |= 1 << i
+        rows.append((x, y))
+    return rows, list(zip(m_cols, n_cols))
+
+
+def _bits(pairs) -> bool:
+    """True for pairs of bitmasks from `_shape`, which are ranked over F_2."""
+    return bool(pairs) and isinstance(pairs[0][0], int)
+
+
+def _eliminations(pairs, width: int, shift: int) -> Iterator[Echelon | BitEchelon]:
     """One elimination of the block matrices T_1, T_2, ..., yielded after
     each block: row block j of T_k (j < k) holds one row per pair (x, y),
     x at column block j and y at column block j + shift (left out below
     block 0), in column blocks `width` wide.  T_k is T_(k-1) plus block
-    k - 1, so every k reads the same elimination.  With `bits`, for the
-    0/1 pairs of a unit-row pair and shift +1 or -1, it runs over F_2."""
-    if bits:
+    k - 1, so every k reads the same elimination.  For bitmask pairs, and
+    shift +1 or -1, it runs over F_2."""
+    if _bits(pairs):
         yield from bit_eliminations(pairs, width, shift)
         return
     echelon = Echelon()
@@ -120,19 +151,20 @@ def _eliminations(pairs, width: int, shift: int,
         yield echelon
 
 
-def _row_basis(rows, v: int, bits: bool) -> list[tuple[SparseRow, SparseRow]]:
-    """A basis of R = rowspace([M N]) for the rows (m, n) of a pair with v
-    columns: the rows that become pivots as T_1 = [M N] is eliminated, over
-    F_2 with `bits` (they are independent over Q too, and as many as the
-    rank over Q, since [M N] is totally unimodular), else over Q.  At most
-    2v rows, however many rows come in."""
+def _row_basis(pairs, v: int) -> list[int]:
+    """The indices of a basis of R = rowspace([M N]) among the rows (m, n),
+    in `_shape`'s form, of a pair with v columns: the rows that become
+    pivots as T_1 = [M N] is eliminated, over F_2 for bitmasks (they are
+    independent over Q too, and as many as the rank over Q, since [M N] is
+    totally unimodular), else over Q.  At most 2v rows, however many rows
+    come in."""
+    bits = _bits(pairs)
     echelon = BitEchelon() if bits else Echelon()
-    return [(m, n) for m, n in rows
-            if echelon.add(bit_mask(m) | bit_mask(n) << v if bits
-                           else {**m, **{v + j: x for j, x in n.items()}})]
+    return [i for i, (m, n) in enumerate(pairs)
+            if echelon.add(m | n << v if bits else {**m, **{v + j: x for j, x in n.items()}})]
 
 
-def _solution_space_dims(basis, e: int, v: int, total: int, bits: bool) -> list[int]:
+def _solution_space_dims(basis, e: int, v: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
     = 0, for a pair of e rows and v columns whose [M N] has the row basis
     `basis`, and k = 0..; stops once an increment reaches `total`, or at
@@ -143,7 +175,7 @@ def _solution_space_dims(basis, e: int, v: int, total: int, bits: bool) -> list[
     [M N] shifted by j*v, and the basis shifted block by block spans it as
     the e rows do; only k*e counts the rows themselves."""
     f = [0]
-    for k, echelon in zip(range(1, min(e, v) + 3), _eliminations(basis, v, 1, bits)):
+    for k, echelon in zip(range(1, min(e, v) + 3), _eliminations(basis, v, 1)):
         f.append(k * e - echelon.rank)
         if f[-1] - f[-2] == total:
             break
@@ -167,31 +199,35 @@ def _multiset(f: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def minimal_indices_left(p: PairMatrices,
-                         basis: list[tuple[SparseRow, SparseRow]] | None = None) -> tuple[int, ...]:
-    """Degrees of a minimal basis of polynomial row solutions of
-    x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
-    also certifies the normal rank; see `normal_rank`.  Both read `basis`,
-    the row basis of [M N] (computed when not handed in), not the e rows:
-    the rows of M + 2N are their images under (x, y) -> x + 2y, so the
-    basis's images span them, and `_solution_space_dims` says why the basis
-    stands in for the rows there."""
-    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
-    if basis is None:
-        basis = _row_basis(p.rows, v, bits)
-    sample = rank_of_rows(_pencil_rows(basis, 2))
+def _left_indices(p: PairMatrices, rows, basis: list[int]) -> tuple[int, ...]:
+    """`minimal_indices_left` from the pair's `rows` in `_shape`'s form and
+    the indices of their row basis, which both stages read in place of the
+    e rows: the sample reads the basis rows of `p.rows`, since the rows of
+    M + 2N are their images under (x, y) -> x + 2y, and the nullities read
+    them in `rows`; `_solution_space_dims` says why the basis stands in
+    for the e rows there."""
+    e = p.edge_dim
+    sample = rank_of_rows(_pencil_rows([p.rows[i] for i in basis], 2))
     if sample == e:
         return ()
-    f = _solution_space_dims(basis, e, v, e - sample, bits)
+    f = _solution_space_dims([rows[i] for i in basis], e, p.vertex_dim, e - sample)
     last = f[-1] - f[-2]
     if last > e - sample or (last < e - sample and last != f[-2] - f[-3]):
         raise AssertionError("row solution dimensions failed to saturate")
     return _multiset(f)
 
 
-def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
+def minimal_indices_left(p: PairMatrices) -> tuple[int, ...]:
+    """Degrees of a minimal basis of polynomial row solutions of
+    x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
+    also certifies the normal rank; see `normal_rank`."""
+    rows, _ = _shape(p)
+    return _left_indices(p, rows, _row_basis(rows, p.vertex_dim))
+
+
+def normal_rank(p: PairMatrices) -> int:
     """Rank r of M + t*N over the rational function field: e minus the
-    number of left minimal indices (`left`, when already known).
+    number of left minimal indices.
 
     `minimal_indices_left` takes one sample s = rank(M + 2N) <= r, then the
     left nullity sequence f.  By the predictable-degree property of minimal
@@ -200,32 +236,37 @@ def normal_rank(p: PairMatrices, left: tuple[int, ...] | None = None) -> int:
     eigenvalue, f runs on to k = min(e, v) + 2, past every minimal index
     (their sum is at most r), where the increment is e - r.  A graph pencil
     has eigenvalues only at 0 and at -zeta, zeta a root of unity: never 2."""
-    return p.edge_dim - len(minimal_indices_left(p) if left is None else left)
+    return p.edge_dim - len(minimal_indices_left(p))
 
 
-def minimal_indices_right(p: PairMatrices, rank: int | None = None) -> tuple[int, ...]:
-    """Column-side analogue, on the v rows of the sparse transpose; one t
-    summand per index.  Those rows span their own row space, so they stand
-    in for a basis in `_solution_space_dims`.  The transposed pair has the
-    same normal rank, so `rank` carries over."""
-    e, v = p.edge_dim, p.vertex_dim
-    total = v - (normal_rank(p) if rank is None else rank)
+def _right_indices(cols, e: int, v: int, rank: int) -> tuple[int, ...]:
+    """`minimal_indices_right` from the pair's columns in `_shape`'s form,
+    the v rows of the transposed pair, and its normal `rank`, which the
+    transposed pair shares.  Those rows span their own row space, so they
+    stand in for a basis in `_solution_space_dims`."""
+    total = v - rank
     if total == 0:
         return ()
-    f = _solution_space_dims(list(zip(*_transpose(p))), v, e, total, _unit_rows(p.rows))
+    f = _solution_space_dims(cols, v, e, total)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _multiset(f)
 
 
+def minimal_indices_right(p: PairMatrices) -> tuple[int, ...]:
+    """Column-side analogue of `minimal_indices_left`; one t summand per
+    index."""
+    return _right_indices(_shape(p)[1], p.edge_dim, p.vertex_dim, normal_rank(p))
+
+
 # -- local Jordan types ---------------------------------------------------------
 
 
-def _local_type(a_cols: list[SparseRow], b_cols: list[SparseRow], e: int,
-                rank: int, bits: bool = False) -> tuple[int, ...]:
+def _local_type(cols, e: int, rank: int) -> tuple[int, ...]:
     """Sizes of the Jordan blocks of the e-row pencil A + s*B at s = 0, i.e.
-    the exponents of its elementary divisors s^n, from the columns of A and
-    B; `rank` is its normal rank.
+    the exponents of its elementary divisors s^n, from its columns, one
+    pair (column of A, column of B) each, dicts or `_shape`'s bitmasks;
+    `rank` is its normal rank.
 
     T_k is the truncated block Toeplitz matrix whose row block j < k holds A
     in column block j and B in column block j + 1 (when j + 1 < k); its left
@@ -234,10 +275,9 @@ def _local_type(a_cols: list[SparseRow], b_cols: list[SparseRow], e: int,
     of min(n, k) over the blocks, and k*h(1) - h(k), the sum of
     max(0, k - n), is the shape `_multiset` reads.  Column block j of T_k
     touches only row blocks j - 1 and j, so T_k's columns are fed as rows
-    to `_eliminations`, shift -1, over F_2 with `bits`."""
+    to `_eliminations`, shift -1."""
     h = [0]
-    for k, echelon in zip(range(1, len(a_cols) + 2),
-                          _eliminations(list(zip(a_cols, b_cols)), e, -1, bits)):
+    for k, echelon in zip(range(1, len(cols) + 2), _eliminations(cols, e, -1)):
         h.append(k * rank - echelon.rank)
         if h[-1] == h[-2]:
             break
@@ -287,35 +327,35 @@ def _lift(rows, d: int) -> list[SparseRow]:
 
 
 def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
-                       bits: bool = False) -> list[tuple[int, int]] | None:
+                       pairs=()) -> list[tuple[int, int]] | None:
     """One (d, n) per Jordan block of size n at the pencil eigenvalues -zeta,
     zeta a primitive d-th root of unity; None when blocks at roots of unity
     leave part of the regular `degree` unaccounted for.
 
     `rows` are integer rows (m, n) that span rowspace([M N]): the pair's
-    own, or its row basis, which `analyze` passes.  Each lifted row is a
-    fixed Q-linear map of one (m, n), and each row of a lifted T_k a fixed
-    linear map of a lifted row, so every rank below is the same from any
-    spanning rows, and the local type's h(k) = k*rank - rank T_k does not
-    read their number.
+    own, or its row basis, which `analyze` passes, with the same rows in
+    `_shape`'s form as `pairs`.  Each lifted row is a fixed Q-linear map of
+    one (m, n), and each row of a lifted T_k a fixed linear map of a lifted
+    row, so every rank below is the same from any spanning rows, and the
+    local type's h(k) = k*rank - rank T_k does not read their number.
 
     First, one lifted rank per d counts the blocks at d: phi(d) times their
     number is rank*phi(d) minus the rank of the lift of M - zeta_d*N.  For
     d >= 2 a rank modulo a prime screens d first.  At d = 1 the lift is
     M - N itself, so the screen would cost as much as the rank, and on a
     graph pair with a cycle X - 1 always divides, so it would never clear.
-    With `bits`, for the rows of a unit-row pair, that rank is taken over
-    F_2: each row of M - N holds at most a 1 and a -1, which cancel on a
-    loop, so M - N is a signed incidence matrix, totally unimodular, and
-    its rank is the same over every field.  M + N at d = 2 is not (an odd
-    cycle gives determinant 2), and the lifts for d >= 3 are not incidence
-    matrices, so they stay over Q.  The scan runs while phi(d) fits in the
-    degree not yet counted, up to the bound 2*deg^2 + 6 past which
-    phi(d) > deg.  If phi(d) times the counts fills the degree, every
-    block has size 1, as it always does for graphs (X^k - 1 is
-    squarefree).  Otherwise the lifted local type gives the
-    sizes at each d found whose phi(d) fits in the degree still left, since
-    a block of size n adds (n - 1)*phi(d) beyond its count.  The local type
+    For bitmask `pairs`, those of a unit-row pair, that rank is taken over
+    F_2, each row the xor of a pair's two masks: each row of M - N holds at
+    most a 1 and a -1, which cancel on a loop, so M - N is a signed
+    incidence matrix, totally unimodular, and its rank is the same over
+    every field.  M + N at d = 2 is not (an odd cycle gives determinant 2),
+    and the lifts for d >= 3 are not incidence matrices, so they stay over
+    Q.  The scan runs while phi(d) fits in the degree not yet counted, up
+    to the bound 2*deg^2 + 6 past which phi(d) > deg.  If phi(d) times the
+    counts fills the degree, every block has size 1, as it always does for
+    graphs (X^k - 1 is squarefree).  Otherwise the lifted local type gives
+    the sizes at each d found whose phi(d) fits in the degree still left,
+    since a block of size n adds (n - 1)*phi(d) beyond its count.  The local type
     is this second pass, and not the scan itself, because its T_2 costs far
     more than one rank: 20 times as much on the 37-cycle at d = 37.
     Blocks beyond the regular degree are an error.  The scan stops once the
@@ -327,10 +367,10 @@ def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
     while left > 0 and d <= 2 * left * left + 6:
         phi = rp.totient(d)
         if phi <= left and (d == 1 or not _screen_clears(rows, rank, d)):
-            if d == 1 and bits:
+            if d == 1 and _bits(pairs):
                 echelon = BitEchelon()
-                for m, n in rows:
-                    echelon.add(bit_mask(m) ^ bit_mask(n))
+                for m, n in pairs:
+                    echelon.add(m ^ n)
                 lifted = echelon.rank
             else:
                 lifted = rank_of_rows(_lift(rows, d))
@@ -348,8 +388,8 @@ def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
             blocks += [(d, 1)] * count
         else:
             lifted_n = [{j * phi + a: x for j, x in n.items()} for _, n in rows for a in range(phi)]
-            sizes = Counter(_local_type(_columns(_lift(rows, d), v * phi),
-                                        _columns(lifted_n, v * phi), len(rows) * phi, rank * phi))
+            cols = zip(_columns(_lift(rows, d), v * phi), _columns(lifted_n, v * phi))
+            sizes = Counter(_local_type(list(cols), len(rows) * phi, rank * phi))
             if any(mult % phi for mult in sizes.values()) or sum(sizes.values()) != phi * count:
                 raise AssertionError(f"lifted Jordan type at d={d} is not {phi} equal copies")
             blocks += [(d, n) for n, mult in sizes.items() for _ in range(mult // phi)]
@@ -379,18 +419,19 @@ class OracleReport:
 def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
-    e, v, bits = p.edge_dim, p.vertex_dim, _unit_rows(p.rows)
-    basis = _row_basis(p.rows, v, bits)
-    left = minimal_indices_left(p, basis)
-    rank = normal_rank(p, left)
-    right = minimal_indices_right(p, rank)
-    m_cols, n_cols = _transpose(p)
-    zt = _local_type(m_cols, n_cols, e, rank, bits)
-    tz = _local_type(n_cols, m_cols, e, rank, bits)
+    e, v = p.edge_dim, p.vertex_dim
+    rows, cols = _shape(p)
+    basis = _row_basis(rows, v)
+    left = _left_indices(p, rows, basis)
+    rank = e - len(left)
+    right = _right_indices(cols, e, v, rank)
+    zt = _local_type(cols, e, rank)
+    tz = _local_type([(n, m) for m, n in cols], e, rank)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise AssertionError(f"regular degree: singular and nilpotent parts exceed {v} vertices")
-    blocks = _cyclotomic_blocks(basis, v, rank, degree, bits)
+    blocks = _cyclotomic_blocks([p.rows[i] for i in basis], v, rank, degree,
+                                [rows[i] for i in basis])
     if blocks is None:  # the fallback: the divisors of M + X*N from its Smith form, factored
         finite = tuple(sorted(factor for q in invariant_factors(pencil_matrix(p.rows, v))
                               for factor in factor_stored(q)))
@@ -468,13 +509,18 @@ def _regular_multiset(rec: InvariantRecord) -> Counter:
 
 def compare(combinatorial: InvariantRecord, oracle: InvariantRecord) -> list[str]:
     """Field-by-field differences, with both regular parts split over the
-    rationals first; empty means the records agree."""
+    rationals first; empty means the records agree.  Equal cycles, on two
+    records that both carry cycles, are equal regular parts, so they need
+    no split."""
     diffs = []
     for name in ("zt", "tz", "t", "ztz"):
         a, b = getattr(combinatorial, name), getattr(oracle, name)
         for n in sorted(set(a) | set(b)):
             if a.get(n, 0) != b.get(n, 0):
                 diffs.append(f"{name}[{n}]: {a.get(n, 0)} != {b.get(n, 0)}")
+    if combinatorial.regular_divisors is None is oracle.regular_divisors and (
+            combinatorial.cycles == oracle.cycles):
+        return diffs
     ra, rb = _regular_multiset(combinatorial), _regular_multiset(oracle)
     for key in sorted(set(ra) | set(rb)):
         if ra[key] != rb[key]:

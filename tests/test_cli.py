@@ -561,11 +561,14 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     # one per lifted root of unity from d = 2 on: M - N, the lift at d = 1,
     # is ranked over F_2 as well.  A graph pair's integer rows come from its
     # edge ids.  A --matrix pair with other entries runs them all over Q.
+    # Each pair's shape is read once: one `_unit_rows`, one `_shape`, which
+    # writes a unit-row pair's row and column masks, and no `_transpose` or
+    # `_columns` on a unit-row pair; any other pair transposes once.
     pair_file = tmp_path / "pair.txt"
     # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: row 3 is
     # the sum of rows 1 and 2
     pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
-    pairs = []  # (pair, sample rows, Q eliminations, F_2 eliminations, lifts)
+    pairs = []  # (pair, sample rows, Q eliminations, F_2 eliminations, lifts, shape reads)
 
     class Recorded(echelon.Echelon):
         def __init__(self, modulus=0):
@@ -599,7 +602,12 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
 
     analyze, pencil, lift = oracle.analyze, oracle._pencil_rows, oracle._lift
     scans = []
-    monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [], [], [])) or analyze(p))
+    monkeypatch.setattr(oracle, "analyze",
+                        lambda p: pairs.append((p, [], [], [], [], Counter())) or analyze(p))
+    for name in ("_unit_rows", "_shape", "_transpose", "_columns"):
+        read = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, name=name, read=read:
+                            pairs[-1][5].update([name]) or read(*args))
     monkeypatch.setattr(oracle, "_pencil_rows",
                         lambda rows, c: (c > 0 and pairs[-1][1].append(list(rows)))
                         or pencil(rows, c))
@@ -618,13 +626,17 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     assert len(pairs) == count
     graph = "--matrix" not in argv
     assert (scans == []) == graph
-    for p, samples, eliminations, bit_eliminations, lifts in pairs:
+    for p, samples, eliminations, bit_eliminations, lifts, reads in pairs:
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]
         block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
         assert block and stacked not in [el.added for el in eliminations], p
         unit = all(list(row.values()) in ([], [1]) for pair in p.rows for row in pair)
         assert unit == graph, p
+        shape_reads = [reads[name] for name in ("_unit_rows", "_shape", "_transpose")]
+        assert shape_reads == [1, 1, 0 if unit else 1], p
+        # `_transpose` reads `_columns` twice; a lifted local type twice more
+        assert (reads["_columns"] == 0) if unit else (reads["_columns"] >= 2), p
         if unit:
             assert block not in [el.added for el in eliminations], p
             rows = [sum(1 << c for c in m) | sum(1 << v + c for c in n) for m, n in p.rows]
@@ -659,8 +671,9 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
     # at d = 1 the lift is M - N itself, as large as the screen's
     # elimination, so its rank runs unscreened.  On a unit-row pair M - N
     # is a signed incidence matrix, totally unimodular, so one BitEchelon
-    # ranks it over F_2, a row per basis row (m, n), the xor of their
-    # bitmasks, and d = 1 is never lifted; any other pair lifts it over Q
+    # ranks it over F_2, a row per basis row (m, n), the xor of the two
+    # masks `_shape` wrote for it (a loop gives 0), and d = 1 is never
+    # lifted; any other pair lifts it over Q
     two_cycle = tmp_path / "two-cycle.edges"
     two_cycle.write_text("a b\nb a\n")
     pair_file = tmp_path / "pair.txt"
@@ -689,7 +702,7 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
     assert run(capsys, *[files.get(arg, arg) for arg in argv])[0] == 0
     monkeypatch.undo()
     graph = "--matrix" not in argv
-    scanned = 0
+    scanned = loops = 0
     for p, screened, lifted, bit_eliminations in pairs:
         assert 1 not in screened, p
         assert oracle._unit_rows(p.rows) == graph, p
@@ -701,13 +714,16 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
         # the pair has a cycle, and then a second one ranks M - N
         assert 1 not in lifted, p
         cycle = bool(analyze(p).cyclotomic_blocks)
-        basis = oracle._row_basis(p.rows, p.vertex_dim, True)
-        d1 = [echelon.bit_mask(m) ^ echelon.bit_mask(n) for m, n in basis]
+        basis = [p.rows[i] for i in oracle._row_basis(oracle._shape(p)[0], p.vertex_dim)]
+        d1 = [sum(1 << c for c in m) ^ sum(1 << c for c in n) for m, n in basis]
         assert [el.added for el in bit_eliminations[1:]] == [d1] * cycle, p
         if cycle:
             assert bit_eliminations[1].rank == oracle.rank_of_rows(oracle._lift(basis, 1)), p
             scanned += 1
+            loops += 0 in d1
     assert scanned > 0
+    # a loop's xor row is 0, where its or would not be
+    assert loops > 0 or "fuzz" not in argv
     if "two-cycle" in argv:  # X^2 - 1 puts d = 2 in the scan, behind the screen
         assert [(screened, lifted) for _, screened, lifted, _ in pairs] == [([2], [2])]
 

@@ -18,11 +18,12 @@ from linequiv import (BinaryRelation, InvariantRecord, canonical_pair, compare, 
                       regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
-from linequiv.echelon import BitEchelon, Echelon, bit_eliminations, bit_mask
+from linequiv.echelon import BitEchelon, Echelon, bit_eliminations
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (OracleFactorError, OracleReport, _cyclotomic_blocks,
-                             _eliminations, _lift, _multiset, _row_basis, _screen_clears,
-                             _solution_space_dims, _transpose, _unit_rows, analyze, invariant_factors, normal_rank, rank_of_rows)
+                             _eliminations, _lift, _multiset, _row_basis, _screen_clears, _shape,
+                             _solution_space_dims, _transpose, _unit_rows, analyze,
+                             invariant_factors, normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored
 
 from conftest import (dense, in_tree, multidigraph, pair_of, seeded_relation, spider,
@@ -191,7 +192,7 @@ def test_no_stage_changes_the_integer_rows(g1, g2, g3, g4):
 
 def kernel_meet_dim(p: PairMatrices) -> int:
     """Dimension of the joint row kernel {x : xM = 0 and xN = 0}."""
-    return p.edge_dim - len(_row_basis(p.rows, p.vertex_dim, _unit_rows(p.rows)))
+    return p.edge_dim - len(_row_basis(_shape(p)[0], p.vertex_dim))
 
 
 def test_kernel_meet_dim_examples(g1, g2):
@@ -384,6 +385,32 @@ def test_compare_refines_regular_parts():
     # two 1-cycles have cyclotomic content {d=1 twice}, not {d=1, d=2}
     assert compare(two_cycle, rec(cycles=(1, 1))) != []
     assert compare(rec(cycles=(2,)), rec(cycles=(4,))) != []
+
+
+def test_compare_splits_regular_parts_only_when_cycles_differ(monkeypatch):
+    # equal cycles on two cycle records are equal regular parts, so no
+    # split runs; the lines for parts that differ are the ones the split
+    # always gave, cycles against cycles and a Smith record against cycles
+    split = oracle._regular_multiset
+    calls = []
+    monkeypatch.setattr(oracle, "_regular_multiset", lambda r: calls.append(r) or split(r))
+    assert compare(rec(zt={1: 1}, cycles=(1, 6)), rec(zt={2: 1}, cycles=(1, 6))) == [
+        "zt[1]: 1 != 0", "zt[2]: 0 != 1"]
+    assert compare(rec(cycles=(3, 3)), rec(cycles=(3, 3))) == [] and calls == []
+    assert compare(rec(cycles=(6,)), rec(cycles=(1, 2, 3))) == [
+        "regular S((X - 1)^1): 1 != 3", "regular S((X^2 - X + 1)^1): 1 != 0"]
+    assert compare(rec(cycles=(1, 2, 3)), rec(cycles=(6,))) == [
+        "regular S((X - 1)^1): 3 != 1", "regular S((X^2 - X + 1)^1): 0 != 1"]
+    smith = rec(regular_divisors=((rp.cyclotomic(1), 1), (rp.poly(-2, 1), 1)))
+    assert compare(rec(cycles=(1, 2)), smith) == [
+        "regular S((X - 2)^1): 0 != 1", "regular S((X - 1)^1): 2 != 1",
+        "regular S((X + 1)^1): 1 != 0"]
+    assert compare(smith, rec(cycles=(1, 2))) == [
+        "regular S((X - 2)^1): 1 != 0", "regular S((X - 1)^1): 1 != 2",
+        "regular S((X + 1)^1): 0 != 1"]
+    six = rec(regular_divisors=tuple((rp.cyclotomic(d), 1) for d in (1, 2, 3, 6)))
+    assert compare(rec(cycles=(6,)), six) == compare(six, rec(cycles=(6,))) == []
+    assert len(calls) == 2 * 6
 
 
 def test_matrix_file_through_oracle():
@@ -721,8 +748,8 @@ def test_singular_part_ranks_are_the_same_over_every_field():
     for p in pairs:
         difference = _lift(p.rows, 1)
         bits = BitEchelon()
-        for m, n in p.rows:
-            bits.add(bit_mask(m) ^ bit_mask(n))
+        for m, n in _shape(p)[0]:
+            bits.add(m ^ n)
         rank = rank_of_rows(difference)
         assert bits.rank == rank == rank_of_rows(difference, 2) == rank_of_rows(difference, 3), p
         dependent += rank < p.edge_dim
@@ -751,19 +778,25 @@ def test_windowed_bit_ranks_equal_the_ranks_over_q():
     # on a unit-row pair the F_2 kernel gives rank T_k over Q at every k up
     # to saturation and one past it, on each of the oracle's four block
     # sequences, and its pivots stay within the two blocks of its window
-    # however often the window slides
+    # however often the window slides.  It reads the masks `_shape` writes
+    # in one pass: bit j of row i's mask and bit i of column j's for each 1
+    # at (i, j) in M or in N
     slides = []
     for p, record in kernel_inputs():
         assert _unit_rows(p.rows), p
         e, v = p.edge_dim, p.vertex_dim
-        m_cols, n_cols = _transpose(p)
+        columns = list(zip(*_transpose(p)))
+        rows, cols = _shape(p)
+        assert rows == [(sum(1 << j for j in m), sum(1 << j for j in n)) for m, n in p.rows], p
+        assert cols == [(sum(1 << i for i in a), sum(1 << i for i in b)) for a, b in columns], p
         reach = max([0, *record.zt, *record.tz, *record.t, *record.ztz]) + 2
-        for pairs, width, shift in ((p.rows, v, 1), (list(zip(m_cols, n_cols)), e, 1),
-                                    (list(zip(m_cols, n_cols)), e, -1),
-                                    (list(zip(n_cols, m_cols)), e, -1)):
-            bits = _eliminations(pairs, width, shift, True)
-            rational = _eliminations(pairs, width, shift, False)
+        for bit_pairs, pairs, width, shift in (
+                (rows, p.rows, v, 1), (cols, columns, e, 1), (cols, columns, e, -1),
+                ([(b, a) for a, b in cols], [(b, a) for a, b in columns], e, -1)):
+            bits = _eliminations(bit_pairs, width, shift)
+            rational = _eliminations(pairs, width, shift)
             for k, window, echelon in zip(range(1, reach + 1), bits, rational):
+                assert isinstance(window, BitEchelon) or not bit_pairs, (p, width, shift)
                 assert window.rank == echelon.rank, (p, width, shift, k)
                 assert all(row >> 2 * width == 0 for row in window.pivots.values()), (p, k)
             slides.append(k - 1)
@@ -825,8 +858,8 @@ def test_a_wrong_lift_trips_the_root_of_unity_checks(monkeypatch):
     # Phi_3^2 has one Jordan block of size 2 at each primitive cube root; a
     # lifted local type with one extra block is not two equal copies
     local = oracle._local_type
-    monkeypatch.setattr(oracle, "_local_type", lambda a, b, e, rank, bits=False:
-                        local(a, b, e, rank, bits) + (1,) * (len(a) > 4))
+    monkeypatch.setattr(oracle, "_local_type", lambda cols, e, rank:
+                        local(cols, e, rank) + (1,) * (len(cols) > 4))
     with pytest.raises(AssertionError, match="lifted Jordan type at d=3 is not 2 equal copies"):
         oracle_invariants(regular_pair(rp.cyclotomic(3), 2))
 
@@ -845,7 +878,8 @@ def test_screen_keeps_every_root_the_lift_finds():
     # screen stays sound on it
     for p in differential_pairs():
         rank = normal_rank(p)
-        for rows in (p.rows, _row_basis(p.rows, p.vertex_dim, _unit_rows(p.rows))):
+        basis = [p.rows[i] for i in _row_basis(_shape(p)[0], p.vertex_dim)]
+        for rows in (p.rows, basis):
             for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
                 if rp.totient(d) * p.vertex_dim > 160:
                     continue
@@ -890,18 +924,22 @@ def test_row_basis_stands_in_for_the_rows():
     for p in pairs:
         e, v = p.edge_dim, p.vertex_dim
         columns = list(zip(*_transpose(p)))
+        shape = _shape(p)
         rank = normal_rank(p)
-        for rows, count, width in ((p.rows, e, v), (columns, v, e)):
-            for bits in {False, _unit_rows(p.rows)}:
-                basis = _row_basis(rows, width, bits)
-                assert all(pair in rows for pair in basis), p
+        for rows, form, count, width in ((p.rows, shape[0], e, v), (columns, shape[1], v, e)):
+            # the Q form, and `_shape`'s, which holds bitmasks on a unit-row pair
+            for pairs_read in (rows, form):
+                indices = _row_basis(pairs_read, width)
+                assert indices == sorted(set(indices)) and len(pairs_read) == count, p
+                basis = [rows[i] for i in indices]
                 stacked = [{**m, **{width + j: x for j, x in n.items()}} for m, n in basis]
                 everything = [{**m, **{width + j: x for j, x in n.items()}} for m, n in rows]
                 assert rank_of_rows(stacked) == len(basis) == rank_of_rows(stacked + everything), p
-                f = _solution_space_dims(basis, count, width, count - rank, bits)
+                f = _solution_space_dims([pairs_read[i] for i in indices], count, width,
+                                         count - rank)
                 assert f == [k * count - explicit_block_rank(rows, width, k)
                              for k in range(len(f))], p
-        basis = _row_basis(p.rows, v, _unit_rows(p.rows))
+        basis = [p.rows[i] for i in _row_basis(shape[0], v)]
         for d in range(1, 13):
             if rp.totient(d) * v <= 160:
                 assert rank_of_rows(_lift(basis, d)) == rank_of_rows(_lift(p.rows, d)), (p, d)
@@ -935,6 +973,38 @@ def unit_triangular(n: int, rng: random.Random, lower: bool) -> list[list[Fracti
 def matmul(a, b, inner: int, cols: int):
     return tuple(tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0))
                        for j in range(cols)) for row in a)
+
+
+def test_both_fields_give_the_same_report():
+    # doubling row i of M and of N is a left multiplication by an invertible
+    # diagonal matrix, so the record stays; the 2s make the pair not
+    # unit-row, so `analyze` reads it over Q where it reads the unit-row
+    # original over F_2 (t[0] and ztz[0] have no nonzero row to double)
+    rng = random.Random("linequiv-test:cross-path")
+    graphs = [random_relation(rng, n, Fraction(rng.randint(2, 5), 2 * n))
+              for n in (rng.randint(8, 40) for _ in range(300))]
+    pairs = [linearize(g) for g in graphs + [spider((16, 16))]]
+    pairs += [canonical_pair(family, n) for family in ("zt", "tz", "t", "ztz")
+              for n in range(1 if family in ("zt", "tz") else 0, 9)]
+    compared, skipped = Counter(), []
+    for p in pairs:
+        nonzero = [i for i, (m, n) in enumerate(p.rows) if m or n]
+        if not nonzero:
+            skipped.append(p)
+            continue
+        i = rng.choice(nonzero)
+        rows = list(p.rows)
+        rows[i] = tuple({j: 2 * x for j, x in row.items()} for row in rows[i])
+        doubled = PairMatrices(p.edge_dim, p.vertex_dim, tuple(rows))
+        assert _unit_rows(p.rows) and not _unit_rows(doubled.rows), p
+        report, over_q = analyze(p), analyze(doubled)
+        assert over_q == report and over_q.cyclotomic_blocks == report.cyclotomic_blocks, p
+        compared.update(name for name in ("left_minimal_indices", "right_minimal_indices",
+                                          "infinite_divisors", "cyclotomic_blocks")
+                        if getattr(report, name))
+        compared["zt"] += any(poly == rp.X for poly, _ in report.finite_divisors)
+    assert skipped == [canonical_pair("t", 0), canonical_pair("ztz", 0)]
+    assert min(compared.values()) > 20 and len(compared) == 5
 
 
 def test_analyze_is_invariant_under_simultaneous_equivalence(g1, g2, g3, g4):
