@@ -8,8 +8,10 @@ contractions, and decides equivalence; an independent exact-rational
 linear-algebra oracle recomputes every record straight from the matrices.
 
 The public names resolve on first use (PEP 562), and the oracle side
-(`linearize`, `oracle`) is registered lazily, so a graph command never
-compiles the oracle.
+(`linearize`, `oracle`) and the rational polynomials (`ratpoly`) are
+registered lazily, so a graph command never compiles the oracle nor runs
+`ratpoly`.  The value classes are plain `__slots__` classes rather than
+dataclasses, so importing the graph route generates and compiles no code.
 """
 
 import importlib
@@ -62,6 +64,7 @@ def _lazy_submodule(name: str):
 # Registered here, before anything imports them: the import system binds a
 # submodule it loads to the package attribute of that name, which would hide
 # the `linearize` function; and code that looks modules up in `sys.modules`,
-# such as the benchmark's tracer, finds both.
+# such as the benchmark's tracer, finds all three.
 _lazy_submodule("linearize")
 oracle = _lazy_submodule("oracle")
+ratpoly = _lazy_submodule("ratpoly")

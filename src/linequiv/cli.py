@@ -17,7 +17,9 @@ Graph commands load only the contraction route.  The oracle side
 (`linearize`, `oracle`, and through it `smith` and `echelon`) runs only for
 `oracle` and `fuzz`: the package registers `linearize` and `oracle` in
 `sys.modules` as lazy modules, which compile on first attribute access, and
-this module calls them as `_linearize.<name>` and `_oracle.<name>`.
+this module calls them as `_linearize.<name>` and `_oracle.<name>`.  Only
+`fuzz` draws random relations and reads a rational edge probability, so it
+imports `random` and `fractions` itself.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import random
 import sys
-from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -306,6 +306,8 @@ def random_relation(rng: random.Random, vertices: int, edge_prob: Fraction) -> B
 def run_fuzz(seed: int, count: int, vertices: int, edge_prob: Fraction):
     """Cross-validate `count` random relations; returns (failures,
     first_failing_seed, diffs_of_first_failure)."""
+    import random
+
     failures = 0
     first_seed = None
     first_diffs: list[str] = []
@@ -350,6 +352,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _parse_prob(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         p = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -95,11 +95,10 @@ it off gamma_table, so there is one dispatch between the two readers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, count, filterfalse, repeat
 from operator import itemgetter
 
-from .relation import BinaryRelation, Partition, _quotient
+from .relation import BinaryRelation, Partition, _Value, _quotient, _set
 
 
 def _find(parent, a: int) -> int:
@@ -385,17 +384,17 @@ def iterated_contraction(r: BinaryRelation, m: int, n: int) -> tuple[BinaryRelat
     return _quotient(r, cls), Partition._of(r.vertices, cls)
 
 
-@dataclass(frozen=True)
-class StableShape:
+class StableShape(_Value):
     """Cycle/path census of a fully contracted relation: one entry per
     N-cycle and one vertex count per simple path component."""
 
+    __slots__ = ("cycles", "paths")
     cycles: tuple[int, ...]
     paths: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(sorted(self.cycles)))
-        object.__setattr__(self, "paths", tuple(sorted(self.paths)))
+    def __init__(self, cycles, paths):
+        _set(self, "cycles", tuple(sorted(cycles)))
+        _set(self, "paths", tuple(sorted(paths)))
 
 
 def classify_stable(r: BinaryRelation) -> StableShape:
@@ -441,8 +440,7 @@ def _trim(diagonal: tuple[int, ...], stable_value: int) -> tuple[int, ...]:
     return diagonal[:end]
 
 
-@dataclass(frozen=True)
-class ContractionDiagram:
+class ContractionDiagram(_Value):
     """Class counts gamma(m, n) on the suitable band |m - n| <= 2, stored as
     its five diagonals.
 
@@ -460,15 +458,15 @@ class ContractionDiagram:
     left-then-right rounds that reach it; `stabilize` reads them from here.
     """
 
-    diagonals: tuple[tuple[int, ...], ...]
-    stable_value: int
-    stable: BinaryRelation
-    depth: int
-    horizon: int = field(init=False)
+    __slots__ = ("diagonals", "stable_value", "stable", "depth", "horizon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", max(len(_trim(diagonal, self.stable_value))
-                                                for diagonal in self.diagonals))
+    def __init__(self, diagonals: tuple[tuple[int, ...], ...], stable_value: int,
+                 stable: BinaryRelation, depth: int):
+        _set(self, "diagonals", diagonals)
+        _set(self, "stable_value", stable_value)
+        _set(self, "stable", stable)
+        _set(self, "depth", depth)
+        _set(self, "horizon", max(len(_trim(diagonal, stable_value)) for diagonal in diagonals))
 
     @staticmethod
     def is_suitable(m: int, n: int) -> bool:

@@ -22,30 +22,36 @@ exact-linear-algebra oracle: persistence of class counts under repeated
 RIGHT contractions signals zt (first-map kernel chains), persistence under
 LEFT contractions signals tz.  See tests/test_invariants.py for the two
 hand-checked witnesses pinning this.
+
+A record of a matrix pair may carry `regular_divisors` in place of cycles;
+only rendering those reads `ratpoly`, which is registered lazily, so a graph
+never runs it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress
 from math import isqrt
 from operator import ne
 
+from . import _lazy_submodule
 from .contraction import (FIRST_POINTS, ContractionDiagram, StableShape, classify_stable,
                           gamma_table)
-from .ratpoly import Poly, poly_str
-from .relation import BinaryRelation, MultiDigraph, reduce as reduce_graph
+from .relation import BinaryRelation, MultiDigraph, _set, _Value, reduce as reduce_graph
 
+_ratpoly = _lazy_submodule("ratpoly")
 
 MultMap = dict[int, int]
 
-# regular part of a non-graph pair: ((poly coefficients, exponent), ...)
-RegularDivisors = tuple[tuple[Poly, int], ...]
+# regular part of a non-graph pair: ((ratpoly.Poly coefficients, exponent), ...)
+RegularDivisors = tuple[tuple[tuple, int], ...]
 
 
-def _clean(mult: MultMap, low: int) -> MultMap:
+def _clean(mult: MultMap | None, low: int) -> MultMap:
     out = {}
+    if not mult:
+        return out
     for n, c in sorted(mult.items()):
         if n < low:
             raise ValueError(f"multiplicity index {n} below {low}")
@@ -56,28 +62,30 @@ def _clean(mult: MultMap, low: int) -> MultMap:
     return out
 
 
-@dataclass(frozen=True, eq=True)
-class InvariantRecord:
+class InvariantRecord(_Value):
     """Sparse multiplicity record; zero entries are never stored."""
 
-    zt: MultMap = field(default_factory=dict)
-    tz: MultMap = field(default_factory=dict)
-    t: MultMap = field(default_factory=dict)
-    ztz: MultMap = field(default_factory=dict)
-    cycles: tuple[int, ...] = ()
-    regular_divisors: RegularDivisors | None = None
+    __slots__ = ("zt", "tz", "t", "ztz", "cycles", "regular_divisors")
+    zt: MultMap
+    tz: MultMap
+    t: MultMap
+    ztz: MultMap
+    cycles: tuple[int, ...]
+    regular_divisors: RegularDivisors | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "zt", _clean(self.zt, 1))
-        object.__setattr__(self, "tz", _clean(self.tz, 1))
-        object.__setattr__(self, "t", _clean(self.t, 0))
-        object.__setattr__(self, "ztz", _clean(self.ztz, 0))
-        object.__setattr__(self, "cycles", tuple(sorted(self.cycles)))
-        if self.regular_divisors is not None:
+    def __init__(self, zt: MultMap | None = None, tz: MultMap | None = None,
+                 t: MultMap | None = None, ztz: MultMap | None = None,
+                 cycles: tuple[int, ...] = (), regular_divisors: RegularDivisors | None = None):
+        _set(self, "zt", _clean(zt, 1))
+        _set(self, "tz", _clean(tz, 1))
+        _set(self, "t", _clean(t, 0))
+        _set(self, "ztz", _clean(ztz, 0))
+        _set(self, "cycles", tuple(sorted(cycles)))
+        if regular_divisors is not None:
             if self.cycles:
                 raise ValueError("record cannot carry both cycles and raw divisors")
-            canon = tuple(sorted((tuple(p), int(e)) for p, e in self.regular_divisors))
-            object.__setattr__(self, "regular_divisors", canon)
+            regular_divisors = tuple(sorted((tuple(p), int(e)) for p, e in regular_divisors))
+        _set(self, "regular_divisors", regular_divisors)
 
     def dimensions(self) -> tuple[int, int]:
         """(edges, vertices) that the summands account for, the one statement
@@ -107,7 +115,7 @@ class InvariantRecord:
         for name, m in (("ztz", self.ztz), ("zt", self.zt), ("tz", self.tz), ("t", self.t)):
             parts += [f"{name}[{n}]={c}" for n, c in sorted(m.items())]
         if self.regular_divisors is not None:
-            parts += [f"S(({poly_str(p)})^{e})" for p, e in self.regular_divisors]
+            parts += [f"S(({_ratpoly.poly_str(p)})^{e})" for p, e in self.regular_divisors]
         else:
             parts.append("cycles=[" + ",".join(str(n) for n in self.cycles) + "]")
         return " ".join(parts)
@@ -208,16 +216,19 @@ def part_three_zt00(edge_count: int, partial: InvariantRecord) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GraphAnalysis:
+class GraphAnalysis(_Value):
     """A graph run once through the contraction pipeline: its edge count
     (parallel edges included), its gamma diagram, which also carries the
     stable relation and depth, its stable cycle/path shape, and its record."""
 
-    edge_count: int
-    diagram: ContractionDiagram
-    shape: StableShape
-    record: InvariantRecord
+    __slots__ = ("edge_count", "diagram", "shape", "record")
+
+    def __init__(self, edge_count: int, diagram: ContractionDiagram, shape: StableShape,
+                 record: InvariantRecord):
+        _set(self, "edge_count", edge_count)
+        _set(self, "diagram", diagram)
+        _set(self, "shape", shape)
+        _set(self, "record", record)
 
 
 def analyze_graph(g: MultiDigraph | BinaryRelation) -> GraphAnalysis:
@@ -249,10 +260,12 @@ def full_invariants(g: MultiDigraph | BinaryRelation) -> InvariantRecord:
 # -- equivalence ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
-    equivalent: bool
-    reason: str | None = None
+class EquivVerdict(_Value):
+    __slots__ = ("equivalent", "reason")
+
+    def __init__(self, equivalent: bool, reason: str | None = None):
+        _set(self, "equivalent", equivalent)
+        _set(self, "reason", reason)
 
     def __str__(self) -> str:
         return "equivalent" if self.equivalent else f"distinguished-by: {self.reason}"
@@ -318,7 +331,7 @@ def record_to_json(rec: InvariantRecord, edge_count: int, vertex_count: int) -> 
     }
     if rec.regular_divisors is not None:
         out["regular_divisors"] = [
-            {"poly": poly_str(p), "exponent": e} for p, e in rec.regular_divisors]
+            {"poly": _ratpoly.poly_str(p), "exponent": e} for p, e in rec.regular_divisors]
     else:
         out["cyclotomic"] = [
             {"d": d, "multiplicity": m}

@@ -24,15 +24,51 @@ gamma_table and the record never build them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
+
+_set = object.__setattr__
 
 
 class GraphError(ValueError):
     """Raised for structurally invalid graphs."""
 
 
-class _Graph:
+class _Value:
+    """An immutable value.  Assigning or deleting an attribute raises
+    AttributeError, so a constructor sets fields with object.__setattr__.  A
+    subclass that names its fields in __slots__ is equal to an instance of
+    its own class with equal fields, hashes and shows them in order: what
+    `@dataclass(frozen=True)` generates, without compiling source at import."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Graph(_Value):
     """Vertex labels and edge ids, equal when both agree.  The constructor
     checks labels and turns them into ids; subclasses name the container
     that holds the ids."""
@@ -48,9 +84,9 @@ class _Graph:
             ids = self._container((index[s], index[t]) for s, t in edges)
         except KeyError as exc:
             raise GraphError(f"edge end {exc.args[0]!r} is not a vertex") from None
-        object.__setattr__(self, "vertex_count", len(vertices))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "ids", ids)
+        _set(self, "vertex_count", len(vertices))
+        _set(self, "vertices", vertices)
+        _set(self, "ids", ids)
 
     @classmethod
     def _of(cls, vertex_count: int, ids, vertices):
@@ -58,9 +94,9 @@ class _Graph:
         vertices is the label tuple, or a function that makes it on first
         read."""
         g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", vertex_count)
-        object.__setattr__(g, "ids", ids)
-        object.__setattr__(g, "vertices" if isinstance(vertices, tuple) else "_labels", vertices)
+        _set(g, "vertex_count", vertex_count)
+        _set(g, "ids", ids)
+        _set(g, "vertices" if isinstance(vertices, tuple) else "_labels", vertices)
         return g
 
     @cached_property
@@ -70,9 +106,6 @@ class _Graph:
     @property
     def edge_count(self) -> int:
         return len(self.ids)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.ids == other.ids
@@ -119,21 +152,21 @@ class BinaryRelation(_Graph):
         return tuple((v[s], v[t]) for s, t in self.sorted_ids())
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """Partition of a relation's vertex set, in canonical form: members of
     each class ascend in the base vertex order, classes are listed by their
     smallest member."""
 
+    __slots__ = ("over", "classes")
     over: tuple[str, ...]
     classes: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "over", tuple(self.over))
-        ix = {v: i for i, v in enumerate(self.over)}
+    def __init__(self, over, classes):
+        over = tuple(over)
+        ix = {v: i for i, v in enumerate(over)}
         seen: set[str] = set()
         canon = []
-        for cls in map(tuple, self.classes):
+        for cls in map(tuple, classes):
             if not cls:
                 raise GraphError("empty partition class")
             for v in cls:
@@ -141,10 +174,11 @@ class Partition:
                     raise GraphError(f"partition misuses vertex {v!r}")
                 seen.add(v)
             canon.append(tuple(sorted(cls, key=ix.__getitem__)))
-        if len(seen) != len(self.over):
+        if len(seen) != len(over):
             raise GraphError("partition does not cover the vertex set")
         canon.sort(key=lambda c: ix[c[0]])
-        object.__setattr__(self, "classes", tuple(canon))
+        _set(self, "over", over)
+        _set(self, "classes", tuple(canon))
 
     @classmethod
     def _of(cls, over: tuple[str, ...], ids: list[int]) -> "Partition":
@@ -154,8 +188,8 @@ class Partition:
         for v, c in zip(over, ids):
             classes[c].append(v)
         p = cls.__new__(cls)
-        object.__setattr__(p, "over", over)
-        object.__setattr__(p, "classes", tuple(map(tuple, classes)))
+        _set(p, "over", over)
+        _set(p, "classes", tuple(map(tuple, classes)))
         return p
 
     def __len__(self) -> int:
@@ -198,8 +232,7 @@ def quotient(r: BinaryRelation, p: Partition) -> BinaryRelation:
     return _quotient(r, [number[v] for v in r.vertices])
 
 
-@dataclass(frozen=True)
-class ReductionSummary:
+class ReductionSummary(_Value):
     """Outcome of merging parallel edges: the reduced relation and the size
     of each class of parallel edges, in increasing order.
 
@@ -208,8 +241,11 @@ class ReductionSummary:
     one-edge/zero-vertex indecomposable type.
     """
 
-    reduced: BinaryRelation
-    parallel_class_sizes: tuple[int, ...]
+    __slots__ = ("reduced", "parallel_class_sizes")
+
+    def __init__(self, reduced: BinaryRelation, parallel_class_sizes: tuple[int, ...]):
+        _set(self, "reduced", reduced)
+        _set(self, "parallel_class_sizes", parallel_class_sizes)
 
     @property
     def split_count(self) -> int:

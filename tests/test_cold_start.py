@@ -1,8 +1,9 @@
-"""Cold start: a graph command never compiles the oracle side.
+"""Cold start: a graph command never compiles the oracle side, never runs
+`ratpoly`, and loads no module that only `fuzz` or generated code needs.
 
 Each check runs in a fresh interpreter, since this process has long since
-loaded every module.  `type(module) is not types.ModuleType` reads no
-attribute of a lazily registered module, so it loads nothing.
+loaded every module.  `type(module) is types.ModuleType` reads no attribute
+of a lazily registered module, so it loads nothing.
 """
 
 import json
@@ -21,11 +22,12 @@ DATA = ROOT / "demos" / "data"
 SPANS = ROOT / "bench" / "spans.py"
 
 
-def run_fresh(code: str) -> dict:
-    """Run `code` in a new interpreter that imports this checkout's package;
-    it must print one JSON document, which is returned."""
-    done = subprocess.run([sys.executable, "-c", code], env=checkout_env(), capture_output=True,
-                          text=True, timeout=60, check=True)
+def run_fresh(code: str, *flags: str) -> dict:
+    """Run `code` in a new interpreter, started with `flags`, that imports
+    this checkout's package; it must print one JSON document, which is
+    returned."""
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -37,22 +39,26 @@ def run_fresh(code: str) -> dict:
     ["equiv", "g1.edges", "g2.edges"],
 ], ids=lambda argv: argv[0])
 def test_graph_commands_never_load_the_oracle(argv):
+    # -S: a site .pth file may import `random` before the package does
     argv = [str(DATA / a) if "." in a else a for a in argv]
     doc = run_fresh(f"""
 import contextlib, io, json, sys, types
 from linequiv.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main({argv!r} + ["--json"])
+package = {{k: m for k, m in sys.modules.items() if k.split(".")[0] == "linequiv"}}
 print(json.dumps({{
     "code": code,
-    "loaded": sorted(k for k in sys.modules if k.startswith("linequiv.")),
-    "eager": [k for k in ("linequiv.linearize", "linequiv.oracle")
-              if type(sys.modules[k]) is types.ModuleType],
+    "executed": sorted(k for k, m in package.items() if type(m) is types.ModuleType),
+    "registered": sorted(package),
+    "stdlib": sorted({{"dataclasses", "fractions", "random"}} & set(sys.modules)),
 }}))
-""")
+""", "-S")
     assert doc["code"] in (0, 1)
-    assert "linequiv.smith" not in doc["loaded"] and "linequiv.echelon" not in doc["loaded"]
-    assert doc["eager"] == []
+    assert doc["executed"] == ["linequiv", "linequiv.cli", "linequiv.contraction",
+                               "linequiv.invariants", "linequiv.parsing", "linequiv.relation"]
+    assert {"linequiv.linearize", "linequiv.oracle", "linequiv.ratpoly"} <= set(doc["registered"])
+    assert doc["stdlib"] == []
 
 
 def test_import_registers_every_traced_module():
@@ -65,7 +71,7 @@ targets = runpy.run_path({str(SPANS)!r})["TARGETS"]
 print(json.dumps({{
     "missing": sorted({{m for m, _, _ in targets}} - {{k.removeprefix("linequiv.")
                                                     for k in sys.modules}}),
-    "eager": [k for k in ("linequiv.linearize", "linequiv.oracle")
+    "eager": [k for k in ("linequiv.linearize", "linequiv.oracle", "linequiv.ratpoly")
               if type(sys.modules[k]) is types.ModuleType],
 }}))
 """)

@@ -1,8 +1,9 @@
 """Structural guards: the oracle stays independent of the contraction route
 and its rank route reads integer rows only, every module a graph command
-compiles stays below the parser's token step, only the oracle reaches the
-Smith fallback, every public name has a reader besides the tests, and a
-failed self-check is an explicit AssertionError that some test trips."""
+compiles stays below the parser's token step and generates no code nor runs
+`ratpoly`, only the oracle reaches the Smith fallback, every public name has
+a reader besides the tests, and a failed self-check is an explicit
+AssertionError that some test trips."""
 
 import ast
 import builtins
@@ -61,17 +62,37 @@ def test_only_the_oracle_reaches_the_smith_fallback():
     assert importers == ["oracle.py"]
 
 
+def _modules(path: Path) -> set[str]:
+    """Every module an import statement in the file names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+            | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)})
+
+
 def test_the_rank_route_reads_integer_rows_only():
     # a pair is held as integer rows, so the rank route needs no rationals:
     # only the Smith fallback (smith.py, ratpoly.py) and the pair-file
     # reader import them
     package = ROOT / "src" / "linequiv"
     for name in ("oracle", "echelon"):
-        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
-        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                   for alias in node.names}
-        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        assert "fractions" not in modules, name
+        assert "fractions" not in _modules(package / f"{name}.py"), name
+
+
+# the modules a graph command compiles
+GRAPH_ROUTE = ("__init__", "cli", "parsing", "relation", "contraction", "invariants")
+
+
+def test_graph_route_imports_no_dataclasses_and_no_ratpoly():
+    # `@dataclass` compiles and runs generated source for each class at
+    # import; and an import statement of `ratpoly`, even `from . import
+    # ratpoly`, can read the lazy module's `__spec__` and so run it: the
+    # graph route reaches it only through `_lazy_submodule("ratpoly")`
+    package = ROOT / "src" / "linequiv"
+    for name in GRAPH_ROUTE:
+        path = package / f"{name}.py"
+        assert "dataclasses" not in _modules(path), name
+        assert "ratpoly" not in _imports(path), name
 
 
 def test_eager_modules_stay_under_the_parsers_token_step():
@@ -80,8 +101,7 @@ def test_eager_modules_stay_under_the_parsers_token_step():
     # these modules on every cold start, so each stays below that step.
     package = ROOT / "src" / "linequiv"
     # The `oracle` and `fuzz` commands compile the oracle and its kernels too.
-    for name in ("__init__", "cli", "parsing", "relation", "contraction", "invariants",
-                 "oracle", "echelon"):
+    for name in (*GRAPH_ROUTE, "oracle", "echelon"):
         with (package / f"{name}.py").open(encoding="utf-8") as source:
             tokens = sum(1 for _ in tokenize.generate_tokens(source.readline))
         assert tokens < 4096, (name, tokens)

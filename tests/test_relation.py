@@ -1,7 +1,9 @@
 import pytest
 
-from linequiv import (BinaryRelation, GraphError, MultiDigraph, Partition, converse,
-                      full_invariants, reduce)
+from linequiv import (BinaryRelation, ContractionDiagram, EquivVerdict, GraphError,
+                      InvariantRecord, MultiDigraph, Partition, ReductionSummary, StableShape,
+                      converse, full_invariants, reduce)
+from linequiv.invariants import GraphAnalysis, analyze_graph
 from linequiv.linearize import linearize
 from linequiv.oracle import compare, oracle_invariants
 
@@ -83,3 +85,55 @@ def test_converse_is_an_involution(g3):
 def test_converse_preserves_edge_count(g4):
     r = relation(g4)
     assert converse(r).edge_count == 23
+
+
+_R = BinaryRelation(("a", "b"), frozenset({("a", "b")}))
+_X = analyze_graph(_R)
+# (class, constructor keywords in field order, every field in order, hashable)
+VALUES = [
+    (Partition, {"over": ("a", "b"), "classes": (("a",), ("b",))},
+     ("over", "classes"), True),
+    (ReductionSummary, {"reduced": _R, "parallel_class_sizes": (1, 2)},
+     ("reduced", "parallel_class_sizes"), True),
+    (StableShape, {"cycles": (1,), "paths": (2,)}, ("cycles", "paths"), True),
+    (ContractionDiagram, {"diagonals": ((2,), (2,), (2, 1), (1,), (1,)), "stable_value": 1,
+                          "stable": _R, "depth": 1},
+     ("diagonals", "stable_value", "stable", "depth", "horizon"), True),
+    (GraphAnalysis, {"edge_count": 1, "diagram": _X.diagram, "shape": _X.shape,
+                     "record": _X.record},
+     ("edge_count", "diagram", "shape", "record"), False),
+    (EquivVerdict, {"equivalent": False, "reason": "edge count: 1 != 2"},
+     ("equivalent", "reason"), True),
+    *((InvariantRecord, kwargs, ("zt", "tz", "t", "ztz", "cycles", "regular_divisors"), False)
+      for kwargs in ({"zt": {1: 1}, "tz": {}, "t": {0: 1}, "ztz": {0: 2}, "cycles": (1, 3),
+                      "regular_divisors": None},
+                     {"zt": {2: 1}}, {"tz": {2: 1}}, {"t": {0: 1}}, {"ztz": {0: 1}}, {})),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, fields, hashable", VALUES,
+                         ids=[f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(VALUES)])
+def test_value_classes_keep_frozen_dataclass_semantics(cls, kwargs, fields, hashable):
+    value = cls(**kwargs)
+    assert {name: getattr(value, name) for name in kwargs} == kwargs
+    again = cls(**kwargs)
+    assert value == again and not value != again
+    # a mutable field is never shared between two instances
+    assert all(getattr(value, name) is not getattr(again, name) for name in fields
+               if isinstance(getattr(value, name), dict))
+    assert all(value != other_cls(**other) for other_cls, other, *_ in VALUES
+               if other_cls is not cls)
+    assert value != tuple(getattr(value, name) for name in fields)
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == (f"{cls.__name__}("
+                           + ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
+                           + ")")
+    if hashable:
+        assert hash(value) == hash(again)
+    else:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
