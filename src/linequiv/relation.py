@@ -38,8 +38,9 @@ class _Value:
     """An immutable value.  Assigning or deleting an attribute raises
     AttributeError, so a constructor sets fields with object.__setattr__.  A
     subclass that names its fields in __slots__ is equal to an instance of
-    its own class with equal fields, hashes and shows them in order: what
-    `@dataclass(frozen=True)` generates, without compiling source at import."""
+    its own class with equal fields, hashes and shows them in order, and
+    copies and pickles: what `@dataclass(frozen=True)` generates, without
+    compiling source at import."""
 
     __slots__ = ()
 
@@ -52,6 +53,14 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        """Restore what copy and pickle saved: the instance dict, or
+        (instance dict or None, slot values)."""
+        if isinstance(state, tuple):
+            state = {**(state[0] or {}), **state[1]}
+        for name, value in state.items():
+            _set(self, name, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):

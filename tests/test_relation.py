@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from linequiv import (BinaryRelation, ContractionDiagram, EquivVerdict, GraphError,
@@ -129,6 +132,8 @@ def test_value_classes_keep_frozen_dataclass_semantics(cls, kwargs, fields, hash
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value
     assert repr(value) == (f"{cls.__name__}("
                            + ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
                            + ")")
