@@ -30,7 +30,6 @@ import functools
 import sys
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 from . import __version__, _lazy_submodule
 from .contraction import FIRST_POINTS, ContractionDiagram, gamma_table, iterated_contraction
@@ -51,7 +50,8 @@ class _Usage(ValueError):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as source:
+            return source.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror or exc}") from exc
 

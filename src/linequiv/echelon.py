@@ -1,5 +1,5 @@
 """Exact ranks of sparse integer rows, over the rationals or modulo a prime,
-and of 0/1 block matrices over F_2.
+and over F_2 of 0/1 block matrices whose rows hold at most two 1s.
 
 A row is a dict column -> nonzero entry.  One elimination serves both
 fields.  Over Q it is fraction-free: row = a*row - b*pivot, then division
@@ -9,13 +9,18 @@ with b reduced; the other entries of a row are reduced only when it
 becomes a pivot, and stay small meanwhile, since each step adds less than
 p^2 to them.
 
-Over F_2 a row is an int bitmask, bit c for column c, and `BitEchelon`
-keeps only a window of two column blocks of a block matrix whose row block
-j touches column blocks j and j + 1 alone (see `bit_eliminations`).
+Over F_2 a matrix with at most two 1s per row represents a graphic
+matroid: its columns are nodes, a node 0, the ground, stands for the
+missing end of a row with one 1, and a row is an edge between its ends
+(Oxley, *Matroid Theory*, 2nd ed., ch. 5).  So its rank is the number of
+rows that join two trees of a forest, which a union-find counts (Tarjan,
+JACM 22, 1975): `forest_rows` and `forest_ranks` read each row as its
+two ends, a column or None, and no elimination runs.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd, isqrt
@@ -82,64 +87,69 @@ class Echelon:
         return False
 
 
-class BitEchelon:
-    """Rows over F_2, int bitmasks, in echelon form: one pivot per lead, the
-    lowest set bit, and `rank` counts the rows added so far that became
-    pivots.  A step row ^= pivot clears the row's lead and sets higher bits
-    only, so a lead never falls.  Once every row still to come has its
-    lowest possible bit at `width` or above, a pivot whose lead lies below
-    can never be used again: `slide(width)` counts those pivots as
-    finished and shifts the others down by `width` bits."""
+def _root(parent: list[int], x: int) -> int:
+    """The root of node x's tree, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    __slots__ = ("pivots", "finished")
 
-    def __init__(self):
-        self.pivots: dict[int, int] = {}
-        self.finished = 0
-
-    @property
-    def rank(self) -> int:
-        return self.finished + len(self.pivots)
-
-    def add(self, row: int) -> bool:
-        """Reduce the row against the pivots; True when it becomes one."""
-        pivots = self.pivots
-        while row:
-            lead = row & -row
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                return True
-            row ^= pivot
+def _join(parent: list[int], x: int, y: int) -> bool:
+    """Join the trees of nodes x and y; True when they were two.  The lower
+    root stays a root, so node 0, the ground, is always one."""
+    if parent[x] != x:
+        x = _root(parent, x)
+    if parent[y] != y:
+        y = _root(parent, y)
+    if x == y:
         return False
+    if x < y:
+        x, y = y, x
+    parent[x] = y
+    return True
 
-    def slide(self, width: int) -> None:
-        kept = {lead >> width: row >> width for lead, row in self.pivots.items() if lead >> width}
-        self.finished += len(self.pivots) - len(kept)
-        self.pivots = kept
+
+def forest_rows(ends, width: int, shift: int) -> list[int]:
+    """The indices of the rows independent over F_2 of the rows before them,
+    the rows that join two trees, where row i, for ends[i] = (a, b), has a 1
+    at column a of column block 0 and one at column b of block `shift`, 0
+    or 1 (none for an end None), in blocks `width` wide.  At shift 0, a = b
+    gives a zero row, a loop."""
+    parent = list(range(1 + (1 + shift) * width))
+    at = 1 + shift * width
+    return [i for i, (a, b) in enumerate(ends)
+            if _join(parent, 0 if a is None else 1 + a, 0 if b is None else at + b)]
 
 
-def bit_eliminations(pairs, width: int, shift: int) -> Iterator[BitEchelon]:
-    """One elimination over F_2 of the block matrices T_1, T_2, ... built
-    from pairs (x, y) of 0/1 rows, each an int bitmask (bit c for column
-    c), yielded after each block: row block j of T_k (j < k) holds one row
-    per pair, x at column block j and y at column block j + shift (left out
-    below block 0), for shift +1 or -1, in column blocks `width` wide.  The
-    caller writes the masks once per pair (the oracle's `_shape`) and every
-    sequence reads them.  Block j touches only column blocks
-    j + min(0, shift) and the one above, so its rows are written relative
-    to the first of the two, and the echelon slides up a block after each
-    block: every int stays within 2*width bits, however far k runs."""
-    x_at, y_at = (0, width) if shift > 0 else (width, 0)
-    rows = [x << x_at | y << y_at for x, y in pairs]
-    echelon = BitEchelon()
-    block = rows if shift > 0 else [x << x_at for x, _ in pairs]
-    while True:
-        for row in block:
-            echelon.add(row)
-        yield echelon
-        echelon.slide(width)
-        block = rows
+def forest_ranks(ends, width: int, truncated: bool = False,
+                 grounded: bool = False) -> Iterator[int]:
+    """rank T_1, T_2, ... over F_2, yielded in turn, where row block j < k
+    of T_k holds a row per end pair (a, b): a 1 at column a of column block
+    j and one at column b of block j + 1 (none for an end None), in blocks
+    `width` wide.  T_k has column blocks 0..k, or 0..k-1 when `truncated`;
+    `grounded` adds a row block j = -1, which keeps only its 1s in block 0.
+
+    Column c of block j is node 1 + j*width + c; rank T_k counts the rows
+    that join two trees.  Untruncated, T_k only gains rows as k grows.
+    Truncated, block k is ground for this k only: the rows at j = k - 1
+    ground their ends in block k - 1 (the trees those touch, apart from the
+    ground's, count once each), until at k + 1 they join them to block k,
+    or to the ground for an end None."""
+    parent, joins = [0], 0
+    for top in itertools.count(0 if truncated else 1):
+        parent.extend(range(len(parent), 1 + (top + 1) * width))
+        at = 1 + top * width
+        if top or grounded:
+            below = 1 + (top - 1) * width
+            for a, b in ends:
+                joins += _join(parent, 0 if a is None or not top else below + a,
+                               0 if b is None else at + b)
+        if truncated:
+            roots = {_root(parent, at + a) for a, _ in ends if a is not None}
+            roots.discard(0)
+            yield joins + len(roots)
+        else:
+            yield joins
 
 
 def rank_of_rows(rows, modulus: int = 0) -> int:

@@ -20,35 +20,34 @@ Phi_d, count those blocks for d = 1, 2, ... until they fill the regular
 degree (from d = 2 on, a rank modulo a prime rules most d out first), and
 the lifted local type gives their sizes when needed.
 
-Each rank comes from exact elimination on the pair's integer rows,
-`PairMatrices.rows`, the pair's only stored form.  `analyze` reads them
-once, in `_shape`: it decides whether the pair is unit-row (below) and
-writes its rows, and its columns of M and of N, in the form the
-eliminations read, and every stage takes them from there.  T_1 = [M N]
+Each rank comes from the pair's integer rows, `PairMatrices.rows`, the
+pair's only stored form.  `analyze` reads them once, in `_shape`: it
+decides whether the pair is unit-row (below) and writes them in the form
+the ranks read, and every stage takes them from there.  T_1 = [M N]
 gives a row basis of at most 2v of the rows (`_row_basis`, as indices),
 which the sample, the ztz nullities and the roots of unity read instead
 of the e rows: each of their matrices has a row space that is a sum of
 linear images of rowspace([M N]), so the basis spans it too, and only the
-counts k*e of the nullities read e.  The column side feeds the v columns
-to its nullities directly: on a graph pair they are nearly always
-independent, so a basis would cost one more elimination and save none.
-The local types read the columns too.
+counts k*e of the nullities read e.  The column side and the local types
+read all v columns.
 
 On a unit-row pair, where each row of M and of N holds at most one
 nonzero entry, a 1 (graph pairs and `canonical_pair`), every T_k above is
 totally unimodular, so its rank is the same over every field (README,
-"Field independence").  `_shape` then writes each row and each column as
-a pair of int bitmasks, in one pass over the rows, and T_1 and the
-nullity sequences of ztz, t, zt and tz are eliminated over F_2 from those
-ints, in a window of two column blocks (`echelon.bit_eliminations`); the
-rows that become F_2 pivots of T_1 are independent over Q too.  The lift
-at d = 1 is M - N itself, whose rows hold at most a 1 and a -1: a signed
+"Field independence").  Each such T_k over F_2, or its transpose on the
+column side, has at most two 1s per row, so its rank is that of a graph:
+the number of rows that join two trees of a forest on its columns and a
+ground.  `_shape` then writes only each row's two ends, the column of m's
+1 and of n's 1, and one union-find per sequence (`echelon.forest_ranks`)
+ranks T_1, T_2, ... from them, with no transpose.  The rows that join two
+trees of T_1 are the row basis, independent over Q too.  The lift at
+d = 1 is M - N itself, whose rows hold at most a 1 and a -1: a signed
 incidence matrix, totally unimodular as well (Schrijver, ch. 19), so on a
-unit-row pair it is ranked over F_2 too, each row the xor of a basis
-row's two masks.  Any other pair keeps its dict rows and their sparse
-transpose, and it, and the sample and the roots of unity from d = 2 on
-for every pair, are eliminated over Q, fraction-free, or modulo a prime
-for a screen.  Nothing touches floating point.
+unit-row pair it is a graph's rank too, each basis row an edge between
+its two ends (`echelon.forest_rows`).  Any other pair keeps its dict rows
+and their sparse transpose, and it, and the sample and the roots of unity
+from d = 2 on for every pair, are eliminated over Q, fraction-free, or
+modulo a prime for a screen.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -65,8 +64,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import ratpoly as rp
-from .echelon import (BitEchelon, Echelon, SparseRow, bit_eliminations, prime_and_root,
-                      rank_of_rows)
+from .echelon import Echelon, SparseRow, forest_ranks, forest_rows, prime_and_root, rank_of_rows
 from .invariants import InvariantRecord, cyclotomic_refine
 from .linearize import PairMatrices, integer_row
 from .ratpoly import Poly
@@ -101,43 +99,23 @@ def _unit_rows(rows) -> bool:
     return all(not row or list(row.values()) == [1] for pair in rows for row in pair)
 
 
-def _shape(p: PairMatrices) -> tuple[list, list]:
-    """The pair's rows (m, n) and its columns, (column of M, column of N)
-    per vertex, as the eliminations below read them.  On a unit-row pair
-    each is an int bitmask, bit j of a row for column j and bit i of a
-    column for row i, all written in one pass over `p.rows`, and they are
-    ranked over F_2; else they are the dict rows and the sparse transpose,
-    ranked over Q."""
+def _shape(p: PairMatrices) -> tuple[list, list | None]:
+    """The pair as the stages below read it.  On a unit-row pair: each
+    row's ends, (the column of m's 1, the column of n's 1) with None for an
+    empty side, and None for the columns, which the union-find kernel reads
+    off the ends; else the dict rows and the columns, (column of M, column
+    of N) per vertex, from the sparse transpose."""
     if not _unit_rows(p.rows):
         return p.rows, list(zip(*_transpose(p)))
-    rows, m_cols, n_cols = [], [0] * p.vertex_dim, [0] * p.vertex_dim
-    for i, (m, n) in enumerate(p.rows):
-        x = y = 0
-        for j in m:
-            x = 1 << j
-            m_cols[j] |= 1 << i
-        for j in n:
-            y = 1 << j
-            n_cols[j] |= 1 << i
-        rows.append((x, y))
-    return rows, list(zip(m_cols, n_cols))
+    return [(next(iter(m), None), next(iter(n), None)) for m, n in p.rows], None
 
 
-def _bits(pairs) -> bool:
-    """True for pairs of bitmasks from `_shape`, which are ranked over F_2."""
-    return bool(pairs) and isinstance(pairs[0][0], int)
-
-
-def _eliminations(pairs, width: int, shift: int) -> Iterator[Echelon | BitEchelon]:
-    """One elimination of the block matrices T_1, T_2, ..., yielded after
-    each block: row block j of T_k (j < k) holds one row per pair (x, y),
-    x at column block j and y at column block j + shift (left out below
-    block 0), in column blocks `width` wide.  T_k is T_(k-1) plus block
-    k - 1, so every k reads the same elimination.  For bitmask pairs, and
-    shift +1 or -1, it runs over F_2."""
-    if _bits(pairs):
-        yield from bit_eliminations(pairs, width, shift)
-        return
+def _eliminations(pairs, width: int, shift: int) -> Iterator[int]:
+    """rank T_1, T_2, ... over Q from one elimination, yielded after each
+    block: row block j of T_k (j < k) holds one row per pair (x, y), x at
+    column block j and y at column block j + shift (left out below block
+    0), in column blocks `width` wide.  T_k is T_(k-1) plus block k - 1, so
+    every k reads the same elimination."""
     echelon = Echelon()
     for j in itertools.count():
         x_at, y_at, with_y = j * width, (j + shift) * width, j + shift >= 0
@@ -148,35 +126,52 @@ def _eliminations(pairs, width: int, shift: int) -> Iterator[Echelon | BitEchelo
                     row[y_at + c] = b
             if row:
                 echelon.add(row)
-        yield echelon
+        yield echelon.rank
 
 
-def _row_basis(pairs, v: int) -> list[int]:
-    """The indices of a basis of R = rowspace([M N]) among the rows (m, n),
-    in `_shape`'s form, of a pair with v columns: the rows that become
-    pivots as T_1 = [M N] is eliminated, over F_2 for bitmasks (they are
-    independent over Q too, and as many as the rank over Q, since [M N] is
-    totally unimodular), else over Q.  At most 2v rows, however many rows
-    come in."""
-    bits = _bits(pairs)
-    echelon = BitEchelon() if bits else Echelon()
-    return [i for i, (m, n) in enumerate(pairs)
-            if echelon.add(m | n << v if bits else {**m, **{v + j: x for j, x in n.items()}})]
+def _ranks(shape, family: str, e: int, v: int) -> Iterator[int]:
+    """rank T_1, T_2, ... of the block sequence of `family`, "ztz", "t",
+    "zt" or "tz", from a pair in `_shape`'s form (for "ztz" its row basis
+    will do): from ends by the union-find kernel over F_2, each T_k or its
+    transpose, exact by total unimodularity (README, "Field independence"),
+    else by one elimination over Q of the rows, or of the columns."""
+    rows, cols = shape
+    if cols is None:
+        ends = rows if family in ("ztz", "zt") else [(b, a) for a, b in rows]
+        return forest_ranks(ends, v, family != "ztz", family == "t")
+    if family == "ztz":
+        return _eliminations(rows, v, 1)
+    return _eliminations([(n, m) for m, n in cols] if family == "tz" else cols, e,
+                         1 if family == "t" else -1)
 
 
-def _solution_space_dims(basis, e: int, v: int, total: int) -> list[int]:
+def _row_basis(shape, v: int) -> list[int]:
+    """The indices of a basis of R = rowspace([M N]) among the rows of a
+    pair in `_shape`'s form with v columns, at most 2v of them: from ends,
+    the rows that join two trees of T_1 = [M N] as a graph, independent
+    over Q too and as many as its rank over Q, since [M N] is totally
+    unimodular; else the rows that become pivots as it is eliminated."""
+    rows, cols = shape
+    if cols is None:
+        return forest_rows(rows, v, 1)
+    echelon = Echelon()
+    return [i for i, (m, n) in enumerate(rows)
+            if echelon.add({**m, **{v + j: x for j, x in n.items()}})]
+
+
+def _solution_space_dims(ranks, e: int, v: int, total: int) -> list[int]:
     """f(k) = dimension of row vectors x(t) of degree < k with x(t)(M + tN)
-    = 0, for a pair of e rows and v columns whose [M N] has the row basis
-    `basis`, and k = 0..; stops once an increment reaches `total`, or at
-    k = min(e, v) + 2.
+    = 0, for a pair of e rows and v columns, from `ranks`, which yields
+    rank T_k for k = 1, 2, ...; stops once an increment reaches `total`,
+    or at k = min(e, v) + 2.
 
     f(k) = k*e - rank T_k, where row block j < k of T_k is [M N] at column
     blocks j and j + 1.  So rowspace(T_k) is the sum of the row spaces of
-    [M N] shifted by j*v, and the basis shifted block by block spans it as
-    the e rows do; only k*e counts the rows themselves."""
+    [M N] shifted by j*v, and a row basis of [M N] shifted block by block
+    spans it as the e rows do; only k*e counts the rows themselves."""
     f = [0]
-    for k, echelon in zip(range(1, min(e, v) + 3), _eliminations(basis, v, 1)):
-        f.append(k * e - echelon.rank)
+    for k, rank in zip(range(1, min(e, v) + 3), ranks):
+        f.append(k * e - rank)
         if f[-1] - f[-2] == total:
             break
     return f
@@ -199,18 +194,19 @@ def _multiset(f: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _left_indices(p: PairMatrices, rows, basis: list[int]) -> tuple[int, ...]:
-    """`minimal_indices_left` from the pair's `rows` in `_shape`'s form and
-    the indices of their row basis, which both stages read in place of the
-    e rows: the sample reads the basis rows of `p.rows`, since the rows of
+def _left_indices(p: PairMatrices, shape, basis: list[int]) -> tuple[int, ...]:
+    """`minimal_indices_left` from the pair in `_shape`'s form and the
+    indices of its row basis, which both stages read in place of the e
+    rows: the sample reads the basis rows of `p.rows`, since the rows of
     M + 2N are their images under (x, y) -> x + 2y, and the nullities read
-    them in `rows`; `_solution_space_dims` says why the basis stands in
-    for the e rows there."""
-    e = p.edge_dim
+    them in the shape's form; `_solution_space_dims` says why the basis
+    stands in for the e rows there."""
+    e, (rows, cols) = p.edge_dim, shape
     sample = rank_of_rows(_pencil_rows([p.rows[i] for i in basis], 2))
     if sample == e:
         return ()
-    f = _solution_space_dims([rows[i] for i in basis], e, p.vertex_dim, e - sample)
+    ranks = _ranks(([rows[i] for i in basis], cols), "ztz", e, p.vertex_dim)
+    f = _solution_space_dims(ranks, e, p.vertex_dim, e - sample)
     last = f[-1] - f[-2]
     if last > e - sample or (last < e - sample and last != f[-2] - f[-3]):
         raise AssertionError("row solution dimensions failed to saturate")
@@ -221,8 +217,8 @@ def minimal_indices_left(p: PairMatrices) -> tuple[int, ...]:
     """Degrees of a minimal basis of polynomial row solutions of
     x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
     also certifies the normal rank; see `normal_rank`."""
-    rows, _ = _shape(p)
-    return _left_indices(p, rows, _row_basis(rows, p.vertex_dim))
+    shape = _shape(p)
+    return _left_indices(p, shape, _row_basis(shape, p.vertex_dim))
 
 
 def normal_rank(p: PairMatrices) -> int:
@@ -239,15 +235,15 @@ def normal_rank(p: PairMatrices) -> int:
     return p.edge_dim - len(minimal_indices_left(p))
 
 
-def _right_indices(cols, e: int, v: int, rank: int) -> tuple[int, ...]:
-    """`minimal_indices_right` from the pair's columns in `_shape`'s form,
-    the v rows of the transposed pair, and its normal `rank`, which the
-    transposed pair shares.  Those rows span their own row space, so they
-    stand in for a basis in `_solution_space_dims`."""
+def _right_indices(shape, e: int, v: int, rank: int) -> tuple[int, ...]:
+    """`minimal_indices_right` from the pair in `_shape`'s form and its
+    normal `rank`, which the transposed pair shares.  Its nullities read all
+    v rows of the transposed pair: on a graph pair they are nearly always
+    independent, so a basis would cost one more rank and save none."""
     total = v - rank
     if total == 0:
         return ()
-    f = _solution_space_dims(cols, v, e, total)
+    f = _solution_space_dims(_ranks(shape, "t", e, v), v, e, total)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _multiset(f)
@@ -256,29 +252,27 @@ def _right_indices(cols, e: int, v: int, rank: int) -> tuple[int, ...]:
 def minimal_indices_right(p: PairMatrices) -> tuple[int, ...]:
     """Column-side analogue of `minimal_indices_left`; one t summand per
     index."""
-    return _right_indices(_shape(p)[1], p.edge_dim, p.vertex_dim, normal_rank(p))
+    return _right_indices(_shape(p), p.edge_dim, p.vertex_dim, normal_rank(p))
 
 
 # -- local Jordan types ---------------------------------------------------------
 
 
-def _local_type(cols, e: int, rank: int) -> tuple[int, ...]:
-    """Sizes of the Jordan blocks of the e-row pencil A + s*B at s = 0, i.e.
-    the exponents of its elementary divisors s^n, from its columns, one
-    pair (column of A, column of B) each, dicts or `_shape`'s bitmasks;
-    `rank` is its normal rank.
+def _local_type(ranks, v: int, rank: int) -> tuple[int, ...]:
+    """Sizes of the Jordan blocks of a pencil A + s*B with v columns at
+    s = 0, i.e. the exponents of its elementary divisors s^n, from `ranks`,
+    which yields rank T_k for k = 1, 2, ...; `rank` is its normal rank.
 
     T_k is the truncated block Toeplitz matrix whose row block j < k holds A
     in column block j and B in column block j + 1 (when j + 1 < k); its left
-    kernel is the row solutions of x(s)(A + sB) = 0 modulo s^k.  So
-    h(k) = (k*e - rank T_k) - k*(e - rank) = k*rank - rank T_k is the sum
-    of min(n, k) over the blocks, and k*h(1) - h(k), the sum of
-    max(0, k - n), is the shape `_multiset` reads.  Column block j of T_k
-    touches only row blocks j - 1 and j, so T_k's columns are fed as rows
-    to `_eliminations`, shift -1."""
+    kernel is the row solutions of x(s)(A + sB) = 0 modulo s^k.  So, for e
+    rows, h(k) = (k*e - rank T_k) - k*(e - rank) = k*rank - rank T_k is the
+    sum of min(n, k) over the blocks, at most v in all, and k*h(1) - h(k),
+    the sum of max(0, k - n), is the shape `_multiset` reads.  Over Q,
+    T_k's columns are fed as rows to `_eliminations`, shift -1."""
     h = [0]
-    for k, echelon in zip(range(1, len(cols) + 2), _eliminations(cols, e, -1)):
-        h.append(k * rank - echelon.rank)
+    for k, rank_k in zip(range(1, v + 2), ranks):
+        h.append(k * rank - rank_k)
         if h[-1] == h[-2]:
             break
     else:
@@ -327,14 +321,14 @@ def _lift(rows, d: int) -> list[SparseRow]:
 
 
 def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
-                       pairs=()) -> list[tuple[int, int]] | None:
+                       ends=None) -> list[tuple[int, int]] | None:
     """One (d, n) per Jordan block of size n at the pencil eigenvalues -zeta,
     zeta a primitive d-th root of unity; None when blocks at roots of unity
     leave part of the regular `degree` unaccounted for.
 
     `rows` are integer rows (m, n) that span rowspace([M N]): the pair's
-    own, or its row basis, which `analyze` passes, with the same rows in
-    `_shape`'s form as `pairs`.  Each lifted row is a fixed Q-linear map of
+    own, or its row basis, which `analyze` passes, with their ends as
+    `ends` on a unit-row pair.  Each lifted row is a fixed Q-linear map of
     one (m, n), and each row of a lifted T_k a fixed linear map of a lifted
     row, so every rank below is the same from any spanning rows, and the
     local type's h(k) = k*rank - rank T_k does not read their number.
@@ -344,36 +338,30 @@ def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
     d >= 2 a rank modulo a prime screens d first.  At d = 1 the lift is
     M - N itself, so the screen would cost as much as the rank, and on a
     graph pair with a cycle X - 1 always divides, so it would never clear.
-    For bitmask `pairs`, those of a unit-row pair, that rank is taken over
-    F_2, each row the xor of a pair's two masks: each row of M - N holds at
-    most a 1 and a -1, which cancel on a loop, so M - N is a signed
-    incidence matrix, totally unimodular, and its rank is the same over
-    every field.  M + N at d = 2 is not (an odd cycle gives determinant 2),
-    and the lifts for d >= 3 are not incidence matrices, so they stay over
-    Q.  The scan runs while phi(d) fits in the degree not yet counted, up
-    to the bound 2*deg^2 + 6 past which phi(d) > deg.  If phi(d) times the
-    counts fills the degree, every block has size 1, as it always does for
-    graphs (X^k - 1 is squarefree).  Otherwise the lifted local type gives
-    the sizes at each d found whose phi(d) fits in the degree still left,
-    since a block of size n adds (n - 1)*phi(d) beyond its count.  The local type
-    is this second pass, and not the scan itself, because its T_2 costs far
-    more than one rank: 20 times as much on the 37-cycle at d = 37.
-    Blocks beyond the regular degree are an error.  The scan stops once the
-    degree is filled, so it cannot see blocks the degree leaves no room
-    for."""
+    Given `ends`, the union-find kernel takes that rank over F_2, a row
+    (a, b) as an edge a - b: each row of M - N holds at most a 1 and a -1,
+    which cancel on a loop, so M - N is a signed incidence matrix, totally
+    unimodular, and its rank is the same over every field.  M + N at d = 2
+    is not (an odd cycle gives determinant 2), and the lifts for d >= 3 are
+    not incidence matrices, so they stay over Q.  The scan runs while
+    phi(d) fits in the degree not yet counted, up to the bound 2*deg^2 + 6
+    past which phi(d) > deg.  If phi(d) times the counts fills the degree,
+    every block has size 1, as it always does for graphs (X^k - 1 is
+    squarefree).  Otherwise the lifted local type gives the sizes at each d
+    found whose phi(d) fits in the degree still left, since a block of size
+    n adds (n - 1)*phi(d) beyond its count.  The local type is this second
+    pass, and not the scan itself, because its T_2 costs far more than one
+    rank: 20 times as much on the 37-cycle at d = 37.  Blocks beyond the
+    regular degree are an error.  The scan stops once the degree is
+    filled, so it cannot see blocks the degree leaves no room for."""
     found: dict[int, int] = {}
     left = degree
     d = 1
     while left > 0 and d <= 2 * left * left + 6:
         phi = rp.totient(d)
         if phi <= left and (d == 1 or not _screen_clears(rows, rank, d)):
-            if d == 1 and _bits(pairs):
-                echelon = BitEchelon()
-                for m, n in pairs:
-                    echelon.add(m ^ n)
-                lifted = echelon.rank
-            else:
-                lifted = rank_of_rows(_lift(rows, d))
+            lifted = (len(forest_rows(ends, v, 0)) if d == 1 and ends is not None
+                      else rank_of_rows(_lift(rows, d)))
             count, rest = divmod(phi * rank - lifted, phi)
             if rest or count < 0:
                 raise AssertionError(f"lifted rank at d={d} is not a multiple of phi(d)")
@@ -389,7 +377,8 @@ def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
         else:
             lifted_n = [{j * phi + a: x for j, x in n.items()} for _, n in rows for a in range(phi)]
             cols = zip(_columns(_lift(rows, d), v * phi), _columns(lifted_n, v * phi))
-            sizes = Counter(_local_type(list(cols), len(rows) * phi, rank * phi))
+            sizes = Counter(_local_type(_eliminations(list(cols), len(rows) * phi, -1),
+                                        v * phi, rank * phi))
             if any(mult % phi for mult in sizes.values()) or sum(sizes.values()) != phi * count:
                 raise AssertionError(f"lifted Jordan type at d={d} is not {phi} equal copies")
             blocks += [(d, n) for n, mult in sizes.items() for _ in range(mult // phi)]
@@ -420,18 +409,18 @@ def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
     e, v = p.edge_dim, p.vertex_dim
-    rows, cols = _shape(p)
-    basis = _row_basis(rows, v)
-    left = _left_indices(p, rows, basis)
+    shape = _shape(p)
+    basis = _row_basis(shape, v)
+    left = _left_indices(p, shape, basis)
     rank = e - len(left)
-    right = _right_indices(cols, e, v, rank)
-    zt = _local_type(cols, e, rank)
-    tz = _local_type([(n, m) for m, n in cols], e, rank)
+    right = _right_indices(shape, e, v, rank)
+    zt = _local_type(_ranks(shape, "zt", e, v), v, rank)
+    tz = _local_type(_ranks(shape, "tz", e, v), v, rank)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise AssertionError(f"regular degree: singular and nilpotent parts exceed {v} vertices")
     blocks = _cyclotomic_blocks([p.rows[i] for i in basis], v, rank, degree,
-                                [rows[i] for i in basis])
+                                [shape[0][i] for i in basis] if shape[1] is None else None)
     if blocks is None:  # the fallback: the divisors of M + X*N from its Smith form, factored
         finite = tuple(sorted(factor for q in invariant_factors(pencil_matrix(p.rows, v))
                               for factor in factor_stored(q)))

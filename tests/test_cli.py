@@ -106,7 +106,11 @@ def test_unsupported_dot_is_usage_error(capsys, tmp_path, text, message):
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "invariants", str(tmp_path / "nope"))
     assert code == 2
-    assert "cannot read" in err
+    assert "cannot read" in err and err.endswith(": No such file or directory\n")
+    # a path is opened as given: a file named with a trailing slash is no directory
+    (tmp_path / "g.edges").write_text("a b\n")
+    code, _, err = run(capsys, "invariants", f"{tmp_path / 'g.edges'}/")
+    assert code == 2 and err.endswith(": Not a directory\n")
 
 
 def test_reduce_command(capsys, tmp_path):
@@ -552,23 +556,23 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
                                          (["oracle", "pair", "--matrix"], 1)],
                          ids=["oracle-g4", "fuzz-3", "oracle-matrix"])
 def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file, argv, count):
-    # the rows of [M N] are eliminated once per pair, and the input rows
-    # that become pivots are the row basis; the normal rank's one sample of
-    # M + c*N and every block of the left nullity sequence that certifies it
-    # read that basis, not the e rows.  A graph pair is a unit-row pair, so
-    # these eliminations run over F_2, on bitmasks whose window slides up a
-    # block at a time, and its only eliminations over Q are the sample and
+    # the rows of [M N] are ranked once per pair, and the input rows that
+    # are independent of the rows before them are the row basis; the normal
+    # rank's one sample of M + c*N and every block of the left nullity
+    # sequence that certifies it read that basis, not the e rows.  A graph
+    # pair is a unit-row pair, so the union-find kernel ranks these from
+    # the rows' ends, and its only eliminations over Q are the sample and
     # one per lifted root of unity from d = 2 on: M - N, the lift at d = 1,
-    # is ranked over F_2 as well.  A graph pair's integer rows come from its
-    # edge ids.  A --matrix pair with other entries runs them all over Q.
-    # Each pair's shape is read once: one `_unit_rows`, one `_shape`, which
-    # writes a unit-row pair's row and column masks, and no `_transpose` or
+    # is ranked by the kernel as well.  A graph pair's integer rows come
+    # from its edge ids.  A --matrix pair with other entries runs them all
+    # over Q.  Each pair's shape is read once: one `_unit_rows`, one
+    # `_shape`, which writes a unit-row pair's ends, and no `_transpose` or
     # `_columns` on a unit-row pair; any other pair transposes once.
     pair_file = tmp_path / "pair.txt"
     # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: row 3 is
     # the sum of rows 1 and 2
     pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
-    pairs = []  # (pair, sample rows, Q eliminations, F_2 eliminations, lifts, shape reads)
+    pairs = []  # (pair, sample rows, Q eliminations, kernel calls, lifts, shape reads)
 
     class Recorded(echelon.Echelon):
         def __init__(self, modulus=0):
@@ -583,24 +587,8 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
             self.grew.append(grew)
             return grew
 
-    class RecordedBits(echelon.BitEchelon):
-        # rows as added, shifted back to absolute columns
-        def __init__(self):
-            super().__init__()
-            self.added, self.grew, self.at = [], [], 0
-            pairs[-1][3].append(self)
-
-        def add(self, row):
-            self.added.append(row << self.at)
-            grew = super().add(row)
-            self.grew.append(grew)
-            return grew
-
-        def slide(self, width):
-            self.at += width
-            super().slide(width)
-
     analyze, pencil, lift = oracle.analyze, oracle._pencil_rows, oracle._lift
+    forest_rows, forest_ranks = oracle.forest_rows, oracle.forest_ranks
     scans = []
     monkeypatch.setattr(oracle, "analyze",
                         lambda p: pairs.append((p, [], [], [], [], Counter())) or analyze(p))
@@ -612,9 +600,12 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
                         lambda rows, c: (c > 0 and pairs[-1][1].append(list(rows)))
                         or pencil(rows, c))
     monkeypatch.setattr(oracle, "_lift", lambda rows, d: pairs[-1][4].append(d) or lift(rows, d))
+    monkeypatch.setattr(oracle, "forest_rows", lambda ends, width, shift: pairs[-1][3].append(
+        (list(ends), shift)) or forest_rows(ends, width, shift))
+    monkeypatch.setattr(oracle, "forest_ranks", lambda ends, width, *flags: pairs[-1][3].append(
+        (list(ends), flags)) or forest_ranks(ends, width, *flags))
     for module in (oracle, echelon):
         monkeypatch.setattr(module, "Echelon", Recorded)
-        monkeypatch.setattr(module, "BitEchelon", RecordedBits)
     # the package's `linearize` name is the function, so find the module
     linearize_module = sys.modules["linequiv.linearize"]
     integer_row = linearize_module.integer_row
@@ -626,7 +617,7 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     assert len(pairs) == count
     graph = "--matrix" not in argv
     assert (scans == []) == graph
-    for p, samples, eliminations, bit_eliminations, lifts, reads in pairs:
+    for p, samples, eliminations, kernel, lifts, reads in pairs:
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]
         block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
@@ -639,29 +630,36 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
         assert (reads["_columns"] == 0) if unit else (reads["_columns"] >= 2), p
         if unit:
             assert block not in [el.added for el in eliminations], p
-            rows = [sum(1 << c for c in m) | sum(1 << v + c for c in n) for m, n in p.rows]
-            raw = [el for el in bit_eliminations if el.added == rows]
+            ends = [(min(m, default=None), min(n, default=None)) for m, n in p.rows]
+            # one row basis, [M N] as a graph: column block 1 holds N
+            assert [call for call in kernel if call[1] == 1] == [(ends, 1)], p
+            indices = forest_rows(ends, v, 1)
             # over Q only the sample and the lifts
             assert len([el for el in eliminations if not el.modulus]) == 1 + len(lifts), p
         else:
-            assert bit_eliminations == [], p
-            rows = block
+            assert kernel == [], p
             raw = [el for el in eliminations if el.added == [row for row in block if row]]
-        assert len(raw) == 1, p
-        basis = [pair for pair, grew in zip(p.rows, raw[0].grew) if grew]
+            assert len(raw) == 1, p
+            indices = [i for i, grew in enumerate(raw[0].grew) if grew]
+        basis = [p.rows[i] for i in indices]
         rank = len(basis)
         assert rank == oracle.rank_of_rows(block)
         assert samples == [basis], p
-        # block k of the left nullity sequence is the basis shifted by (k - 1)*v
-        basis_rows = [row for row, grew in zip(rows, raw[0].grew) if grew]
-        left = [el.added for el in (bit_eliminations if unit else eliminations)
+        # the left nullity sequence reads the basis: in the kernel, untruncated
+        # and ungrounded, and over Q, block k is the basis shifted by (k - 1)*v
+        certified = oracle.normal_rank(p) < p.edge_dim
+        if unit:
+            left = [call[0] for call in kernel if call[1] == (False, False)]
+            assert left == [[ends[i] for i in indices]] * certified, p
+            continue
+        basis_rows = [block[i] for i in indices]
+        left = [el.added for el in eliminations
                 if el is not raw[0] and el.added[:rank] == basis_rows]
-        assert len(left) == (1 if oracle.normal_rank(p) < p.edge_dim else 0), p
+        assert len(left) == certified, p
         for added in left:
             blocks = len(added) // rank
-            shifted = [row << k * v for k in range(blocks) for row in basis_rows] if unit else [
-                {c + k * v: x for c, x in row.items()} for k in range(blocks) for row in basis_rows]
-            assert added == shifted, p
+            assert added == [{c + k * v: x for c, x in row.items()}
+                             for k in range(blocks) for row in basis_rows], p
 
 
 @pytest.mark.parametrize("argv", [["oracle", "g4"], ["fuzz", "--count", "3"],
@@ -670,59 +668,54 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
 def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file, argv):
     # at d = 1 the lift is M - N itself, as large as the screen's
     # elimination, so its rank runs unscreened.  On a unit-row pair M - N
-    # is a signed incidence matrix, totally unimodular, so one BitEchelon
-    # ranks it over F_2, a row per basis row (m, n), the xor of the two
-    # masks `_shape` wrote for it (a loop gives 0), and d = 1 is never
-    # lifted; any other pair lifts it over Q
+    # is a signed incidence matrix, totally unimodular, so the union-find
+    # kernel ranks it over F_2, a row per basis row (m, n) as the edge
+    # between its two ends, `_shape`'s (a loop's ends are equal), and d = 1
+    # is never lifted; any other pair lifts it over Q
     two_cycle = tmp_path / "two-cycle.edges"
     two_cycle.write_text("a b\nb a\n")
     pair_file = tmp_path / "pair.txt"
     # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: eigenvalues
     # of M + X*N at -1 (d = 1) and at -2
     pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
-    pairs = []  # (pair, screened d, lifted d, F_2 eliminations in the oracle)
-
-    class RecordedBits(echelon.BitEchelon):
-        def __init__(self):
-            super().__init__()
-            self.added = []
-            pairs[-1][3].append(self)
-
-        def add(self, row):
-            self.added.append(row)
-            return super().add(row)
+    pairs = []  # (pair, screened d, lifted d, the ends of M - N the kernel ranks)
 
     analyze, screen, lift = oracle.analyze, oracle._screen_clears, oracle._lift
+    forest_rows = oracle.forest_rows
     monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [], [])) or analyze(p))
     monkeypatch.setattr(oracle, "_screen_clears",
                         lambda rows, rank, d: pairs[-1][1].append(d) or screen(rows, rank, d))
     monkeypatch.setattr(oracle, "_lift", lambda rows, d: pairs[-1][2].append(d) or lift(rows, d))
-    monkeypatch.setattr(oracle, "BitEchelon", RecordedBits)
+    monkeypatch.setattr(oracle, "forest_rows", lambda ends, width, shift: (
+        shift == 0 and pairs[-1][3].append(list(ends))) or forest_rows(ends, width, shift))
     files = {"g4": g4_file, "two-cycle": str(two_cycle), "pair": str(pair_file)}
     assert run(capsys, *[files.get(arg, arg) for arg in argv])[0] == 0
     monkeypatch.undo()
     graph = "--matrix" not in argv
     scanned = loops = 0
-    for p, screened, lifted, bit_eliminations in pairs:
+    for p, screened, lifted, differences in pairs:
         assert 1 not in screened, p
         assert oracle._unit_rows(p.rows) == graph, p
         if not graph:
-            assert bit_eliminations == [] and 1 in lifted, p
+            assert differences == [] and 1 in lifted, p
             scanned += 1
             continue
-        # the first BitEchelon finds the row basis; d = 1 is scanned when
-        # the pair has a cycle, and then a second one ranks M - N
+        # d = 1 is scanned when the pair has a cycle, and then the kernel
+        # ranks M - N on the basis rows' ends
         assert 1 not in lifted, p
         cycle = bool(analyze(p).cyclotomic_blocks)
-        basis = [p.rows[i] for i in oracle._row_basis(oracle._shape(p)[0], p.vertex_dim)]
-        d1 = [sum(1 << c for c in m) ^ sum(1 << c for c in n) for m, n in basis]
-        assert [el.added for el in bit_eliminations[1:]] == [d1] * cycle, p
+        shape = oracle._shape(p)
+        indices = oracle._row_basis(shape, p.vertex_dim)
+        ends = [shape[0][i] for i in indices]
+        assert differences == [ends] * cycle, p
         if cycle:
-            assert bit_eliminations[1].rank == oracle.rank_of_rows(oracle._lift(basis, 1)), p
+            basis = [p.rows[i] for i in indices]
+            assert (len(forest_rows(ends, p.vertex_dim, 0))
+                    == oracle.rank_of_rows(oracle._lift(basis, 1))), p
             scanned += 1
-            loops += 0 in d1
+            loops += any(a == b for a, b in ends)
     assert scanned > 0
-    # a loop's xor row is 0, where its or would not be
+    # a loop's ends are equal, a zero row of M - N, where [M N]'s is not
     assert loops > 0 or "fuzz" not in argv
     if "two-cycle" in argv:  # X^2 - 1 puts d = 2 in the scan, behind the screen
         assert [(screened, lifted) for _, screened, lifted, _ in pairs] == [([2], [2])]

@@ -51,7 +51,7 @@ print(json.dumps({{
     "code": code,
     "executed": sorted(k for k, m in package.items() if type(m) is types.ModuleType),
     "registered": sorted(package),
-    "stdlib": sorted({{"dataclasses", "fractions", "random"}} & set(sys.modules)),
+    "stdlib": sorted({{"dataclasses", "fractions", "pathlib", "random"}} & set(sys.modules)),
 }}))
 """, "-S")
     assert doc["code"] in (0, 1)

@@ -9,7 +9,6 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -18,11 +17,11 @@ from linequiv import (BinaryRelation, InvariantRecord, canonical_pair, compare, 
                       regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
-from linequiv.echelon import BitEchelon, Echelon, bit_eliminations
+from linequiv.echelon import Echelon, forest_ranks, forest_rows
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (OracleFactorError, OracleReport, _cyclotomic_blocks,
-                             _eliminations, _lift, _multiset, _row_basis, _screen_clears, _shape,
-                             _solution_space_dims, _transpose, _unit_rows, analyze,
+                             _eliminations, _lift, _multiset, _ranks, _row_basis, _screen_clears,
+                             _shape, _solution_space_dims, _transpose, _unit_rows, analyze,
                              invariant_factors, normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored
 
@@ -192,7 +191,7 @@ def test_no_stage_changes_the_integer_rows(g1, g2, g3, g4):
 
 def kernel_meet_dim(p: PairMatrices) -> int:
     """Dimension of the joint row kernel {x : xM = 0 and xN = 0}."""
-    return p.edge_dim - len(_row_basis(_shape(p)[0], p.vertex_dim))
+    return p.edge_dim - len(_row_basis(_shape(p), p.vertex_dim))
 
 
 def test_kernel_meet_dim_examples(g1, g2):
@@ -478,14 +477,17 @@ def test_oracle_matches_contractions_across_probabilities():
         r = seeded_relation(f"cross:{i}", max_vertices=6,
                             prob=Fraction(1 + (i % 5), 10))
         assert not compare(full_invariants(r), oracle_invariants(linearize(r)))
-    # and at the reach of the oracle's F_2 kernel: Y(L, L), in-trees, and a
-    # relation on 1000 vertices with 1.5 edges per vertex
-    rng = random.Random("linequiv-test:cross-1000")
-    labels = tuple(f"v{i}" for i in range(1000))
-    big = BinaryRelation(labels, frozenset((labels[i // 1000], labels[i % 1000])
-                                           for i in rng.sample(range(10**6), 1500)))
+    # and at the reach of the oracle's union-find kernel: Y(L, L), in-trees,
+    # and relations on 1000 and 3000 vertices with 1.5 edges per vertex
+    big = []
+    for n in (1000, 3000):
+        rng = random.Random(f"linequiv-test:cross-{n}")
+        labels = tuple(f"v{i}" for i in range(n))
+        edges = frozenset((labels[i // n], labels[i % n])
+                          for i in rng.sample(range(n * n), 3 * n // 2))
+        big.append(BinaryRelation(labels, edges))
     for r in [spider((L, L)) for L in (24, 32, 48, 64, 96, 128, 192, 256)] + [
-            in_tree(h) for h in (32, 64, 128, 256)] + [big]:
+            in_tree(h) for h in (32, 64, 128, 256)] + big:
         assert not compare(full_invariants(r), oracle_invariants(linearize(r))), r.vertex_count
 
 
@@ -736,22 +738,17 @@ def test_singular_part_ranks_are_the_same_over_every_field():
     assert compared > 303 * 4 * 4 and dependent > compared // 3 and deepest == 9
     # the lift at d = 1, M - N, holds at most a 1 and a -1 per row, which
     # cancel on a loop: a signed incidence matrix, totally unimodular too.
-    # Its rank over F_2, as the oracle takes it, one BitEchelon fed the xor
-    # of each row's two bitmasks, is its rank over Q and over F_3, here and
+    # Its rank over F_2, as the oracle takes it, the union-find kernel fed
+    # each row's two ends as an edge, is its rank over Q and over F_3, here and
     # on the kernel's unit-row pairs, whose canonical families have rows
-    # with an empty M or N side, and on multigraphs with parallel edges
-    multigraphs = [multidigraph("abcd", [("a", "b"), ("a", "b"), ("b", "a"), ("c", "c"),
-                                         ("c", "c"), ("b", "c"), ("c", "d"), ("d", "b")]),
-                   multidigraph("ab", [("a", "a"), ("a", "b"), ("a", "b"), ("a", "b")])]
-    pairs = [linearize(g) for g in graphs + multigraphs] + [p for p, _ in kernel_inputs()]
+    # with an empty M or N side, and whose multigraphs have parallel edges
+    pairs = [linearize(g) for g in graphs] + [p for p, _ in kernel_inputs()]
     seen, dependent = Counter(), 0
     for p in pairs:
         difference = _lift(p.rows, 1)
-        bits = BitEchelon()
-        for m, n in _shape(p)[0]:
-            bits.add(m ^ n)
+        forest = len(forest_rows(_shape(p)[0], p.vertex_dim, 0))
         rank = rank_of_rows(difference)
-        assert bits.rank == rank == rank_of_rows(difference, 2) == rank_of_rows(difference, 3), p
+        assert forest == rank == rank_of_rows(difference, 2) == rank_of_rows(difference, 3), p
         dependent += rank < p.edge_dim
         seen["loop"] += any(m == n for m, n in p.rows)
         seen["parallel"] += len(set(map(repr, p.rows))) < p.edge_dim
@@ -760,11 +757,14 @@ def test_singular_part_ranks_are_the_same_over_every_field():
 
 
 def kernel_inputs() -> list[tuple[PairMatrices, InvariantRecord]]:
-    """Unit-row pairs with their records: random relations, cycles with
-    in-paths, the four canonical families up to n = 12, Y(64, 64) and an
-    in-tree of height 64."""
+    """Unit-row pairs with their records: random relations, two multigraphs
+    with parallel edges and loops, cycles with in-paths, the four canonical
+    families up to n = 12, Y(64, 64) and an in-tree of height 64."""
     graphs = [seeded_relation(f"kernel:{i}", max_vertices=9, prob=Fraction(1 + i % 5, 10))
               for i in range(40)]
+    graphs += [multidigraph("abcd", [("a", "b"), ("a", "b"), ("b", "a"), ("c", "c"),
+                                     ("c", "c"), ("b", "c"), ("c", "d"), ("d", "b")]),
+               multidigraph("ab", [("a", "a"), ("a", "b"), ("a", "b"), ("a", "b")])]
     graphs += [cycles_graph(lengths, tail) for lengths, tail in
                (((5,), 0), ((3, 4), 2), ((1, 6), 5), ((2, 2, 9), 7))]
     graphs += [spider((64, 64)), in_tree(64)]
@@ -774,44 +774,69 @@ def kernel_inputs() -> list[tuple[PairMatrices, InvariantRecord]]:
                   for n in range(1 if family in ("zt", "tz") else 0, 13)]
 
 
-def test_windowed_bit_ranks_equal_the_ranks_over_q():
-    # on a unit-row pair the F_2 kernel gives rank T_k over Q at every k up
-    # to saturation and one past it, on each of the oracle's four block
-    # sequences, and its pivots stay within the two blocks of its window
-    # however often the window slides.  It reads the masks `_shape` writes
-    # in one pass: bit j of row i's mask and bit i of column j's for each 1
-    # at (i, j) in M or in N
-    slides = []
-    for p, record in kernel_inputs():
-        assert _unit_rows(p.rows), p
+def test_forest_ranks_equal_the_ranks_over_q():
+    """On a unit-row pair the union-find kernel gives rank T_k over Q at
+    every k up to one past saturation, and at least to 4, on each of the
+    oracle's four block sequences, and the row basis and the rank of M - N
+    as well.  It reads each row's ends (s, t): the column of m's 1 and of
+    n's 1, or None.
+
+    The graphs: node (j, c) is column c in block j, and an end None is the
+    ground.  Each end pair (a, b) gives one edge (j, a) - (j + 1, b) per
+    block j, and rank T_k is the number of edges that join two trees.
+      * ztz: ends (s, t) of the basis rows, with nodes in blocks 0..k.  T_k
+        only gains rows as k grows, so its rank is the count of joins.
+      * zt: ends (s, t).  tz and t: ends (t, s).
+      * These three are truncated.  Block k is the ground for this k only,
+        so the edges at j = k - 1 ground their block-(k - 1) end until
+        k + 1.  So rank T_k = k*v minus the number of trees that miss the
+        ground.
+      * t also has the edges at j = -1, which ground (0, s) for every row.
+    A row with one empty side, as in canonical zt[n] and tz[n], grounds
+    its other end for good: its edge at j = k - 2 must become a permanent
+    ground edge at step k, or the rank is off by one from k = 2.  Zero rows
+    (canonical ztz[0]), loops (a zero row of M - N) and parallel edges
+    are covered too."""
+    graphs = [seeded_relation(f"forest:{i}", max_vertices=9, prob=Fraction(1 + i % 5, 10))
+              for i in range(500)]
+    inputs = kernel_inputs() + [(linearize(g), full_invariants(g)) for g in graphs]
+    seen, compared = Counter(), 0
+    for p, record in inputs:
         e, v = p.edge_dim, p.vertex_dim
-        columns = list(zip(*_transpose(p)))
-        rows, cols = _shape(p)
-        assert rows == [(sum(1 << j for j in m), sum(1 << j for j in n)) for m, n in p.rows], p
-        assert cols == [(sum(1 << i for i in a), sum(1 << i for i in b)) for a, b in columns], p
+        ends, cols = _shape(p)
+        assert cols is None and ends == [(min(m, default=None), min(n, default=None))
+                                         for m, n in p.rows], p
+        rows, columns = p.rows, list(zip(*_transpose(p)))
+        basis = _row_basis((ends, None), v)
+        assert len(basis) == len(_row_basis((rows, columns), v)), p
+        assert len(forest_rows([ends[i] for i in basis], v, 0)) == rank_of_rows(_lift(rows, 1)), p
+        reversed_ends = [(b, a) for a, b in ends]
         reach = max([0, *record.zt, *record.tz, *record.t, *record.ztz]) + 2
-        for bit_pairs, pairs, width, shift in (
-                (rows, p.rows, v, 1), (cols, columns, e, 1), (cols, columns, e, -1),
-                ([(b, a) for a, b in cols], [(b, a) for a, b in columns], e, -1)):
-            bits = _eliminations(bit_pairs, width, shift)
-            rational = _eliminations(pairs, width, shift)
-            for k, window, echelon in zip(range(1, reach + 1), bits, rational):
-                assert isinstance(window, BitEchelon) or not bit_pairs, (p, width, shift)
-                assert window.rank == echelon.rank, (p, width, shift, k)
-                assert all(row >> 2 * width == 0 for row in window.pivots.values()), (p, k)
-            slides.append(k - 1)
-    assert max(slides) == 65 and sum(slides) > 2000
+        for family, forest, rational in (
+                ("ztz", forest_ranks([ends[i] for i in basis], v), _eliminations(rows, v, 1)),
+                ("t", forest_ranks(reversed_ends, v, True, True), _eliminations(columns, e, 1)),
+                ("zt", forest_ranks(ends, v, True), _eliminations(columns, e, -1)),
+                ("tz", forest_ranks(reversed_ends, v, True),
+                 _eliminations([(n, m) for m, n in columns], e, -1))):
+            for k, a, b in zip(range(1, max(4, reach) + 1), forest, rational):
+                assert a == b, (p, family, k)
+                compared += 1
+        seen["one empty side"] += any((a is None) != (b is None) for a, b in ends)
+        seen["zero row"] += (None, None) in ends
+        seen["loop"] += any(a == b is not None for a, b in ends)
+        seen["parallel"] += len(set(ends)) < e
+    assert len(inputs) > 590 and compared > 11000 and min(seen.values()) > 0 and len(seen) == 4
 
 
-def skew_kernel(monkeypatch, width: int, shift: int, rank) -> None:
-    """Make the F_2 kernel report rank(k, rank T_k) on its block sequences
-    of this width and shift, in place of any earlier skew."""
-    def skewed(pairs, w, s):
-        for k, echelon in enumerate(bit_eliminations(pairs, w, s), 1):
-            yield SimpleNamespace(rank=rank(k, echelon.rank) if (w, s) == (width, shift)
-                                  else echelon.rank)
+def skew_kernel(monkeypatch, truncated: bool, grounded: bool, rank) -> None:
+    """Make the union-find kernel report rank(k, rank T_k) on its block
+    sequences with these flags, in place of any earlier skew: ztz has
+    neither, zt and tz are truncated, and t has both."""
+    def skewed(ends, width, *flags):
+        for k, forest in enumerate(forest_ranks(ends, width, *flags), 1):
+            yield rank(k, forest) if flags == (truncated, grounded) else forest
 
-    monkeypatch.setattr(oracle, "bit_eliminations", skewed)
+    monkeypatch.setattr(oracle, "forest_ranks", skewed)
 
 
 def test_a_kernel_that_misreports_a_rank_trips_a_saturation_check(monkeypatch, g1):
@@ -819,25 +844,25 @@ def test_a_kernel_that_misreports_a_rank_trips_a_saturation_check(monkeypatch, g
     # has one left minimal index and no right one, and the path a -> b -> c
     # one right minimal index and no left one
     path = linearize(multidigraph("abc", [("a", "b"), ("b", "c")]))
-    skew_kernel(monkeypatch, 3, 1, lambda k, rank: 0)
+    skew_kernel(monkeypatch, False, False, lambda k, rank: 0)
     with pytest.raises(AssertionError, match="row solution dimensions failed to saturate"):
         minimal_indices_left(linearize(g1))
-    skew_kernel(monkeypatch, 2, 1, lambda k, rank: 0)
+    skew_kernel(monkeypatch, True, True, lambda k, rank: 0)
     with pytest.raises(AssertionError, match="row solution dimensions failed to saturate"):
         minimal_indices_right(path)
-    skew_kernel(monkeypatch, 2, -1, lambda k, rank: 0)
+    skew_kernel(monkeypatch, True, False, lambda k, rank: 0)
     with pytest.raises(AssertionError, match="local Jordan chains failed to saturate"):
         oracle_invariants(path)
 
 
 def test_a_kernel_that_misreports_a_rank_trips_a_count_check(monkeypatch, g3):
     # one rank T_2 too low at the local types makes h(k) rise and fall back
-    skew_kernel(monkeypatch, 4, -1, lambda k, rank: rank - (k == 2))
+    skew_kernel(monkeypatch, True, False, lambda k, rank: rank - (k == 2))
     with pytest.raises(AssertionError, match="nullity sequence is not concave"):
         oracle_invariants(linearize(g3))
     # every local rank one too low adds a zt and a tz block of size 1 that
     # the path's vertices leave no room for
-    skew_kernel(monkeypatch, 2, -1, lambda k, rank: rank - 1)
+    skew_kernel(monkeypatch, True, False, lambda k, rank: rank - 1)
     with pytest.raises(AssertionError,
                        match="regular degree: singular and nilpotent parts exceed 3 vertices"):
         oracle_invariants(linearize(multidigraph("abc", [("a", "b"), ("b", "c")])))
@@ -858,8 +883,8 @@ def test_a_wrong_lift_trips_the_root_of_unity_checks(monkeypatch):
     # Phi_3^2 has one Jordan block of size 2 at each primitive cube root; a
     # lifted local type with one extra block is not two equal copies
     local = oracle._local_type
-    monkeypatch.setattr(oracle, "_local_type", lambda cols, e, rank:
-                        local(cols, e, rank) + (1,) * (len(cols) > 4))
+    monkeypatch.setattr(oracle, "_local_type", lambda ranks, v, rank:
+                        local(ranks, v, rank) + (1,) * (v > 4))
     with pytest.raises(AssertionError, match="lifted Jordan type at d=3 is not 2 equal copies"):
         oracle_invariants(regular_pair(rp.cyclotomic(3), 2))
 
@@ -878,7 +903,7 @@ def test_screen_keeps_every_root_the_lift_finds():
     # screen stays sound on it
     for p in differential_pairs():
         rank = normal_rank(p)
-        basis = [p.rows[i] for i in _row_basis(_shape(p)[0], p.vertex_dim)]
+        basis = [p.rows[i] for i in _row_basis(_shape(p), p.vertex_dim)]
         for rows in (p.rows, basis):
             for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
                 if rp.totient(d) * p.vertex_dim > 160:
@@ -911,8 +936,8 @@ def explicit_block_rank(rows, v: int, k: int) -> int:
 
 
 def test_row_basis_stands_in_for_the_rows():
-    # the basis is input rows, from an elimination over Q, or over F_2 on a
-    # unit-row pair, where [M N] and [M^T N^T] are totally unimodular
+    # the basis is input rows, from the union-find kernel on a unit-row
+    # pair, where [M N] is totally unimodular, or from an elimination over Q
     pairs = differential_pairs()
     pairs += [linearize(seeded_relation(f"dense:{i}", max_vertices=10, prob=Fraction(1, 2)))
               for i in range(12)]
@@ -924,22 +949,21 @@ def test_row_basis_stands_in_for_the_rows():
     for p in pairs:
         e, v = p.edge_dim, p.vertex_dim
         columns = list(zip(*_transpose(p)))
-        shape = _shape(p)
         rank = normal_rank(p)
-        for rows, form, count, width in ((p.rows, shape[0], e, v), (columns, shape[1], v, e)):
-            # the Q form, and `_shape`'s, which holds bitmasks on a unit-row pair
-            for pairs_read in (rows, form):
-                indices = _row_basis(pairs_read, width)
-                assert indices == sorted(set(indices)) and len(pairs_read) == count, p
-                basis = [rows[i] for i in indices]
-                stacked = [{**m, **{width + j: x for j, x in n.items()}} for m, n in basis]
-                everything = [{**m, **{width + j: x for j, x in n.items()}} for m, n in rows]
-                assert rank_of_rows(stacked) == len(basis) == rank_of_rows(stacked + everything), p
-                f = _solution_space_dims([pairs_read[i] for i in indices], count, width,
-                                         count - rank)
-                assert f == [k * count - explicit_block_rank(rows, width, k)
-                             for k in range(len(f))], p
-        basis = [p.rows[i] for i in _row_basis(shape[0], v)]
+        everything = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
+        # the Q form, and `_shape`'s, which holds ends on a unit-row pair
+        for rows, cols in ((p.rows, columns), _shape(p)):
+            indices = _row_basis((rows, cols), v)
+            assert indices == sorted(set(indices)), p
+            stacked = [everything[i] for i in indices]
+            assert rank_of_rows(stacked) == len(indices) == rank_of_rows(stacked + everything), p
+            ranks = _ranks(([rows[i] for i in indices], cols), "ztz", e, v)
+            f = _solution_space_dims(ranks, e, v, e - rank)
+            assert f == [k * e - explicit_block_rank(p.rows, v, k) for k in range(len(f))], p
+            # the column side reads every column
+            f = _solution_space_dims(_ranks((rows, cols), "t", e, v), v, e, v - rank)
+            assert f == [k * v - explicit_block_rank(columns, e, k) for k in range(len(f))], p
+        basis = [p.rows[i] for i in _row_basis(_shape(p), v)]
         for d in range(1, 13):
             if rp.totient(d) * v <= 160:
                 assert rank_of_rows(_lift(basis, d)) == rank_of_rows(_lift(p.rows, d)), (p, d)
