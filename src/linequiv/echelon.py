@@ -1,5 +1,7 @@
 """Exact ranks of sparse integer rows, over the rationals or modulo a prime,
-and over F_2 of 0/1 block matrices whose rows hold at most two 1s.
+and the ranks of a pair's block sequences T_1, T_2, ... from two kernels
+with one contract: `forest_ranks` over F_2, on rows with at most two 1s,
+and `echelon_ranks` over Q.
 
 A row is a dict column -> nonzero entry.  One elimination serves both
 fields.  Over Q it is fraction-free: row = a*row - b*pivot, then division
@@ -121,13 +123,15 @@ def forest_rows(ends, width: int, shift: int) -> list[int]:
             if _join(parent, 0 if a is None else 1 + a, 0 if b is None else at + b)]
 
 
-def forest_ranks(ends, width: int, truncated: bool = False,
+def forest_ranks(pairs, width: int, truncated: bool = False,
                  grounded: bool = False) -> Iterator[int]:
     """rank T_1, T_2, ... over F_2, yielded in turn, where row block j < k
-    of T_k holds a row per end pair (a, b): a 1 at column a of column block
-    j and one at column b of block j + 1 (none for an end None), in blocks
-    `width` wide.  T_k has column blocks 0..k, or 0..k-1 when `truncated`;
-    `grounded` adds a row block j = -1, which keeps only its 1s in block 0.
+    of T_k holds a row per pair (x, y): x at column block j and y at column
+    block j + 1, in blocks `width` wide.  T_k has column blocks 0..k, or
+    0..k-1 when `truncated`, which leaves y out of row block k - 1; a
+    truncated sequence that is `grounded` has a row block j = -1 as well,
+    which keeps only its y.  Here x and y are ends: the column of a 1, or
+    None for no 1.  `echelon_ranks` reads the same contract over Q.
 
     Column c of block j is node 1 + j*width + c; rank T_k counts the rows
     that join two trees.  Untruncated, T_k only gains rows as k grows.
@@ -141,15 +145,44 @@ def forest_ranks(ends, width: int, truncated: bool = False,
         at = 1 + top * width
         if top or grounded:
             below = 1 + (top - 1) * width
-            for a, b in ends:
+            for a, b in pairs:
                 joins += _join(parent, 0 if a is None or not top else below + a,
                                0 if b is None else at + b)
         if truncated:
-            roots = {_root(parent, at + a) for a, _ in ends if a is not None}
+            roots = {_root(parent, at + a) for a, _ in pairs if a is not None}
             roots.discard(0)
             yield joins + len(roots)
         else:
             yield joins
+
+
+def echelon_ranks(pairs, width: int, truncated: bool = False,
+                  grounded: bool = False) -> Iterator[int]:
+    """`forest_ranks` over Q, where x and y are sparse integer rows, from
+    one elimination.  Untruncated, T_k is T_(k-1) plus row block k - 1.
+    Truncated it is not, since row block k - 1 gains its y at k + 1, so the
+    elimination reads the transpose, which only gains rows as k grows: its
+    row block c < k holds a row per column l, with column l of the x rows
+    at column block c and column l of the y rows at block c - 1 (c + 1 and
+    c when `grounded`), in blocks len(pairs) wide."""
+    x_at, y_at = 0, 1
+    if truncated:
+        columns = [({}, {}) for _ in range(width)]
+        for i, pair in enumerate(pairs):
+            for side, row in enumerate(pair):
+                for c, a in row.items():
+                    columns[c][side][i] = a
+        pairs, width = columns, len(pairs)
+        x_at, y_at = (1, 0) if grounded else (0, -1)
+    echelon = Echelon()
+    for j in itertools.count():
+        for x, y in pairs:
+            row = {(j + x_at) * width + c: a for c, a in x.items()}
+            if j + y_at >= 0:
+                row.update({(j + y_at) * width + c: b for c, b in y.items()})
+            if row:
+                echelon.add(row)
+        yield echelon.rank
 
 
 def rank_of_rows(rows, modulus: int = 0) -> int:

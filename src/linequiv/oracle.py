@@ -3,9 +3,9 @@ the raw matrix pair by exact linear algebra.
 
 No contractions are used anywhere here.  The pair (M, N) is analyzed as the
 pencil M + X*N, and every count in the record is read off exact ranks of
-sparse integer matrices built from M and N.  One routine, `_eliminations`,
-grows a block matrix T_k a block per k in one elimination, and one reader,
-`_multiset`, turns the saturated nullities of T_k into a multiset:
+sparse integer matrices built from M and N.  One kernel ranks each block
+sequence T_1, T_2, ... of the pair (`_ranks`), and one reader, `_multiset`,
+turns the saturated nullities of T_k into a multiset:
 
   * the minimal indices, from row solutions x(t)(M + tN) = 0 of degree
     < k: ztz, and t on the transposed pair;
@@ -21,32 +21,25 @@ degree (from d = 2 on, a rank modulo a prime rules most d out first), and
 the lifted local type gives their sizes when needed.
 
 Each rank comes from the pair's integer rows, `PairMatrices.rows`, the
-pair's only stored form.  `analyze` reads them once, in `_shape`: it
-decides whether the pair is unit-row (below) and writes them in the form
-the ranks read, and every stage takes them from there.  T_1 = [M N]
-gives a row basis of at most 2v of the rows (`_row_basis`, as indices),
-which the sample, the ztz nullities and the roots of unity read instead
-of the e rows: each of their matrices has a row space that is a sum of
-linear images of rowspace([M N]), so the basis spans it too, and only the
-counts k*e of the nullities read e.  The column side and the local types
-read all v columns.
+pair's only stored form.  `analyze` reads them once, in `_basis`, which
+takes a row basis of [M N], at most 2v of the rows, decides the field
+that ranks the block sequences, and writes the basis in that kernel's
+form.  Every stage reads that basis, and no stage reads the e rows.
 
 On a unit-row pair, where each row of M and of N holds at most one
 nonzero entry, a 1 (graph pairs and `canonical_pair`), every T_k above is
 totally unimodular, so its rank is the same over every field (README,
-"Field independence").  Each such T_k over F_2, or its transpose on the
-column side, has at most two 1s per row, so its rank is that of a graph:
-the number of rows that join two trees of a forest on its columns and a
-ground.  `_shape` then writes only each row's two ends, the column of m's
-1 and of n's 1, and one union-find per sequence (`echelon.forest_ranks`)
-ranks T_1, T_2, ... from them, with no transpose.  The rows that join two
-trees of T_1 are the row basis, independent over Q too.  The lift at
-d = 1 is M - N itself, whose rows hold at most a 1 and a -1: a signed
-incidence matrix, totally unimodular as well (Schrijver, ch. 19), so on a
-unit-row pair it is a graph's rank too, each basis row an edge between
-its two ends (`echelon.forest_rows`).  Any other pair keeps its dict rows
-and their sparse transpose, and it, and the sample and the roots of unity
-from d = 2 on for every pair, are eliminated over Q, fraction-free, or
+"Field independence").  Over F_2 each T_k has at most two 1s per row, so
+its rank is that of a graph: the number of rows that join two trees of a
+forest on its columns and a ground.  Then the basis is written as each
+row's two ends, the column of m's 1 and of n's 1, and one union-find per
+sequence (`echelon.forest_ranks`) ranks T_1, T_2, ... from them.  The
+lift at d = 1 is M - N itself, whose rows hold at most a 1 and a -1: a
+signed incidence matrix, totally unimodular as well (Schrijver, ch. 19),
+so on a unit-row pair it is a graph's rank too, each basis row an edge
+between its two ends (`echelon.forest_rows`).  Any other pair's sequences
+are eliminated over Q (`echelon.echelon_ranks`), and so are, for every
+pair, the sample and the roots of unity from d = 2 on, fraction-free, or
 modulo a prime for a screen.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
@@ -58,33 +51,18 @@ S(X - 1): a pencil factor q gives the stored polynomial monic(q(-X)).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import ratpoly as rp
-from .echelon import Echelon, SparseRow, forest_ranks, forest_rows, prime_and_root, rank_of_rows
+from .echelon import (Echelon, SparseRow, echelon_ranks, forest_ranks, forest_rows,
+                      prime_and_root, rank_of_rows)
 from .invariants import InvariantRecord, cyclotomic_refine
 from .linearize import PairMatrices, integer_row
 from .ratpoly import Poly
 # OracleFactorError stays importable from here: callers catch it as part of the oracle
 from .smith import OracleFactorError, factor_stored, invariant_factors, pencil_matrix
-
-
-def _columns(rows: list[SparseRow], cols: int) -> list[SparseRow]:
-    out: list[SparseRow] = [{} for _ in range(cols)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[j][i] = x
-    return out
-
-
-def _transpose(p: PairMatrices) -> tuple[list[SparseRow], list[SparseRow]]:
-    """The columns of M and of N from `p.rows`: the transposed pair's rows
-    times an invertible diagonal matrix on the right, which changes no rank."""
-    return (_columns([m for m, _ in p.rows], p.vertex_dim),
-            _columns([n for _, n in p.rows], p.vertex_dim))
 
 
 def _pencil_rows(rows, c: int) -> list[SparseRow]:
@@ -99,64 +77,47 @@ def _unit_rows(rows) -> bool:
     return all(not row or list(row.values()) == [1] for pair in rows for row in pair)
 
 
-def _shape(p: PairMatrices) -> tuple[list, list | None]:
-    """The pair as the stages below read it.  On a unit-row pair: each
-    row's ends, (the column of m's 1, the column of n's 1) with None for an
-    empty side, and None for the columns, which the union-find kernel reads
-    off the ends; else the dict rows and the columns, (column of M, column
-    of N) per vertex, from the sparse transpose."""
-    if not _unit_rows(p.rows):
-        return p.rows, list(zip(*_transpose(p)))
-    return [(next(iter(m), None), next(iter(n), None)) for m, n in p.rows], None
+def _basis(p: PairMatrices) -> tuple[list, list, object]:
+    """The pair as every stage reads it: a basis of R = rowspace([M N])
+    among its integer rows, at most 2v of them; the same rows in the form
+    its kernel reads; and that kernel, `forest_ranks` or `echelon_ranks`.
 
+    The basis stands in for the e rows: each row of every matrix ranked
+    here (a row block of a T_k in `_ranks`, M + 2N, a lift of M - zeta*N
+    and its local type's T_k) is a fixed linear image of one row (m, n) of
+    [M N], so its row space is a sum of linear images of R, which the basis
+    spans as the e rows do.  Only the counts k*e of the nullities read e.
 
-def _eliminations(pairs, width: int, shift: int) -> Iterator[int]:
-    """rank T_1, T_2, ... over Q from one elimination, yielded after each
-    block: row block j of T_k (j < k) holds one row per pair (x, y), x at
-    column block j and y at column block j + shift (left out below block
-    0), in column blocks `width` wide.  T_k is T_(k-1) plus block k - 1, so
-    every k reads the same elimination."""
+    On a unit-row pair the form is each row's ends, (the column of m's 1,
+    the column of n's 1) with None for an empty side, and the basis is the
+    rows that join two trees of T_1 = [M N] as a graph: independent over Q
+    too, and as many as its rank over Q, since [M N] is totally unimodular.
+    Else the form is the rows themselves, and the basis the rows that
+    become pivots as [M N] is eliminated over Q."""
+    v = p.vertex_dim
+    if _unit_rows(p.rows):
+        ends = [(next(iter(m), None), next(iter(n), None)) for m, n in p.rows]
+        indices = forest_rows(ends, v, 1)
+        return [p.rows[i] for i in indices], [ends[i] for i in indices], forest_ranks
     echelon = Echelon()
-    for j in itertools.count():
-        x_at, y_at, with_y = j * width, (j + shift) * width, j + shift >= 0
-        for x, y in pairs:
-            row = {x_at + c: a for c, a in x.items()} if j else dict(x)
-            if with_y:
-                for c, b in y.items():
-                    row[y_at + c] = b
-            if row:
-                echelon.add(row)
-        yield echelon.rank
+    rows = [(m, n) for m, n in p.rows if echelon.add({**m, **{v + j: x for j, x in n.items()}})]
+    return rows, rows, echelon_ranks
 
 
-def _ranks(shape, family: str, e: int, v: int) -> Iterator[int]:
+# each family's T_k as a kernel's flags (reversed, truncated, grounded) on
+# the pair's rows (m, n), or (n, m) when reversed: t's T_k is the transpose
+# of the transposed pair's, whose row block j = -1 holds M at column block 0
+_FAMILIES = {"ztz": (False, False, False), "zt": (False, True, False),
+             "tz": (True, True, False), "t": (True, True, True)}
+
+
+def _ranks(basis, family: str, v: int) -> Iterator[int]:
     """rank T_1, T_2, ... of the block sequence of `family`, "ztz", "t",
-    "zt" or "tz", from a pair in `_shape`'s form (for "ztz" its row basis
-    will do): from ends by the union-find kernel over F_2, each T_k or its
-    transpose, exact by total unimodularity (README, "Field independence"),
-    else by one elimination over Q of the rows, or of the columns."""
-    rows, cols = shape
-    if cols is None:
-        ends = rows if family in ("ztz", "zt") else [(b, a) for a, b in rows]
-        return forest_ranks(ends, v, family != "ztz", family == "t")
-    if family == "ztz":
-        return _eliminations(rows, v, 1)
-    return _eliminations([(n, m) for m, n in cols] if family == "tz" else cols, e,
-                         1 if family == "t" else -1)
-
-
-def _row_basis(shape, v: int) -> list[int]:
-    """The indices of a basis of R = rowspace([M N]) among the rows of a
-    pair in `_shape`'s form with v columns, at most 2v of them: from ends,
-    the rows that join two trees of T_1 = [M N] as a graph, independent
-    over Q too and as many as its rank over Q, since [M N] is totally
-    unimodular; else the rows that become pivots as it is eliminated."""
-    rows, cols = shape
-    if cols is None:
-        return forest_rows(rows, v, 1)
-    echelon = Echelon()
-    return [i for i, (m, n) in enumerate(rows)
-            if echelon.add({**m, **{v + j: x for j, x in n.items()}})]
+    "zt" or "tz", read by the basis's kernel from its form; over F_2 that
+    is exact by total unimodularity (README, "Field independence")."""
+    _, form, kernel = basis
+    reverse, truncated, grounded = _FAMILIES[family]
+    return kernel([(y, x) for x, y in form] if reverse else form, v, truncated, grounded)
 
 
 def _solution_space_dims(ranks, e: int, v: int, total: int) -> list[int]:
@@ -166,9 +127,7 @@ def _solution_space_dims(ranks, e: int, v: int, total: int) -> list[int]:
     or at k = min(e, v) + 2.
 
     f(k) = k*e - rank T_k, where row block j < k of T_k is [M N] at column
-    blocks j and j + 1.  So rowspace(T_k) is the sum of the row spaces of
-    [M N] shifted by j*v, and a row basis of [M N] shifted block by block
-    spans it as the e rows do; only k*e counts the rows themselves."""
+    blocks j and j + 1."""
     f = [0]
     for k, rank in zip(range(1, min(e, v) + 3), ranks):
         f.append(k * e - rank)
@@ -194,19 +153,14 @@ def _multiset(f: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _left_indices(p: PairMatrices, shape, basis: list[int]) -> tuple[int, ...]:
-    """`minimal_indices_left` from the pair in `_shape`'s form and the
-    indices of its row basis, which both stages read in place of the e
-    rows: the sample reads the basis rows of `p.rows`, since the rows of
-    M + 2N are their images under (x, y) -> x + 2y, and the nullities read
-    them in the shape's form; `_solution_space_dims` says why the basis
-    stands in for the e rows there."""
-    e, (rows, cols) = p.edge_dim, shape
-    sample = rank_of_rows(_pencil_rows([p.rows[i] for i in basis], 2))
+def _left_indices(basis, e: int, v: int) -> tuple[int, ...]:
+    """`minimal_indices_left` from `_basis`'s basis of the pair's e rows:
+    the sample reads its integer rows, since the rows of M + 2N are their
+    images under (x, y) -> x + 2y, and the nullities its form."""
+    sample = rank_of_rows(_pencil_rows(basis[0], 2))
     if sample == e:
         return ()
-    ranks = _ranks(([rows[i] for i in basis], cols), "ztz", e, p.vertex_dim)
-    f = _solution_space_dims(ranks, e, p.vertex_dim, e - sample)
+    f = _solution_space_dims(_ranks(basis, "ztz", v), e, v, e - sample)
     last = f[-1] - f[-2]
     if last > e - sample or (last < e - sample and last != f[-2] - f[-3]):
         raise AssertionError("row solution dimensions failed to saturate")
@@ -217,8 +171,7 @@ def minimal_indices_left(p: PairMatrices) -> tuple[int, ...]:
     """Degrees of a minimal basis of polynomial row solutions of
     x(t)(M + tN) = 0; one ztz summand per index.  Their nullity sequence
     also certifies the normal rank; see `normal_rank`."""
-    shape = _shape(p)
-    return _left_indices(p, shape, _row_basis(shape, p.vertex_dim))
+    return _left_indices(_basis(p), p.edge_dim, p.vertex_dim)
 
 
 def normal_rank(p: PairMatrices) -> int:
@@ -235,15 +188,13 @@ def normal_rank(p: PairMatrices) -> int:
     return p.edge_dim - len(minimal_indices_left(p))
 
 
-def _right_indices(shape, e: int, v: int, rank: int) -> tuple[int, ...]:
-    """`minimal_indices_right` from the pair in `_shape`'s form and its
-    normal `rank`, which the transposed pair shares.  Its nullities read all
-    v rows of the transposed pair: on a graph pair they are nearly always
-    independent, so a basis would cost one more rank and save none."""
+def _right_indices(basis, e: int, v: int, rank: int) -> tuple[int, ...]:
+    """`minimal_indices_right` from `_basis`'s basis and the normal `rank`,
+    which the transposed pair shares."""
     total = v - rank
     if total == 0:
         return ()
-    f = _solution_space_dims(_ranks(shape, "t", e, v), v, e, total)
+    f = _solution_space_dims(_ranks(basis, "t", v), v, e, total)
     if f[-1] - f[-2] != total:
         raise AssertionError("row solution dimensions failed to saturate")
     return _multiset(f)
@@ -252,7 +203,8 @@ def _right_indices(shape, e: int, v: int, rank: int) -> tuple[int, ...]:
 def minimal_indices_right(p: PairMatrices) -> tuple[int, ...]:
     """Column-side analogue of `minimal_indices_left`; one t summand per
     index."""
-    return _right_indices(_shape(p), p.edge_dim, p.vertex_dim, normal_rank(p))
+    e, v, basis = p.edge_dim, p.vertex_dim, _basis(p)
+    return _right_indices(basis, e, v, e - len(_left_indices(basis, e, v)))
 
 
 # -- local Jordan types ---------------------------------------------------------
@@ -268,8 +220,7 @@ def _local_type(ranks, v: int, rank: int) -> tuple[int, ...]:
     kernel is the row solutions of x(s)(A + sB) = 0 modulo s^k.  So, for e
     rows, h(k) = (k*e - rank T_k) - k*(e - rank) = k*rank - rank T_k is the
     sum of min(n, k) over the blocks, at most v in all, and k*h(1) - h(k),
-    the sum of max(0, k - n), is the shape `_multiset` reads.  Over Q,
-    T_k's columns are fed as rows to `_eliminations`, shift -1."""
+    the sum of max(0, k - n), is the shape `_multiset` reads."""
     h = [0]
     for k, rank_k in zip(range(1, v + 2), ranks):
         h.append(k * rank - rank_k)
@@ -286,7 +237,7 @@ def _local_type(ranks, v: int, rank: int) -> tuple[int, ...]:
 def _screen_clears(rows, rank: int, d: int) -> bool:
     """True when M - zeta*N has rank `rank` over F_p, for p and zeta from
     `prime_and_root(d)`, read from integer rows (m, n) that span the same
-    rational row space as those of [M N], such as its row basis.  Their
+    rational row space as those of [M N], such as `_basis`'s.  Their
     images x - zeta_d*y span the row space of M - zeta_d*N over Q(zeta_d).
     A rank cannot rise under the ring map Z[zeta_d] -> F_p that sends
     zeta_d to zeta, and cannot exceed the normal rank, so then M - zeta_d*N
@@ -320,47 +271,44 @@ def _lift(rows, d: int) -> list[SparseRow]:
     return out
 
 
-def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
-                       ends=None) -> list[tuple[int, int]] | None:
+def _cyclotomic_blocks(basis, v: int, rank: int, degree: int) -> list[tuple[int, int]] | None:
     """One (d, n) per Jordan block of size n at the pencil eigenvalues -zeta,
     zeta a primitive d-th root of unity; None when blocks at roots of unity
     leave part of the regular `degree` unaccounted for.
 
-    `rows` are integer rows (m, n) that span rowspace([M N]): the pair's
-    own, or its row basis, which `analyze` passes, with their ends as
-    `ends` on a unit-row pair.  Each lifted row is a fixed Q-linear map of
-    one (m, n), and each row of a lifted T_k a fixed linear map of a lifted
-    row, so every rank below is the same from any spanning rows, and the
-    local type's h(k) = k*rank - rank T_k does not read their number.
+    `basis` is `_basis`'s, whose integer rows the lifts read in place of the
+    e rows; the local type's h(k) = k*rank - rank T_k does not read their
+    number.
 
     First, one lifted rank per d counts the blocks at d: phi(d) times their
     number is rank*phi(d) minus the rank of the lift of M - zeta_d*N.  For
     d >= 2 a rank modulo a prime screens d first.  At d = 1 the lift is
     M - N itself, so the screen would cost as much as the rank, and on a
     graph pair with a cycle X - 1 always divides, so it would never clear.
-    Given `ends`, the union-find kernel takes that rank over F_2, a row
-    (a, b) as an edge a - b: each row of M - N holds at most a 1 and a -1,
-    which cancel on a loop, so M - N is a signed incidence matrix, totally
-    unimodular, and its rank is the same over every field.  M + N at d = 2
-    is not (an odd cycle gives determinant 2), and the lifts for d >= 3 are
-    not incidence matrices, so they stay over Q.  The scan runs while
-    phi(d) fits in the degree not yet counted, up to the bound 2*deg^2 + 6
-    past which phi(d) > deg.  If phi(d) times the counts fills the degree,
-    every block has size 1, as it always does for graphs (X^k - 1 is
-    squarefree).  Otherwise the lifted local type gives the sizes at each d
-    found whose phi(d) fits in the degree still left, since a block of size
-    n adds (n - 1)*phi(d) beyond its count.  The local type is this second
-    pass, and not the scan itself, because its T_2 costs far more than one
-    rank: 20 times as much on the 37-cycle at d = 37.  Blocks beyond the
-    regular degree are an error.  The scan stops once the degree is
-    filled, so it cannot see blocks the degree leaves no room for."""
+    Where the basis is ranked over F_2, the union-find kernel takes that
+    rank too, a row (a, b) as an edge a - b: each row of M - N holds at most
+    a 1 and a -1, which cancel on a loop, so M - N is a signed incidence
+    matrix, totally unimodular, and its rank is the same over every field.
+    M + N at d = 2 is not (an odd cycle gives determinant 2), and the lifts
+    for d >= 3 are not incidence matrices, so they stay over Q.  The scan
+    runs while phi(d) fits in the degree not yet counted, up to the bound
+    2*deg^2 + 6 past which phi(d) > deg.  If phi(d) times the counts fills
+    the degree, every block has size 1, as it always does for graphs
+    (X^k - 1 is squarefree).  Otherwise the lifted local type gives the
+    sizes at each d found whose phi(d) fits in the degree still left, since
+    a block of size n adds (n - 1)*phi(d) beyond its count.  The local type
+    is this second pass, and not the scan itself, because its T_2 costs far
+    more than one rank: 20 times as much on the 37-cycle at d = 37.  Blocks
+    beyond the regular degree are an error.  The scan stops once the degree
+    is filled, so it cannot see blocks the degree leaves no room for."""
+    rows, form, kernel = basis
     found: dict[int, int] = {}
     left = degree
     d = 1
     while left > 0 and d <= 2 * left * left + 6:
         phi = rp.totient(d)
         if phi <= left and (d == 1 or not _screen_clears(rows, rank, d)):
-            lifted = (len(forest_rows(ends, v, 0)) if d == 1 and ends is not None
+            lifted = (len(forest_rows(form, v, 0)) if d == 1 and kernel is forest_ranks
                       else rank_of_rows(_lift(rows, d)))
             count, rest = divmod(phi * rank - lifted, phi)
             if rest or count < 0:
@@ -376,9 +324,8 @@ def _cyclotomic_blocks(rows, v: int, rank: int, degree: int,
             blocks += [(d, 1)] * count
         else:
             lifted_n = [{j * phi + a: x for j, x in n.items()} for _, n in rows for a in range(phi)]
-            cols = zip(_columns(_lift(rows, d), v * phi), _columns(lifted_n, v * phi))
-            sizes = Counter(_local_type(_eliminations(list(cols), len(rows) * phi, -1),
-                                        v * phi, rank * phi))
+            ranks = echelon_ranks(list(zip(_lift(rows, d), lifted_n)), v * phi, truncated=True)
+            sizes = Counter(_local_type(ranks, v * phi, rank * phi))
             if any(mult % phi for mult in sizes.values()) or sum(sizes.values()) != phi * count:
                 raise AssertionError(f"lifted Jordan type at d={d} is not {phi} equal copies")
             blocks += [(d, n) for n, mult in sizes.items() for _ in range(mult // phi)]
@@ -409,18 +356,16 @@ def analyze(p: PairMatrices) -> OracleReport:
     """Minimal indices, the divisors of M + X*N and the X-powers of N + X*M,
     all from exact ranks; see the module docstring."""
     e, v = p.edge_dim, p.vertex_dim
-    shape = _shape(p)
-    basis = _row_basis(shape, v)
-    left = _left_indices(p, shape, basis)
+    basis = _basis(p)
+    left = _left_indices(basis, e, v)
     rank = e - len(left)
-    right = _right_indices(shape, e, v, rank)
-    zt = _local_type(_ranks(shape, "zt", e, v), v, rank)
-    tz = _local_type(_ranks(shape, "tz", e, v), v, rank)
+    right = _right_indices(basis, e, v, rank)
+    zt = _local_type(_ranks(basis, "zt", v), v, rank)
+    tz = _local_type(_ranks(basis, "tz", v), v, rank)
     degree = v - sum(zt) - sum(tz) - sum(n + 1 for n in right) - sum(left)
     if degree < 0:
         raise AssertionError(f"regular degree: singular and nilpotent parts exceed {v} vertices")
-    blocks = _cyclotomic_blocks([p.rows[i] for i in basis], v, rank, degree,
-                                [shape[0][i] for i in basis] if shape[1] is None else None)
+    blocks = _cyclotomic_blocks(basis, v, rank, degree)
     if blocks is None:  # the fallback: the divisors of M + X*N from its Smith form, factored
         finite = tuple(sorted(factor for q in invariant_factors(pencil_matrix(p.rows, v))
                               for factor in factor_stored(q)))

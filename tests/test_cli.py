@@ -558,21 +558,21 @@ def test_record_path_builds_no_labelled_intermediates(monkeypatch, capsys, g1_fi
 def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file, argv, count):
     # the rows of [M N] are ranked once per pair, and the input rows that
     # are independent of the rows before them are the row basis; the normal
-    # rank's one sample of M + c*N and every block of the left nullity
-    # sequence that certifies it read that basis, not the e rows.  A graph
-    # pair is a unit-row pair, so the union-find kernel ranks these from
-    # the rows' ends, and its only eliminations over Q are the sample and
-    # one per lifted root of unity from d = 2 on: M - N, the lift at d = 1,
-    # is ranked by the kernel as well.  A graph pair's integer rows come
-    # from its edge ids.  A --matrix pair with other entries runs them all
-    # over Q.  Each pair's shape is read once: one `_unit_rows`, one
-    # `_shape`, which writes a unit-row pair's ends, and no `_transpose` or
-    # `_columns` on a unit-row pair; any other pair transposes once.
+    # rank's one sample of M + c*N and every block sequence read that basis,
+    # not the e rows.  Each pair's form is read once: one `_unit_rows`, in
+    # one `_basis`, which picks the kernel.  A graph pair is a unit-row
+    # pair, so the union-find kernel ranks its sequences from the basis
+    # rows' ends, and its only eliminations over Q are the sample and one
+    # per lifted root of unity from d = 2 on: M - N, the lift at d = 1, is
+    # ranked by the kernel as well.  A graph pair's integer rows come from
+    # its edge ids.  A --matrix pair with other entries runs them all over
+    # Q, its sequences by `echelon_ranks` on the basis rows, and a lifted
+    # local type by `echelon_ranks` on the lift of the basis rows.
     pair_file = tmp_path / "pair.txt"
     # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: row 3 is
     # the sum of rows 1 and 2
     pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
-    pairs = []  # (pair, sample rows, Q eliminations, kernel calls, lifts, shape reads)
+    pairs = []  # (pair, sample rows, Q eliminations, kernel calls, lifts, form reads, bases)
 
     class Recorded(echelon.Echelon):
         def __init__(self, modulus=0):
@@ -587,23 +587,29 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
             self.grew.append(grew)
             return grew
 
+    def recorded(kernel):
+        def run(rows, width, *flags, **named):
+            rows = list(rows)
+            pairs[-1][3].append((kernel.__name__, rows, flags + tuple(named.values())))
+            return kernel(rows, width, *flags, **named)
+        return run
+
     analyze, pencil, lift = oracle.analyze, oracle._pencil_rows, oracle._lift
-    forest_rows, forest_ranks = oracle.forest_rows, oracle.forest_ranks
+    basis_of, unit_rows = oracle._basis, oracle._unit_rows
+    forest_rows = oracle.forest_rows
     scans = []
     monkeypatch.setattr(oracle, "analyze",
-                        lambda p: pairs.append((p, [], [], [], [], Counter())) or analyze(p))
-    for name in ("_unit_rows", "_shape", "_transpose", "_columns"):
-        read = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda *args, name=name, read=read:
-                            pairs[-1][5].update([name]) or read(*args))
+                        lambda p: pairs.append((p, [], [], [], [], Counter(), [])) or analyze(p))
+    monkeypatch.setattr(oracle, "_unit_rows", lambda rows: pairs[-1][5].update(["_unit_rows"])
+                        or unit_rows(rows))
+    monkeypatch.setattr(oracle, "_basis", lambda p: pairs[-1][5].update(["_basis"])
+                        or pairs[-1][6].append(basis_of(p)) or pairs[-1][6][-1])
     monkeypatch.setattr(oracle, "_pencil_rows",
                         lambda rows, c: (c > 0 and pairs[-1][1].append(list(rows)))
                         or pencil(rows, c))
     monkeypatch.setattr(oracle, "_lift", lambda rows, d: pairs[-1][4].append(d) or lift(rows, d))
-    monkeypatch.setattr(oracle, "forest_rows", lambda ends, width, shift: pairs[-1][3].append(
-        (list(ends), shift)) or forest_rows(ends, width, shift))
-    monkeypatch.setattr(oracle, "forest_ranks", lambda ends, width, *flags: pairs[-1][3].append(
-        (list(ends), flags)) or forest_ranks(ends, width, *flags))
+    for name in ("forest_rows", "forest_ranks", "echelon_ranks"):
+        monkeypatch.setattr(oracle, name, recorded(getattr(oracle, name)))
     for module in (oracle, echelon):
         monkeypatch.setattr(module, "Echelon", Recorded)
     # the package's `linearize` name is the function, so find the module
@@ -617,40 +623,55 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     assert len(pairs) == count
     graph = "--matrix" not in argv
     assert (scans == []) == graph
-    for p, samples, eliminations, kernel, lifts, reads in pairs:
+    lifted_types = 0
+    for p, samples, eliminations, kernel, lifts, reads, bases in pairs:
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]
         block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
         assert block and stacked not in [el.added for el in eliminations], p
         unit = all(list(row.values()) in ([], [1]) for pair in p.rows for row in pair)
         assert unit == graph, p
-        shape_reads = [reads[name] for name in ("_unit_rows", "_shape", "_transpose")]
-        assert shape_reads == [1, 1, 0 if unit else 1], p
-        # `_transpose` reads `_columns` twice; a lifted local type twice more
-        assert (reads["_columns"] == 0) if unit else (reads["_columns"] >= 2), p
+        assert reads == Counter(["_unit_rows", "_basis"]) and len(bases) == 1, p
+        (rows, form, _), = bases
         if unit:
             assert block not in [el.added for el in eliminations], p
             ends = [(min(m, default=None), min(n, default=None)) for m, n in p.rows]
             # one row basis, [M N] as a graph: column block 1 holds N
-            assert [call for call in kernel if call[1] == 1] == [(ends, 1)], p
+            basis_calls = [call for call in kernel if call[0] == "forest_rows" and call[2] == (1,)]
+            assert basis_calls == [("forest_rows", ends, (1,))], p
             indices = forest_rows(ends, v, 1)
-            # over Q only the sample and the lifts
+            assert form == [ends[i] for i in indices], p
+            # over Q only the sample and the lifts, from d = 2 on
             assert len([el for el in eliminations if not el.modulus]) == 1 + len(lifts), p
+            assert 1 not in lifts and "echelon_ranks" not in [call[0] for call in kernel], p
+            kernel = [call for call in kernel if call not in basis_calls]
         else:
-            assert kernel == [], p
+            assert "forest_rows" not in [call[0] for call in kernel], p
+            assert "forest_ranks" not in [call[0] for call in kernel], p
             raw = [el for el in eliminations if el.added == [row for row in block if row]]
             assert len(raw) == 1, p
             indices = [i for i, grew in enumerate(raw[0].grew) if grew]
+            assert form == rows, p
         basis = [p.rows[i] for i in indices]
+        assert rows == basis, p
         rank = len(basis)
         assert rank == oracle.rank_of_rows(block)
         assert samples == [basis], p
+        # every kernel call reads the basis in its form, reversed for tz
+        # and t, but a lifted local type, which reads the lift of its rows
+        reversed_form = [(y, x) for x, y in form]
+        for name, read, flags in kernel:
+            if read in (form, reversed_form):
+                continue
+            assert name == "echelon_ranks" and flags == (True,), p
+            assert any([x for x, _ in read] == lift(basis, d) for d in lifts), p
+            lifted_types += 1
         # the left nullity sequence reads the basis: in the kernel, untruncated
         # and ungrounded, and over Q, block k is the basis shifted by (k - 1)*v
         certified = oracle.normal_rank(p) < p.edge_dim
+        left = [read for _, read, flags in kernel if flags == (False, False)]
+        assert left == [form] * certified, p
         if unit:
-            left = [call[0] for call in kernel if call[1] == (False, False)]
-            assert left == [[ends[i] for i in indices]] * certified, p
             continue
         basis_rows = [block[i] for i in indices]
         left = [el.added for el in eliminations
@@ -660,6 +681,9 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
             blocks = len(added) // rank
             assert added == [{c + k * v: x for c, x in row.items()}
                              for k in range(blocks) for row in basis_rows], p
+    # the --matrix pair has a block of size 1 at d = 1 and degree left for
+    # more, so its lifted local type runs
+    assert lifted_types == (not graph)
 
 
 @pytest.mark.parametrize("argv", [["oracle", "g4"], ["fuzz", "--count", "3"],
@@ -670,8 +694,8 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
     # elimination, so its rank runs unscreened.  On a unit-row pair M - N
     # is a signed incidence matrix, totally unimodular, so the union-find
     # kernel ranks it over F_2, a row per basis row (m, n) as the edge
-    # between its two ends, `_shape`'s (a loop's ends are equal), and d = 1
-    # is never lifted; any other pair lifts it over Q
+    # between its two ends, `_basis`'s form (a loop's ends are equal), and
+    # d = 1 is never lifted; any other pair lifts it over Q
     two_cycle = tmp_path / "two-cycle.edges"
     two_cycle.write_text("a b\nb a\n")
     pair_file = tmp_path / "pair.txt"
@@ -704,12 +728,9 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
         # ranks M - N on the basis rows' ends
         assert 1 not in lifted, p
         cycle = bool(analyze(p).cyclotomic_blocks)
-        shape = oracle._shape(p)
-        indices = oracle._row_basis(shape, p.vertex_dim)
-        ends = [shape[0][i] for i in indices]
+        basis, ends, _ = oracle._basis(p)
         assert differences == [ends] * cycle, p
         if cycle:
-            basis = [p.rows[i] for i in indices]
             assert (len(forest_rows(ends, p.vertex_dim, 0))
                     == oracle.rank_of_rows(oracle._lift(basis, 1))), p
             scanned += 1

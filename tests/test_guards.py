@@ -1,5 +1,6 @@
-"""Structural guards: the oracle stays independent of the contraction route
-and its rank route reads integer rows only, every module a graph command
+"""Structural guards: the oracle stays independent of the contraction route,
+its rank route reads integer rows only, and one place picks the field that
+ranks a pair, with two kernels of one contract; every module a graph command
 compiles stays below the parser's token step and generates no code nor runs
 `ratpoly`, only the oracle reaches the Smith fallback, every public name has
 a reader besides the tests, and a failed self-check is an explicit
@@ -7,11 +8,13 @@ AssertionError that some test trips."""
 
 import ast
 import builtins
+import inspect
 import re
 import tokenize
 from pathlib import Path
 
 import linequiv
+from linequiv.echelon import echelon_ranks, forest_ranks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,6 +63,22 @@ def test_only_the_oracle_reaches_the_smith_fallback():
         if "smith" in _imports(path) or names & {"smith", "linequiv.smith"}:
             importers.append(path.name)
     assert importers == ["oracle.py"]
+
+
+def test_one_place_picks_a_pairs_field():
+    # oracle.py reads `_unit_rows` only in `_basis`, which hands every stage
+    # the row basis in the form of the kernel it picks; the two kernels take
+    # the same parameters with the same defaults, so a stage calls either
+    # one way
+    tree = ast.parse((ROOT / "src" / "linequiv" / "oracle.py").read_text(encoding="utf-8"))
+    readers = [getattr(node, "name", type(node).__name__) for node in tree.body
+               if any(isinstance(name, ast.Name) and name.id == "_unit_rows"
+                      for name in ast.walk(node))]
+    defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert readers == ["_basis"] and "_unit_rows" in defined
+    forest, rational = (inspect.signature(kernel).parameters
+                        for kernel in (forest_ranks, echelon_ranks))
+    assert list(forest.values()) == list(rational.values())
 
 
 def _modules(path: Path) -> set[str]:
