@@ -4,6 +4,7 @@ the small pairs, or by the canonical single-summand matrices."""
 
 import copy
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -702,14 +703,39 @@ def block_toeplitz(pairs, width: int, k: int, truncated: bool) -> list[dict]:
     out of its last row block.  Untruncated, from a pair's rows (m, n), this
     is the minimal-index T_k; truncated, from (m, n) or (n, m), the local
     type's T_k."""
-    rows = []
-    for j in range(k):
-        for x, y in pairs:
-            row = {j * width + c: a for c, a in x.items()}
-            if not (truncated and j == k - 1):
-                row.update({(j + 1) * width + c: b for c, b in y.items()})
-            rows.append(row)
-    return rows
+    return [row for j in range(k)
+            for row in row_block(pairs, width, j, not (truncated and j == k - 1))]
+
+
+def row_block(pairs, width: int, j: int, with_y: bool = True) -> list[dict]:
+    """Row block j of `block_toeplitz`: each pair's x at column block j and,
+    `with_y`, its y at column block j + 1."""
+    return [{**{j * width + c: a for c, a in x.items()},
+             **({(j + 1) * width + c: b for c, b in y.items()} if with_y else {})}
+            for x, y in pairs]
+
+
+def definition_ranks(pairs, width: int, truncated: bool):
+    """rank block_toeplitz(pairs, width, k, truncated) over Q for k = 1, 2,
+    ..., from the same rows added block by block to one `Echelon`, not
+    rebuilt at each k.  Untruncated, T_k is T_(k-1) plus `row_block` k - 1.
+    Truncated, T_k is the untruncated T_(k-1) plus row block k - 1 without
+    its y, so those rows go to a copy of the untruncated elimination, which
+    shares its pivot rows, since `Echelon.add` never changes a pivot row."""
+    full = Echelon()
+    for j in itertools.count():
+        if truncated:
+            trial = Echelon()
+            trial.pivots = dict(full.pivots)
+            for row in row_block(pairs, width, j, False):
+                if row:
+                    trial.add(row)
+            yield trial.rank
+        for row in row_block(pairs, width, j):
+            if row:
+                full.add(row)
+        if not truncated:
+            yield full.rank
 
 
 def test_singular_part_ranks_are_the_same_over_every_field():
@@ -799,14 +825,14 @@ def test_forest_ranks_equal_the_ranks_over_q():
     """Both kernels, fed the row basis, give rank T_k of each of the
     oracle's four block sequences, with T_k built from its definition on
     all e rows (`block_toeplitz`, and for t the transposed pair's T_k on
-    all v columns) and ranked over Q by `rank_of_rows`, at every k up to
-    one past saturation and at least to 4.  Each definitional T_k is built
-    anew, so past k = 8 only the last three k are compared; the kernels
-    still run through every k.  `_ranks` runs the oracle's kernel on
-    `_basis`'s form, `forest_ranks` on the basis rows' ends of a unit-row
-    pair, else `echelon_ranks` on its integer rows, and on a unit-row pair
-    `echelon_ranks` also runs on the integer rows, with the test's own
-    flags: ztz is (m, n) untruncated, zt (m, n) truncated, tz (n, m)
+    all v columns) and ranked over Q, at every k up to one past saturation
+    and at least to 4: by `definition_ranks`, which adds T_k's rows block
+    by block to one elimination, and, to check that, by `rank_of_rows` on
+    the whole T_k up to k = 3 on pairs of at most 24 rows.  `_ranks` runs
+    the oracle's kernel on `_basis`'s form, `forest_ranks` on the basis
+    rows' ends of a unit-row pair, else `echelon_ranks` on its integer
+    rows, and on a unit-row pair `echelon_ranks` also runs on the integer
+    rows, with the test's own flags: ztz is (m, n) untruncated, zt (m, n) truncated, tz (n, m)
     truncated, and t's T_k, transposed, is (n, m) truncated with a row
     block j = -1 that holds m in column block 0 (grounded).  The basis has
     the rank of [M N], and on a unit-row pair the union-find's rank of
@@ -869,13 +895,13 @@ def test_forest_ranks_equal_the_ranks_over_q():
             if basis[2] is forest_ranks:
                 sequences.append((echelon_ranks, echelon_ranks(
                     [(n, m) for m, n in rows] if flip else rows, v, truncated, grounded)))
+            definition = definition_ranks(pairs, width, cut)
             for k in range(1, max(4, reach) + 1):
-                ranks = [next(ranks) for _, ranks in sequences]
-                if 8 < k < reach - 2:
-                    continue
-                rank = rank_of_rows(block_toeplitz(pairs, width, k, cut))
-                for (kernel, _), kernel_rank in zip(sequences, ranks):
-                    assert kernel_rank == rank, (p, family, k, kernel.__name__)
+                rank = next(definition)
+                if k <= 3 and e <= 24:
+                    assert rank == rank_of_rows(block_toeplitz(pairs, width, k, cut)), (p, k)
+                for kernel, ranks in sequences:
+                    assert next(ranks) == rank, (p, family, k, kernel.__name__)
                     compared[kernel] += 1
         ends = ends_of(p.rows)
         seen["one empty side"] += any((a is None) != (b is None) for a, b in ends)
@@ -883,7 +909,7 @@ def test_forest_ranks_equal_the_ranks_over_q():
         seen["loop"] += any(a == b is not None for a, b in ends)
         seen["parallel"] += len(set(ends)) < e
     assert unit > 590 and seen["unit-row"] >= unit and len(inputs) > unit + 300
-    assert compared[forest_ranks] > 10000 and compared[echelon_ranks] > compared[forest_ranks] + 5000
+    assert compared[forest_ranks] > 11000 and compared[echelon_ranks] > compared[forest_ranks] + 5000
     assert min(seen.values()) > 0 and len(seen) == 5
 
 
