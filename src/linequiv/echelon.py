@@ -17,7 +17,10 @@ missing end of a row with one 1, and a row is an edge between its ends
 (Oxley, *Matroid Theory*, 2nd ed., ch. 5).  So its rank is the number of
 rows that join two trees of a forest, which a union-find counts (Tarjan,
 JACM 22, 1975): `forest_rows` and `forest_ranks` read each row as its
-two ends, a column or None, and no elimination runs.
+two ends, a column or None, and no elimination runs.  The same ends
+give M + 2N over Q, whose rows x_a + 2*x_b are the frame matroid of a
+gain graph (Zaslavsky, JCTB 51, 1991): `winding_rank` counts its rank
+with a union-find that keeps each node's winding to its parent.
 """
 
 from __future__ import annotations
@@ -154,6 +157,55 @@ def forest_ranks(pairs, width: int, truncated: bool = False,
             yield joins + len(roots)
         else:
             yield joins
+
+
+def _wound_root(parent: list[int], wind: list[int], x: int) -> tuple[int, int]:
+    """The root of node x's tree and x's winding to it: the sum of the
+    windings to the parent along the path.  Halving the path sums each
+    skipped winding into the node that skips it."""
+    total = 0
+    while parent[x] != x:
+        up = parent[x]
+        wind[x] += wind[up]  # a root's winding is 0
+        parent[x] = parent[up]
+        total += wind[x]
+        x = parent[up]
+    return x, total
+
+
+def winding_rank(ends, width: int) -> int:
+    """The rank over Q of the rows x_a + 2*x_b, one per end pair (a, b) in
+    `width` columns, with no term for an end None: M + 2N on a unit-row
+    pair's ends.  These rows are the frame matroid of the gain graph with
+    an edge a -> b of gain -2 (Zaslavsky, "Biased graphs. II", JCTB 51,
+    1991), so no elimination runs.  A tree of the union-find has rank its
+    size less one until it is full, then its size.  It becomes full at its
+    first row with one term (a loop a = b gives 3*x_a), or at its first
+    cycle of nonzero net winding w, whose rows are dependent only if
+    (-2)^w = 1.  Each node keeps its winding to its parent, so with p(x)
+    the winding of x to its root, an edge a -> b closes a cycle of winding
+    p(a) + 1 - p(b).  A row that joins two trees adds 1 unless both are
+    full."""
+    parent, wind, full = list(range(width)), [0] * width, [False] * width
+    rank = 0
+    for a, b in ends:
+        if a is None or b is None:
+            if a is None is b:
+                continue
+            root, _ = _wound_root(parent, wind, b if a is None else a)
+            rank += not full[root]
+            full[root] = True
+            continue
+        (ra, pa), (rb, pb) = _wound_root(parent, wind, a), _wound_root(parent, wind, b)
+        if ra == rb:
+            if pa + 1 != pb:
+                rank += not full[ra]
+                full[ra] = True
+        else:
+            rank += not (full[ra] and full[rb])
+            parent[rb], wind[rb] = ra, pa + 1 - pb
+            full[ra] = full[ra] or full[rb]
+    return rank
 
 
 def echelon_ranks(pairs, width: int, truncated: bool = False,

@@ -12,7 +12,7 @@ turns the saturated nullities of T_k into a multiset:
   * the local Jordan type at s = 0 of A + s*B, from truncated block
     Toeplitz T_k: (A, B) = (M, N) gives zt, and (N, M) gives tz.
 
-The normal rank r is one sample rank(M + 2N) that the ztz nullities
+The normal rank r is one sample s = rank(M + 2N) that the ztz nullities
 certify.  A stored divisor S(Phi_d^n) of the regular part is a Jordan
 block of size n at each pencil eigenvalue X = -zeta, zeta a primitive d-th
 root of unity: ranks of M - zeta*N, lifted to Q by the companion matrix of
@@ -37,10 +37,15 @@ sequence (`echelon.forest_ranks`) ranks T_1, T_2, ... from them.  The
 lift at d = 1 is M - N itself, whose rows hold at most a 1 and a -1: a
 signed incidence matrix, totally unimodular as well (Schrijver, ch. 19),
 so on a unit-row pair it is a graph's rank too, each basis row an edge
-between its two ends (`echelon.forest_rows`).  Any other pair's sequences
-are eliminated over Q (`echelon.echelon_ranks`), and so are, for every
-pair, the sample and the roots of unity from d = 2 on, fraction-free, or
-modulo a prime for a screen.  Nothing touches floating point.
+between its two ends (`echelon.forest_rows`).  The sample there is a
+gain graph's rank, each basis row x_a + 2*x_b an edge a -> b of gain -2
+(`echelon.winding_rank`), and it is a hint: only s = e skips the nullity
+sequence, and that value is taken again over Q; any s <= r gives the same
+report, and r < s < e leaves a nullity sequence unsaturated, which
+raises (`_left_indices`).  Any other pair's sequences and sample are
+eliminated over Q (`echelon.echelon_ranks`), and so are, for every pair,
+the roots of unity from d = 2 on, fraction-free, or modulo a prime for a
+screen.  Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -57,7 +62,7 @@ from dataclasses import dataclass, field
 
 from . import ratpoly as rp
 from .echelon import (Echelon, SparseRow, echelon_ranks, forest_ranks, forest_rows,
-                      prime_and_root, rank_of_rows)
+                      prime_and_root, rank_of_rows, winding_rank)
 from .invariants import InvariantRecord, cyclotomic_refine
 from .linearize import PairMatrices, integer_row
 from .ratpoly import Poly
@@ -155,9 +160,19 @@ def _multiset(f: list[int]) -> tuple[int, ...]:
 
 def _left_indices(basis, e: int, v: int) -> tuple[int, ...]:
     """`minimal_indices_left` from `_basis`'s basis of the pair's e rows:
-    the sample reads its integer rows, since the rows of M + 2N are their
-    images under (x, y) -> x + 2y, and the nullities its form."""
-    sample = rank_of_rows(_pencil_rows(basis[0], 2))
+    the sample s = rank(M + 2N) reads the basis, since the rows of M + 2N
+    are the images of its rows (x, y) under (x, y) -> x + 2y, and the
+    nullities read its form.  On a unit-row pair `echelon.winding_rank`
+    reads s off the basis ends, and s = e, the one value that skips the
+    nullity sequence, is taken again over Q from the integer rows; any
+    other pair's s is eliminated over Q.  So no report rests on the
+    winding argument: any s <= r gives the same multiset (`normal_rank`),
+    and r < s < e leaves a nullity sequence unsaturated, here, in
+    `_right_indices` or in `_local_type`, which raises."""
+    rows, form, kernel = basis
+    sample = winding_rank(form, v) if kernel is forest_ranks else e
+    if sample == e:
+        sample = rank_of_rows(_pencil_rows(rows, 2))
     if sample == e:
         return ()
     f = _solution_space_dims(_ranks(basis, "ztz", v), e, v, e - sample)
@@ -184,7 +199,10 @@ def normal_rank(p: PairMatrices) -> int:
     at most e - r, and an increment e - s proves r = s.  If 2 is an
     eigenvalue, f runs on to k = min(e, v) + 2, past every minimal index
     (their sum is at most r), where the increment is e - r.  A graph pencil
-    has eigenvalues only at 0 and at -zeta, zeta a root of unity: never 2."""
+    has eigenvalues only at 0 and at -zeta, zeta a root of unity: never 2.
+    So any s <= r gives r, and only s = e, where no f runs, must be exact:
+    on a unit-row pair s comes from `echelon.winding_rank`, and s = e is
+    taken again over Q."""
     return p.edge_dim - len(minimal_indices_left(p))
 
 

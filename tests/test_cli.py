@@ -562,17 +562,21 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     # not the e rows.  Each pair's form is read once: one `_unit_rows`, in
     # one `_basis`, which picks the kernel.  A graph pair is a unit-row
     # pair, so the union-find kernel ranks its sequences from the basis
-    # rows' ends, and its only eliminations over Q are the sample and one
-    # per lifted root of unity from d = 2 on: M - N, the lift at d = 1, is
-    # ranked by the kernel as well.  A graph pair's integer rows come from
-    # its edge ids.  A --matrix pair with other entries runs them all over
-    # Q, its sequences by `echelon_ranks` on the basis rows, and a lifted
-    # local type by `echelon_ranks` on the lift of the basis rows.
+    # rows' ends, one `winding_rank` reads the sample off those ends, and
+    # its only eliminations over Q are one per lifted root of unity from
+    # d = 2 on, and the sample again exactly when `winding_rank` gave e:
+    # M - N, the lift at d = 1, is ranked by the kernel as well.  A graph
+    # pair's integer rows come from its edge ids.  A --matrix pair with
+    # other entries runs them all over Q, its sequences by `echelon_ranks`
+    # on the basis rows, and a lifted local type by `echelon_ranks` on the
+    # lift of the basis rows.
     pair_file = tmp_path / "pair.txt"
     # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: row 3 is
     # the sum of rows 1 and 2
     pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
-    pairs = []  # (pair, sample rows, Q eliminations, kernel calls, lifts, form reads, bases)
+    # (pair, sample rows, Q eliminations, kernel calls, lifts, form reads, bases,
+    # winding_rank calls)
+    pairs = []
 
     class Recorded(echelon.Echelon):
         def __init__(self, modulus=0):
@@ -596,10 +600,12 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
 
     analyze, pencil, lift = oracle.analyze, oracle._pencil_rows, oracle._lift
     basis_of, unit_rows = oracle._basis, oracle._unit_rows
-    forest_rows = oracle.forest_rows
+    forest_rows, winding_rank = oracle.forest_rows, oracle.winding_rank
     scans = []
-    monkeypatch.setattr(oracle, "analyze",
-                        lambda p: pairs.append((p, [], [], [], [], Counter(), [])) or analyze(p))
+    monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append(
+        (p, [], [], [], [], Counter(), [], [])) or analyze(p))
+    monkeypatch.setattr(oracle, "winding_rank", lambda ends, width: pairs[-1][7].append(
+        (list(ends), width, winding_rank(ends, width))) or pairs[-1][7][-1][2])
     monkeypatch.setattr(oracle, "_unit_rows", lambda rows: pairs[-1][5].update(["_unit_rows"])
                         or unit_rows(rows))
     monkeypatch.setattr(oracle, "_basis", lambda p: pairs[-1][5].update(["_basis"])
@@ -624,7 +630,7 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     graph = "--matrix" not in argv
     assert (scans == []) == graph
     lifted_types = 0
-    for p, samples, eliminations, kernel, lifts, reads, bases in pairs:
+    for p, samples, eliminations, kernel, lifts, reads, bases, windings in pairs:
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]
         block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
@@ -641,11 +647,17 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
             assert basis_calls == [("forest_rows", ends, (1,))], p
             indices = forest_rows(ends, v, 1)
             assert form == [ends[i] for i in indices], p
-            # over Q only the sample and the lifts, from d = 2 on
-            assert len([el for el in eliminations if not el.modulus]) == 1 + len(lifts), p
+            # one sample off the basis ends; over Q only the lifts, from
+            # d = 2 on, and the sample again when that one read e
+            (read, width, sample), = windings
+            assert read == form and width == v, p
+            confirmed = sample == p.edge_dim
+            assert len([el for el in eliminations if not el.modulus]) == confirmed + len(lifts), p
             assert 1 not in lifts and "echelon_ranks" not in [call[0] for call in kernel], p
             kernel = [call for call in kernel if call not in basis_calls]
         else:
+            assert windings == [], p
+            confirmed = True
             assert "forest_rows" not in [call[0] for call in kernel], p
             assert "forest_ranks" not in [call[0] for call in kernel], p
             raw = [el for el in eliminations if el.added == [row for row in block if row]]
@@ -656,7 +668,7 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
         assert rows == basis, p
         rank = len(basis)
         assert rank == oracle.rank_of_rows(block)
-        assert samples == [basis], p
+        assert samples == [basis] * confirmed, p
         # every kernel call reads the basis in its form, reversed for tz
         # and t, but a lifted local type, which reads the lift of its rows
         reversed_form = [(y, x) for x, y in form]
@@ -862,6 +874,15 @@ def test_fuzz_json(capsys):
     doc = json.loads(out)
     assert doc["trials"] == 4 and doc["failures"] == 0
     assert doc["first_failing_seed"] is None
+
+
+def test_fuzz_at_a_thousand_vertices(capsys):
+    # the contraction route and the oracle agree on random relations of
+    # 10^3 vertices with 1.5 edges per vertex
+    code, out, _ = run(capsys, "fuzz", "--json", "--vertices", "1000", "--count", "3",
+                       "--edge-prob", "3/2000")
+    doc = json.loads(out)
+    assert code == 0 and doc["trials"] == 3 and doc["failures"] == 0
 
 
 def _plain_relation(r) -> dict:

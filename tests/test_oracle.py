@@ -18,11 +18,12 @@ from linequiv import (BinaryRelation, InvariantRecord, canonical_pair, compare, 
                       regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
-from linequiv.echelon import Echelon, echelon_ranks, forest_ranks, forest_rows
+from linequiv.echelon import Echelon, echelon_ranks, forest_ranks, forest_rows, winding_rank
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (OracleFactorError, OracleReport, _basis, _cyclotomic_blocks,
-                             _lift, _multiset, _ranks, _screen_clears, _solution_space_dims,
-                             _unit_rows, analyze, invariant_factors, normal_rank, rank_of_rows)
+                             _lift, _multiset, _pencil_rows, _ranks, _screen_clears,
+                             _solution_space_dims, _unit_rows, analyze, invariant_factors,
+                             normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored
 
 from conftest import (dense, in_tree, multidigraph, pair_of, seeded_relation, spider,
@@ -821,6 +822,13 @@ def columns_of(p: PairMatrices) -> list:
     return columns
 
 
+def forest_graphs() -> list[BinaryRelation]:
+    """500 seeded relations of up to 9 vertices, which with
+    `kernel_inputs()` make up 598 unit-row pairs."""
+    return [seeded_relation(f"forest:{i}", max_vertices=9, prob=Fraction(1 + i % 5, 10))
+            for i in range(500)]
+
+
 def test_forest_ranks_equal_the_ranks_over_q():
     """Both kernels, fed the row basis, give rank T_k of each of the
     oracle's four block sequences, with T_k built from its definition on
@@ -857,9 +865,7 @@ def test_forest_ranks_equal_the_ranks_over_q():
     and 500 seeded relations, and, for `echelon_ranks` alone, the
     doubled-row pairs of `doubled_pairs()`, 40 `random_rational_pair`s and
     `regular_pair`s with blocks of size 1 to 3."""
-    graphs = [seeded_relation(f"forest:{i}", max_vertices=9, prob=Fraction(1 + i % 5, 10))
-              for i in range(500)]
-    inputs = kernel_inputs() + [(linearize(g), full_invariants(g)) for g in graphs]
+    inputs = kernel_inputs() + [(linearize(g), full_invariants(g)) for g in forest_graphs()]
     unit = len(inputs)
     inputs += [(doubled, record) for _, doubled, record in doubled_pairs()]
     rng = random.Random("kernels")
@@ -911,6 +917,66 @@ def test_forest_ranks_equal_the_ranks_over_q():
     assert unit > 590 and seen["unit-row"] >= unit and len(inputs) > unit + 300
     assert compared[forest_ranks] > 11000 and compared[echelon_ranks] > compared[forest_ranks] + 5000
     assert min(seen.values()) > 0 and len(seen) == 5
+
+
+def test_winding_rank_is_the_rank_of_m_plus_2n():
+    """`winding_rank` on a unit-row pair's ends is rank(M + 2N) over Q, read
+    on every row and on `_basis`'s form, as `_left_indices` reads it: on
+    the 598 unit-row pairs of `test_forest_ranks_equal_the_ranks_over_q`
+    (random relations, cycles, the four canonical families with their
+    one-term rows and ztz[0]'s zero row, Y(64, 64) and `in_tree(64)`), and
+    300 random multigraphs with loops, parallel edges and isolated
+    vertices.  Parallel edges close cycles of winding 0, which leave a tree
+    short of full; two opposite edges close one of winding 2, which fills
+    it."""
+    pairs = [p for p, _ in kernel_inputs()] + [linearize(g) for g in forest_graphs()]
+    rng = random.Random("windings")
+    for _ in range(300):
+        vertices = "abcdefgh"[:rng.randint(1, 8)]
+        pairs.append(linearize(multidigraph(vertices, [
+            (rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 10))])))
+    seen, compared = Counter(), 0
+    for p in pairs:
+        v = p.vertex_dim
+        basis = _basis(p)
+        assert basis[2] is forest_ranks, p
+        for rows, form in ((p.rows, ends_of(p.rows)), basis[:2]):
+            assert winding_rank(form, v) == rank_of_rows(_pencil_rows(rows, 2)), (p, rows)
+            compared += 1
+        ends = ends_of(p.rows)
+        seen["one term"] += any((a is None) != (b is None) for a, b in ends)
+        seen["zero row"] += (None, None) in ends
+        seen["loop"] += any(a == b is not None for a, b in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["opposite"] += any(a != b and (b, a) in ends for a, b in ends)
+        seen["isolated"] += len({c for end in ends for c in end} - {None}) < v
+    assert len(pairs) == 898 and compared == 2 * len(pairs)
+    assert min(seen.values()) > 0 and len(seen) == 6
+
+
+def test_the_winding_sample_is_only_a_hint(monkeypatch):
+    """`_left_indices` takes any sample s from `winding_rank` as a hint: on
+    120 small random relations, with r the normal rank, every s <= r and
+    s = e (confirmed over Q) give the same report, `cyclotomic_blocks`
+    too, and every r < s < e leaves a nullity sequence unsaturated."""
+    pairs = [linearize(seeded_relation(f"hint:{i}", max_vertices=7, prob=Fraction(1 + i % 4, 8)))
+             for i in range(120)]
+    equal = raised = 0
+    for p, report in [(p, analyze(p)) for p in pairs]:
+        e = p.edge_dim
+        rank = e - len(report.left_minimal_indices)
+        for sample in range(e + 1):
+            monkeypatch.setattr(oracle, "winding_rank", lambda ends, width, s=sample: s)
+            if sample <= rank or sample == e:
+                got = analyze(p)
+                assert got == report, (p, sample)
+                assert got.cyclotomic_blocks == report.cyclotomic_blocks, (p, sample)
+                equal += 1
+            else:
+                with pytest.raises(AssertionError, match="failed to saturate"):
+                    analyze(p)
+                raised += 1
+    assert equal > 500 and raised > 200
 
 
 def skew_kernel(monkeypatch, truncated: bool, grounded: bool, rank) -> None:
