@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from collections.abc import Iterator
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -191,17 +192,17 @@ def _cmd_contract(args) -> int:
     return 0
 
 
-def _diagram_lines(d: ContractionDiagram, extra_band: int) -> list[str]:
-    lines = []
+def _diagram_lines(d: ContractionDiagram, extra_band: int) -> Iterator[str]:
+    """The diagram's text lines, made one at a time, so a reader sees the
+    first of them at once and a closed pipe ends the run at once."""
     s_max = 2 * (d.horizon + extra_band) + 2
     for s in range(s_max + 1):
-        lines.append("  ".join(f"({m},{n}): {d.value(m, n)}"
-                               for m, n in ContractionDiagram.antidiagonal(s)))
-    lines.append(f"stable value {d.stable_value} from min(m,n) >= {d.horizon}")
+        yield "  ".join(f"({m},{n}): {d.value(m, n)}"
+                        for m, n in ContractionDiagram.antidiagonal(s))
+    yield f"stable value {d.stable_value} from min(m,n) >= {d.horizon}"
     for k, contents in enumerate(cell_contents(d), 1):
-        lines.append("  ".join(f"|{name.format(k)}| = {content} ({family}[{i * k + j}])"
-                               for (name, family, (i, j), _), content in zip(_CELLS, contents)))
-    return lines
+        yield "  ".join(f"|{name.format(k)}| = {content} ({family}[{i * k + j}])"
+                        for (name, family, (i, j), _), content in zip(_CELLS, contents))
 
 
 def _cmd_diagram(args) -> int:
@@ -212,7 +213,7 @@ def _cmd_diagram(args) -> int:
     if args.json:
         _emit_json(_gamma_json(d))
     else:
-        print("\n".join(_diagram_lines(d, args.max_band)))
+        sys.stdout.writelines(line + "\n" for line in _diagram_lines(d, args.max_band))
     return 0
 
 
@@ -364,7 +365,10 @@ def _parse_prob(text: str) -> Fraction:
 
 
 def _parse_seed(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, not {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
     return value
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--max-band", type=int, default=0, metavar="K",
                    help="render K extra antidiagonal bands beyond the horizon "
-                        "(2K more lines, each up to 2K cells longer)")
+                        "(2K more lines, of at most three cells each)")
     p.set_defaults(func=_cmd_diagram)
 
     p = sub.add_parser("invariants", parents=[common, graphish],

@@ -11,8 +11,13 @@ Everything here works on vertex ids, positions in the relation's vertex
 tuple.  One engine does every contraction: a mutable quotient holding a
 union-find over the ids and, for each class with edges, its out- and
 in-neighbor classes, all in lists indexed by id.  A lone neighbor is kept
-as a bare id and only a second one makes a set, so a functional graph
-holds no out-sets at all.  A merge folds the class with fewer vertices
+as a bare id and only a second one makes a set, which spares a set per
+vertex side of a sparse relation where a quotient is still built: in the
+chains of a two-sided relation and in `iterated_contraction`.  A
+one-sided relation, such as a functional graph, builds none in
+`gamma_table` (below).  Keeping every entry None or a set would be about
+35 lines shorter, but costs time and a set per vertex side (ROADMAP item
+7, "Do not retry").  A merge folds the class with fewer vertices
 into the other (union by size, Tarjan, JACM 1975) and renames it in its
 neighbors' entries, as in congruence closure (Downey, Sethi and Tarjan,
 JACM 1980): an edge end is renamed only when its class at least doubles,

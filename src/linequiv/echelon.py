@@ -17,10 +17,11 @@ missing end of a row with one 1, and a row is an edge between its ends
 (Oxley, *Matroid Theory*, 2nd ed., ch. 5).  So its rank is the number of
 rows that join two trees of a forest, which a union-find counts (Tarjan,
 JACM 22, 1975): `forest_rows` and `forest_ranks` read each row as its
-two ends, a column or None, and no elimination runs.  The same ends
-give M + 2N over Q, whose rows x_a + 2*x_b are the frame matroid of a
-gain graph (Zaslavsky, JCTB 51, 1991): `winding_rank` counts its rank
-with a union-find that keeps each node's winding to its parent.
+two ends, a column or None, and no elimination runs.  The same ends give
+M + 2N and M - N over Q, whose rows x_a + c*x_b are the frame matroid of
+a gain graph (Zaslavsky, JCTB 51, 1991): `winding_rank` counts the rank
+of both with one union-find on the same nodes and ground, which keeps
+each node's winding to its parent.
 """
 
 from __future__ import annotations
@@ -114,16 +115,14 @@ def _join(parent: list[int], x: int, y: int) -> bool:
     return True
 
 
-def forest_rows(ends, width: int, shift: int) -> list[int]:
+def forest_rows(ends, width: int) -> list[int]:
     """The indices of the rows independent over F_2 of the rows before them,
     the rows that join two trees, where row i, for ends[i] = (a, b), has a 1
-    at column a of column block 0 and one at column b of block `shift`, 0
-    or 1 (none for an end None), in blocks `width` wide.  At shift 0, a = b
-    gives a zero row, a loop."""
-    parent = list(range(1 + (1 + shift) * width))
-    at = 1 + shift * width
+    at column a of column block 0 and one at column b of block 1 (none for
+    an end None), in blocks `width` wide: T_1 = [M N] on a pair's ends."""
+    parent = list(range(1 + 2 * width))
     return [i for i, (a, b) in enumerate(ends)
-            if _join(parent, 0 if a is None else 1 + a, 0 if b is None else at + b)]
+            if _join(parent, 0 if a is None else 1 + a, 0 if b is None else 1 + width + b)]
 
 
 def forest_ranks(pairs, width: int, truncated: bool = False,
@@ -173,38 +172,36 @@ def _wound_root(parent: list[int], wind: list[int], x: int) -> tuple[int, int]:
     return x, total
 
 
-def winding_rank(ends, width: int) -> int:
-    """The rank over Q of the rows x_a + 2*x_b, one per end pair (a, b) in
-    `width` columns, with no term for an end None: M + 2N on a unit-row
-    pair's ends.  These rows are the frame matroid of the gain graph with
-    an edge a -> b of gain -2 (Zaslavsky, "Biased graphs. II", JCTB 51,
-    1991), so no elimination runs.  A tree of the union-find has rank its
-    size less one until it is full, then its size.  It becomes full at its
-    first row with one term (a loop a = b gives 3*x_a), or at its first
-    cycle of nonzero net winding w, whose rows are dependent only if
-    (-2)^w = 1.  Each node keeps its winding to its parent, so with p(x)
-    the winding of x to its root, an edge a -> b closes a cycle of winding
-    p(a) + 1 - p(b).  A row that joins two trees adds 1 unless both are
-    full."""
-    parent, wind, full = list(range(width)), [0] * width, [False] * width
+def winding_rank(ends, width: int, c: int) -> int:
+    """The rank over Q of the rows x_a + c*x_b, one per end pair (a, b) in
+    `width` columns, with no term for an end None, for c = 2 or -1: M + 2N
+    or M - N on a unit-row pair's ends.  These rows are the frame matroid
+    of the gain graph with an edge a -> b of gain -c (Zaslavsky, "Biased
+    graphs. II", JCTB 51, 1991), so no elimination runs.  As in
+    `forest_rows`, column j is node 1 + j and an end None is node 0, the
+    ground.  A tree of the union-find has rank its size less one until it
+    is grounded, then the number of its column nodes, so a row that joins
+    two trees adds 1.  A cycle of nonzero net winding w in a tree that is
+    not grounded adds 1 and grounds it, for c = 2 only: its rows are
+    dependent only if (-c)^w = 1, which holds for every w at c = -1, where
+    M - N is a signed incidence matrix.  Each node keeps its winding to its
+    parent, so with p(x) the winding of x to its root, an edge a -> b
+    closes a cycle of winding p(a) + 1 - p(b); a loop a = b closes one of
+    winding 1."""
+    parent, wind = list(range(1 + width)), [0] * (1 + width)
     rank = 0
     for a, b in ends:
-        if a is None or b is None:
-            if a is None is b:
-                continue
-            root, _ = _wound_root(parent, wind, b if a is None else a)
-            rank += not full[root]
-            full[root] = True
-            continue
-        (ra, pa), (rb, pb) = _wound_root(parent, wind, a), _wound_root(parent, wind, b)
-        if ra == rb:
-            if pa + 1 != pb:
-                rank += not full[ra]
-                full[ra] = True
-        else:
-            rank += not (full[ra] and full[rb])
-            parent[rb], wind[rb] = ra, pa + 1 - pb
-            full[ra] = full[ra] or full[rb]
+        ra, pa = _wound_root(parent, wind, 0 if a is None else 1 + a)
+        rb, pb = _wound_root(parent, wind, 0 if b is None else 1 + b)
+        if ra != rb:
+            rank += 1
+            if ra < rb:  # the lower root stays a root, so the ground is one
+                parent[rb], wind[rb] = ra, pa + 1 - pb
+            else:
+                parent[ra], wind[ra] = rb, pb - 1 - pa
+        elif ra and c == 2 and pa + 1 != pb:
+            rank += 1
+            parent[ra] = 0
     return rank
 
 

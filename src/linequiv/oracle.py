@@ -34,18 +34,19 @@ its rank is that of a graph: the number of rows that join two trees of a
 forest on its columns and a ground.  Then the basis is written as each
 row's two ends, the column of m's 1 and of n's 1, and one union-find per
 sequence (`echelon.forest_ranks`) ranks T_1, T_2, ... from them.  The
-lift at d = 1 is M - N itself, whose rows hold at most a 1 and a -1: a
+sample M + 2N and the lift at d = 1, M - N itself, are ranks of gain
+graphs on the same ends, each basis row x_a + c*x_b an edge a -> b of
+gain -c, which one union-find counts for both (`echelon.winding_rank`,
+c = 2 and c = -1).  The rows of M - N hold at most a 1 and a -1: a
 signed incidence matrix, totally unimodular as well (Schrijver, ch. 19),
-so on a unit-row pair it is a graph's rank too, each basis row an edge
-between its two ends (`echelon.forest_rows`).  The sample there is a
-gain graph's rank, each basis row x_a + 2*x_b an edge a -> b of gain -2
-(`echelon.winding_rank`), and it is a hint: only s = e skips the nullity
-sequence, and that value is taken again over Q; any s <= r gives the same
-report, and r < s < e leaves a nullity sequence unsaturated, which
-raises (`_left_indices`).  Any other pair's sequences and sample are
-eliminated over Q (`echelon.echelon_ranks`), and so are, for every pair,
-the roots of unity from d = 2 on, fraction-free, or modulo a prime for a
-screen.  Nothing touches floating point.
+so every cycle is balanced and its rank is a graph's.  The sample is a
+hint: only s = e skips the nullity sequence, and that value is taken
+again over Q; any s <= r gives the same report, and r < s < e leaves a
+nullity sequence unsaturated, which raises (`_left_indices`).  Any other
+pair's sequences and sample are eliminated over Q
+(`echelon.echelon_ranks`), and so are, for every pair, the roots of
+unity from d = 2 on, fraction-free, or modulo a prime for a screen.
+Nothing touches floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -102,7 +103,7 @@ def _basis(p: PairMatrices) -> tuple[list, list, object]:
     v = p.vertex_dim
     if _unit_rows(p.rows):
         ends = [(next(iter(m), None), next(iter(n), None)) for m, n in p.rows]
-        indices = forest_rows(ends, v, 1)
+        indices = forest_rows(ends, v)
         return [p.rows[i] for i in indices], [ends[i] for i in indices], forest_ranks
     echelon = Echelon()
     rows = [(m, n) for m, n in p.rows if echelon.add({**m, **{v + j: x for j, x in n.items()}})]
@@ -170,7 +171,7 @@ def _left_indices(basis, e: int, v: int) -> tuple[int, ...]:
     and r < s < e leaves a nullity sequence unsaturated, here, in
     `_right_indices` or in `_local_type`, which raises."""
     rows, form, kernel = basis
-    sample = winding_rank(form, v) if kernel is forest_ranks else e
+    sample = winding_rank(form, v, 2) if kernel is forest_ranks else e
     if sample == e:
         sample = rank_of_rows(_pencil_rows(rows, 2))
     if sample == e:
@@ -303,10 +304,11 @@ def _cyclotomic_blocks(basis, v: int, rank: int, degree: int) -> list[tuple[int,
     d >= 2 a rank modulo a prime screens d first.  At d = 1 the lift is
     M - N itself, so the screen would cost as much as the rank, and on a
     graph pair with a cycle X - 1 always divides, so it would never clear.
-    Where the basis is ranked over F_2, the union-find kernel takes that
-    rank too, a row (a, b) as an edge a - b: each row of M - N holds at most
-    a 1 and a -1, which cancel on a loop, so M - N is a signed incidence
-    matrix, totally unimodular, and its rank is the same over every field.
+    Where the basis is ranked over F_2, `winding_rank(form, v, -1)` takes
+    that rank on the basis ends, a row (a, b) as an edge a - b: each row of
+    M - N holds at most a 1 and a -1, which cancel on a loop, so M - N is a
+    signed incidence matrix, totally unimodular, whose gain graph has no
+    unbalanced cycle, and its rank is the same over every field.
     M + N at d = 2 is not (an odd cycle gives determinant 2), and the lifts
     for d >= 3 are not incidence matrices, so they stay over Q.  The scan
     runs while phi(d) fits in the degree not yet counted, up to the bound
@@ -326,7 +328,7 @@ def _cyclotomic_blocks(basis, v: int, rank: int, degree: int) -> list[tuple[int,
     while left > 0 and d <= 2 * left * left + 6:
         phi = rp.totient(d)
         if phi <= left and (d == 1 or not _screen_clears(rows, rank, d)):
-            lifted = (len(forest_rows(form, v, 0)) if d == 1 and kernel is forest_ranks
+            lifted = (winding_rank(form, v, -1) if d == 1 and kernel is forest_ranks
                       else rank_of_rows(_lift(rows, d)))
             count, rest = divmod(phi * rank - lifted, phi)
             if rest or count < 0:

@@ -238,6 +238,60 @@ def test_diagram_max_band(capsys, g1_file):
     assert len(wide.splitlines()) > len(narrow.splitlines())
 
 
+G1_DIAGRAM_BANDS = """\
+(0,0): 3
+(0,1): 1  (1,0): 2
+(0,2): 1  (1,1): 1  (2,0): 2
+(1,2): 1  (2,1): 1
+(1,3): 1  (2,2): 1  (3,1): 1
+"""
+G1_DIAGRAM_EXTRA_BANDS = """\
+(2,3): 1  (3,2): 1
+(2,4): 1  (3,3): 1  (4,2): 1
+(3,4): 1  (4,3): 1
+(3,5): 1  (4,4): 1  (5,3): 1
+"""
+G1_DIAGRAM_CELLS = """\
+stable value 1 from min(m,n) >= 1
+|A1| = 1 (ztz[1])  |B1| = 0 (ztz[2])  |B1'| = 0 (ztz[2])  |C1| = 1 (tz[1])  \
+|C1'| = 1 (tz[1])  |D1| = 0 (zt[1])  |D1'| = 0 (zt[1])
+|A2| = 0 (ztz[3])  |B2| = 0 (ztz[4])  |B2'| = 0 (ztz[4])  |C2| = 0 (tz[2])  \
+|C2'| = 0 (tz[2])  |D2| = 0 (zt[2])  |D2'| = 0 (zt[2])
+"""
+
+
+def test_diagram_text_is_pinned(capsys, g1_file):
+    # K = 2 adds 2K antidiagonals, of at most three cells each
+    assert run(capsys, "diagram", g1_file) == (0, G1_DIAGRAM_BANDS + G1_DIAGRAM_CELLS, "")
+    assert run(capsys, "diagram", g1_file, "--max-band", "2") == (
+        0, G1_DIAGRAM_BANDS + G1_DIAGRAM_EXTRA_BANDS + G1_DIAGRAM_CELLS, "")
+
+
+def test_diagram_streams_into_a_closed_pipe(monkeypatch, g1_file):
+    # the lines are written as they are made, so a reader that closes the
+    # pipe after three lines ends a run of 2*10^9 lines at once.  Past 1000
+    # antidiagonals the count raises, so a diagram built whole fails here
+    # (exit 3) instead of filling memory
+    written, antidiagonal = [], contraction.ContractionDiagram.antidiagonal
+
+    class ClosingPipe(io.StringIO):
+        def write(self, text):
+            if len(written) == 3:
+                raise BrokenPipeError(32, "Broken pipe")
+            written.append(text)
+            return len(text)
+
+    def counted(s):
+        if s > 1000:
+            raise AssertionError("the diagram was built before it was written")
+        return antidiagonal(s)
+
+    monkeypatch.setattr(contraction.ContractionDiagram, "antidiagonal", staticmethod(counted))
+    monkeypatch.setattr(sys, "stdout", ClosingPipe())
+    assert main(["diagram", g1_file, "--max-band", "1000000000"]) == 141
+    assert "".join(written) == "".join(G1_DIAGRAM_BANDS.splitlines(keepends=True)[:3])
+
+
 def test_diagram_max_band_reads_only_suitable_points(monkeypatch, capsys, tmp_path):
     # rows walk the at most five suitable points of each antidiagonal, so
     # neither value nor is_suitable is called for every m in 0..s
@@ -562,10 +616,11 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     # not the e rows.  Each pair's form is read once: one `_unit_rows`, in
     # one `_basis`, which picks the kernel.  A graph pair is a unit-row
     # pair, so the union-find kernel ranks its sequences from the basis
-    # rows' ends, one `winding_rank` reads the sample off those ends, and
-    # its only eliminations over Q are one per lifted root of unity from
-    # d = 2 on, and the sample again exactly when `winding_rank` gave e:
-    # M - N, the lift at d = 1, is ranked by the kernel as well.  A graph
+    # rows' ends, one `winding_rank(..., 2)` reads the sample off those
+    # ends, and its only eliminations over Q are one per lifted root of
+    # unity from d = 2 on, and the sample again exactly when that call gave
+    # e: M - N, the lift at d = 1, is one `winding_rank(..., -1)` on the
+    # same ends, made exactly when the pair has a cycle.  A graph
     # pair's integer rows come from its edge ids.  A --matrix pair with
     # other entries runs them all over Q, its sequences by `echelon_ranks`
     # on the basis rows, and a lifted local type by `echelon_ranks` on the
@@ -575,7 +630,7 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     # the sum of rows 1 and 2
     pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
     # (pair, sample rows, Q eliminations, kernel calls, lifts, form reads, bases,
-    # winding_rank calls)
+    # winding_rank calls as (ends, width, c, rank))
     pairs = []
 
     class Recorded(echelon.Echelon):
@@ -604,8 +659,8 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     scans = []
     monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append(
         (p, [], [], [], [], Counter(), [], [])) or analyze(p))
-    monkeypatch.setattr(oracle, "winding_rank", lambda ends, width: pairs[-1][7].append(
-        (list(ends), width, winding_rank(ends, width))) or pairs[-1][7][-1][2])
+    monkeypatch.setattr(oracle, "winding_rank", lambda ends, width, c: pairs[-1][7].append(
+        (list(ends), width, c, winding_rank(ends, width, c))) or pairs[-1][7][-1][3])
     monkeypatch.setattr(oracle, "_unit_rows", lambda rows: pairs[-1][5].update(["_unit_rows"])
                         or unit_rows(rows))
     monkeypatch.setattr(oracle, "_basis", lambda p: pairs[-1][5].update(["_basis"])
@@ -643,14 +698,17 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
             assert block not in [el.added for el in eliminations], p
             ends = [(min(m, default=None), min(n, default=None)) for m, n in p.rows]
             # one row basis, [M N] as a graph: column block 1 holds N
-            basis_calls = [call for call in kernel if call[0] == "forest_rows" and call[2] == (1,)]
-            assert basis_calls == [("forest_rows", ends, (1,))], p
-            indices = forest_rows(ends, v, 1)
+            basis_calls = [call for call in kernel if call[0] == "forest_rows"]
+            assert basis_calls == [("forest_rows", ends, ())], p
+            indices = forest_rows(ends, v)
             assert form == [ends[i] for i in indices], p
-            # one sample off the basis ends; over Q only the lifts, from
-            # d = 2 on, and the sample again when that one read e
-            (read, width, sample), = windings
-            assert read == form and width == v, p
+            # one sample off the basis ends, and M - N off them when d = 1
+            # is scanned; over Q only the lifts, from d = 2 on, and the
+            # sample again when that one read e
+            (read, width, c, sample), *differences = windings
+            assert (read, width, c) == (form, v, 2), p
+            cycle = bool(analyze(p).cyclotomic_blocks)
+            assert [call[:3] for call in differences] == [(form, v, -1)] * cycle, p
             confirmed = sample == p.edge_dim
             assert len([el for el in eliminations if not el.modulus]) == confirmed + len(lifts), p
             assert 1 not in lifts and "echelon_ranks" not in [call[0] for call in kernel], p
@@ -704,10 +762,10 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
 def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file, argv):
     # at d = 1 the lift is M - N itself, as large as the screen's
     # elimination, so its rank runs unscreened.  On a unit-row pair M - N
-    # is a signed incidence matrix, totally unimodular, so the union-find
-    # kernel ranks it over F_2, a row per basis row (m, n) as the edge
-    # between its two ends, `_basis`'s form (a loop's ends are equal), and
-    # d = 1 is never lifted; any other pair lifts it over Q
+    # is a signed incidence matrix, totally unimodular, so
+    # `winding_rank(..., -1)` ranks it, a row per basis row (m, n) as the
+    # edge between its two ends, `_basis`'s form (a loop's ends are equal),
+    # and d = 1 is never lifted; any other pair lifts it over Q
     two_cycle = tmp_path / "two-cycle.edges"
     two_cycle.write_text("a b\nb a\n")
     pair_file = tmp_path / "pair.txt"
@@ -717,13 +775,13 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
     pairs = []  # (pair, screened d, lifted d, the ends of M - N the kernel ranks)
 
     analyze, screen, lift = oracle.analyze, oracle._screen_clears, oracle._lift
-    forest_rows = oracle.forest_rows
+    winding_rank = oracle.winding_rank
     monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append((p, [], [], [])) or analyze(p))
     monkeypatch.setattr(oracle, "_screen_clears",
                         lambda rows, rank, d: pairs[-1][1].append(d) or screen(rows, rank, d))
     monkeypatch.setattr(oracle, "_lift", lambda rows, d: pairs[-1][2].append(d) or lift(rows, d))
-    monkeypatch.setattr(oracle, "forest_rows", lambda ends, width, shift: (
-        shift == 0 and pairs[-1][3].append(list(ends))) or forest_rows(ends, width, shift))
+    monkeypatch.setattr(oracle, "winding_rank", lambda ends, width, c: (
+        c == -1 and pairs[-1][3].append(list(ends))) or winding_rank(ends, width, c))
     files = {"g4": g4_file, "two-cycle": str(two_cycle), "pair": str(pair_file)}
     assert run(capsys, *[files.get(arg, arg) for arg in argv])[0] == 0
     monkeypatch.undo()
@@ -736,14 +794,14 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
             assert differences == [] and 1 in lifted, p
             scanned += 1
             continue
-        # d = 1 is scanned when the pair has a cycle, and then the kernel
-        # ranks M - N on the basis rows' ends
+        # d = 1 is scanned when the pair has a cycle, and then
+        # `winding_rank` ranks M - N on the basis rows' ends
         assert 1 not in lifted, p
         cycle = bool(analyze(p).cyclotomic_blocks)
         basis, ends, _ = oracle._basis(p)
         assert differences == [ends] * cycle, p
         if cycle:
-            assert (len(forest_rows(ends, p.vertex_dim, 0))
+            assert (winding_rank(ends, p.vertex_dim, -1)
                     == oracle.rank_of_rows(oracle._lift(basis, 1))), p
             scanned += 1
             loops += any(a == b for a, b in ends)
@@ -819,6 +877,16 @@ def test_fuzz_seed_beyond_64_bits_is_usage_error(capsys):
         main(["fuzz", "--seed", str(2**64)])
     assert exit_info.value.code == 2
     assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+
+
+def test_fuzz_seed_that_is_no_integer_is_usage_error(capsys):
+    # the message names the option and the value, not the parsing function
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", "--seed", "abc"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: seed must be an integer, not 'abc'" in err
+    assert "_parse_seed" not in err
 
 
 def test_fuzz_reports_the_first_failing_trial(monkeypatch, capsys):

@@ -521,7 +521,7 @@ def test_part_one_matches_the_cell_reader(reference_inputs):
                     (sorted(r.pairs), name)
         assert [role_content(d, corners) for *_, corners in role_cells(d.horizon + 2)] == [0] * 7
         # the diagram command names each cell, its family and index
-        assert _diagram_lines(d, 0)[-len(contents):] == [
+        assert list(_diagram_lines(d, 0))[-len(contents):] == [
             "  ".join(f"|{name}| = {role_content(d, corners)} ({family}[{index}])"
                       for name, family, index, corners in role_cells(k))
             for k in range(1, d.horizon + 2)]

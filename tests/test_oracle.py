@@ -18,7 +18,7 @@ from linequiv import (BinaryRelation, InvariantRecord, canonical_pair, compare, 
                       regular_pair)
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
-from linequiv.echelon import Echelon, echelon_ranks, forest_ranks, forest_rows, winding_rank
+from linequiv.echelon import Echelon, echelon_ranks, forest_ranks, winding_rank
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.oracle import (OracleFactorError, OracleReport, _basis, _cyclotomic_blocks,
                              _lift, _multiset, _pencil_rows, _ranks, _screen_clears,
@@ -769,15 +769,15 @@ def test_singular_part_ranks_are_the_same_over_every_field():
     assert compared > 303 * 4 * 4 and dependent > compared // 3 and deepest == 9
     # the lift at d = 1, M - N, holds at most a 1 and a -1 per row, which
     # cancel on a loop: a signed incidence matrix, totally unimodular too.
-    # Its rank over F_2, as the oracle takes it, the union-find kernel fed
-    # each row's two ends as an edge, is its rank over Q and over F_3, here and
+    # Its rank as the oracle takes it, `winding_rank` at c = -1 fed each
+    # row's two ends as an edge, is its rank over Q, F_2 and F_3, here and
     # on the kernel's unit-row pairs, whose canonical families have rows
     # with an empty M or N side, and whose multigraphs have parallel edges
     pairs = [linearize(g) for g in graphs] + [p for p, _ in kernel_inputs()]
     seen, dependent = Counter(), 0
     for p in pairs:
         difference = _lift(p.rows, 1)
-        forest = len(forest_rows(ends_of(p.rows), p.vertex_dim, 0))
+        forest = winding_rank(ends_of(p.rows), p.vertex_dim, -1)
         rank = rank_of_rows(difference)
         assert forest == rank == rank_of_rows(difference, 2) == rank_of_rows(difference, 3), p
         dependent += rank < p.edge_dim
@@ -843,8 +843,8 @@ def test_forest_ranks_equal_the_ranks_over_q():
     rows, with the test's own flags: ztz is (m, n) untruncated, zt (m, n) truncated, tz (n, m)
     truncated, and t's T_k, transposed, is (n, m) truncated with a row
     block j = -1 that holds m in column block 0 (grounded).  The basis has
-    the rank of [M N], and on a unit-row pair the union-find's rank of
-    M - N is its rank over Q.
+    the rank of [M N], and on a unit-row pair `winding_rank`'s rank of
+    M - N on the basis ends is its rank over Q.
 
     The union-find's graphs: node (j, c) is column c in block j, and an end
     None is the ground.  Each end pair (a, b) gives one edge
@@ -882,7 +882,7 @@ def test_forest_ranks_equal_the_ranks_over_q():
                                           for m, n in p.rows]), p
         if _unit_rows(p.rows):
             assert basis[1:] == (ends_of(rows), forest_ranks), p
-            assert len(forest_rows(basis[1], v, 0)) == rank_of_rows(_lift(p.rows, 1)), p
+            assert winding_rank(basis[1], v, -1) == rank_of_rows(_lift(p.rows, 1)), p
             seen["unit-row"] += 1
         else:
             assert basis[1:] == (rows, echelon_ranks), p
@@ -919,16 +919,18 @@ def test_forest_ranks_equal_the_ranks_over_q():
     assert min(seen.values()) > 0 and len(seen) == 5
 
 
-def test_winding_rank_is_the_rank_of_m_plus_2n():
-    """`winding_rank` on a unit-row pair's ends is rank(M + 2N) over Q, read
-    on every row and on `_basis`'s form, as `_left_indices` reads it: on
+def test_winding_rank_is_the_rank_of_m_plus_2n_and_of_m_minus_n():
+    """`winding_rank` on a unit-row pair's ends is rank(M + 2N) over Q at
+    c = 2 and rank(M - N) at c = -1, read on every row and on `_basis`'s
+    form, as `_left_indices` and `_cyclotomic_blocks` read them: on
     the 598 unit-row pairs of `test_forest_ranks_equal_the_ranks_over_q`
     (random relations, cycles, the four canonical families with their
     one-term rows and ztz[0]'s zero row, Y(64, 64) and `in_tree(64)`), and
     300 random multigraphs with loops, parallel edges and isolated
-    vertices.  Parallel edges close cycles of winding 0, which leave a tree
-    short of full; two opposite edges close one of winding 2, which fills
-    it."""
+    vertices.  At c = 2 parallel edges close cycles of winding 0, which
+    leave a tree ungrounded; two opposite edges close one of winding 2,
+    and a loop one of winding 1, which ground it.  At c = -1 no cycle
+    grounds a tree, and a loop is a zero row."""
     pairs = [p for p, _ in kernel_inputs()] + [linearize(g) for g in forest_graphs()]
     rng = random.Random("windings")
     for _ in range(300):
@@ -941,8 +943,9 @@ def test_winding_rank_is_the_rank_of_m_plus_2n():
         basis = _basis(p)
         assert basis[2] is forest_ranks, p
         for rows, form in ((p.rows, ends_of(p.rows)), basis[:2]):
-            assert winding_rank(form, v) == rank_of_rows(_pencil_rows(rows, 2)), (p, rows)
-            compared += 1
+            for c in (2, -1):
+                assert winding_rank(form, v, c) == rank_of_rows(_pencil_rows(rows, c)), (p, c)
+                compared += 1
         ends = ends_of(p.rows)
         seen["one term"] += any((a is None) != (b is None) for a, b in ends)
         seen["zero row"] += (None, None) in ends
@@ -950,15 +953,17 @@ def test_winding_rank_is_the_rank_of_m_plus_2n():
         seen["parallel"] += len(set(ends)) < len(ends)
         seen["opposite"] += any(a != b and (b, a) in ends for a, b in ends)
         seen["isolated"] += len({c for end in ends for c in end} - {None}) < v
-    assert len(pairs) == 898 and compared == 2 * len(pairs)
+    assert len(pairs) == 898 and compared == 4 * len(pairs)
     assert min(seen.values()) > 0 and len(seen) == 6
 
 
 def test_the_winding_sample_is_only_a_hint(monkeypatch):
-    """`_left_indices` takes any sample s from `winding_rank` as a hint: on
-    120 small random relations, with r the normal rank, every s <= r and
-    s = e (confirmed over Q) give the same report, `cyclotomic_blocks`
-    too, and every r < s < e leaves a nullity sequence unsaturated."""
+    """`_left_indices` takes any sample s from `winding_rank` at c = 2 as a
+    hint: on 120 small random relations, with r the normal rank, every
+    s <= r and s = e (confirmed over Q) give the same report,
+    `cyclotomic_blocks` too, and every r < s < e leaves a nullity sequence
+    unsaturated.  The c = -1 call, the rank of M - N, is no hint and runs
+    unpatched."""
     pairs = [linearize(seeded_relation(f"hint:{i}", max_vertices=7, prob=Fraction(1 + i % 4, 8)))
              for i in range(120)]
     equal = raised = 0
@@ -966,7 +971,8 @@ def test_the_winding_sample_is_only_a_hint(monkeypatch):
         e = p.edge_dim
         rank = e - len(report.left_minimal_indices)
         for sample in range(e + 1):
-            monkeypatch.setattr(oracle, "winding_rank", lambda ends, width, s=sample: s)
+            monkeypatch.setattr(oracle, "winding_rank", lambda ends, width, c, s=sample:
+                                s if c == 2 else winding_rank(ends, width, c))
             if sample <= rank or sample == e:
                 got = analyze(p)
                 assert got == report, (p, sample)
