@@ -21,7 +21,11 @@ two ends, a column or None, and no elimination runs.  The same ends give
 M + 2N and M - N over Q, whose rows x_a + c*x_b are the frame matroid of
 a gain graph (Zaslavsky, JCTB 51, 1991): `winding_rank` counts the rank
 of both with one union-find on the same nodes and ground, which keeps
-each node's winding to its parent.
+each node's winding to its parent.  The ends are a pair's own, as
+`PairMatrices.ends` holds them, and each kernel does its finds, with
+path halving, and its joins, where the lower root stays a root so the
+ground is always one, inline in its row loop, with no call per row
+(Tarjan and van Leeuwen, JACM 31, 1984).
 """
 
 from __future__ import annotations
@@ -93,36 +97,26 @@ class Echelon:
         return False
 
 
-def _root(parent: list[int], x: int) -> int:
-    """The root of node x's tree, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
-def _join(parent: list[int], x: int, y: int) -> bool:
-    """Join the trees of nodes x and y; True when they were two.  The lower
-    root stays a root, so node 0, the ground, is always one."""
-    if parent[x] != x:
-        x = _root(parent, x)
-    if parent[y] != y:
-        y = _root(parent, y)
-    if x == y:
-        return False
-    if x < y:
-        x, y = y, x
-    parent[x] = y
-    return True
-
-
 def forest_rows(ends, width: int) -> list[int]:
     """The indices of the rows independent over F_2 of the rows before them,
     the rows that join two trees, where row i, for ends[i] = (a, b), has a 1
     at column a of column block 0 and one at column b of block 1 (none for
     an end None), in blocks `width` wide: T_1 = [M N] on a pair's ends."""
-    parent = list(range(1 + 2 * width))
-    return [i for i, (a, b) in enumerate(ends)
-            if _join(parent, 0 if a is None else 1 + a, 0 if b is None else 1 + width + b)]
+    parent, shift, out = list(range(1 + 2 * width)), 1 + width, []
+    for i, (a, b) in enumerate(ends):
+        x = 0 if a is None else 1 + a
+        y = 0 if b is None else shift + b
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            if x < y:
+                parent[y] = x
+            else:
+                parent[x] = y
+            out.append(i)
+    return out
 
 
 def forest_ranks(pairs, width: int, truncated: bool = False,
@@ -148,28 +142,30 @@ def forest_ranks(pairs, width: int, truncated: bool = False,
         if top or grounded:
             below = 1 + (top - 1) * width
             for a, b in pairs:
-                joins += _join(parent, 0 if a is None or not top else below + a,
-                               0 if b is None else at + b)
+                x = 0 if a is None or not top else below + a
+                y = 0 if b is None else at + b
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    joins += 1
+                    if x < y:  # the lower root stays a root, so the ground is one
+                        parent[y] = x
+                    else:
+                        parent[x] = y
         if truncated:
-            roots = {_root(parent, at + a) for a, _ in pairs if a is not None}
+            roots = set()
+            for a, _ in pairs:
+                if a is not None:
+                    x = at + a
+                    while parent[x] != x:
+                        parent[x] = x = parent[parent[x]]
+                    roots.add(x)
             roots.discard(0)
             yield joins + len(roots)
         else:
             yield joins
-
-
-def _wound_root(parent: list[int], wind: list[int], x: int) -> tuple[int, int]:
-    """The root of node x's tree and x's winding to it: the sum of the
-    windings to the parent along the path.  Halving the path sums each
-    skipped winding into the node that skips it."""
-    total = 0
-    while parent[x] != x:
-        up = parent[x]
-        wind[x] += wind[up]  # a root's winding is 0
-        parent[x] = parent[up]
-        total += wind[x]
-        x = parent[up]
-    return x, total
 
 
 def winding_rank(ends, width: int, c: int) -> int:
@@ -187,21 +183,32 @@ def winding_rank(ends, width: int, c: int) -> int:
     M - N is a signed incidence matrix.  Each node keeps its winding to its
     parent, so with p(x) the winding of x to its root, an edge a -> b
     closes a cycle of winding p(a) + 1 - p(b); a loop a = b closes one of
-    winding 1."""
+    winding 1.  Halving a path sums each skipped winding into the node
+    that skips it."""
     parent, wind = list(range(1 + width)), [0] * (1 + width)
     rank = 0
     for a, b in ends:
-        ra, pa = _wound_root(parent, wind, 0 if a is None else 1 + a)
-        rb, pb = _wound_root(parent, wind, 0 if b is None else 1 + b)
-        if ra != rb:
+        x, px = (0 if a is None else 1 + a), 0
+        while parent[x] != x:
+            up = parent[x]
+            wind[x] += wind[up]  # a root's winding is 0
+            px += wind[x]
+            parent[x] = x = parent[up]
+        y, py = (0 if b is None else 1 + b), 0
+        while parent[y] != y:
+            up = parent[y]
+            wind[y] += wind[up]
+            py += wind[y]
+            parent[y] = y = parent[up]
+        if x != y:
             rank += 1
-            if ra < rb:  # the lower root stays a root, so the ground is one
-                parent[rb], wind[rb] = ra, pa + 1 - pb
+            if x < y:  # the lower root stays a root, so the ground is one
+                parent[y], wind[y] = x, px + 1 - py
             else:
-                parent[ra], wind[ra] = rb, pb - 1 - pa
-        elif ra and c == 2 and pa + 1 != pb:
+                parent[x], wind[x] = y, py - 1 - px
+        elif x and c == 2 and px + 1 != py:
             rank += 1
-            parent[ra] = 0
+            parent[x] = 0
     return rank
 
 

@@ -20,20 +20,23 @@ Phi_d, count those blocks for d = 1, 2, ... until they fill the regular
 degree (from d = 2 on, a rank modulo a prime rules most d out first), and
 the lifted local type gives their sizes when needed.
 
-Each rank comes from the pair's integer rows, `PairMatrices.rows`, the
-pair's only stored form.  `analyze` reads them once, in `_basis`, which
-takes a row basis of [M N], at most 2v of the rows, decides the field
-that ranks the block sequences, and writes the basis in that kernel's
-form.  Every stage reads that basis, and no stage reads the e rows.
+Each rank comes from the pair as `PairMatrices` holds it: its ends on a
+unit-row pair, else its integer rows.  `analyze` reads the pair once, in
+`_basis`, which takes a row basis of [M N], at most 2v of the rows,
+picks the kernel that ranks the block sequences by whether the pair has
+ends, and keeps the basis in that kernel's form.  Every stage reads that
+basis, and no stage reads the e rows.
 
 On a unit-row pair, where each row of M and of N holds at most one
 nonzero entry, a 1 (graph pairs and `canonical_pair`), every T_k above is
 totally unimodular, so its rank is the same over every field (README,
 "Field independence").  Over F_2 each T_k has at most two 1s per row, so
 its rank is that of a graph: the number of rows that join two trees of a
-forest on its columns and a ground.  Then the basis is written as each
-row's two ends, the column of m's 1 and of n's 1, and one union-find per
-sequence (`echelon.forest_ranks`) ranks T_1, T_2, ... from them.  The
+forest on its columns and a ground.  Such a pair carries each row's two
+ends, the column of m's 1 and of n's 1, which for a graph are its edge
+ids, so no dict row of it is made: `echelon.forest_rows` takes the basis
+off the ends, and one union-find per sequence (`echelon.forest_ranks`)
+ranks T_1, T_2, ... from the basis ends.  The
 sample M + 2N and the lift at d = 1, M - N itself, are ranks of gain
 graphs on the same ends, each basis row x_a + c*x_b an edge a -> b of
 gain -c, which one union-find counts for both (`echelon.winding_rank`,
@@ -45,8 +48,10 @@ again over Q; any s <= r gives the same report, and r < s < e leaves a
 nullity sequence unsaturated, which raises (`_left_indices`).  Any other
 pair's sequences and sample are eliminated over Q
 (`echelon.echelon_ranks`), and so are, for every pair, the roots of
-unity from d = 2 on, fraction-free, or modulo a prime for a screen.
-Nothing touches floating point.
+unity from d = 2 on, fraction-free, or modulo a prime for a screen.  On
+a unit-row pair those stages over Q read integer rows made from the
+basis ends (`_basis_rows`), only when they run.  Nothing touches
+floating point.
 
 The regular part of a graph pair is cyclotomic, so graphs never go further.
 Only a residue the cyclotomic scan leaves, possible on matrix input, falls
@@ -65,7 +70,7 @@ from . import ratpoly as rp
 from .echelon import (Echelon, SparseRow, echelon_ranks, forest_ranks, forest_rows,
                       prime_and_root, rank_of_rows, winding_rank)
 from .invariants import InvariantRecord, cyclotomic_refine
-from .linearize import PairMatrices, integer_row
+from .linearize import PairMatrices, integer_row, rows_of_ends
 from .ratpoly import Poly
 # OracleFactorError stays importable from here: callers catch it as part of the oracle
 from .smith import OracleFactorError, factor_stored, invariant_factors, pencil_matrix
@@ -76,17 +81,10 @@ def _pencil_rows(rows, c: int) -> list[SparseRow]:
     return [{j: m.get(j, 0) + c * n.get(j, 0) for j in m.keys() | n.keys()} for m, n in rows]
 
 
-def _unit_rows(rows) -> bool:
-    """True when every row of M and of N holds at most one nonzero entry,
-    a 1: then every T_k below, and M - N, are totally unimodular, so their
-    ranks over F_2 are their ranks over Q."""
-    return all(not row or list(row.values()) == [1] for pair in rows for row in pair)
-
-
-def _basis(p: PairMatrices) -> tuple[list, list, object]:
+def _basis(p: PairMatrices) -> tuple[list, object]:
     """The pair as every stage reads it: a basis of R = rowspace([M N])
-    among its integer rows, at most 2v of them; the same rows in the form
-    its kernel reads; and that kernel, `forest_ranks` or `echelon_ranks`.
+    among its rows, at most 2v of them, in the form its kernel reads; and
+    that kernel, `forest_ranks` or `echelon_ranks`.
 
     The basis stands in for the e rows: each row of every matrix ranked
     here (a row block of a T_k in `_ranks`, M + 2N, a lift of M - zeta*N
@@ -94,20 +92,27 @@ def _basis(p: PairMatrices) -> tuple[list, list, object]:
     [M N], so its row space is a sum of linear images of R, which the basis
     spans as the e rows do.  Only the counts k*e of the nullities read e.
 
-    On a unit-row pair the form is each row's ends, (the column of m's 1,
-    the column of n's 1) with None for an empty side, and the basis is the
-    rows that join two trees of T_1 = [M N] as a graph: independent over Q
-    too, and as many as its rank over Q, since [M N] is totally unimodular.
-    Else the form is the rows themselves, and the basis the rows that
-    become pivots as [M N] is eliminated over Q."""
-    v = p.vertex_dim
-    if _unit_rows(p.rows):
-        ends = [(next(iter(m), None), next(iter(n), None)) for m, n in p.rows]
-        indices = forest_rows(ends, v)
-        return [p.rows[i] for i in indices], [ends[i] for i in indices], forest_ranks
+    On a unit-row pair, whose `ends` are set, the form is each row's ends,
+    (the column of m's 1, the column of n's 1) with None for an empty side,
+    and the basis is the rows that join two trees of T_1 = [M N] as a
+    graph: independent over Q too, and as many as its rank over Q, since
+    [M N] is totally unimodular.  Else the form is the integer rows
+    themselves, and the basis the rows that become pivots as [M N] is
+    eliminated over Q."""
+    v, ends = p.vertex_dim, p.ends
+    if ends is not None:
+        return [ends[i] for i in forest_rows(ends, v)], forest_ranks
     echelon = Echelon()
-    rows = [(m, n) for m, n in p.rows if echelon.add({**m, **{v + j: x for j, x in n.items()}})]
-    return rows, rows, echelon_ranks
+    return [(m, n) for m, n in p.rows
+            if echelon.add({**m, **{v + j: x for j, x in n.items()}})], echelon_ranks
+
+
+def _basis_rows(basis) -> list:
+    """`_basis`'s basis as integer rows (m, n), which the stages over Q
+    read: on a unit-row pair made from the basis ends, each time such a
+    stage runs."""
+    form, kernel = basis
+    return form if kernel is echelon_ranks else list(rows_of_ends(form))
 
 
 # each family's T_k as a kernel's flags (reversed, truncated, grounded) on
@@ -121,7 +126,7 @@ def _ranks(basis, family: str, v: int) -> Iterator[int]:
     """rank T_1, T_2, ... of the block sequence of `family`, "ztz", "t",
     "zt" or "tz", read by the basis's kernel from its form; over F_2 that
     is exact by total unimodularity (README, "Field independence")."""
-    _, form, kernel = basis
+    form, kernel = basis
     reverse, truncated, grounded = _FAMILIES[family]
     return kernel([(y, x) for x, y in form] if reverse else form, v, truncated, grounded)
 
@@ -170,10 +175,10 @@ def _left_indices(basis, e: int, v: int) -> tuple[int, ...]:
     winding argument: any s <= r gives the same multiset (`normal_rank`),
     and r < s < e leaves a nullity sequence unsaturated, here, in
     `_right_indices` or in `_local_type`, which raises."""
-    rows, form, kernel = basis
+    form, kernel = basis
     sample = winding_rank(form, v, 2) if kernel is forest_ranks else e
     if sample == e:
-        sample = rank_of_rows(_pencil_rows(rows, 2))
+        sample = rank_of_rows(_pencil_rows(_basis_rows(basis), 2))
     if sample == e:
         return ()
     f = _solution_space_dims(_ranks(basis, "ztz", v), e, v, e - sample)
@@ -321,28 +326,33 @@ def _cyclotomic_blocks(basis, v: int, rank: int, degree: int) -> list[tuple[int,
     more than one rank: 20 times as much on the 37-cycle at d = 37.  Blocks
     beyond the regular degree are an error.  The scan stops once the degree
     is filled, so it cannot see blocks the degree leaves no room for."""
-    rows, form, kernel = basis
+    form, kernel = basis
+    # the basis's integer rows; a unit-row basis's are made when d = 2 needs them
+    rows = form if kernel is echelon_ranks else None
     found: dict[int, int] = {}
     left = degree
     d = 1
     while left > 0 and d <= 2 * left * left + 6:
         phi = rp.totient(d)
-        if phi <= left and (d == 1 or not _screen_clears(rows, rank, d)):
-            lifted = (winding_rank(form, v, -1) if d == 1 and kernel is forest_ranks
-                      else rank_of_rows(_lift(rows, d)))
-            count, rest = divmod(phi * rank - lifted, phi)
-            if rest or count < 0:
-                raise AssertionError(f"lifted rank at d={d} is not a multiple of phi(d)")
-            if count:
-                found[d] = count
-                left -= phi * count
+        if phi <= left:
+            if rows is None and d > 1:
+                rows = _basis_rows(basis)
+            if d == 1 or not _screen_clears(rows, rank, d):
+                lifted = (winding_rank(form, v, -1) if rows is None
+                          else rank_of_rows(_lift(rows, d)))
+                count, rest = divmod(phi * rank - lifted, phi)
+                if rest or count < 0:
+                    raise AssertionError(f"lifted rank at d={d} is not a multiple of phi(d)")
+                if count:
+                    found[d] = count
+                    left -= phi * count
         d += 1
     blocks = []
     for d, count in found.items():
         phi = rp.totient(d)
         if phi > left:  # a block of size n > 1 at d would add (n - 1)*phi(d)
             blocks += [(d, 1)] * count
-        else:
+        else:  # left >= phi(d) >= 1, so the scan made the rows at d = 2
             lifted_n = [{j * phi + a: x for j, x in n.items()} for _, n in rows for a in range(phi)]
             ranks = echelon_ranks(list(zip(_lift(rows, d), lifted_n)), v * phi, truncated=True)
             sizes = Counter(_local_type(ranks, v * phi, rank * phi))

@@ -613,25 +613,30 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     # the rows of [M N] are ranked once per pair, and the input rows that
     # are independent of the rows before them are the row basis; the normal
     # rank's one sample of M + c*N and every block sequence read that basis,
-    # not the e rows.  Each pair's form is read once: one `_unit_rows`, in
-    # one `_basis`, which picks the kernel.  A graph pair is a unit-row
-    # pair, so the union-find kernel ranks its sequences from the basis
-    # rows' ends, one `winding_rank(..., 2)` reads the sample off those
-    # ends, and its only eliminations over Q are one per lifted root of
-    # unity from d = 2 on, and the sample again exactly when that call gave
-    # e: M - N, the lift at d = 1, is one `winding_rank(..., -1)` on the
-    # same ends, made exactly when the pair has a cycle.  A graph
-    # pair's integer rows come from its edge ids.  A --matrix pair with
-    # other entries runs them all over Q, its sequences by `echelon_ranks`
-    # on the basis rows, and a lifted local type by `echelon_ranks` on the
-    # lift of the basis rows.
+    # not the e rows.  Each pair's form is tested once, by `_unit_ends` where
+    # the pair is built from rows, and read once, in one `_basis`, which
+    # picks the kernel.  A graph pair is built from its ends, its edge ids,
+    # and no stage makes its e integer rows: the union-find kernel takes
+    # the basis off those ends with one `forest_rows` and ranks its
+    # sequences from the basis ends, one `winding_rank(..., 2)` reads the
+    # sample off them, and M - N, the lift at d = 1, is one
+    # `winding_rank(..., -1)` on them, made exactly when the pair has a
+    # cycle.  Its only eliminations over Q are one per lifted root of unity
+    # from d = 2 on, and the sample again exactly when that call gave e,
+    # and the basis rows they read are made from the basis ends, once for
+    # the sample and once for the scan from d = 2 on, only when those run.
+    # A --matrix pair with other entries runs them all over Q, its
+    # sequences by `echelon_ranks` on the basis rows, and a lifted local
+    # type by `echelon_ranks` on the lift of the basis rows.
     pair_file = tmp_path / "pair.txt"
     # M = [[2, 0], [0, 1], [2, 1]], N = [[1, 0], [0, 1], [1, 1]]: row 3 is
     # the sum of rows 1 and 2
     pair_file.write_text("3 2\n2 0\n0 1\n2 1\n1 0\n0 1\n1 1\n")
     # (pair, sample rows, Q eliminations, kernel calls, lifts, form reads, bases,
-    # winding_rank calls as (ends, width, c, rank))
+    # winding_rank calls as (ends, width, c, rank), the ends of the basis rows
+    # made, screened d)
     pairs = []
+    tested, rows_made = [], []  # `_unit_ends` calls, pairs whose e rows were made
 
     class Recorded(echelon.Echelon):
         def __init__(self, modulus=0):
@@ -653,18 +658,28 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
             return kernel(rows, width, *flags, **named)
         return run
 
+    # the package's `linearize` name is the function, so find the module
+    linearize_module = sys.modules["linequiv.linearize"]
     analyze, pencil, lift = oracle.analyze, oracle._pencil_rows, oracle._lift
-    basis_of, unit_rows = oracle._basis, oracle._unit_rows
+    basis_of, unit_ends = oracle._basis, linearize_module._unit_ends
     forest_rows, winding_rank = oracle.forest_rows, oracle.winding_rank
+    rows_of_ends, screen = oracle.rows_of_ends, oracle._screen_clears
+    make_rows = linearize_module.PairMatrices.__getattr__
     scans = []
     monkeypatch.setattr(oracle, "analyze", lambda p: pairs.append(
-        (p, [], [], [], [], Counter(), [], [])) or analyze(p))
+        (p, [], [], [], [], Counter(), [], [], [], [])) or analyze(p))
     monkeypatch.setattr(oracle, "winding_rank", lambda ends, width, c: pairs[-1][7].append(
         (list(ends), width, c, winding_rank(ends, width, c))) or pairs[-1][7][-1][3])
-    monkeypatch.setattr(oracle, "_unit_rows", lambda rows: pairs[-1][5].update(["_unit_rows"])
-                        or unit_rows(rows))
+    monkeypatch.setattr(linearize_module, "_unit_ends",
+                        lambda rows: tested.append(rows) or unit_ends(rows))
+    monkeypatch.setattr(linearize_module.PairMatrices, "__getattr__",
+                        lambda p, name: rows_made.append(p) or make_rows(p, name))
     monkeypatch.setattr(oracle, "_basis", lambda p: pairs[-1][5].update(["_basis"])
                         or pairs[-1][6].append(basis_of(p)) or pairs[-1][6][-1])
+    monkeypatch.setattr(oracle, "rows_of_ends",
+                        lambda ends: pairs[-1][8].append(list(ends)) or rows_of_ends(ends))
+    monkeypatch.setattr(oracle, "_screen_clears", lambda rows, rank, d: pairs[-1][9].append(d)
+                        or screen(rows, rank, d))
     monkeypatch.setattr(oracle, "_pencil_rows",
                         lambda rows, c: (c > 0 and pairs[-1][1].append(list(rows)))
                         or pencil(rows, c))
@@ -673,8 +688,6 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
         monkeypatch.setattr(oracle, name, recorded(getattr(oracle, name)))
     for module in (oracle, echelon):
         monkeypatch.setattr(module, "Echelon", Recorded)
-    # the package's `linearize` name is the function, so find the module
-    linearize_module = sys.modules["linequiv.linearize"]
     integer_row = linearize_module.integer_row
     monkeypatch.setattr(linearize_module, "integer_row",
                         lambda m, n: scans.append(m) or integer_row(m, n))
@@ -684,20 +697,26 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
     assert len(pairs) == count
     graph = "--matrix" not in argv
     assert (scans == []) == graph
+    # no stage made a graph pair's e rows, and only a pair built from rows
+    # was tested for unit rows
+    assert rows_made == [] and len(tested) == count * (not graph)
     lifted_types = 0
-    for p, samples, eliminations, kernel, lifts, reads, bases, windings in pairs:
+    for p, samples, eliminations, kernel, lifts, reads, bases, windings, made, screened in pairs:
         v = p.vertex_dim
         stacked = [row for pair in p.rows for row in pair if row]
         block = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
         assert block and stacked not in [el.added for el in eliminations], p
         unit = all(list(row.values()) in ([], [1]) for pair in p.rows for row in pair)
-        assert unit == graph, p
-        assert reads == Counter(["_unit_rows", "_basis"]) and len(bases) == 1, p
-        (rows, form, _), = bases
+        assert unit == graph == (p.ends is not None), p
+        assert reads == Counter(["_basis"]) and len(bases) == 1, p
+        (form, _), = bases
+        rows = list(rows_of_ends(form)) if unit else form
         if unit:
             assert block not in [el.added for el in eliminations], p
             ends = [(min(m, default=None), min(n, default=None)) for m, n in p.rows]
-            # one row basis, [M N] as a graph: column block 1 holds N
+            assert list(p.ends) == ends, p
+            # one row basis, [M N] as a graph, on the pair's ends: column
+            # block 1 holds N
             basis_calls = [call for call in kernel if call[0] == "forest_rows"]
             assert basis_calls == [("forest_rows", ends, ())], p
             indices = forest_rows(ends, v)
@@ -712,9 +731,13 @@ def test_oracle_eliminates_once_per_pair(monkeypatch, capsys, tmp_path, g4_file,
             confirmed = sample == p.edge_dim
             assert len([el for el in eliminations if not el.modulus]) == confirmed + len(lifts), p
             assert 1 not in lifts and "echelon_ranks" not in [call[0] for call in kernel], p
+            # the basis rows are made from the basis ends for the sample
+            # over Q, and once for the scan when it screens from d = 2 on
+            assert made == [form] * (confirmed + bool(screened)), p
+            assert set(lifts) <= set(screened) and 1 not in screened, p
             kernel = [call for call in kernel if call not in basis_calls]
         else:
-            assert windings == [], p
+            assert windings == [] and made == [], p
             confirmed = True
             assert "forest_rows" not in [call[0] for call in kernel], p
             assert "forest_ranks" not in [call[0] for call in kernel], p
@@ -789,7 +812,7 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
     scanned = loops = 0
     for p, screened, lifted, differences in pairs:
         assert 1 not in screened, p
-        assert oracle._unit_rows(p.rows) == graph, p
+        assert (p.ends is not None) == graph, p
         if not graph:
             assert differences == [] and 1 in lifted, p
             scanned += 1
@@ -798,11 +821,12 @@ def test_cyclotomic_scan_screens_from_d_2(monkeypatch, capsys, tmp_path, g4_file
         # `winding_rank` ranks M - N on the basis rows' ends
         assert 1 not in lifted, p
         cycle = bool(analyze(p).cyclotomic_blocks)
-        basis, ends, _ = oracle._basis(p)
+        basis = oracle._basis(p)
+        ends = basis[0]
         assert differences == [ends] * cycle, p
         if cycle:
             assert (winding_rank(ends, p.vertex_dim, -1)
-                    == oracle.rank_of_rows(oracle._lift(basis, 1))), p
+                    == oracle.rank_of_rows(oracle._lift(oracle._basis_rows(basis), 1))), p
             scanned += 1
             loops += any(a == b for a, b in ends)
     assert scanned > 0

@@ -66,16 +66,24 @@ def test_only_the_oracle_reaches_the_smith_fallback():
 
 
 def test_one_place_picks_a_pairs_field():
-    # oracle.py reads `_unit_rows` only in `_basis`, which hands every stage
-    # the row basis in the form of the kernel it picks; the two kernels take
-    # the same parameters with the same defaults, so a stage calls either
-    # one way
-    tree = ast.parse((ROOT / "src" / "linequiv" / "oracle.py").read_text(encoding="utf-8"))
-    readers = [getattr(node, "name", type(node).__name__) for node in tree.body
-               if any(isinstance(name, ast.Name) and name.id == "_unit_rows"
-                      for name in ast.walk(node))]
-    defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
-    assert readers == ["_basis"] and "_unit_rows" in defined
+    # linearize.py tests a pair's rows for unit rows only in `PairMatrices`,
+    # with `_unit_ends`, which gives the pair its ends or None; oracle.py
+    # reads those ends only in `_basis`, which hands every stage the row
+    # basis in the form of the kernel it picks; the two kernels take the
+    # same parameters with the same defaults, so a stage calls either one way
+    package = ROOT / "src" / "linequiv"
+
+    def readers(module: str, test) -> tuple[list[str], list[str]]:
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        return ([node.name for node in tree.body if any(map(test, ast.walk(node)))],
+                [node.name for node in tree.body if isinstance(node, ast.FunctionDef)])
+
+    testers, defined = readers("linearize.py", lambda node: isinstance(node, ast.Name)
+                               and node.id == "_unit_ends")
+    assert testers == ["PairMatrices"] and "_unit_ends" in defined
+    pickers, _ = readers("oracle.py", lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "ends")
+    assert pickers == ["_basis"]
     forest, rational = (inspect.signature(kernel).parameters
                         for kernel in (forest_ranks, echelon_ranks))
     assert list(forest.values()) == list(rational.values())

@@ -107,8 +107,16 @@ def test_transposed():
     (1, 2, (({2: 1}, {}),), "column index"),
     (1, 2, (({0: 1}, {-1: 1}),), "column index"),
     (1, 0, (({0: 1}, {}),), "column index"),
+    (2, 3, (({0: 1}, {1: 1}), ({3: 1}, {0: 1})), "column index"),
+    (2, 3, (({0: 1}, {1: 1}), ({}, {-2: 1})), "column index"),
 ])
 def test_pair_rejects_rows_that_do_not_fit(e, v, rows, message):
+    # a pair built from its ends, as `linearize` builds a graph's, is
+    # checked as one built from the same rows
     with pytest.raises(ValueError, match=message):
         PairMatrices(e, v, rows)
+    ends = tuple((min(m, default=None), min(n, default=None)) for m, n in rows)
+    with pytest.raises(ValueError, match=message):
+        PairMatrices(e, v, ends=ends)
     assert PairMatrices(1, 2, (({0: 1}, {1: -3}),)).rows == (({0: 1}, {1: -3}),)
+    assert PairMatrices(1, 2, ends=((None, 1),)).rows == (({}, {1: 1}),)

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,10 +20,10 @@ from linequiv import (BinaryRelation, InvariantRecord, canonical_pair, compare, 
 from linequiv import oracle, ratpoly as rp
 from linequiv.cli import random_relation, run_fuzz
 from linequiv.echelon import Echelon, echelon_ranks, forest_ranks, winding_rank
-from linequiv.linearize import PairMatrices, linearize, parse_pair_file
-from linequiv.oracle import (OracleFactorError, OracleReport, _basis, _cyclotomic_blocks,
-                             _lift, _multiset, _pencil_rows, _ranks, _screen_clears,
-                             _solution_space_dims, _unit_rows, analyze, invariant_factors,
+from linequiv.linearize import PairMatrices, linearize, parse_pair_file, rows_of_ends
+from linequiv.oracle import (OracleFactorError, OracleReport, _basis, _basis_rows,
+                             _cyclotomic_blocks, _lift, _multiset, _pencil_rows, _ranks,
+                             _screen_clears, _solution_space_dims, analyze, invariant_factors,
                              normal_rank, rank_of_rows)
 from linequiv.smith import factor_stored
 
@@ -877,15 +878,15 @@ def test_forest_ranks_equal_the_ranks_over_q():
     for p, record in inputs:
         e, v = p.edge_dim, p.vertex_dim
         basis = _basis(p)
-        rows = basis[0]
+        rows = _basis_rows(basis)
         assert len(rows) == rank_of_rows([{**m, **{v + j: x for j, x in n.items()}}
                                           for m, n in p.rows]), p
-        if _unit_rows(p.rows):
-            assert basis[1:] == (ends_of(rows), forest_ranks), p
-            assert winding_rank(basis[1], v, -1) == rank_of_rows(_lift(p.rows, 1)), p
+        if p.ends is not None:
+            assert basis == (ends_of(rows), forest_ranks), p
+            assert winding_rank(basis[0], v, -1) == rank_of_rows(_lift(p.rows, 1)), p
             seen["unit-row"] += 1
         else:
-            assert basis[1:] == (rows, echelon_ranks), p
+            assert basis == (rows, echelon_ranks), p
         reach = 2 + (max([0, *record.zt, *record.tz, *record.t, *record.ztz]) if record
                      else min(e, v))
         # per family: the kernel's flags, then T_k by its definition, from
@@ -897,8 +898,8 @@ def test_forest_ranks_equal_the_ranks_over_q():
                 ("t", True, True, True, (columns_of(p), e, False))):
             # the oracle's kernel through its own table, and on a unit-row
             # pair `echelon_ranks` on the integer rows as well
-            sequences = [(basis[2], _ranks(basis, family, v))]
-            if basis[2] is forest_ranks:
+            sequences = [(basis[1], _ranks(basis, family, v))]
+            if basis[1] is forest_ranks:
                 sequences.append((echelon_ranks, echelon_ranks(
                     [(n, m) for m, n in rows] if flip else rows, v, truncated, grounded)))
             definition = definition_ranks(pairs, width, cut)
@@ -919,6 +920,19 @@ def test_forest_ranks_equal_the_ranks_over_q():
     assert min(seen.values()) > 0 and len(seen) == 5
 
 
+def unit_row_pairs() -> list[PairMatrices]:
+    """The 598 unit-row pairs of `test_forest_ranks_equal_the_ranks_over_q`
+    and 300 random multigraphs with loops, parallel edges and isolated
+    vertices."""
+    pairs = [p for p, _ in kernel_inputs()] + [linearize(g) for g in forest_graphs()]
+    rng = random.Random("windings")
+    for _ in range(300):
+        vertices = "abcdefgh"[:rng.randint(1, 8)]
+        pairs.append(linearize(multidigraph(vertices, [
+            (rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 10))])))
+    return pairs
+
+
 def test_winding_rank_is_the_rank_of_m_plus_2n_and_of_m_minus_n():
     """`winding_rank` on a unit-row pair's ends is rank(M + 2N) over Q at
     c = 2 and rank(M - N) at c = -1, read on every row and on `_basis`'s
@@ -927,22 +941,19 @@ def test_winding_rank_is_the_rank_of_m_plus_2n_and_of_m_minus_n():
     (random relations, cycles, the four canonical families with their
     one-term rows and ztz[0]'s zero row, Y(64, 64) and `in_tree(64)`), and
     300 random multigraphs with loops, parallel edges and isolated
-    vertices.  At c = 2 parallel edges close cycles of winding 0, which
-    leave a tree ungrounded; two opposite edges close one of winding 2,
-    and a loop one of winding 1, which ground it.  At c = -1 no cycle
-    grounds a tree, and a loop is a zero row."""
-    pairs = [p for p, _ in kernel_inputs()] + [linearize(g) for g in forest_graphs()]
-    rng = random.Random("windings")
-    for _ in range(300):
-        vertices = "abcdefgh"[:rng.randint(1, 8)]
-        pairs.append(linearize(multidigraph(vertices, [
-            (rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 10))])))
+    vertices; and on 2000 denser random end lists.  At c = 2 parallel
+    edges close cycles of winding 0, which leave a tree ungrounded; two
+    opposite edges close one of winding 2, and a loop one of winding 1,
+    which ground it.  At c = -1 no cycle grounds a tree, and a loop is a
+    zero row."""
+    pairs = unit_row_pairs()
+    rng = random.Random("deep windings")
     seen, compared = Counter(), 0
     for p in pairs:
         v = p.vertex_dim
         basis = _basis(p)
-        assert basis[2] is forest_ranks, p
-        for rows, form in ((p.rows, ends_of(p.rows)), basis[:2]):
+        assert basis[1] is forest_ranks, p
+        for rows, form in ((p.rows, ends_of(p.rows)), (_basis_rows(basis), basis[0])):
             for c in (2, -1):
                 assert winding_rank(form, v, c) == rank_of_rows(_pencil_rows(rows, c)), (p, c)
                 compared += 1
@@ -954,7 +965,62 @@ def test_winding_rank_is_the_rank_of_m_plus_2n_and_of_m_minus_n():
         seen["opposite"] += any(a != b and (b, a) in ends for a, b in ends)
         seen["isolated"] += len({c for end in ends for c in end} - {None}) < v
     assert len(pairs) == 898 and compared == 4 * len(pairs)
+    # 2000 end lists of v to 2v random edges on v <= 8 columns: trees deep
+    # enough that a find halves a path past a node with a nonzero winding
+    # to its parent before a cycle closes in that tree, on either end
+    for _ in range(2000):
+        v = rng.randint(2, 8)
+        ends = [(rng.randrange(v), rng.randrange(v)) for _ in range(rng.randint(v, 2 * v))]
+        for c in (2, -1):
+            assert winding_rank(ends, v, c) == rank_of_rows(_pencil_rows(rows_of_ends(ends), c)), (
+                ends, c)
     assert min(seen.values()) > 0 and len(seen) == 6
+
+
+def test_ends_rows_and_the_q_form_give_one_report(monkeypatch):
+    """A unit-row pair gives the same report, `cyclotomic_blocks` too, in
+    three forms: built from its ends, as `linearize` builds a graph's;
+    rebuilt from its rows, which give the same ends; and rebuilt from its
+    rows with `_unit_ends` saying no, which ranks it over Q.  On the 898
+    pairs of `unit_row_pairs()`, Y(16, 16), `in_tree(32)` and the four
+    canonical families up to n = 12, whose rows have empty sides."""
+    pairs = unit_row_pairs() + [linearize(g) for g in (spider((16, 16)), in_tree(32))]
+    pairs += [canonical_pair(family, n) for family in ("zt", "tz", "t", "ztz")
+              for n in range(1 if family in ("zt", "tz") else 0, 13)]
+    linearize_module = sys.modules["linequiv.linearize"]
+    seen = Counter()
+    for p in pairs:
+        e, v = p.edge_dim, p.vertex_dim
+        from_ends, from_rows = PairMatrices(e, v, ends=p.ends), PairMatrices(e, v, p.rows)
+        with monkeypatch.context() as patched:
+            patched.setattr(linearize_module, "_unit_ends", lambda rows: None)
+            over_q = PairMatrices(e, v, p.rows)
+        assert from_rows.ends == p.ends is not None and over_q.ends is None, p
+        assert from_ends.rows == p.rows == over_q.rows, p
+        assert [_basis(q)[1] for q in (from_ends, from_rows, over_q)] == [
+            forest_ranks, forest_ranks, echelon_ranks], p
+        reports = [analyze(q) for q in (from_ends, from_rows, over_q)]
+        assert reports[0] == reports[1] == reports[2], p
+        assert len({report.cyclotomic_blocks for report in reports}) == 1, p
+        seen["cycle"] += bool(reports[0].cyclotomic_blocks)
+        seen["empty side"] += any(None in ends for ends in p.ends)
+    assert len(pairs) == 898 + 2 + 50 and min(seen.values()) > 40
+
+
+def test_a_graph_pair_is_its_edge_ids(g1, g4):
+    # `linearize` writes a graph's ends straight from its edge ids, in input
+    # order for a MultiDigraph and sorted for a BinaryRelation, and makes
+    # the integer rows from them on first read
+    rng = random.Random("edge ids")
+    graphs = [g1, g4, multidigraph("ab", [("b", "a"), ("a", "a"), ("b", "a"), ("a", "b")])]
+    graphs += [seeded_relation(f"ids:{i}", max_vertices=8) for i in range(20)]
+    graphs += [random_relation(rng, 6, Fraction(1, 3))]
+    for g in graphs:
+        p = linearize(g)
+        ids = tuple(sorted(g.ids) if isinstance(g, BinaryRelation) else g.ids)
+        assert p.ends == ids and (p.edge_dim, p.vertex_dim) == (len(ids), g.vertex_count), g
+        assert p.rows == tuple(({s: 1}, {t: 1}) for s, t in ids), g
+        assert p == PairMatrices(p.edge_dim, p.vertex_dim, p.rows), g
 
 
 def test_the_winding_sample_is_only_a_hint(monkeypatch):
@@ -1060,7 +1126,7 @@ def test_screen_keeps_every_root_the_lift_finds():
     # screen stays sound on it
     for p in differential_pairs():
         rank = normal_rank(p)
-        for rows in (p.rows, _basis(p)[0]):
+        for rows in (p.rows, _basis_rows(_basis(p))):
             for d in (1, 2, 3, 4, 5, 6, 10, 12, 15, 24):
                 if rp.totient(d) * p.vertex_dim > 160:
                     continue
@@ -1094,8 +1160,8 @@ def explicit_block_rank(rows, v: int, k: int) -> int:
 def test_row_basis_stands_in_for_the_rows(monkeypatch):
     # the basis is input rows, in order: from the union-find kernel on a
     # unit-row pair, where [M N] is totally unimodular, or from an
-    # elimination over Q, which a unit-row pair takes too when `_unit_rows`
-    # says no.  Each form's nullities equal those of T_k on all e rows, on
+    # elimination over Q, which a unit-row pair takes too when it is built
+    # from its rows with `linearize._unit_ends` saying no.  Each form's nullities equal those of T_k on all e rows, on
     # the row side and on the column side, and so do the lifted ranks
     pairs = differential_pairs()
     pairs += [linearize(seeded_relation(f"dense:{i}", max_vertices=10, prob=Fraction(1, 2)))
@@ -1104,7 +1170,7 @@ def test_row_basis_stands_in_for_the_rows(monkeypatch):
     rng = random.Random("basis")
     pairs += [random_rational_pair(rng) for _ in range(40)]
     assert any(p.edge_dim > 2 * p.vertex_dim > 0 for p in pairs)
-    assert 0 < sum(map(_unit_rows, (p.rows for p in pairs))) < len(pairs)
+    assert 0 < sum(p.ends is not None for p in pairs) < len(pairs)
     for p in pairs:
         e, v = p.edge_dim, p.vertex_dim
         columns = columns_of(p)
@@ -1112,12 +1178,12 @@ def test_row_basis_stands_in_for_the_rows(monkeypatch):
         everything = [{**m, **{v + j: x for j, x in n.items()}} for m, n in p.rows]
         forms = [_basis(p)]
         with monkeypatch.context() as patched:
-            patched.setattr(oracle, "_unit_rows", lambda rows: False)
-            forms.append(_basis(p))
-        assert [kernel for _, _, kernel in forms] == [
-            forest_ranks if _unit_rows(p.rows) else echelon_ranks, echelon_ranks], p
+            patched.setattr(sys.modules["linequiv.linearize"], "_unit_ends", lambda rows: None)
+            forms.append(_basis(PairMatrices(e, v, p.rows)))
+        assert [kernel for _, kernel in forms] == [
+            forest_ranks if p.ends is not None else echelon_ranks, echelon_ranks], p
         for basis in forms:
-            rows = basis[0]
+            rows = _basis_rows(basis)
             unread = iter(p.rows)
             assert all(any(row == other for other in unread) for row in rows), p
             stacked = [{**m, **{v + j: x for j, x in n.items()}} for m, n in rows]
@@ -1135,7 +1201,7 @@ def test_row_basis_stands_in_for_the_rows(monkeypatch):
 def test_cyclotomic_scan_accounts_for_the_degree_exactly():
     # the 6-cycle from its basis over F_2, and from its rows as the Q form
     rows = linearize(cycles_graph((6,))).rows
-    for basis in (_basis(linearize(cycles_graph((6,)))), (rows, rows, echelon_ranks)):
+    for basis in (_basis(linearize(cycles_graph((6,)))), (list(rows), echelon_ranks)):
         assert _cyclotomic_blocks(basis, 6, 6, 6) == [(1, 1), (2, 1), (3, 1), (6, 1)]
         # too small a degree: phi(6) = 2 no longer fits, so d = 6 stays
         # unscanned and the shortfall goes to the Smith route
@@ -1197,7 +1263,7 @@ def test_both_fields_give_the_same_report():
     assert canonical_pair("t", 0) not in originals and canonical_pair("ztz", 0) not in originals
     compared = Counter()
     for p, doubled, _ in pairs:
-        assert _unit_rows(p.rows) and not _unit_rows(doubled.rows), p
+        assert p.ends is not None and doubled.ends is None, p
         report, over_q = analyze(p), analyze(doubled)
         assert over_q == report and over_q.cyclotomic_blocks == report.cyclotomic_blocks, p
         compared.update(name for name in ("left_minimal_indices", "right_minimal_indices",
