@@ -1,10 +1,10 @@
 import pytest
 
-from linequiv import converse
+from linequiv import BinaryRelation, converse
 from linequiv.linearize import PairMatrices, linearize, parse_pair_file
 from linequiv.parsing import ParseError
 
-from conftest import dense, multidigraph, relation, transposed
+from conftest import dense, multidigraph, relation, seeded_relation, transposed
 
 
 def rows(mat):
@@ -21,6 +21,21 @@ def test_reference_graph_matrices(g1):
     assert rows(m) == [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rows(n) == [[0, 1, 0], [0, 0, 1], [0, 0, 1], [0, 1, 0]]
     assert p.rows == (({0: 1}, {1: 1}), ({0: 1}, {2: 1}), ({1: 1}, {2: 1}), ({2: 1}, {1: 1}))
+
+
+def test_a_graph_pair_is_its_edge_ids(g1, g4):
+    # `linearize` writes a graph's ends straight from its edge ids, in input
+    # order for a MultiDigraph and sorted for a BinaryRelation, and makes
+    # the integer rows from them on first read
+    graphs = [g1, g4, multidigraph("ab", [("b", "a"), ("a", "a"), ("b", "a"), ("a", "b")])]
+    graphs += [relation(g1), relation(g4)] + [seeded_relation(f"ids:{i}", max_vertices=8)
+                                              for i in range(20)]
+    for g in graphs:
+        p = linearize(g)
+        ids = tuple(sorted(g.ids) if isinstance(g, BinaryRelation) else g.ids)
+        assert p.ends == ids and (p.edge_dim, p.vertex_dim) == (len(ids), g.vertex_count), g
+        assert p.rows == tuple(({s: 1}, {t: 1}) for s, t in ids), g
+        assert p == PairMatrices(p.edge_dim, p.vertex_dim, p.rows), g
 
 
 def test_single_loop():

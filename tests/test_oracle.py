@@ -1007,22 +1007,6 @@ def test_ends_rows_and_the_q_form_give_one_report(monkeypatch):
     assert len(pairs) == 898 + 2 + 50 and min(seen.values()) > 40
 
 
-def test_a_graph_pair_is_its_edge_ids(g1, g4):
-    # `linearize` writes a graph's ends straight from its edge ids, in input
-    # order for a MultiDigraph and sorted for a BinaryRelation, and makes
-    # the integer rows from them on first read
-    rng = random.Random("edge ids")
-    graphs = [g1, g4, multidigraph("ab", [("b", "a"), ("a", "a"), ("b", "a"), ("a", "b")])]
-    graphs += [seeded_relation(f"ids:{i}", max_vertices=8) for i in range(20)]
-    graphs += [random_relation(rng, 6, Fraction(1, 3))]
-    for g in graphs:
-        p = linearize(g)
-        ids = tuple(sorted(g.ids) if isinstance(g, BinaryRelation) else g.ids)
-        assert p.ends == ids and (p.edge_dim, p.vertex_dim) == (len(ids), g.vertex_count), g
-        assert p.rows == tuple(({s: 1}, {t: 1}) for s, t in ids), g
-        assert p == PairMatrices(p.edge_dim, p.vertex_dim, p.rows), g
-
-
 def test_the_winding_sample_is_only_a_hint(monkeypatch):
     """`_left_indices` takes any sample s from `winding_rank` at c = 2 as a
     hint: on 120 small random relations, with r the normal rank, every
