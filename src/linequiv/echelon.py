@@ -23,9 +23,10 @@ a gain graph (Zaslavsky, JCTB 51, 1991): `winding_rank` counts the rank
 of both with one union-find on the same nodes and ground, which keeps
 each node's winding to its parent.  The ends are a pair's own, as
 `PairMatrices.ends` holds them, and each kernel does its finds, with
-path halving, and its joins, where the lower root stays a root so the
-ground is always one, inline in its row loop, with no call per row
-(Tarjan and van Leeuwen, JACM 31, 1984).
+path halving, and its joins inline in its row loop, with no call per row
+(Tarjan and van Leeuwen, JACM 31, 1984).  `forest_ranks` and
+`winding_rank` read whether a tree holds the ground, so there the lower
+root of a join stays a root, and the ground is always one.
 """
 
 from __future__ import annotations
@@ -111,10 +112,7 @@ def forest_rows(ends, width: int) -> list[int]:
         while parent[y] != y:
             parent[y] = y = parent[parent[y]]
         if x != y:
-            if x < y:
-                parent[y] = x
-            else:
-                parent[x] = y
+            parent[x] = y
             out.append(i)
     return out
 
